@@ -1,6 +1,6 @@
 # Developer entry points for the dkbms testbed.
 
-.PHONY: all test bench experiments examples doc clippy clean
+.PHONY: all test bench bench-compare experiments examples doc clippy clean
 
 all: test
 
@@ -9,6 +9,19 @@ test:
 
 bench:
 	cargo bench --workspace
+
+# Hold this checkout against another one with the fixed benchmark
+# (benchmark/README.md): five runs of every workload on each side, each
+# built from its own sources, then the per-metric verdicts under the
+# bounds of BENCHMARK.json. BASE is the checkout to compare with (the
+# parent commit, say); results land in BENCH_OUT.
+BASE ?= ../base
+BENCH_OUT ?= /tmp/dkbms-bench
+bench-compare:
+	mkdir -p $(BENCH_OUT)
+	cargo run --release --manifest-path $(BASE)/benchmark/Cargo.toml -- run --runs 5 --out $(BENCH_OUT)/base.json
+	cargo run --release --manifest-path benchmark/Cargo.toml -- run --runs 5 --out $(BENCH_OUT)/change.json
+	cargo run --release --manifest-path benchmark/Cargo.toml -- compare $(BENCH_OUT)/base.json $(BENCH_OUT)/change.json
 
 # Regenerate every paper table/figure (EXPERIMENTS.md records the shapes).
 experiments:

@@ -8,15 +8,16 @@
 //! The pool is deliberately single-writer: `with_page` takes `&mut self`
 //! and `&mut Disk`, so all page I/O happens on the thread driving the
 //! executor. The partitioned parallel operators (see `exec.rs`) respect
-//! this by gathering raw payloads serially through the pool and handing
-//! worker threads only materialized rows and read-only index directories —
-//! workers never fault pages, so no frame latching is needed and WAL
-//! writes stay serialized.
+//! this: scans decode their rows inside the page closure on the driving
+//! thread, and worker threads are handed only materialized rows and
+//! read-only index directories — workers never fault pages, so no frame
+//! latching is needed and WAL writes stay serialized.
 
 use crate::catalog::DbError;
 use crate::disk::{Disk, FileId, PageId};
 use crate::page::PAGE_SIZE;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Default number of frames. 256 frames x 4 KiB = 1 MiB of buffer, small
 /// enough that the larger experiment relations actually overflow it and
@@ -60,6 +61,10 @@ struct Frame {
 pub struct BufferPool {
     frames: Vec<Frame>,
     map: HashMap<(FileId, PageId), usize>,
+    /// Frames caching no page, lowest index on top: a miss takes the free
+    /// frame a front-to-back search of `frames` would find, without the
+    /// search.
+    free: BinaryHeap<Reverse<usize>>,
     clock_hand: usize,
     /// Frames faulted in cold, oldest first. Entries go stale when the
     /// frame is promoted or evicted; `find_victim` validates on pop.
@@ -81,6 +86,7 @@ impl BufferPool {
                 })
                 .collect(),
             map: HashMap::new(),
+            free: (0..capacity).map(Reverse).collect(),
             clock_hand: 0,
             cold_queue: VecDeque::new(),
             stats: BufferStats::default(),
@@ -138,7 +144,10 @@ impl BufferPool {
             None => {
                 self.stats.misses += 1;
                 let idx = self.find_victim(disk)?;
-                disk.read_page(file, page, &mut self.frames[idx].data)?;
+                if let Err(e) = disk.read_page(file, page, &mut self.frames[idx].data) {
+                    self.free.push(Reverse(idx));
+                    return Err(e);
+                }
                 self.frames[idx].key = Some((file, page));
                 self.frames[idx].dirty = false;
                 self.map.insert((file, page), idx);
@@ -164,7 +173,7 @@ impl BufferPool {
     /// Pick a frame to reuse, writing back its contents if dirty.
     fn find_victim(&mut self, disk: &mut Disk) -> Result<usize, DbError> {
         // Free frame first.
-        if let Some(idx) = self.frames.iter().position(|fr| fr.key.is_none()) {
+        if let Some(Reverse(idx)) = self.free.pop() {
             return Ok(idx);
         }
         // Unpromoted cold frames next, oldest first: scan traffic then
@@ -231,6 +240,7 @@ impl BufferPool {
     pub fn discard_all(&mut self) {
         self.map.clear();
         self.cold_queue.clear();
+        self.free = (0..self.frames.len()).map(Reverse).collect();
         for frame in &mut self.frames {
             frame.key = None;
             frame.dirty = false;
@@ -250,6 +260,7 @@ impl BufferPool {
         }
         for (key, idx) in removed {
             self.map.remove(&key);
+            self.free.push(Reverse(idx));
             let frame = &mut self.frames[idx];
             frame.key = None;
             frame.dirty = false;
@@ -267,6 +278,7 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         self.flush_all(disk)?;
         self.map.clear();
+        self.free = (0..capacity).map(Reverse).collect();
         self.clock_hand = 0;
         self.cold_queue.clear();
         self.frames = (0..capacity)
@@ -360,6 +372,38 @@ mod tests {
         let mut out = vec![0u8; PAGE_SIZE];
         disk.read_page(file, page, &mut out).unwrap();
         assert_eq!(out[0], 0);
+    }
+
+    #[test]
+    fn discarded_frames_are_reused_before_anything_is_evicted() {
+        let (mut disk, mut pool, file) = setup(4);
+        let other = disk.create_file();
+        let kept: Vec<PageId> = (0..2).map(|_| disk.allocate_page(file).unwrap()).collect();
+        let dropped: Vec<PageId> = (0..2).map(|_| disk.allocate_page(other).unwrap()).collect();
+        for (&a, &b) in kept.iter().zip(&dropped) {
+            pool.with_page(&mut disk, file, a, false, |_| ()).unwrap();
+            pool.with_page(&mut disk, other, b, false, |_| ()).unwrap();
+        }
+        assert_eq!(pool.occupied(), 4);
+        pool.discard_file(other);
+        assert_eq!(pool.occupied(), 2);
+        // Two more pages fit in the freed frames: nothing is evicted and
+        // the pages that stayed are still hits.
+        for _ in 0..2 {
+            let p = disk.allocate_page(file).unwrap();
+            pool.with_page(&mut disk, file, p, false, |_| ()).unwrap();
+        }
+        assert_eq!(pool.occupied(), 4);
+        assert_eq!(pool.stats().evictions, 0);
+        let misses = pool.stats().misses;
+        for &p in &kept {
+            pool.with_page(&mut disk, file, p, false, |_| ()).unwrap();
+        }
+        assert_eq!(pool.stats().misses, misses);
+        // A full pool evicts again.
+        let p = disk.allocate_page(file).unwrap();
+        pool.with_page(&mut disk, file, p, false, |_| ()).unwrap();
+        assert_eq!(pool.stats().evictions, 1);
     }
 
     #[test]

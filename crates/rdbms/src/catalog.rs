@@ -34,6 +34,12 @@ pub enum DbError {
     NoSuchIndex(String),
     IndexExists(String),
     TypeMismatch(String),
+    /// A row whose serialized form does not fit on one page. Rejected
+    /// before anything is written, like a type mismatch.
+    RowTooLarge {
+        bytes: usize,
+        max: usize,
+    },
     Parse(String),
     Plan(String),
     Io(String),
@@ -63,6 +69,9 @@ impl std::fmt::Display for DbError {
             DbError::NoSuchIndex(i) => write!(f, "no such index: {i}"),
             DbError::IndexExists(i) => write!(f, "index already exists: {i}"),
             DbError::TypeMismatch(m) => write!(f, "type mismatch: {m}"),
+            DbError::RowTooLarge { bytes, max } => {
+                write!(f, "row of {bytes} bytes exceeds the page capacity of {max}")
+            }
             DbError::Parse(m) => write!(f, "parse error: {m}"),
             DbError::Plan(m) => write!(f, "planning error: {m}"),
             DbError::Io(m) => write!(f, "I/O error: {m}"),
@@ -206,15 +215,10 @@ impl Catalog {
         } else {
             HashIndex::new(index_name.to_ascii_lowercase(), key_cols)
         };
-        let mut scan = table.heap.scan();
-        while let Some((rid, payload)) = scan.next(disk, pool)? {
-            let tuple = crate::schema::deserialize_tuple(&payload).ok_or_else(|| {
-                DbError::Corruption(format!(
-                    "table {table_name}: stored tuple at {rid:?} does not deserialize"
-                ))
-            })?;
-            index.insert(&tuple, rid);
-        }
+        table.heap.scan().for_each(disk, pool, |rid, payload| {
+            index.insert(&crate::exec::decode_tuple(table_name, rid, payload)?, rid);
+            Ok(())
+        })?;
         table.indexes.push(index);
         Ok(())
     }
@@ -321,8 +325,9 @@ mod tests {
             .unwrap();
         let t = cat.table_mut("t").unwrap();
         assert_eq!(t.indexes.len(), 1);
-        assert_eq!(t.indexes[0].lookup(&[Value::Int(1)]).len(), 2);
-        assert_eq!(t.indexes[0].lookup(&[Value::Int(2)]).len(), 1);
+        let key = |v| crate::index::PackedKey::from_values(&[Value::Int(v)]);
+        assert_eq!(t.indexes[0].lookup(&key(1)).len(), 2);
+        assert_eq!(t.indexes[0].lookup(&key(2)).len(), 1);
     }
 
     #[test]

@@ -9,12 +9,15 @@ use crate::buffer::{BufferPool, BufferStats, DEFAULT_POOL_FRAMES};
 use crate::catalog::{Catalog, DbError, Table};
 use crate::disk::{Disk, DiskStats, FaultInjector, RecoveryReport};
 use crate::exec::{
-    execute_plan, ExecCtx, ExecStats, OpProfile, Profiler, SpillMode, DEFAULT_BATCH_ROWS,
+    decode_tuple, execute_plan, ExecCtx, ExecStats, OpProfile, Profiler, SpillMode,
+    DEFAULT_BATCH_ROWS,
 };
 use crate::governor::{BudgetKind, ExecLimits, QueryGovernor, GOVERNOR_CHECK_INTERVAL};
 use crate::heap::RecordId;
+use crate::index::PackedKey;
+use crate::page::MAX_PAYLOAD;
 use crate::plan::{output_types, plan_query, ExecCond, PlannedQuery};
-use crate::schema::{serialize_tuple, Schema, Tuple};
+use crate::schema::{serialize_tuple_into, serialized_len, Schema, Tuple};
 use crate::sql::ast::{CmpOp, ColRef, Condition, Query, Scalar, SelectItem, Stmt};
 use crate::sql::parser::{parse_script, parse_stmt, parse_stmt_params};
 use crate::stats::{Reservoir, RESERVOIR_CAP};
@@ -79,15 +82,6 @@ pub struct EngineStats {
 
 /// An index description: name, key column positions, ordered flag.
 pub type IndexSpec = (String, Vec<usize>, bool);
-
-/// Decode a stored payload, reporting damage as [`DbError::Corruption`].
-fn decode_stored(table: &str, rid: RecordId, payload: &[u8]) -> Result<Tuple, DbError> {
-    crate::schema::deserialize_tuple(payload).ok_or_else(|| {
-        DbError::Corruption(format!(
-            "table {table}: stored tuple at {rid:?} does not deserialize"
-        ))
-    })
-}
 
 /// One catalog-level action taken inside the active transaction. The
 /// page-level effects are undone by the disk's WAL; these record the
@@ -620,13 +614,19 @@ impl Engine {
             for index in &mut table.indexes {
                 index.clear();
             }
-            let mut scan = table.heap.scan();
-            while let Some((rid, payload)) = scan.next(disk, pool)? {
-                let tuple = decode_stored(&table.name, rid, &payload)?;
-                for index in &mut table.indexes {
+            let Table {
+                name,
+                heap,
+                indexes,
+                ..
+            } = table;
+            heap.scan().for_each(disk, pool, |rid, payload| {
+                let tuple = decode_tuple(name, rid, payload)?;
+                for index in indexes.iter_mut() {
                     index.insert(&tuple, rid);
                 }
-            }
+                Ok(())
+            })?;
         }
         Ok(())
     }
@@ -1092,17 +1092,32 @@ impl Engine {
                     t.schema, t.name
                 )));
             }
-        }
-        let mut n = 0;
-        for row in rows {
-            let payload = serialize_tuple(&row);
-            let rid = t.heap.insert(&mut self.disk, &mut self.pool, &payload)?;
-            for index in &mut t.indexes {
-                index.insert(&row, rid);
+            let bytes = serialized_len(row);
+            if bytes > MAX_PAYLOAD {
+                return Err(DbError::RowTooLarge {
+                    bytes,
+                    max: MAX_PAYLOAD,
+                });
             }
-            n += 1;
         }
+        // One pass over the heap (every row serialized into the same
+        // buffer, each page filled under one visit), then one pass per
+        // index. If the disk fails part-way, the rows already placed are
+        // still indexed and counted before the error is returned.
+        let mut rids = Vec::with_capacity(rows.len());
+        let appended = t.heap.append(
+            &mut self.disk,
+            &mut self.pool,
+            rows.len(),
+            |i, buf| serialize_tuple_into(&rows[i], buf),
+            &mut rids,
+        );
+        for index in &mut t.indexes {
+            index.insert_batch(&rows, &rids);
+        }
+        let n = rids.len() as u64;
         t.stats.note_mods(n);
+        appended?;
         self.maybe_analyze(table)?;
         Ok(n)
     }
@@ -1135,11 +1150,14 @@ impl Engine {
                 (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
             })
             .wrapping_add(t.stats.version);
+        // Every live record is offered, in scan order, but only the ones
+        // the reservoir takes are decoded.
         let mut reservoir = Reservoir::new(RESERVOIR_CAP, seed);
-        let mut scan = t.heap.scan();
-        while let Some((rid, payload)) = scan.next(&mut self.disk, &mut self.pool)? {
-            reservoir.offer(decode_stored(table, rid, &payload)?);
-        }
+        t.heap
+            .scan()
+            .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
+                reservoir.offer_with(|| decode_tuple(table, rid, payload))
+            })?;
         let sampled = reservoir.rows().len() as u64;
         // An empty table has no distribution to describe: install no column
         // estimates (rather than degenerate zero-distinct ones) so the
@@ -1246,32 +1264,38 @@ impl Engine {
                 });
             let mut victims = Vec::new();
             if let Some((pos, key)) = probe {
-                let rids: Vec<RecordId> = t.indexes[pos].lookup(&key).to_vec();
+                let key = PackedKey::from_tuple(key);
                 self.exec_stats.index_probes += 1;
-                for rid in rids {
-                    let Some(payload) = t.heap.get(&mut self.disk, &mut self.pool, rid)? else {
+                for &rid in t.indexes[pos].lookup(&key) {
+                    let fetched = t
+                        .heap
+                        .read(&mut self.disk, &mut self.pool, rid, |payload| {
+                            decode_tuple(table, rid, payload)
+                        })?;
+                    let Some(tuple) = fetched.transpose()? else {
                         continue;
                     };
                     self.exec_stats.tuples_fetched += 1;
-                    let tuple = decode_stored(table, rid, &payload)?;
                     if crate::exec::eval_all(&conds, &tuple, &[]) {
                         victims.push((rid, tuple));
                     }
                 }
             } else {
-                let mut scan = t.heap.scan();
                 let mut seen = 0usize;
-                while let Some((rid, payload)) = scan.next(&mut self.disk, &mut self.pool)? {
-                    if seen.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
-                        governor.check()?;
-                    }
-                    seen += 1;
-                    self.exec_stats.tuples_scanned += 1;
-                    let tuple = decode_stored(table, rid, &payload)?;
-                    if crate::exec::eval_all(&conds, &tuple, &[]) {
-                        victims.push((rid, tuple));
-                    }
-                }
+                t.heap
+                    .scan()
+                    .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
+                        if seen.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
+                            governor.check()?;
+                        }
+                        seen += 1;
+                        self.exec_stats.tuples_scanned += 1;
+                        let tuple = decode_tuple(table, rid, payload)?;
+                        if crate::exec::eval_all(&conds, &tuple, &[]) {
+                            victims.push((rid, tuple));
+                        }
+                        Ok(())
+                    })?;
             }
             victims
         } else {
@@ -1292,14 +1316,16 @@ impl Engine {
             let matching: std::collections::HashSet<Tuple> =
                 self.run_query(&query)?.rows.into_iter().collect();
             let t = self.catalog.table(table)?;
-            let mut scan = t.heap.scan();
             let mut victims = Vec::new();
-            while let Some((rid, payload)) = scan.next(&mut self.disk, &mut self.pool)? {
-                let tuple = decode_stored(table, rid, &payload)?;
-                if matching.contains(&tuple) {
-                    victims.push((rid, tuple));
-                }
-            }
+            t.heap
+                .scan()
+                .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
+                    let tuple = decode_tuple(table, rid, payload)?;
+                    if matching.contains(&tuple) {
+                        victims.push((rid, tuple));
+                    }
+                    Ok(())
+                })?;
             victims
         };
 
@@ -1366,19 +1392,21 @@ impl Engine {
 
         // One scan of the source builds the adjacency map.
         let mut adjacency: HashMap<Value, Vec<Value>> = HashMap::new();
-        let mut scan = src.heap.scan();
         let mut seen_rows = 0usize;
-        while let Some((rid, payload)) = scan.next(&mut self.disk, &mut self.pool)? {
-            if seen_rows.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
-                governor.check()?;
-            }
-            seen_rows += 1;
-            self.exec_stats.tuples_scanned += 1;
-            let mut tuple = decode_stored(source, rid, &payload)?;
-            let b = tuple.pop().expect("binary");
-            let a = tuple.pop().expect("binary");
-            adjacency.entry(a).or_default().push(b);
-        }
+        src.heap
+            .scan()
+            .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
+                if seen_rows.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
+                    governor.check()?;
+                }
+                seen_rows += 1;
+                self.exec_stats.tuples_scanned += 1;
+                let mut tuple = decode_tuple(source, rid, payload)?;
+                let b = tuple.pop().expect("binary");
+                let a = tuple.pop().expect("binary");
+                adjacency.entry(a).or_default().push(b);
+                Ok(())
+            })?;
 
         // Per-source BFS: closed[a] = everything reachable from a. The
         // iteration works on pointers into the adjacency map — the "buffer
@@ -1404,20 +1432,22 @@ impl Engine {
         // Deduplicate against existing target rows, then bulk-load.
         let existing: HashSet<(Value, Value)> = {
             let tgt = self.catalog.table(target)?;
-            let mut scan = tgt.heap.scan();
             let mut out = HashSet::new();
             let mut seen_rows = 0usize;
-            while let Some((rid, payload)) = scan.next(&mut self.disk, &mut self.pool)? {
-                if seen_rows.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
-                    governor.check()?;
-                }
-                seen_rows += 1;
-                self.exec_stats.tuples_scanned += 1;
-                let mut tuple = decode_stored(target, rid, &payload)?;
-                let b = tuple.pop().expect("binary");
-                let a = tuple.pop().expect("binary");
-                out.insert((a, b));
-            }
+            tgt.heap
+                .scan()
+                .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
+                    if seen_rows.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
+                        governor.check()?;
+                    }
+                    seen_rows += 1;
+                    self.exec_stats.tuples_scanned += 1;
+                    let mut tuple = decode_tuple(target, rid, payload)?;
+                    let b = tuple.pop().expect("binary");
+                    let a = tuple.pop().expect("binary");
+                    out.insert((a, b));
+                    Ok(())
+                })?;
             out
         };
         let mut fresh: Vec<Tuple> = closure
@@ -1474,11 +1504,13 @@ impl Engine {
     /// SQL for queries).
     pub fn scan_all(&mut self, table: &str) -> Result<Vec<Tuple>, DbError> {
         let t = self.catalog.table(table)?;
-        let mut scan = t.heap.scan();
         let mut out = Vec::with_capacity(t.heap.tuple_count() as usize);
-        while let Some((rid, payload)) = scan.next(&mut self.disk, &mut self.pool)? {
-            out.push(decode_stored(table, rid, &payload)?);
-        }
+        t.heap
+            .scan()
+            .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
+                out.push(decode_tuple(table, rid, payload)?);
+                Ok(())
+            })?;
         Ok(out)
     }
 
@@ -2950,6 +2982,81 @@ mod tests {
         );
         assert!(matches!(err, Err(DbError::TypeMismatch(_))));
         assert_eq!(e.table_len("t").unwrap(), 0, "no partial batch");
+    }
+
+    #[test]
+    fn insert_batch_is_atomic_on_oversized_row() {
+        let mut e = Engine::new();
+        e.execute("CREATE TABLE t (a integer, b char)").unwrap();
+        e.execute("CREATE INDEX t_a ON t (a)").unwrap();
+        let row = |a: i64, len: usize| vec![Value::Int(a), Value::Str("x".repeat(len))];
+        // 2 (arity) + 9 (int) + 5 (string header) bytes ride with the text.
+        let fits = MAX_PAYLOAD - 16;
+        let err = e.insert_rows("t", vec![row(1, 10), row(2, fits + 1), row(3, 10)]);
+        assert_eq!(
+            err,
+            Err(DbError::RowTooLarge {
+                bytes: MAX_PAYLOAD + 1,
+                max: MAX_PAYLOAD
+            })
+        );
+        assert_eq!(e.table_len("t").unwrap(), 0, "no partial batch");
+        assert!(e
+            .execute("SELECT * FROM t WHERE a = 1")
+            .unwrap()
+            .rows
+            .is_empty());
+        // The SQL path reports it the same way, and the largest row that
+        // fits a page still goes in.
+        let sql = format!("INSERT INTO t VALUES (4, '{}')", "y".repeat(fits + 1));
+        assert!(matches!(e.execute(&sql), Err(DbError::RowTooLarge { .. })));
+        assert_eq!(e.insert_rows("t", vec![row(5, fits)]), Ok(1));
+        assert_eq!(
+            e.execute("SELECT * FROM t WHERE a = 5").unwrap().rows.len(),
+            1
+        );
+    }
+
+    #[test]
+    fn corrupt_payload_is_an_error_on_every_read_path() {
+        let mut e = Engine::new();
+        e.execute("CREATE TABLE t (a integer, b integer)").unwrap();
+        e.execute("CREATE TABLE u (a integer, b integer)").unwrap();
+        e.execute("CREATE INDEX t_a ON t (a)").unwrap();
+        e.insert_rows("t", vec![vec![Value::Int(1), Value::Int(2)]])
+            .unwrap();
+        e.insert_rows("u", vec![vec![Value::Int(1), Value::Int(2)]])
+            .unwrap();
+        // A record whose column count promises more bytes than it has,
+        // reachable both by scan and (filed under key 9) through the index.
+        let t = e.catalog.table_mut("t").unwrap();
+        let rid = t
+            .heap
+            .insert(&mut e.disk, &mut e.pool, &[2, 0, 0, 9, 9, 9])
+            .unwrap();
+        t.indexes[0].insert(&[Value::Int(9), Value::Int(9)], rid);
+        let corrupt = |r: Result<ResultSet, DbError>| matches!(r, Err(DbError::Corruption(_)));
+        // Scan, projected scan, count, index lookup, both join sides,
+        // anti-join inner scan.
+        assert!(corrupt(e.execute("SELECT * FROM t")));
+        assert!(corrupt(e.execute("SELECT b FROM t WHERE b > 0")));
+        assert!(corrupt(e.execute("SELECT COUNT(*) FROM t")));
+        assert!(corrupt(e.execute("SELECT * FROM t WHERE a = 9")));
+        assert!(corrupt(
+            e.execute("SELECT u.a, t.b FROM u, t WHERE u.b = t.b")
+        ));
+        assert!(corrupt(e.execute(
+            "SELECT * FROM u WHERE NOT EXISTS (SELECT * FROM t WHERE t.b = u.b)"
+        )));
+        assert!(corrupt(e.execute("DELETE FROM t WHERE b = 2")));
+        assert!(matches!(e.scan_all("t"), Err(DbError::Corruption(_))));
+        assert!(matches!(e.analyze_table("t"), Err(DbError::Corruption(_))));
+        // The engine keeps serving what is intact.
+        assert_eq!(e.execute("SELECT * FROM u").unwrap().rows.len(), 1);
+        assert_eq!(
+            e.execute("SELECT * FROM t WHERE a = 1").unwrap().rows.len(),
+            1
+        );
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! [`ExecStats`] so experiments can report machine-independent costs.
 
 use crate::buffer::BufferPool;
-use crate::catalog::{Catalog, DbError};
+use crate::catalog::{Catalog, DbError, Table};
 use crate::disk::Disk;
 use crate::governor::{QueryGovernor, GOVERNOR_CHECK_INTERVAL};
 use crate::heap::RecordId;
+use crate::index::PackedKey;
 use crate::plan::{ExecCond, KeyExpr, PhysPlan, ProjExpr};
 use crate::schema::{deserialize_tuple, serialize_tuple, Tuple};
 use crate::spill::{decode_seq_tuple, encode_seq_tuple, partition_of, SpillFile, SpillWriter};
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// When memory-bounded operators may divert state to spill files
@@ -192,18 +194,6 @@ pub struct ExecCtx<'a> {
 }
 
 impl ExecCtx<'_> {
-    /// Count a sequential-scan tuple read, attributing it to the operator
-    /// currently executing when profiling is on.
-    #[inline]
-    fn count_scanned(&mut self) {
-        self.stats.tuples_scanned += 1;
-        if let Some(p) = self.profiler.as_mut() {
-            if let Some(op) = p.current() {
-                op.tuples_scanned += 1;
-            }
-        }
-    }
-
     /// Count an index-fetched tuple.
     #[inline]
     fn count_fetched(&mut self) {
@@ -652,33 +642,147 @@ fn finish_par(ctx: &mut ExecCtx<'_>, results: Vec<WorkerResult>) -> Result<Vec<T
     }
 }
 
-/// Evaluate one resolved condition against a flat row.
-fn eval_cond(cond: &ExecCond, row: &[Value], params: &[Value]) -> bool {
-    match cond {
-        ExecCond::ColCmpCol(a, op, b) => op.eval(row[*a].cmp(&row[*b])),
-        ExecCond::ColCmpLit(a, op, v) => op.eval(row[*a].cmp(v)),
-        ExecCond::ColCmpParam(a, op, p) => op.eval(row[*a].cmp(&params[*p])),
-        ExecCond::InList(a, vs) => vs.contains(&row[*a]),
+/// A row the conditions of a plan can be evaluated against: a flat tuple,
+/// or the two sides of a join viewed as one without being copied together.
+trait RowView {
+    fn col(&self, i: usize) -> &Value;
+}
+
+impl RowView for [Value] {
+    #[inline]
+    fn col(&self, i: usize) -> &Value {
+        &self[i]
     }
 }
 
-pub(crate) fn eval_all(conds: &[ExecCond], row: &[Value], params: &[Value]) -> bool {
+/// A joined row in the combined layout: left columns, then right columns.
+struct Joined<'a>(&'a [Value], &'a [Value]);
+
+impl RowView for Joined<'_> {
+    #[inline]
+    fn col(&self, i: usize) -> &Value {
+        match i.checked_sub(self.0.len()) {
+            None => &self.0[i],
+            Some(r) => &self.1[r],
+        }
+    }
+}
+
+/// Evaluate one resolved condition against a row.
+fn eval_cond<R: RowView + ?Sized>(cond: &ExecCond, row: &R, params: &[Value]) -> bool {
+    match cond {
+        ExecCond::ColCmpCol(a, op, b) => op.eval(row.col(*a).cmp(row.col(*b))),
+        ExecCond::ColCmpLit(a, op, v) => op.eval(row.col(*a).cmp(v)),
+        ExecCond::ColCmpParam(a, op, p) => op.eval(row.col(*a).cmp(&params[*p])),
+        ExecCond::InList(a, vs) => vs.contains(row.col(*a)),
+    }
+}
+
+fn eval_row<R: RowView + ?Sized>(conds: &[ExecCond], row: &R, params: &[Value]) -> bool {
     conds.iter().all(|c| eval_cond(c, row, params))
 }
 
+pub(crate) fn eval_all(conds: &[ExecCond], row: &[Value], params: &[Value]) -> bool {
+    eval_row(conds, row, params)
+}
+
+/// What the parent wants of each row an operator emits. A `Project` sitting
+/// directly on a row source (a scan or a join) hands its expressions down
+/// here, so the source builds the projected row straight from the page or
+/// from its two inputs; the wide intermediate row is never built.
+#[derive(Clone, Copy)]
+struct Emit<'p> {
+    /// `None` emits the operator's natural row.
+    exprs: Option<&'p [ProjExpr]>,
+    /// `exprs` is `Col(0), Col(1), ..`: an owned row is projected by
+    /// cutting it short, which is what `SELECT *` amounts to.
+    prefix: bool,
+}
+
+impl<'p> Emit<'p> {
+    const NATURAL: Emit<'static> = Emit {
+        exprs: None,
+        prefix: false,
+    };
+
+    fn project(exprs: &'p [ProjExpr]) -> Emit<'p> {
+        let prefix = !exprs.is_empty()
+            && exprs
+                .iter()
+                .enumerate()
+                .all(|(i, e)| matches!(e, ProjExpr::Col(c) if *c == i));
+        Emit {
+            exprs: Some(exprs),
+            prefix,
+        }
+    }
+
+    fn build<R: RowView + ?Sized>(exprs: &[ProjExpr], row: &R) -> Tuple {
+        exprs
+            .iter()
+            .map(|e| match e {
+                ProjExpr::Col(i) => row.col(*i).clone(),
+                ProjExpr::Lit(v) => v.clone(),
+            })
+            .collect()
+    }
+
+    /// Emit an owned row.
+    fn row(&self, mut row: Tuple) -> Tuple {
+        match self.exprs {
+            None => row,
+            Some(exprs) if self.prefix && exprs.len() <= row.len() => {
+                row.truncate(exprs.len());
+                row
+            }
+            Some(exprs) => Self::build(exprs, row.as_slice()),
+        }
+    }
+
+    /// Emit the join of `left` and `right`.
+    fn joined(&self, left: &[Value], right: &[Value]) -> Tuple {
+        match self.exprs {
+            None => {
+                let mut row = Vec::with_capacity(left.len() + right.len());
+                row.extend_from_slice(left);
+                row.extend_from_slice(right);
+                row
+            }
+            Some(exprs) => Self::build(exprs, &Joined(left, right)),
+        }
+    }
+}
+
+/// Operators that build each output row themselves and so can apply their
+/// parent's projection while doing it (see [`Emit`]). Every other operator
+/// passes its child's rows through.
+fn builds_rows(plan: &PhysPlan) -> bool {
+    matches!(
+        plan,
+        PhysPlan::SeqScan { .. }
+            | PhysPlan::IndexLookup { .. }
+            | PhysPlan::IndexRange { .. }
+            | PhysPlan::HashJoin { .. }
+            | PhysPlan::IndexNlJoin { .. }
+            | PhysPlan::CrossJoin { .. }
+    )
+}
+
 /// Materialize an index-lookup key, substituting bind values for params.
-fn resolve_key(key: &[KeyExpr], params: &[Value]) -> Vec<Value> {
-    key.iter()
-        .map(|k| match k {
-            KeyExpr::Lit(v) => v.clone(),
-            KeyExpr::Param(p) => params[*p].clone(),
-        })
-        .collect()
+fn resolve_key(key: &[KeyExpr], params: &[Value]) -> PackedKey {
+    PackedKey::from_tuple(
+        key.iter()
+            .map(|k| match k {
+                KeyExpr::Lit(v) => v.clone(),
+                KeyExpr::Param(p) => params[*p].clone(),
+            })
+            .collect(),
+    )
 }
 
 /// Decode a stored payload, surfacing damage as [`DbError::Corruption`]
 /// instead of panicking so callers can attempt recovery.
-fn decode_tuple(table: &str, rid: RecordId, payload: &[u8]) -> Result<Tuple, DbError> {
+pub(crate) fn decode_tuple(table: &str, rid: RecordId, payload: &[u8]) -> Result<Tuple, DbError> {
     deserialize_tuple(payload).ok_or_else(|| {
         DbError::Corruption(format!(
             "table {table}: stored tuple at {rid:?} does not deserialize"
@@ -686,118 +790,206 @@ fn decode_tuple(table: &str, rid: RecordId, payload: &[u8]) -> Result<Tuple, DbE
     })
 }
 
-/// Fetch the record an index entry points at; a dangling entry means the
-/// index and heap have diverged, which is corruption, not a logic bug.
-fn fetch_indexed(
+/// Decode the record an index entry points at, inside its page; a dangling
+/// entry means the index and heap have diverged, which is corruption, not a
+/// logic bug.
+fn fetch_indexed(ctx: &mut ExecCtx<'_>, table: &Table, rid: RecordId) -> Result<Tuple, DbError> {
+    table
+        .heap
+        .read(ctx.disk, ctx.pool, rid, |payload| {
+            decode_tuple(&table.name, rid, payload)
+        })?
+        .unwrap_or_else(|| {
+            Err(DbError::Corruption(format!(
+                "table {}: index entry points at missing record {rid:?}",
+                table.name
+            )))
+        })
+}
+
+/// Scan all of `table`, decoding each live record inside its page latch and
+/// handing the row to `on_row`, which reports whether it kept the row (a
+/// row not kept counts as dropped by the scan's filters). Records are
+/// gathered `batch_rows` at a time — the cadence of governor polls and of
+/// the `batches` counter — with one buffer-pool visit per page touched.
+fn scan_rows(
     ctx: &mut ExecCtx<'_>,
-    table: &crate::catalog::Table,
-    rid: RecordId,
-) -> Result<Vec<u8>, DbError> {
-    table.heap.get(ctx.disk, ctx.pool, rid)?.ok_or_else(|| {
-        DbError::Corruption(format!(
-            "table {}: index entry points at missing record {rid:?}",
-            table.name
-        ))
-    })
+    table: &Table,
+    mut on_row: impl FnMut(Tuple) -> bool,
+) -> Result<(), DbError> {
+    let batch = ctx.batch_rows.max(1);
+    let mut scan = table.heap.scan();
+    loop {
+        if let Some(g) = ctx.governor {
+            g.check()?;
+        }
+        let mut dropped = 0;
+        let scanned = scan.for_each_batch(ctx.disk, ctx.pool, batch, |rid, payload| {
+            if !on_row(decode_tuple(&table.name, rid, payload)?) {
+                dropped += 1;
+            }
+            Ok(())
+        })?;
+        if scanned == 0 {
+            return Ok(());
+        }
+        ctx.absorb(WorkerCounts {
+            scanned: scanned as u64,
+            dropped,
+            batches: 1,
+            ..WorkerCounts::default()
+        });
+    }
+}
+
+/// The build side of a hash join: every build row's index, chained per key
+/// in build order. One map entry per distinct key and one link per row —
+/// no per-key vector, and (for integer keys) no per-row allocation.
+struct BuildTable<'r> {
+    rows: &'r [Tuple],
+    /// Key → (first, last) row index of its chain.
+    chains: HashMap<PackedKey, (usize, usize)>,
+    /// `next[i]` is the row after row `i` in its chain; `usize::MAX` ends it.
+    next: Vec<usize>,
+}
+
+impl<'r> BuildTable<'r> {
+    fn build(
+        rows: &'r [Tuple],
+        key_cols: &[usize],
+        gov: Option<&QueryGovernor>,
+    ) -> Result<BuildTable<'r>, DbError> {
+        let mut chains: HashMap<PackedKey, (usize, usize)> = HashMap::with_capacity(rows.len());
+        let mut next = vec![usize::MAX; rows.len()];
+        for (i, row) in rows.iter().enumerate() {
+            gov_tick(gov, i)?;
+            match chains.entry(PackedKey::from_cols(row, key_cols)) {
+                Entry::Occupied(mut e) => {
+                    let (_, last) = e.get_mut();
+                    next[*last] = i;
+                    *last = i;
+                }
+                Entry::Vacant(e) => {
+                    e.insert((i, i));
+                }
+            }
+        }
+        Ok(BuildTable { rows, chains, next })
+    }
+
+    /// The build rows filed under `key`, in build order.
+    fn matches<'t>(&'t self, key: &PackedKey) -> impl Iterator<Item = &'r Tuple> + 't {
+        let mut at = self.chains.get(key).map_or(usize::MAX, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            let i = at;
+            (i != usize::MAX).then(|| {
+                at = self.next[i];
+                &self.rows[i]
+            })
+        })
+    }
+}
+
+/// A built hash join, ready to be probed: shared read-only by the probe
+/// workers.
+struct HashProbe<'a> {
+    table: &'a BuildTable<'a>,
+    /// The build rows are the join's left side.
+    build_left: bool,
+    probe_keys: &'a [usize],
+    residual: &'a [ExecCond],
+    params: &'a [Value],
+    emit: Emit<'a>,
+}
+
+impl HashProbe<'_> {
+    /// Probe with each row of `probe`, appending the joins that pass the
+    /// residual to `out`.
+    fn run(&self, probe: &[Tuple], c: &mut WorkerCounts, out: &mut Vec<Tuple>) {
+        for prow in probe {
+            let key = PackedKey::from_cols(prow, self.probe_keys);
+            for brow in self.table.matches(&key) {
+                let (lrow, rrow) = if self.build_left {
+                    (brow, prow)
+                } else {
+                    (prow, brow)
+                };
+                if eval_row(self.residual, &Joined(lrow, rrow), self.params) {
+                    c.join_output += 1;
+                    out.push(self.emit.joined(lrow, rrow));
+                } else {
+                    c.dropped += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Keep the first occurrence of every row, in input order.
+fn dedup_rows(mut rows: Vec<Tuple>) -> Vec<Tuple> {
+    let mut seen = HashSet::with_capacity(rows.len());
+    rows.retain(|r| seen.insert(PackedKey::from_values(r)));
+    rows
 }
 
 /// Execute `plan` to completion. When a [`Profiler`] is installed in the
 /// context, each node's wall time, output cardinality, and operator-local
 /// counters are recorded on the way.
 pub fn execute_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbError> {
-    if ctx.profiler.is_none() {
-        let rows = run_plan(plan, ctx)?;
-        // Every operator's materialized output counts against the row
-        // budget: "rows processed", not "rows returned", so a blow-up in
-        // an intermediate join trips the governor even if the final
-        // projection is tiny.
-        if let Some(g) = ctx.governor {
-            g.charge_rows(rows.len() as u64)?;
-        }
-        return Ok(rows);
-    }
-    let idx = ctx.profiler.as_mut().expect("profiler present").enter(plan);
-    let start = std::time::Instant::now();
-    let result = run_plan(plan, ctx);
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    let rows_out = result.as_ref().map(|r| r.len() as u64).unwrap_or(0);
-    ctx.profiler
+    execute_emitting(plan, ctx, Emit::NATURAL)
+}
+
+/// [`execute_plan`] with the parent's projection handed down; only an
+/// operator that [`builds_rows`] may be given one.
+fn execute_emitting(
+    plan: &PhysPlan,
+    ctx: &mut ExecCtx<'_>,
+    emit: Emit<'_>,
+) -> Result<Vec<Tuple>, DbError> {
+    let profiled = ctx
+        .profiler
         .as_mut()
-        .expect("profiler present")
-        .exit(idx, elapsed_ns, rows_out);
+        .map(|p| (p.enter(plan), std::time::Instant::now()));
+    let result = run_plan(plan, ctx, emit);
+    if let Some((idx, start)) = profiled {
+        let rows_out = result.as_ref().map_or(0, |r| r.len() as u64);
+        ctx.profiler.as_mut().expect("profiler present").exit(
+            idx,
+            start.elapsed().as_nanos() as u64,
+            rows_out,
+        );
+    }
     let rows = result?;
+    // Every operator's materialized output counts against the row
+    // budget: "rows processed", not "rows returned", so a blow-up in
+    // an intermediate join trips the governor even if the final
+    // projection is tiny.
     if let Some(g) = ctx.governor {
         g.charge_rows(rows.len() as u64)?;
     }
     Ok(rows)
 }
 
-fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbError> {
+fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Vec<Tuple>, DbError> {
+    debug_assert!(emit.exprs.is_none() || builds_rows(plan));
     if let Some(g) = ctx.governor {
         g.check()?;
     }
     match plan {
         PhysPlan::SeqScan { table, filters } => {
+            // Decode and filter happen inside the page latch, on this
+            // thread: the buffer pool is a single-writer resource, and a
+            // row leaves its page only as the tuple the parent asked for.
             let t = ctx.catalog.table(table)?;
-            let mut scan = t.heap.scan();
-            let batch = ctx.batch_rows.max(1);
-            if ctx.parallelism > 1 {
-                // Page I/O stays on this thread (the buffer pool is a
-                // single-writer resource); workers split the CPU-bound
-                // decode + filter work over the gathered payloads.
-                let mut raw: Vec<(RecordId, Vec<u8>)> = Vec::new();
-                loop {
-                    if let Some(g) = ctx.governor {
-                        g.check()?;
-                    }
-                    let chunk = scan.next_batch(ctx.disk, ctx.pool, batch)?;
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    raw.extend(chunk);
-                }
-                let params = ctx.params;
-                let gov = ctx.governor;
-                return par_run(ctx, &raw, |chunk, c| {
-                    let mut out = Vec::new();
-                    for sub in chunk.chunks(batch) {
-                        if let Some(g) = gov {
-                            g.check()?;
-                        }
-                        c.batches += 1;
-                        for (rid, payload) in sub {
-                            c.scanned += 1;
-                            let tuple = decode_tuple(table, *rid, payload)?;
-                            if eval_all(filters, &tuple, params) {
-                                out.push(tuple);
-                            } else {
-                                c.dropped += 1;
-                            }
-                        }
-                    }
-                    Ok(out)
-                });
-            }
+            let params = ctx.params;
             let mut out = Vec::new();
-            loop {
-                if let Some(g) = ctx.governor {
-                    g.check()?;
+            scan_rows(ctx, t, |row| {
+                let keep = eval_all(filters, &row, params);
+                if keep {
+                    out.push(emit.row(row));
                 }
-                let chunk = scan.next_batch(ctx.disk, ctx.pool, batch)?;
-                if chunk.is_empty() {
-                    break;
-                }
-                ctx.count_batch();
-                for (rid, payload) in chunk {
-                    ctx.count_scanned();
-                    let tuple = decode_tuple(table, rid, &payload)?;
-                    if eval_all(filters, &tuple, ctx.params) {
-                        out.push(tuple);
-                    } else {
-                        ctx.prof_drop();
-                    }
-                }
-            }
+                keep
+            })?;
             Ok(out)
         }
         PhysPlan::IndexLookup {
@@ -807,17 +999,15 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             residual,
         } => {
             let t = ctx.catalog.table(table)?;
-            let index = &t.indexes[*index_pos];
             let key = resolve_key(key, ctx.params);
             ctx.count_probe();
-            let rids: Vec<_> = index.lookup(&key).to_vec();
+            let rids = t.indexes[*index_pos].lookup(&key);
             let mut out = Vec::with_capacity(rids.len());
-            for rid in rids {
-                let payload = fetch_indexed(ctx, t, rid)?;
+            for &rid in rids {
+                let tuple = fetch_indexed(ctx, t, rid)?;
                 ctx.count_fetched();
-                let tuple = decode_tuple(table, rid, &payload)?;
                 if eval_all(residual, &tuple, ctx.params) {
-                    out.push(tuple);
+                    out.push(emit.row(tuple));
                 } else {
                     ctx.prof_drop();
                 }
@@ -832,23 +1022,20 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             residual,
         } => {
             let t = ctx.catalog.table(table)?;
-            let index = &t.indexes[*index_pos];
-            let to_key = |b: &std::ops::Bound<Value>| match b {
-                std::ops::Bound::Included(v) => std::ops::Bound::Included(vec![v.clone()]),
-                std::ops::Bound::Excluded(v) => std::ops::Bound::Excluded(vec![v.clone()]),
-                std::ops::Bound::Unbounded => std::ops::Bound::Unbounded,
+            let to_key = |b: &std::ops::Bound<Value>| {
+                b.as_ref()
+                    .map(|v| PackedKey::from_values(std::slice::from_ref(v)))
             };
-            let rids = index
+            let rids = t.indexes[*index_pos]
                 .range(to_key(lo), to_key(hi))
                 .expect("planner only ranges over ordered indexes");
             ctx.count_probe();
             let mut out = Vec::with_capacity(rids.len());
             for rid in rids {
-                let payload = fetch_indexed(ctx, t, rid)?;
+                let tuple = fetch_indexed(ctx, t, rid)?;
                 ctx.count_fetched();
-                let tuple = decode_tuple(table, rid, &payload)?;
                 if eval_all(residual, &tuple, ctx.params) {
-                    out.push(tuple);
+                    out.push(emit.row(tuple));
                 } else {
                     ctx.prof_drop();
                 }
@@ -883,6 +1070,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                     build_left,
                     residual,
                     build_bytes,
+                    emit,
                 );
             }
             // The build side is the join's materialized state: charge it
@@ -892,18 +1080,20 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             if let Some(g) = ctx.governor {
                 g.charge_bytes(build_bytes)?;
             }
-            let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
-            for (bi, row) in build.iter().enumerate() {
-                gov_tick(ctx.governor, bi)?;
-                let key: Vec<Value> = build_keys.iter().map(|&i| row[i].clone()).collect();
-                table.entry(key).or_default().push(row);
-            }
+            let table = BuildTable::build(&build, build_keys, ctx.governor)?;
             ctx.prof_build(build.len() as u64);
             // The hash table is built once and shared read-only; probe rows
             // are partitioned into contiguous chunks whose outputs are
             // concatenated in probe order, so the joined rows come out in
             // exactly the serial order at any parallelism setting.
-            let params = ctx.params;
+            let join = HashProbe {
+                table: &table,
+                build_left,
+                probe_keys,
+                residual,
+                params: ctx.params,
+                emit,
+            };
             let gov = ctx.governor;
             let batch = ctx.batch_rows.max(1);
             par_run(ctx, &probe, |chunk, c| {
@@ -913,27 +1103,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                         g.check()?;
                     }
                     c.batches += 1;
-                    for prow in sub {
-                        let key: Vec<Value> = probe_keys.iter().map(|&i| prow[i].clone()).collect();
-                        if let Some(matches) = table.get(&key) {
-                            for brow in matches {
-                                let (lrow, rrow): (&Tuple, &Tuple) = if build_left {
-                                    (brow, prow)
-                                } else {
-                                    (prow, brow)
-                                };
-                                let mut joined = Vec::with_capacity(lrow.len() + rrow.len());
-                                joined.extend_from_slice(lrow);
-                                joined.extend_from_slice(rrow);
-                                if eval_all(residual, &joined, params) {
-                                    c.join_output += 1;
-                                    out.push(joined);
-                                } else {
-                                    c.dropped += 1;
-                                }
-                            }
-                        }
-                    }
+                    join.run(sub, c, &mut out);
                 }
                 Ok(out)
             })
@@ -950,6 +1120,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             let t = ctx.catalog.table(table)?;
             let index = &t.indexes[*index_pos];
             let batch = ctx.batch_rows.max(1);
+            let params = ctx.params;
             // The planner chose probing from its estimates at plan time;
             // whether it still pays is re-checked here against live
             // cardinalities. When the outer side has grown to the size of
@@ -961,48 +1132,31 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                 (left_rows.len() as u64) < t.heap.tuple_count().max(ANTI_JOIN_PROBE_FLOOR);
             if !probe_pays {
                 ctx.stats.join_adaptive_flips += 1;
-                let key_cols = index.key_cols().to_vec();
-                let mut inner_table: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
-                let mut scan = t.heap.scan();
-                loop {
-                    if let Some(g) = ctx.governor {
-                        g.check()?;
+                let mut inner_rows = Vec::new();
+                scan_rows(ctx, t, |row| {
+                    let keep = eval_all(inner_filters, &row, params);
+                    if keep {
+                        inner_rows.push(row);
                     }
-                    let chunk = scan.next_batch(ctx.disk, ctx.pool, batch)?;
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    ctx.count_batch();
-                    for (rid, payload) in chunk {
-                        ctx.count_scanned();
-                        let tuple = decode_tuple(table, rid, &payload)?;
-                        if !eval_all(inner_filters, &tuple, ctx.params) {
-                            ctx.prof_drop();
-                            continue;
-                        }
-                        let key: Vec<Value> = key_cols.iter().map(|&i| tuple[i].clone()).collect();
-                        inner_table.entry(key).or_default().push(tuple);
-                    }
-                }
-                ctx.prof_build(inner_table.values().map(|v| v.len() as u64).sum());
+                    keep
+                })?;
+                let inner = BuildTable::build(&inner_rows, index.key_cols(), None)?;
+                ctx.prof_build(inner_rows.len() as u64);
+                let join = HashProbe {
+                    table: &inner,
+                    build_left: false,
+                    probe_keys: left_keys,
+                    residual,
+                    params,
+                    emit,
+                };
+                let mut counts = WorkerCounts::default();
                 let mut out = Vec::new();
                 for (li, lrow) in left_rows.iter().enumerate() {
                     gov_tick(ctx.governor, li)?;
-                    let key: Vec<Value> = left_keys.iter().map(|&i| lrow[i].clone()).collect();
-                    if let Some(matches) = inner_table.get(&key) {
-                        for inner in matches {
-                            let mut joined = Vec::with_capacity(lrow.len() + inner.len());
-                            joined.extend_from_slice(lrow);
-                            joined.extend_from_slice(inner);
-                            if eval_all(residual, &joined, ctx.params) {
-                                ctx.stats.join_output += 1;
-                                out.push(joined);
-                            } else {
-                                ctx.prof_drop();
-                            }
-                        }
-                    }
+                    join.run(std::slice::from_ref(lrow), &mut counts, &mut out);
                 }
+                ctx.absorb(counts);
                 return Ok(out);
             }
             let mut out = Vec::new();
@@ -1013,23 +1167,18 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                     }
                     ctx.count_batch();
                 }
-                let key: Vec<Value> = left_keys.iter().map(|&i| lrow[i].clone()).collect();
+                let key = PackedKey::from_cols(lrow, left_keys);
                 ctx.count_probe();
-                let rids: Vec<_> = index.lookup(&key).to_vec();
-                for rid in rids {
-                    let payload = fetch_indexed(ctx, t, rid)?;
+                for &rid in index.lookup(&key) {
+                    let inner = fetch_indexed(ctx, t, rid)?;
                     ctx.count_fetched();
-                    let inner = decode_tuple(table, rid, &payload)?;
-                    if !eval_all(inner_filters, &inner, ctx.params) {
+                    if !eval_all(inner_filters, &inner, params) {
                         ctx.prof_drop();
                         continue;
                     }
-                    let mut joined = Vec::with_capacity(lrow.len() + inner.len());
-                    joined.extend_from_slice(lrow);
-                    joined.extend(inner);
-                    if eval_all(residual, &joined, ctx.params) {
+                    if eval_row(residual, &Joined(lrow, &inner), params) {
                         ctx.stats.join_output += 1;
-                        out.push(joined);
+                        out.push(emit.joined(lrow, &inner));
                     } else {
                         ctx.prof_drop();
                     }
@@ -1069,44 +1218,34 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                     let mut out = Vec::new();
                     for (ri, row) in chunk.into_iter().enumerate() {
                         gov_tick(gov, ri)?;
-                        let key: Vec<Value> = outer_keys.iter().map(|&i| row[i].clone()).collect();
                         c.probes += 1;
-                        if index.lookup(&key).is_empty() {
+                        if index
+                            .lookup(&PackedKey::from_cols(&row, outer_keys))
+                            .is_empty()
+                        {
                             out.push(row);
                         }
                     }
                     Ok(out)
                 });
             }
-            // Materialize the (filtered) inner side once. When the planner
-            // found a full-key index but probing lost the cost race above,
-            // the (reordered) key pairs still correlate the two sides, and
-            // `inner_filters` is empty — the scan fallback is unchanged.
-            let mut scan = t.heap.scan();
-            let batch = ctx.batch_rows.max(1);
-            let mut keys: HashSet<Vec<Value>> = HashSet::new();
+            // Materialize the (filtered) inner side's keys once. When the
+            // planner found a full-key index but probing lost the cost race
+            // above, the (reordered) key pairs still correlate the two
+            // sides, and `inner_filters` is empty — the scan fallback is
+            // unchanged.
+            let params = ctx.params;
+            let mut keys: HashSet<PackedKey> = HashSet::new();
             let mut inner_nonempty = false;
-            loop {
-                if let Some(g) = ctx.governor {
-                    g.check()?;
-                }
-                let chunk = scan.next_batch(ctx.disk, ctx.pool, batch)?;
-                if chunk.is_empty() {
-                    break;
-                }
-                ctx.count_batch();
-                for (rid, payload) in chunk {
-                    ctx.count_scanned();
-                    let tuple = decode_tuple(table, rid, &payload)?;
-                    if !eval_all(inner_filters, &tuple, ctx.params) {
-                        continue;
-                    }
+            scan_rows(ctx, t, |row| {
+                if eval_all(inner_filters, &row, params) {
                     inner_nonempty = true;
                     if !inner_keys.is_empty() {
-                        keys.insert(inner_keys.iter().map(|&i| tuple[i].clone()).collect());
+                        keys.insert(PackedKey::from_cols(&row, inner_keys));
                     }
                 }
-            }
+                true
+            })?;
             if outer_keys.is_empty() {
                 // Uncorrelated NOT EXISTS: all-or-nothing.
                 return Ok(if inner_nonempty { Vec::new() } else { rows });
@@ -1118,8 +1257,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                 let mut out = Vec::new();
                 for (ri, row) in chunk.into_iter().enumerate() {
                     gov_tick(gov, ri)?;
-                    let key: Vec<Value> = outer_keys.iter().map(|&i| row[i].clone()).collect();
-                    if !keys.contains(&key) {
+                    if !keys.contains(&PackedKey::from_cols(&row, outer_keys)) {
                         out.push(row);
                     }
                 }
@@ -1139,12 +1277,9 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
                 for rrow in &right_rows {
                     gov_tick(ctx.governor, steps)?;
                     steps += 1;
-                    let mut joined = Vec::with_capacity(lrow.len() + rrow.len());
-                    joined.extend_from_slice(lrow);
-                    joined.extend_from_slice(rrow);
-                    if eval_all(residual, &joined, ctx.params) {
+                    if eval_row(residual, &Joined(lrow, rrow), ctx.params) {
                         ctx.stats.join_output += 1;
-                        out.push(joined);
+                        out.push(emit.joined(lrow, rrow));
                     } else {
                         ctx.prof_drop();
                     }
@@ -1172,19 +1307,12 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             Ok(out)
         }
         PhysPlan::Project { child, exprs } => {
+            let emit = Emit::project(exprs);
+            if builds_rows(child) {
+                return execute_emitting(child, ctx, emit);
+            }
             let rows = execute_plan(child, ctx)?;
-            Ok(rows
-                .into_iter()
-                .map(|row| {
-                    exprs
-                        .iter()
-                        .map(|e| match e {
-                            ProjExpr::Col(i) => row[*i].clone(),
-                            ProjExpr::Lit(v) => v.clone(),
-                        })
-                        .collect()
-                })
-                .collect())
+            Ok(rows.into_iter().map(|row| emit.row(row)).collect())
         }
         PhysPlan::Distinct { child } => {
             let rows = execute_plan(child, ctx)?;
@@ -1192,11 +1320,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             if spill_engaged(ctx, state) && !rows.is_empty() {
                 return spill_dedup(ctx, rows, None, state);
             }
-            let mut seen = HashSet::with_capacity(rows.len());
-            Ok(rows
-                .into_iter()
-                .filter(|r| seen.insert(r.clone()))
-                .collect())
+            Ok(dedup_rows(rows))
         }
         PhysPlan::Sort { child, keys } => {
             let mut rows = execute_plan(child, ctx)?;
@@ -1208,29 +1332,34 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             Ok(rows)
         }
         PhysPlan::CountStar { child } => {
-            let rows = execute_plan(child, ctx)?;
+            // Only the number of rows matters: a row source is asked for
+            // zero columns, so it copies no values out of its pages.
+            let rows = if builds_rows(child) {
+                execute_emitting(child, ctx, Emit::project(&[]))?
+            } else {
+                execute_plan(child, ctx)?
+            };
             Ok(vec![vec![Value::Int(rows.len() as i64)]])
         }
         PhysPlan::GroupCount { child, keys } => {
             let rows = execute_plan(child, ctx)?;
             // Insertion-ordered grouping so output is deterministic.
-            let mut order: Vec<Vec<Value>> = Vec::new();
-            let mut counts: HashMap<Vec<Value>, i64> = HashMap::new();
+            let mut groups: Vec<(PackedKey, i64)> = Vec::new();
+            let mut group_of: HashMap<PackedKey, usize> = HashMap::new();
             for row in rows {
-                let key: Vec<Value> = keys.iter().map(|&i| row[i].clone()).collect();
-                match counts.get_mut(&key) {
-                    Some(c) => *c += 1,
+                let key = PackedKey::from_cols(&row, keys);
+                match group_of.get(&key) {
+                    Some(&g) => groups[g].1 += 1,
                     None => {
-                        counts.insert(key.clone(), 1);
-                        order.push(key);
+                        group_of.insert(key.clone(), groups.len());
+                        groups.push((key, 1));
                     }
                 }
             }
-            Ok(order
+            Ok(groups
                 .into_iter()
-                .map(|key| {
-                    let count = counts[&key];
-                    let mut row = key;
+                .map(|(key, count)| {
+                    let mut row = key.to_values();
                     row.push(Value::Int(count));
                     row
                 })
@@ -1248,25 +1377,19 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbErro
             if spill_engaged(ctx, state) && !rows.is_empty() {
                 return spill_dedup(ctx, rows, None, state);
             }
-            let mut seen = HashSet::with_capacity(rows.len());
-            Ok(rows
-                .into_iter()
-                .filter(|r| seen.insert(r.clone()))
-                .collect())
+            Ok(dedup_rows(rows))
         }
         PhysPlan::Except { left, right } => {
-            let rows = execute_plan(left, ctx)?;
+            let mut rows = execute_plan(left, ctx)?;
             let right_rows = execute_plan(right, ctx)?;
             let state: u64 = rows.iter().chain(right_rows.iter()).map(tuple_bytes).sum();
             if spill_engaged(ctx, state) && !rows.is_empty() {
                 return spill_dedup(ctx, rows, Some(right_rows), state);
             }
-            let exclude: HashSet<Tuple> = right_rows.into_iter().collect();
-            let mut seen = HashSet::new();
-            Ok(rows
-                .into_iter()
-                .filter(|r| !exclude.contains(r) && seen.insert(r.clone()))
-                .collect())
+            let mut seen: HashSet<PackedKey> =
+                right_rows.into_iter().map(PackedKey::from_tuple).collect();
+            rows.retain(|r| seen.insert(PackedKey::from_values(r)));
+            Ok(rows)
         }
     }
 }
@@ -1288,6 +1411,7 @@ fn grace_hash_join(
     build_left: bool,
     residual: &[ExecCond],
     build_bytes: u64,
+    emit: Emit<'_>,
 ) -> Result<Vec<Tuple>, DbError> {
     let parts = spill_partition_count(ctx, build_bytes);
     ctx.prof_build(build.len() as u64);
@@ -1346,14 +1470,25 @@ fn grace_hash_join(
                 break 'parts;
             }
         }
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (bi, row) in part_build.iter().enumerate() {
-            let key: Vec<Value> = build_keys.iter().map(|&k| row[k].clone()).collect();
-            table.entry(key).or_default().push(bi);
-        }
+        let table = match BuildTable::build(&part_build, build_keys, None) {
+            Ok(t) => t,
+            Err(e) => {
+                result = Err(e);
+                break 'parts;
+            }
+        };
+        let join = HashProbe {
+            table: &table,
+            build_left,
+            probe_keys,
+            residual,
+            params: ctx.params,
+            emit,
+        };
         counts.batches += 1;
         let mut reader = pf.reader();
         let mut pi = 0usize;
+        let mut joined = Vec::new();
         loop {
             let payload = match reader.next(ctx.disk) {
                 Ok(Some(p)) => p,
@@ -1375,26 +1510,8 @@ fn grace_hash_join(
                     break 'parts;
                 }
             };
-            let key: Vec<Value> = probe_keys.iter().map(|&k| prow[k].clone()).collect();
-            if let Some(matches) = table.get(&key) {
-                for &bi in matches {
-                    let brow = &part_build[bi];
-                    let (lrow, rrow): (&Tuple, &Tuple) = if build_left {
-                        (brow, &prow)
-                    } else {
-                        (&prow, brow)
-                    };
-                    let mut joined = Vec::with_capacity(lrow.len() + rrow.len());
-                    joined.extend_from_slice(lrow);
-                    joined.extend_from_slice(rrow);
-                    if eval_all(residual, &joined, ctx.params) {
-                        counts.join_output += 1;
-                        tagged.push((seq, joined));
-                    } else {
-                        counts.dropped += 1;
-                    }
-                }
-            }
+            join.run(std::slice::from_ref(&prow), &mut counts, &mut joined);
+            tagged.extend(joined.drain(..).map(|row| (seq, row)));
         }
     }
     for f in build_files.into_iter().chain(probe_files) {
@@ -1547,22 +1664,23 @@ fn spill_dedup(
     let mut tagged: Vec<(u64, Tuple)> = Vec::new();
     let mut run = || -> Result<(), DbError> {
         for (p, rf) in row_files.iter().enumerate() {
-            let mut excluded: HashSet<Tuple> = HashSet::new();
+            // One set holds the partition's exclusions and, as they
+            // pass, the rows already emitted.
+            let mut seen: HashSet<PackedKey> = HashSet::new();
             if let Some(ef) = ex_files.get(p) {
                 let mut reader = ef.reader();
                 while let Some(t) = read_spilled_tuple(&mut reader, ctx.disk)? {
-                    gov_tick(ctx.governor, excluded.len())?;
-                    excluded.insert(t);
+                    gov_tick(ctx.governor, seen.len())?;
+                    seen.insert(PackedKey::from_tuple(t));
                 }
             }
-            let mut seen: HashSet<Tuple> = HashSet::new();
             let mut reader = rf.reader();
             let mut i = 0usize;
             while let Some(payload) = reader.next(ctx.disk)? {
                 gov_tick(ctx.governor, i)?;
                 i += 1;
                 let (seq, t) = decode_seq_tuple(&payload)?;
-                if !excluded.contains(&t) && seen.insert(t.clone()) {
+                if seen.insert(PackedKey::from_values(&t)) {
                     tagged.push((seq, t));
                 }
             }

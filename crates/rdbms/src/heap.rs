@@ -5,7 +5,7 @@
 use crate::buffer::BufferPool;
 use crate::catalog::DbError;
 use crate::disk::{Disk, FileId, PageId};
-use crate::page::SlottedPage;
+use crate::page::{SlottedPage, MAX_PAYLOAD};
 
 /// Stable address of one record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,34 +50,103 @@ impl HeapFile {
         disk.drop_file(self.file);
     }
 
-    /// Insert a record, returning its id. Tries the hint page first, then a
-    /// fresh page; records must fit on one page.
+    /// Insert a record, returning its id. A one-record [`HeapFile::append`].
     pub fn insert(
         &mut self,
         disk: &mut Disk,
         pool: &mut BufferPool,
         payload: &[u8],
     ) -> Result<RecordId, DbError> {
-        let page_count = disk.page_count(self.file);
-        if self.insert_hint < page_count {
-            let pid = PageId(self.insert_hint);
-            let slot = pool.with_page(disk, self.file, pid, true, |buf| {
-                SlottedPage::new(buf).insert(payload)
-            })?;
-            if let Some(slot) = slot {
-                self.tuple_count += 1;
-                return Ok(RecordId { page: pid, slot });
-            }
+        let mut rids = Vec::with_capacity(1);
+        self.append(
+            disk,
+            pool,
+            1,
+            |_, buf| buf.extend_from_slice(payload),
+            &mut rids,
+        )?;
+        Ok(rids[0])
+    }
+
+    /// Append `count` records in one pass: `encode(i, buf)` writes record
+    /// `i`'s payload into the (emptied, reused) buffer, and the id it lands
+    /// on is pushed to `rids`. Records go to the hint page while they fit,
+    /// then to fresh pages, each page filled under a single buffer-pool
+    /// visit — the pages touched, and the order they are allocated and
+    /// dirtied in, are those of `count` one-record inserts. A record larger
+    /// than a page fails with [`DbError::RowTooLarge`]. On any error the
+    /// records already placed stay placed and are listed in `rids`, so the
+    /// caller can keep its indexes in step with the heap.
+    pub fn append(
+        &mut self,
+        disk: &mut Disk,
+        pool: &mut BufferPool,
+        count: usize,
+        mut encode: impl FnMut(usize, &mut Vec<u8>),
+        rids: &mut Vec<RecordId>,
+    ) -> Result<(), DbError> {
+        if count == 0 {
+            return Ok(());
         }
-        let pid = disk.allocate_page(self.file)?;
-        self.insert_hint = pid.0;
-        let slot = pool.with_page(disk, self.file, pid, true, |buf| {
-            SlottedPage::init(buf).insert(payload)
-        })?;
-        let slot = slot
-            .unwrap_or_else(|| panic!("record of {} bytes exceeds page capacity", payload.len()));
-        self.tuple_count += 1;
-        Ok(RecordId { page: pid, slot })
+        // `buf` always holds the payload of record `next`.
+        let mut buf = Vec::new();
+        let mut next = 0;
+        encode(0, &mut buf);
+        let mut hint =
+            (self.insert_hint < disk.page_count(self.file)).then_some(PageId(self.insert_hint));
+        while next < count {
+            let (pid, fresh) = match hint.take() {
+                Some(pid) => (pid, false),
+                None => {
+                    if buf.len() > MAX_PAYLOAD {
+                        return Err(DbError::RowTooLarge {
+                            bytes: buf.len(),
+                            max: MAX_PAYLOAD,
+                        });
+                    }
+                    let pid = disk.allocate_page(self.file)?;
+                    self.insert_hint = pid.0;
+                    (pid, true)
+                }
+            };
+            let placed = pool.with_page(disk, self.file, pid, true, |page| {
+                let mut page = if fresh {
+                    SlottedPage::init(page)
+                } else {
+                    SlottedPage::new(page)
+                };
+                let first = next;
+                while next < count {
+                    let Some(slot) = page.insert(&buf) else { break };
+                    rids.push(RecordId { page: pid, slot });
+                    next += 1;
+                    if next < count {
+                        buf.clear();
+                        encode(next, &mut buf);
+                    }
+                }
+                next - first
+            })?;
+            self.tuple_count += placed as u64;
+        }
+        Ok(())
+    }
+
+    /// Run `f` over the payload of `rid` inside the page latch; `None` if
+    /// the record was deleted.
+    pub fn read<R>(
+        &self,
+        disk: &mut Disk,
+        pool: &mut BufferPool,
+        rid: RecordId,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, DbError> {
+        if rid.page.0 >= disk.page_count(self.file) {
+            return Ok(None);
+        }
+        pool.with_page(disk, self.file, rid.page, false, |buf| {
+            SlottedPage::new(buf).get(rid.slot).map(f)
+        })
     }
 
     /// Copy out the payload of `rid`, or `None` if it was deleted.
@@ -87,12 +156,7 @@ impl HeapFile {
         pool: &mut BufferPool,
         rid: RecordId,
     ) -> Result<Option<Vec<u8>>, DbError> {
-        if rid.page.0 >= disk.page_count(self.file) {
-            return Ok(None);
-        }
-        pool.with_page(disk, self.file, rid.page, false, |buf| {
-            SlottedPage::new(buf).get(rid.slot).map(<[u8]>::to_vec)
-        })
+        self.read(disk, pool, rid, <[u8]>::to_vec)
     }
 
     /// Delete `rid`; returns whether it was live.
@@ -164,112 +228,86 @@ pub struct HeapScan {
 }
 
 impl HeapScan {
-    /// Advance to the next live record, copying out its payload.
-    pub fn next(
-        &mut self,
-        disk: &mut Disk,
-        pool: &mut BufferPool,
-    ) -> Result<Option<(RecordId, Vec<u8>)>, DbError> {
-        loop {
-            if self.page >= disk.page_count(self.file) {
-                return Ok(None);
-            }
-            let pid = PageId(self.page);
-            let start_slot = self.slot;
-            // Scans fault pages in cold (see [`BufferPool::with_page_cold`]):
-            // each page is visited once, so it must not displace the pool's
-            // hot working set on its way through.
-            let found = pool.with_page_cold(disk, self.file, pid, false, |buf| {
-                let page = SlottedPage::new(buf);
-                let count = page.slot_count();
-                let mut s = start_slot;
-                while s < count {
-                    if let Some(payload) = page.get(s) {
-                        return Some((s, payload.to_vec()));
-                    }
-                    s += 1;
-                }
-                None
-            })?;
-            match found {
-                Some((slot, payload)) => {
-                    self.slot = slot + 1;
-                    return Ok(Some((RecordId { page: pid, slot }, payload)));
-                }
-                None => {
-                    self.page += 1;
-                    self.slot = 0;
-                }
-            }
-        }
-    }
-
-    /// Advance by up to `max` live records in one step, copying a whole
-    /// page's records per buffer-pool visit instead of re-latching the
-    /// page once per record. Returns an empty vector at end of file.
-    /// Records come out in the same (page, slot) order as repeated
-    /// [`HeapScan::next`] calls — batching changes the latch cadence,
-    /// never the sequence.
-    pub fn next_batch(
+    /// Visit up to `max` live records in (page, slot) order, handing each
+    /// payload to `f` from inside the page latch — nothing is copied out
+    /// of the page; what `f` builds from the bytes is all that leaves it.
+    /// One buffer-pool visit per page touched. Returns how many records
+    /// were visited; 0 means end of file. An error from `f` stops the scan
+    /// and is returned.
+    ///
+    /// Pages fault in cold (see [`BufferPool::with_page_cold`]): a scan
+    /// visits each page once, so it must not displace the pool's hot
+    /// working set on its way through.
+    pub fn for_each_batch(
         &mut self,
         disk: &mut Disk,
         pool: &mut BufferPool,
         max: usize,
-    ) -> Result<Vec<(RecordId, Vec<u8>)>, DbError> {
-        let mut out = Vec::new();
-        while out.len() < max {
+        mut f: impl FnMut(RecordId, &[u8]) -> Result<(), DbError>,
+    ) -> Result<usize, DbError> {
+        let mut seen = 0;
+        while seen < max {
             if self.page >= disk.page_count(self.file) {
                 break;
             }
             let pid = PageId(self.page);
             let start_slot = self.slot;
-            let room = max - out.len();
-            let (taken, exhausted) = pool.with_page_cold(disk, self.file, pid, false, |buf| {
-                let page = SlottedPage::new(buf);
-                let count = page.slot_count();
-                let mut batch = Vec::new();
-                let mut s = start_slot;
-                while s < count && batch.len() < room {
-                    if let Some(payload) = page.get(s) {
-                        batch.push((s, payload.to_vec()));
+            let room = max - seen;
+            let (taken, next_slot, exhausted) =
+                pool.with_page_cold(disk, self.file, pid, false, |buf| {
+                    let page = SlottedPage::new(buf);
+                    let count = page.slot_count();
+                    let mut taken = 0;
+                    let mut s = start_slot;
+                    while s < count && taken < room {
+                        if let Some(payload) = page.get(s) {
+                            f(RecordId { page: pid, slot: s }, payload)?;
+                            taken += 1;
+                        }
+                        s += 1;
                     }
-                    s += 1;
-                }
-                (batch, s >= count)
-            })?;
-            let last = taken.last().map(|(s, _)| *s);
-            out.extend(
-                taken
-                    .into_iter()
-                    .map(|(slot, payload)| (RecordId { page: pid, slot }, payload)),
-            );
+                    Ok::<_, DbError>((taken, s, s >= count))
+                })??;
+            seen += taken;
             if exhausted {
                 self.page += 1;
                 self.slot = 0;
             } else {
                 // Stopped mid-page because the batch filled.
-                self.slot = last.map_or(start_slot, |s| s + 1);
+                self.slot = next_slot;
             }
         }
-        Ok(out)
+        Ok(seen)
+    }
+
+    /// Visit every remaining live record: [`HeapScan::for_each_batch`]
+    /// without a batch limit, so each page is latched exactly once.
+    pub fn for_each(
+        &mut self,
+        disk: &mut Disk,
+        pool: &mut BufferPool,
+        f: impl FnMut(RecordId, &[u8]) -> Result<(), DbError>,
+    ) -> Result<usize, DbError> {
+        self.for_each_batch(disk, pool, usize::MAX, f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
 
     fn setup() -> (Disk, BufferPool) {
         (Disk::new(), BufferPool::new(8))
     }
 
     fn collect_all(heap: &HeapFile, disk: &mut Disk, pool: &mut BufferPool) -> Vec<Vec<u8>> {
-        let mut scan = heap.scan();
         let mut out = Vec::new();
-        while let Some((_, payload)) = scan.next(disk, pool).unwrap() {
-            out.push(payload);
-        }
+        heap.scan()
+            .for_each(disk, pool, |_, payload| {
+                out.push(payload.to_vec());
+                Ok(())
+            })
+            .unwrap();
         out
     }
 
@@ -356,35 +394,115 @@ mod tests {
     }
 
     #[test]
-    fn batch_scan_matches_record_scan() {
+    fn batch_scan_matches_whole_file_scan() {
         let (mut disk, mut pool) = setup();
         let mut heap = HeapFile::create(&mut disk);
+        let mut rids = Vec::new();
         for i in 0..500u32 {
             let payload = vec![(i % 251) as u8; 20 + (i as usize * 13) % 300];
-            heap.insert(&mut disk, &mut pool, &payload).unwrap();
+            rids.push(heap.insert(&mut disk, &mut pool, &payload).unwrap());
         }
         // Knock holes in the file so batches skip dead slots.
-        let mut scan = heap.scan();
-        let mut rids = Vec::new();
-        while let Some((rid, _)) = scan.next(&mut disk, &mut pool).unwrap() {
-            rids.push(rid);
-        }
         for rid in rids.iter().step_by(7) {
             heap.delete(&mut disk, &mut pool, *rid).unwrap();
         }
-        let serial = collect_all(&heap, &mut disk, &mut pool);
+        let whole = collect_all(&heap, &mut disk, &mut pool);
+        assert_eq!(whole.len() as u64, heap.tuple_count());
         for batch_size in [1, 3, 64, 10_000] {
             let mut scan = heap.scan();
             let mut batched = Vec::new();
             loop {
-                let b = scan.next_batch(&mut disk, &mut pool, batch_size).unwrap();
-                if b.is_empty() {
+                let n = scan
+                    .for_each_batch(&mut disk, &mut pool, batch_size, |_, p| {
+                        batched.push(p.to_vec());
+                        Ok(())
+                    })
+                    .unwrap();
+                assert!(n <= batch_size);
+                if n == 0 {
                     break;
                 }
-                batched.extend(b.into_iter().map(|(_, p)| p));
             }
-            assert_eq!(batched, serial, "batch_size={batch_size}");
+            assert_eq!(batched, whole, "batch_size={batch_size}");
         }
+    }
+
+    #[test]
+    fn scan_stops_at_the_first_callback_error() {
+        let (mut disk, mut pool) = setup();
+        let mut heap = HeapFile::create(&mut disk);
+        for _ in 0..10 {
+            heap.insert(&mut disk, &mut pool, b"r").unwrap();
+        }
+        let mut visited = 0;
+        let err = heap.scan().for_each(&mut disk, &mut pool, |_, _| {
+            visited += 1;
+            if visited == 4 {
+                return Err(DbError::Corruption("stop".into()));
+            }
+            Ok(())
+        });
+        assert_eq!(err, Err(DbError::Corruption("stop".into())));
+        assert_eq!(visited, 4);
+    }
+
+    #[test]
+    fn oversized_record_is_an_error_not_a_panic() {
+        let (mut disk, mut pool) = setup();
+        let mut heap = HeapFile::create(&mut disk);
+        heap.insert(&mut disk, &mut pool, b"small").unwrap();
+        let err = heap.insert(&mut disk, &mut pool, &vec![0u8; MAX_PAYLOAD + 1]);
+        assert_eq!(
+            err,
+            Err(DbError::RowTooLarge {
+                bytes: MAX_PAYLOAD + 1,
+                max: MAX_PAYLOAD
+            })
+        );
+        // Nothing was placed and no page was allocated for it.
+        assert_eq!(heap.tuple_count(), 1);
+        assert_eq!(disk.page_count(heap.file_id()), 1);
+        // The largest record that fits still does.
+        heap.insert(&mut disk, &mut pool, &vec![1u8; MAX_PAYLOAD])
+            .unwrap();
+        assert_eq!(heap.tuple_count(), 2);
+    }
+
+    #[test]
+    fn append_places_records_where_single_inserts_would() {
+        let payloads: Vec<Vec<u8>> = (0..400u32)
+            .map(|i| vec![(i % 251) as u8; 10 + (i as usize * 37) % 700])
+            .collect();
+        let (mut disk_a, mut pool_a) = setup();
+        let mut one_by_one = HeapFile::create(&mut disk_a);
+        let (mut disk_b, mut pool_b) = setup();
+        let mut bulk = HeapFile::create(&mut disk_b);
+        let mut expect = Vec::new();
+        let mut got = Vec::new();
+        // Three batches, with a delete in between pulling the hint back.
+        for (n, chunk) in payloads.chunks(150).enumerate() {
+            for p in chunk {
+                expect.push(one_by_one.insert(&mut disk_a, &mut pool_a, p).unwrap());
+            }
+            bulk.append(
+                &mut disk_b,
+                &mut pool_b,
+                chunk.len(),
+                |i, buf| buf.extend_from_slice(&chunk[i]),
+                &mut got,
+            )
+            .unwrap();
+            assert_eq!(got, expect, "after batch {n}");
+            let victim = expect[n * 150 + 3];
+            one_by_one.delete(&mut disk_a, &mut pool_a, victim).unwrap();
+            bulk.delete(&mut disk_b, &mut pool_b, victim).unwrap();
+        }
+        assert_eq!(bulk.tuple_count(), one_by_one.tuple_count());
+        assert_eq!(
+            collect_all(&bulk, &mut disk_b, &mut pool_b),
+            collect_all(&one_by_one, &mut disk_a, &mut pool_a)
+        );
+        assert_eq!(disk_b.stats().pages_written, disk_a.stats().pages_written);
     }
 
     #[test]

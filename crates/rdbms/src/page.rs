@@ -20,6 +20,10 @@ const HEADER_LEN: usize = 4;
 const SLOT_LEN: usize = 4;
 const DEAD: u16 = u16::MAX;
 
+/// Largest payload an empty page can hold: the page minus its header and
+/// the payload's own slot entry.
+pub const MAX_PAYLOAD: usize = PAGE_SIZE - HEADER_LEN - SLOT_LEN;
+
 /// A mutable view over one page's bytes, interpreted as a slotted page.
 pub struct SlottedPage<'a> {
     buf: &'a mut [u8],

@@ -99,12 +99,23 @@ pub type Tuple = Vec<Value>;
 /// Serialize a tuple to the on-page byte format: `u16` column count followed
 /// by each value's tagged encoding.
 pub fn serialize_tuple(tuple: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 + tuple.iter().map(Value::serialized_len).sum::<usize>());
+    let mut out = Vec::with_capacity(serialized_len(tuple));
+    serialize_tuple_into(tuple, &mut out);
+    out
+}
+
+/// Bytes [`serialize_tuple`] produces for `tuple`.
+pub fn serialized_len(tuple: &[Value]) -> usize {
+    2 + tuple.iter().map(Value::serialized_len).sum::<usize>()
+}
+
+/// Append the [`serialize_tuple`] form of `tuple` to `out` — the bulk
+/// paths serialize every row of a batch into one reused buffer.
+pub fn serialize_tuple_into(tuple: &[Value], out: &mut Vec<u8>) {
     out.extend_from_slice(&(tuple.len() as u16).to_le_bytes());
     for v in tuple {
-        v.serialize_into(&mut out);
+        v.serialize_into(out);
     }
-    out
 }
 
 /// Decode a tuple previously produced by [`serialize_tuple`].

@@ -230,16 +230,25 @@ impl Reservoir {
 
     /// Offer one row to the reservoir.
     pub fn offer(&mut self, row: Tuple) {
+        let taken: Result<(), std::convert::Infallible> = self.offer_with(|| Ok(row));
+        let Ok(()) = taken;
+    }
+
+    /// Offer one row that is only built if the reservoir takes it: an
+    /// analyze scan offers every record of a table and keeps at most
+    /// `cap`, so it decodes only those. The draw sequence is that of
+    /// [`Reservoir::offer`].
+    pub fn offer_with<E>(&mut self, row: impl FnOnce() -> Result<Tuple, E>) -> Result<(), E> {
         self.seen += 1;
         if self.rows.len() < self.cap {
-            self.rows.push(row);
-            return;
+            self.rows.push(row()?);
+            return Ok(());
         }
         let j = self.next_rng() % self.seen;
         if (j as usize) < self.cap {
-            let slot = j as usize;
-            self.rows[slot] = row;
+            self.rows[j as usize] = row()?;
         }
+        Ok(())
     }
 
     pub fn seen(&self) -> u64 {

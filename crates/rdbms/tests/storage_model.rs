@@ -6,7 +6,12 @@ use proptest::prelude::*;
 use rdbms::buffer::BufferPool;
 use rdbms::disk::Disk;
 use rdbms::heap::{HeapFile, RecordId};
+use rdbms::index::{PackedKey, TableIndex};
 use rdbms::page::{SlottedPage, PAGE_SIZE};
+use rdbms::Value;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+use std::ops::Bound;
 
 // ---------------------------------------------------------------------
 // Slotted page vs Vec<Option<payload>>
@@ -100,7 +105,7 @@ proptest! {
     fn heap_file_matches_model(ops in prop::collection::vec(arb_heap_op(), 0..60)) {
         let mut disk = Disk::new();
         // Tiny pool so eviction churns constantly.
-        let mut pool = BufferPool::new(3);
+        let mut pool = BufferPool::new(2);
         let mut heap = HeapFile::create(&mut disk);
         let mut model: Vec<(RecordId, Vec<u8>)> = Vec::new();
 
@@ -124,14 +129,28 @@ proptest! {
                     prop_assert_eq!(heap.get(&mut disk, &mut pool, rid).unwrap(), None);
                 }
                 HeapOp::Scan => {
-                    let mut scan = heap.scan();
-                    let mut seen = Vec::new();
-                    while let Some((rid, payload)) = scan.next(&mut disk, &mut pool).unwrap() {
-                        seen.push((rid, payload));
-                    }
+                    // The in-page scan hands out exactly the live records,
+                    // in (page, slot) order, however the visits are cut
+                    // into batches (usize::MAX is `for_each`'s single pass).
                     let mut expected = model.clone();
                     expected.sort_by_key(|(r, _)| (r.page.0, r.slot));
-                    prop_assert_eq!(seen, expected);
+                    for batch in [1, 3, 256, usize::MAX] {
+                        let mut scan = heap.scan();
+                        let mut seen = Vec::new();
+                        loop {
+                            let n = scan
+                                .for_each_batch(&mut disk, &mut pool, batch, |rid, payload| {
+                                    seen.push((rid, payload.to_vec()));
+                                    Ok(())
+                                })
+                                .unwrap();
+                            prop_assert!(n <= batch);
+                            if n == 0 {
+                                break;
+                            }
+                        }
+                        prop_assert_eq!(&seen, &expected, "batch size {}", batch);
+                    }
                 }
             }
             prop_assert_eq!(heap.tuple_count() as usize, model.len());
@@ -257,5 +276,148 @@ proptest! {
             ))
             .unwrap();
         prop_assert_eq!(rs.scalar_int(), Some(expected));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Packed keys vs Vec<Value>, and the index directories built on them
+// ---------------------------------------------------------------------
+
+/// Integers (extremes included) and short strings over a two-letter
+/// alphabet, so equal values, cross-type pairs and prefixes all turn up.
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        3 => (-2i64..3).prop_map(Value::Int),
+        1 => prop_oneof![Just(i64::MIN), Just(i64::MAX)].prop_map(Value::Int),
+        2 => "[ab]{0,2}".prop_map(Value::Str),
+    ]
+}
+
+fn hash_of(k: &PackedKey) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    k.hash(&mut h);
+    h.finish()
+}
+
+#[derive(Debug, Clone)]
+enum IndexOp {
+    Insert(Vec<Value>),
+    /// Remove the i-th filed row (mod count).
+    RemoveNth(usize),
+}
+
+fn arb_bound() -> impl Strategy<Value = Bound<Value>> {
+    prop_oneof![
+        arb_value().prop_map(Bound::Included),
+        arb_value().prop_map(Bound::Excluded),
+        Just(Bound::Unbounded),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Eq`, `Ord` and `Hash` of a packed key are those of the values it
+    /// was made from, whichever constructor made it.
+    #[test]
+    fn packed_key_agrees_with_vec_of_values(
+        a in prop::collection::vec(arb_value(), 0..4),
+        b in prop::collection::vec(arb_value(), 0..4),
+    ) {
+        let (ka, kb) = (PackedKey::from_values(&a), PackedKey::from_values(&b));
+        prop_assert_eq!(ka == kb, a == b);
+        prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
+        if a == b {
+            prop_assert_eq!(hash_of(&ka), hash_of(&kb));
+        }
+        prop_assert_eq!(ka.to_values(), a.clone());
+        // Picking the same values out of a wider row, in any order, and
+        // handing the key over by value give the same key.
+        let mut row = vec![Value::from("pad")];
+        row.extend(a.iter().rev().cloned());
+        let cols: Vec<usize> = (1..=a.len()).rev().collect();
+        let picked = PackedKey::from_cols(&row, &cols);
+        prop_assert_eq!(&picked, &ka);
+        prop_assert_eq!(hash_of(&picked), hash_of(&ka));
+        prop_assert_eq!(PackedKey::from_tuple(a), ka);
+    }
+
+    /// Hash and ordered directories file the same rids under the same
+    /// keys as a `Vec<Value>`-keyed map does, through inserts and
+    /// removals, and ordered ranges enumerate in that map's order.
+    #[test]
+    fn index_directories_match_vec_keyed_reference(
+        ops in prop::collection::vec(
+            prop_oneof![
+                4 => prop::collection::vec(arb_value(), 2..3).prop_map(IndexOp::Insert),
+                1 => (0usize..16).prop_map(IndexOp::RemoveNth),
+            ],
+            0..60,
+        ),
+        two_cols in any::<bool>(),
+        probes in prop::collection::vec(prop::collection::vec(arb_value(), 2..3), 0..8),
+        lo in arb_bound(),
+        hi in arb_bound(),
+    ) {
+        let key_cols = if two_cols { vec![1, 0] } else { vec![1] };
+        let key_of = |row: &[Value]| -> Vec<Value> {
+            key_cols.iter().map(|&c| row[c].clone()).collect()
+        };
+        let mut hash = TableIndex::new("h", key_cols.clone());
+        let mut ordered = TableIndex::new_ordered("o", key_cols.clone());
+        let mut reference: BTreeMap<Vec<Value>, Vec<RecordId>> = BTreeMap::new();
+        let mut filed: Vec<(Vec<Value>, RecordId)> = Vec::new();
+        for (n, op) in ops.into_iter().enumerate() {
+            match op {
+                IndexOp::Insert(row) => {
+                    let rid = RecordId { page: rdbms::disk::PageId(n as u32 / 7), slot: n as u16 };
+                    hash.insert(&row, rid);
+                    ordered.insert(&row, rid);
+                    reference.entry(key_of(&row)).or_default().push(rid);
+                    filed.push((row, rid));
+                }
+                IndexOp::RemoveNth(i) => {
+                    if filed.is_empty() {
+                        continue;
+                    }
+                    let (row, rid) = filed.remove(i % filed.len());
+                    hash.remove(&row, rid);
+                    ordered.remove(&row, rid);
+                    let key = key_of(&row);
+                    let rids = reference.get_mut(&key).unwrap();
+                    rids.retain(|r| *r != rid);
+                    if rids.is_empty() {
+                        reference.remove(&key);
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(hash.distinct_keys(), reference.len());
+        prop_assert_eq!(ordered.distinct_keys(), reference.len());
+        prop_assert_eq!(hash.entry_count(), filed.len());
+        for row in filed.iter().map(|(row, _)| row).chain(&probes) {
+            let key = key_of(row);
+            let expect = reference.get(&key).map_or(&[][..], Vec::as_slice);
+            let packed = PackedKey::from_tuple(key);
+            prop_assert_eq!(hash.lookup(&packed), expect);
+            prop_assert_eq!(ordered.lookup(&packed), expect);
+        }
+        // Single-column ranges, as the planner issues them.
+        if !two_cols {
+            let inverted = match (&lo, &hi) {
+                (Bound::Included(a), Bound::Included(b)) => a > b,
+                (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => a >= b,
+                _ => false,
+            };
+            let expect: Vec<RecordId> = if inverted {
+                Vec::new()
+            } else {
+                let wrap = |b: &Bound<Value>| b.as_ref().map(|v| vec![v.clone()]);
+                reference.range((wrap(&lo), wrap(&hi))).flat_map(|(_, r)| r.iter().copied()).collect()
+            };
+            let pack = |b: &Bound<Value>| b.as_ref().map(|v| PackedKey::from_values(std::slice::from_ref(v)));
+            prop_assert_eq!(ordered.range(pack(&lo), pack(&hi)), Some(expect));
+            prop_assert_eq!(hash.range(pack(&lo), pack(&hi)), None);
+        }
     }
 }
