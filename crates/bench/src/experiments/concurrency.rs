@@ -416,7 +416,7 @@ pub fn run() {
             c.answer_rows,
         );
     }
-    let _ = write!(json, "\n  ]\n}}\n");
+    let _ = writeln!(json, "\n  ]\n}}");
     match std::fs::write("BENCH_concurrency.json", &json) {
         Ok(()) => println!("Wrote BENCH_concurrency.json."),
         Err(e) => eprintln!("could not write BENCH_concurrency.json: {e}"),

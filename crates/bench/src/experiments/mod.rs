@@ -16,7 +16,6 @@ pub mod fig9;
 pub mod optimizer;
 pub mod optimizers;
 pub mod parallel;
-pub mod prepared;
 pub mod scale;
 pub mod table4;
 pub mod table5;
@@ -50,7 +49,6 @@ pub const ALL: &[(&str, fn())] = &[
     ("datasets", datasets::run),
     ("optimizer", optimizer::run),
     ("optimizers", optimizers::run),
-    ("prepared", prepared::run),
     ("parallel", parallel::run),
     ("scale", scale::run),
     ("trace", trace::run),

@@ -155,7 +155,7 @@ fn check_budget(name: &str, heur: Duration, cost: Duration) {
 pub fn run() {
     let mut rows = Vec::new();
     let mut json = String::from("{\n  \"experiment\": \"optimizer\",\n");
-    let _ = write!(json, "  \"tolerance\": {TOLERANCE},\n  \"traces\": [\n");
+    let _ = writeln!(json, "  \"tolerance\": {TOLERANCE},\n  \"traces\": [");
     let mut best = f64::MIN;
 
     for (i, t) in TRACES.iter().enumerate() {
@@ -176,10 +176,10 @@ pub fn run() {
             f3(ms(t_cost)),
             format!("{s:.2}x"),
         ]);
-        let _ = write!(
+        let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"answers\": {}, \"heuristic_ms\": {:.3}, \
-             \"cost_ms\": {:.3}, \"speedup\": {:.3}, \"answers_match\": true}}{}\n",
+             \"cost_ms\": {:.3}, \"speedup\": {:.3}, \"answers_match\": true}}{}",
             t.name,
             rows_cost.len(),
             ms(t_heur),

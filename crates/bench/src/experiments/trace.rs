@@ -39,10 +39,10 @@ fn json_clique(out: &mut String, t: &CliqueTrace) {
         .iter()
         .map(|p| format!("\"{}\"", json_escape(p)))
         .collect();
-    let _ = write!(
+    let _ = writeln!(
         out,
         "        {{\"predicates\": [{}], \"is_magic\": {}, \"total_ms\": {:.3}, \
-         \"setup_ms\": {:.3}, \"iterations\": [\n",
+         \"setup_ms\": {:.3}, \"iterations\": [",
         preds.join(", "),
         t.is_magic,
         ms(t.total),
@@ -54,12 +54,12 @@ fn json_clique(out: &mut String, t: &CliqueTrace) {
             .iter()
             .map(|(p, n)| format!("\"{}\": {n}", json_escape(p)))
             .collect();
-        let _ = write!(
+        let _ = writeln!(
             out,
             "          {{\"iteration\": {}, \"t_total_ms\": {:.3}, \"t_temp_ms\": {:.3}, \
              \"t_eval_ms\": {:.3}, \"t_term_ms\": {:.3}, \"plan_cache_hits\": {}, \
              \"plan_cache_misses\": {}, \"plan_replans\": {}, \"statements\": {}, \
-             \"delta\": {{{}}}}}{}\n",
+             \"delta\": {{{}}}}}{}",
             it.iteration,
             ms(it.t_total),
             ms(it.t_temp),
@@ -201,7 +201,7 @@ pub fn run() {
         );
         last_metrics = session.engine().metrics().to_json();
     }
-    let _ = write!(json, "  ],\n  \"engine_metrics\": {last_metrics}\n}}\n");
+    let _ = writeln!(json, "  ],\n  \"engine_metrics\": {last_metrics}\n}}");
 
     print_table(
         "LFP execution trace: per-clique iteration accounting",

@@ -28,8 +28,8 @@ pub fn tree_session(depth: u32, optimize: bool, strategy: LfpStrategy) -> Result
     )
 }
 
-/// [`tree_session`] with an explicit configuration (the prepared-statement
-/// ablation varies `prepared_sql`).
+/// [`tree_session`] with an explicit configuration (the parallel sweep
+/// varies `parallelism`).
 pub fn tree_session_configured(depth: u32, config: SessionConfig) -> Result<Session, KmError> {
     let mut s = Session::new(config)?;
     s.define_base("parent", &binary_sym())?;

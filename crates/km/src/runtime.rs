@@ -10,11 +10,13 @@
 //!   reading that occurrence from the delta table; only genuinely new
 //!   tuples feed the next delta.
 //!
-//! Both strategies run as "an application program against the DBMS": every
-//! step is a SQL statement, temporary tables are created and dropped each
+//! Both strategies run as "an application program against the DBMS", in
+//! the paper's embedded-SQL style: one loop ([`eval_clique`]) re-executes
+//! statements compiled once per clique, temporary tables are recycled each
 //! iteration, and the termination check is a set difference — the three
 //! cost categories of the paper's Table 5, which we time and count
-//! separately in [`LfpBreakdown`].
+//! separately in [`LfpBreakdown`]. A strategy is the list of SQL texts it
+//! hands that loop ([`naive_plan`], [`seminaive_plan`]).
 
 use crate::codegen::{all_table, delta_table, new_table, EvalProgram, ProgNode, RuleSql};
 use crate::stored::KmError;
@@ -342,18 +344,16 @@ fn budget_err(br: CtlBreach, partial: PartialProgress) -> KmError {
 /// Partial progress of a clique that was mid-fixpoint: its iterations so
 /// far, packaged as the final clique trace.
 fn clique_partial(
-    types: &BTreeMap<&str, &[AttrType]>,
+    preds: &[String],
     b: &LfpBreakdown,
     traces: &mut Vec<IterationTrace>,
 ) -> PartialProgress {
-    let predicates: Vec<String> = types.keys().map(|s| s.to_string()).collect();
-    let is_magic = !predicates.is_empty() && predicates.iter().all(|p| p.starts_with("m_"));
     PartialProgress {
         breakdown: *b,
         node_timings: Vec::new(),
         clique_traces: vec![CliqueTrace {
-            predicates,
-            is_magic,
+            predicates: preds.to_vec(),
+            is_magic: !preds.is_empty() && preds.iter().all(|p| p.starts_with("m_")),
             total: Duration::ZERO,
             t_setup: Duration::ZERO,
             worker: 0,
@@ -418,7 +418,7 @@ fn create_table_sql(name: &str, types: &[AttrType]) -> String {
 /// full-key index (see [`term_index_sql`]) the engine probes the
 /// accumulated table once per candidate row instead of re-scanning and
 /// re-hashing all of it every iteration — the probe is what keeps the
-/// prepared termination check cheap as the fixpoint grows.
+/// termination check cheap as the fixpoint grows.
 fn termination_sql(target: &str, new: &str, all: &str, arity: usize) -> String {
     if arity == 0 {
         return format!("INSERT INTO {target} SELECT * FROM {new} EXCEPT SELECT * FROM {all}");
@@ -502,24 +502,9 @@ impl<'a> DbHandle<'a> {
     }
 }
 
-/// One statement of an evaluation batch (see [`run_batch`]).
-enum BatchStmt<'a> {
-    Sql(&'a str),
-    Prepared(StmtId),
-}
-
-impl BatchStmt<'_> {
-    fn run(&self, db: &DbHandle) -> Result<(), KmError> {
-        match self {
-            BatchStmt::Sql(s) => db.execute(s).map(|_| ()),
-            BatchStmt::Prepared(id) => db.execute_prepared(*id, &[]).map(|_| ()),
-        }
-    }
-}
-
-/// Execute a batch of independent statements — the per-iteration rule (or
-/// delta-variant) evaluations, which only read stable tables and append to
-/// distinct-per-rule candidate tables — on up to `workers` threads.
+/// Execute a batch of independent prepared statements — the per-iteration
+/// rule (or delta-variant) evaluations, which only read stable tables and
+/// append to distinct-per-rule candidate tables — on up to `workers` threads.
 ///
 /// Statements are claimed by index from a shared counter and serialize at
 /// the engine lock, so the result is the same multiset of rows as the
@@ -527,15 +512,9 @@ impl BatchStmt<'_> {
 /// (empty when the batch ran inline on the calling thread); on failure the
 /// error of the lowest-indexed failing statement is reported, matching
 /// which statement the serial loop would have failed on.
-fn run_batch(
-    db: &DbHandle,
-    stmts: &[BatchStmt<'_>],
-    workers: usize,
-) -> Result<Vec<Duration>, KmError> {
+fn run_batch(db: &DbHandle, stmts: &[StmtId], workers: usize) -> Result<Vec<Duration>, KmError> {
     if workers <= 1 || stmts.len() < 2 {
-        for s in stmts {
-            s.run(db)?;
-        }
+        run_prepared(db, stmts)?;
         return Ok(Vec::new());
     }
     let next = AtomicUsize::new(0);
@@ -551,7 +530,7 @@ fn run_batch(
                             return Ok(busy);
                         }
                         let t = Instant::now();
-                        stmts[i].run(db).map_err(|e| (i, e))?;
+                        db.execute_prepared(stmts[i], &[]).map_err(|e| (i, e))?;
                         busy += t.elapsed();
                     }
                 })
@@ -672,14 +651,12 @@ struct NodeOut {
 }
 
 /// Evaluate one node of the evaluation order.
-#[allow(clippy::too_many_arguments)]
 fn eval_node(
     db: &DbHandle,
     prog: &EvalProgram,
     node: &ProgNode,
     strategy: LfpStrategy,
     special_tc: bool,
-    prepared_sql: bool,
     workers: usize,
     ctl: &EvalCtl,
 ) -> Result<NodeOut, KmError> {
@@ -704,103 +681,20 @@ fn eval_node(
             let seeded = prog.seeds.iter().any(|(p, _)| preds.contains(p));
             if special_tc && !seeded {
                 if let Some(src) = tc_of {
-                    let pred = &preds[0];
-                    let mut b = LfpBreakdown::default();
-                    if let Err(br) = ctl.check_deadline() {
-                        return Err(budget_err(
-                            br,
-                            clique_partial(
-                                &[(pred.as_str(), prog.tables[pred].as_slice())]
-                                    .into_iter()
-                                    .collect(),
-                                &b,
-                                &mut Vec::new(),
-                            ),
-                        ));
-                    }
-                    let snap0 = StatSnap::take(db);
-                    let t = Instant::now();
-                    let rs = db.execute(&format!(
-                        "INSERT INTO {} TRANSITIVE CLOSURE OF {src}",
-                        all_table(&prog.ns, pred)
-                    ))?;
-                    let elapsed = t.elapsed();
-                    b.t_eval_rhs = elapsed;
-                    b.n_eval_stmts = 1;
-                    b.iterations = 1;
-                    b.tuples_produced = rs.affected;
-                    let mut iter = snap0.finish(db);
-                    iter.iteration = 1;
-                    iter.delta_cards = vec![(pred.clone(), rs.affected)];
-                    iter.t_eval = elapsed;
-                    iter.t_total = elapsed;
-                    // The operator runs as one statement, so the fact
-                    // budget is enforced on its affected count after the
-                    // fact — the engine-level row budget is the in-flight
-                    // bound for this path.
-                    if let Err(br) = ctl.charge_facts(rs.affected) {
-                        return Err(budget_err(
-                            br,
-                            clique_partial(
-                                &[(pred.as_str(), prog.tables[pred].as_slice())]
-                                    .into_iter()
-                                    .collect(),
-                                &b,
-                                &mut vec![iter],
-                            ),
-                        ));
-                    }
-                    return Ok(NodeOut {
-                        breakdown: b,
-                        iterations: vec![iter],
-                        elapsed,
-                        tc: true,
-                        worker: 0,
-                    });
+                    return eval_tc(db, &prog.ns, &preds[0], src, ctl);
                 }
             }
             let types: BTreeMap<&str, &[AttrType]> = preds
                 .iter()
                 .map(|p| (p.as_str(), prog.tables[p].as_slice()))
                 .collect();
-            let (b, iterations) = match (strategy, prepared_sql) {
-                (LfpStrategy::Naive, false) => eval_clique_naive(
-                    db,
-                    &prog.ns,
-                    &types,
-                    exit_rules,
-                    recursive_rules,
-                    workers,
-                    ctl,
-                )?,
-                (LfpStrategy::SemiNaive, false) => eval_clique_seminaive(
-                    db,
-                    &prog.ns,
-                    &types,
-                    exit_rules,
-                    recursive_rules,
-                    workers,
-                    ctl,
-                )?,
-                (LfpStrategy::Naive, true) => eval_clique_naive_prepared(
-                    db,
-                    &prog.ns,
-                    &types,
-                    exit_rules,
-                    recursive_rules,
-                    workers,
-                    ctl,
-                )?,
-                (LfpStrategy::SemiNaive, true) => eval_clique_seminaive_prepared(
-                    db,
-                    &prog.ns,
-                    &types,
-                    exit_rules,
-                    recursive_rules,
-                    workers,
-                    ctl,
-                )?,
+            let plan = match strategy {
+                LfpStrategy::Naive => naive_plan(&prog.ns, &types, exit_rules, recursive_rules),
+                LfpStrategy::SemiNaive => {
+                    seminaive_plan(&prog.ns, &types, exit_rules, recursive_rules)
+                }
             };
+            let (b, iterations) = eval_clique(db, &plan, workers, ctl)?;
             Ok(NodeOut {
                 breakdown: b,
                 iterations,
@@ -810,6 +704,52 @@ fn eval_node(
             })
         }
     }
+}
+
+/// Evaluate a clique the code generator recognized as the plain transitive
+/// closure of `src` with the engine's specialized operator: one statement,
+/// reported as a single iteration.
+fn eval_tc(
+    db: &DbHandle,
+    ns: &str,
+    pred: &str,
+    src: &str,
+    ctl: &EvalCtl,
+) -> Result<NodeOut, KmError> {
+    let preds = [pred.to_string()];
+    let mut b = LfpBreakdown::default();
+    let mut traces = Vec::new();
+    ctl.check_deadline()
+        .map_err(|br| budget_err(br, clique_partial(&preds, &b, &mut traces)))?;
+    let snap = StatSnap::take(db);
+    let t = Instant::now();
+    let rs = db.execute(&format!(
+        "INSERT INTO {} TRANSITIVE CLOSURE OF {src}",
+        all_table(ns, pred)
+    ))?;
+    let elapsed = t.elapsed();
+    b.t_eval_rhs = elapsed;
+    b.n_eval_stmts = 1;
+    b.iterations = 1;
+    b.tuples_produced = rs.affected;
+    let mut iter = snap.finish(db);
+    iter.iteration = 1;
+    iter.delta_cards = vec![(pred.to_string(), rs.affected)];
+    iter.t_eval = elapsed;
+    iter.t_total = elapsed;
+    traces.push(iter);
+    // The operator runs as one statement, so the fact budget is enforced
+    // on its affected count after the fact — the engine-level row budget
+    // is the in-flight bound for this path.
+    ctl.charge_facts(rs.affected)
+        .map_err(|br| budget_err(br, clique_partial(&preds, &b, &mut traces)))?;
+    Ok(NodeOut {
+        breakdown: b,
+        iterations: traces,
+        elapsed,
+        tc: true,
+        worker: 0,
+    })
 }
 
 /// Fold one node's result into the outcome accumulators, in evaluation
@@ -870,7 +810,6 @@ fn run_nodes_parallel(
     prog: &EvalProgram,
     strategy: LfpStrategy,
     special_tc: bool,
-    prepared_sql: bool,
     workers: usize,
     ctl: &EvalCtl,
 ) -> Result<Vec<NodeOut>, KmError> {
@@ -913,16 +852,7 @@ fn run_nodes_parallel(
                         g = cv.wait(g).unwrap();
                     }
                 };
-                let r = eval_node(
-                    db,
-                    prog,
-                    &prog.nodes[i],
-                    strategy,
-                    special_tc,
-                    prepared_sql,
-                    workers,
-                    ctl,
-                );
+                let r = eval_node(db, prog, &prog.nodes[i], strategy, special_tc, workers, ctl);
                 let mut g = state.lock().unwrap();
                 match r {
                     Ok(mut out) => {
@@ -960,54 +890,23 @@ fn run_nodes_parallel(
         .collect())
 }
 
-/// Run a generated program to completion and read the answer.
+/// Run a generated program to completion and read the answer, with no
+/// resource limits and the generic SQL LFP loop for every clique.
 pub fn run_program(
     db: &mut Engine,
     prog: &EvalProgram,
     strategy: LfpStrategy,
 ) -> Result<EvalOutcome, KmError> {
-    run_program_with(db, prog, strategy, false)
+    run_program_governed(db, prog, strategy, false, &EvalLimits::default())
 }
 
-/// [`run_program`] with the specialized transitive-closure operator
-/// enabled: cliques the code generator recognized as plain TC evaluate
-/// with one `INSERT ... TRANSITIVE CLOSURE OF ...` statement instead of
-/// the generic SQL LFP loop (paper conclusion #8).
-pub fn run_program_with(
-    db: &mut Engine,
-    prog: &EvalProgram,
-    strategy: LfpStrategy,
-    special_tc: bool,
-) -> Result<EvalOutcome, KmError> {
-    run_program_opts(db, prog, strategy, special_tc, true)
-}
-
-/// The full-knob entry point: `prepared_sql` selects between the
-/// embedded-SQL style (each clique's per-iteration statements are prepared
-/// once and re-executed as handles, temp tables recycled with TRUNCATE) and
-/// the original string-per-statement loop that re-parses and re-plans every
-/// iteration. Both produce identical answers; the ablation in the bench
-/// harness measures the difference.
-pub fn run_program_opts(
-    db: &mut Engine,
-    prog: &EvalProgram,
-    strategy: LfpStrategy,
-    special_tc: bool,
-    prepared_sql: bool,
-) -> Result<EvalOutcome, KmError> {
-    run_program_governed(
-        db,
-        prog,
-        strategy,
-        special_tc,
-        prepared_sql,
-        &EvalLimits::default(),
-    )
-}
-
-/// [`run_program_opts`] under an evaluation governor: a wall-clock
+/// Run a generated program under an evaluation governor: a wall-clock
 /// deadline (armed on the engine too, so individual statements observe
 /// it), a per-clique iteration cap, and a cumulative derived-fact budget.
+/// With `special_tc`, cliques the code generator recognized as plain TC
+/// evaluate with one `INSERT ... TRANSITIVE CLOSURE OF ...` statement
+/// instead of the generic SQL LFP loop (paper conclusion #8).
+///
 /// A breach — or an engine-level budget/cancellation breach surfacing from
 /// a statement — aborts the run with [`EvalError::Budget`], carrying the
 /// traces produced so far. Before the error is returned the engine is put
@@ -1019,13 +918,12 @@ pub fn run_program_governed(
     prog: &EvalProgram,
     strategy: LfpStrategy,
     special_tc: bool,
-    prepared_sql: bool,
     limits: &EvalLimits,
 ) -> Result<EvalOutcome, KmError> {
     let deadline = limits.deadline.map(|d| Instant::now() + d);
     let ctl = EvalCtl::new(limits, deadline);
     db.set_eval_deadline(deadline);
-    let r = run_program_inner(db, prog, strategy, special_tc, prepared_sql, &ctl);
+    let r = run_program_inner(db, prog, strategy, special_tc, &ctl);
     db.set_eval_deadline(None);
     match r {
         Ok(out) => Ok(out),
@@ -1060,7 +958,6 @@ fn run_program_inner(
     prog: &EvalProgram,
     strategy: LfpStrategy,
     special_tc: bool,
-    prepared_sql: bool,
     ctl: &EvalCtl,
 ) -> Result<EvalOutcome, KmError> {
     let workers = db.parallelism();
@@ -1104,16 +1001,7 @@ fn run_program_inner(
     let mut eval_err: Option<KmError> = None;
     if workers <= 1 {
         for node in &prog.nodes {
-            match eval_node(
-                &db,
-                prog,
-                node,
-                strategy,
-                special_tc,
-                prepared_sql,
-                workers,
-                ctl,
-            ) {
+            match eval_node(&db, prog, node, strategy, special_tc, workers, ctl) {
                 Ok(out) => record_node(
                     node,
                     out,
@@ -1128,7 +1016,7 @@ fn run_program_inner(
             }
         }
     } else {
-        match run_nodes_parallel(&db, prog, strategy, special_tc, prepared_sql, workers, ctl) {
+        match run_nodes_parallel(&db, prog, strategy, special_tc, workers, ctl) {
             Ok(outs) => {
                 for (node, out) in prog.nodes.iter().zip(outs) {
                     record_node(
@@ -1217,13 +1105,11 @@ impl StatSnap {
     }
 }
 
-/// Insert a SELECT's result into `target`, keeping set semantics via the
-/// trailing `EXCEPT`. Returns the number of rows actually added.
-fn insert_new(db: &DbHandle, target: &str, select_sql: &str) -> Result<u64, KmError> {
-    let rs = db.execute(&format!(
-        "INSERT INTO {target} {select_sql} EXCEPT SELECT * FROM {target}"
-    ))?;
-    Ok(rs.affected)
+/// `INSERT` a SELECT's result into `target`, keeping set semantics via the
+/// trailing `EXCEPT`; the affected count is the number of rows actually
+/// added.
+fn insert_new_sql(target: &str, select_sql: &str) -> String {
+    format!("INSERT INTO {target} {select_sql} EXCEPT SELECT * FROM {target}")
 }
 
 /// Evaluate a non-recursive predicate node: one pass over its rules.
@@ -1244,9 +1130,8 @@ fn eval_predicate(
                 },
             ));
         }
-        let added = timed(&mut b.t_eval_rhs, || {
-            insert_new(db, &all_table(ns, &rule.head_pred), &rule.full_sql)
-        })?;
+        let sql = insert_new_sql(&all_table(ns, &rule.head_pred), &rule.full_sql);
+        let added = timed(&mut b.t_eval_rhs, || db.execute(&sql))?.affected;
         b.n_eval_stmts += 1;
         b.tuples_produced += added;
         if let Err(br) = ctl.charge_facts(added) {
@@ -1262,604 +1147,266 @@ fn eval_predicate(
     Ok(b)
 }
 
+/// The SQL texts of one clique's fixpoint, in the order [`eval_clique`]
+/// issues them. The two constructors ([`naive_plan`], [`seminaive_plan`])
+/// are the whole difference between the strategies; each field is charged
+/// to exactly one Table 5 category by the driver.
+#[derive(Default)]
+struct CliquePlan {
+    /// The clique's predicates, aligned with `term`.
+    preds: Vec<String>,
+    /// Evaluation statements run once, first; their affected counts are
+    /// new derived tuples.
+    exit: Vec<String>,
+    /// Temp-table DDL run once, after `exit`.
+    setup: Vec<String>,
+    /// Evaluation statements run once, after `setup`; they install nothing
+    /// into the accumulated tables.
+    init: Vec<String>,
+    /// Prepared temp-table recycling at the top of every iteration.
+    recycle_eval: Vec<String>,
+    /// Prepared, mutually independent evaluation statements of every
+    /// iteration (see [`run_batch`]).
+    eval: Vec<String>,
+    /// Prepared temp-table recycling between `eval` and `term`.
+    recycle_term: Vec<String>,
+    /// Prepared termination checks, one per predicate: the affected count
+    /// is that predicate's genuinely new tuples, and the fixpoint is
+    /// reached when all are zero.
+    term: Vec<String>,
+    /// Prepared evaluation statements run after `term` in every iteration
+    /// that found something new.
+    fold: Vec<String>,
+    /// Temp-table DDL run once the loop is over, however it ended.
+    teardown: Vec<String>,
+}
+
 /// Naive LFP: every iteration recomputes the full RHS of every rule of the
-/// clique into per-iteration candidate tables, then diffs against the
-/// accumulated tables for termination.
-fn eval_clique_naive(
-    db: &DbHandle,
+/// clique — exit rules included — into the candidate tables, and the
+/// termination check folds the genuinely new tuples straight into the
+/// accumulated tables. Novelty is decided by probing a full-key index on
+/// the accumulated table ([`termination_sql`]), not by re-scanning it.
+fn naive_plan(
     ns: &str,
     types: &BTreeMap<&str, &[AttrType]>,
     exit_rules: &[RuleSql],
     recursive_rules: &[RuleSql],
-    workers: usize,
-    ctl: &EvalCtl,
-) -> Result<(LfpBreakdown, Vec<IterationTrace>), KmError> {
-    let mut b = LfpBreakdown::default();
-    let mut traces = Vec::new();
+) -> CliquePlan {
+    let mut plan = CliquePlan::default();
+    for (p, tys) in types {
+        let (all, new) = (all_table(ns, p), new_table(ns, p));
+        plan.preds.push(p.to_string());
+        plan.setup.push(format!("DROP TABLE IF EXISTS {new}"));
+        plan.setup.push(create_table_sql(&new, tys));
+        if !tys.is_empty() {
+            plan.setup.push(term_index_sql(&all, tys.len()));
+        }
+        plan.recycle_eval.push(format!("TRUNCATE TABLE {new}"));
+        plan.term.push(termination_sql(&all, &new, &all, tys.len()));
+        plan.teardown.push(format!("DROP TABLE {new}"));
+    }
     // Each rule appends only to its own head's candidate table and reads
     // only the (stable within an iteration) accumulated tables, so the
-    // per-iteration rule statements form an independent batch.
-    let eval_sqls: Vec<String> = exit_rules
-        .iter()
-        .chain(recursive_rules)
-        .map(|rule| {
-            format!(
-                "INSERT INTO {} {}",
-                new_table(ns, &rule.head_pred),
-                rule.full_sql
-            )
-        })
-        .collect();
-    let eval_batch: Vec<BatchStmt> = eval_sqls.iter().map(|s| BatchStmt::Sql(s)).collect();
-    loop {
-        b.iterations += 1;
-        if let Err(br) = ctl.check_iters(b.iterations) {
-            return Err(budget_err(br, clique_partial(types, &b, &mut traces)));
-        }
-        let iter_start = Instant::now();
-        let snap = StatSnap::take(db);
-
-        // Fresh candidate tables for this iteration.
-        let t = Instant::now();
-        for (p, tys) in types {
-            db.execute(&format!("DROP TABLE IF EXISTS {}", new_table(ns, p)))?;
-            db.execute(&create_table_sql(&new_table(ns, p), tys))?;
-        }
-        let mut d_temp = t.elapsed();
-        b.n_temp_ops += 2 * types.len() as u64;
-
-        // Recompute the full RHS: exit rules and recursive rules alike.
-        let t = Instant::now();
-        let worker_eval = run_batch(db, &eval_batch, workers)?;
-        b.n_eval_stmts += eval_batch.len() as u64;
-        let mut d_eval = t.elapsed();
-
-        // Termination check: full set difference per predicate.
-        let mut delta_cards = Vec::with_capacity(types.len());
-        let mut new_tuples: Vec<(&str, Vec<Vec<Value>>)> = Vec::new();
-        let t = Instant::now();
-        for p in types.keys() {
-            let rs = db.execute(&format!(
-                "SELECT * FROM {} EXCEPT SELECT * FROM {}",
-                new_table(ns, p),
-                all_table(ns, p)
-            ))?;
-            b.n_term_checks += 1;
-            delta_cards.push((p.to_string(), rs.rows.len() as u64));
-            if !rs.rows.is_empty() {
-                new_tuples.push((p, rs.rows));
-            }
-        }
-        let d_term = t.elapsed();
-
-        // Drop the candidate tables (per-iteration churn).
-        let t = Instant::now();
-        for p in types.keys() {
-            db.execute(&format!("DROP TABLE {}", new_table(ns, p)))?;
-        }
-        d_temp += t.elapsed();
-        b.n_temp_ops += types.len() as u64;
-
-        let done = new_tuples.is_empty();
-        let mut fresh = 0u64;
-        if !done {
-            let t = Instant::now();
-            for (p, rows) in new_tuples {
-                let added = db.insert_rows_batched(&all_table(ns, p), rows)?;
-                b.tuples_produced += added;
-                fresh += added;
-            }
-            d_eval += t.elapsed();
-        }
-        b.t_temp_tables += d_temp;
-        b.t_eval_rhs += d_eval;
-        b.t_termination += d_term;
-        let mut iter = snap.finish(db);
-        iter.iteration = b.iterations;
-        iter.delta_cards = delta_cards;
-        iter.t_temp = d_temp;
-        iter.t_eval = d_eval;
-        iter.t_term = d_term;
-        iter.t_total = iter_start.elapsed();
-        iter.worker_eval = worker_eval;
-        traces.push(iter);
-        if let Err(br) = ctl.charge_facts(fresh) {
-            return Err(budget_err(br, clique_partial(types, &b, &mut traces)));
-        }
-        if done {
-            return Ok((b, traces));
-        }
-    }
-}
-
-/// Semi-naive LFP: initialize the accumulated and delta tables from the
-/// exit rules (and any seeds already present), then iterate the
-/// differential variants.
-fn eval_clique_seminaive(
-    db: &DbHandle,
-    ns: &str,
-    types: &BTreeMap<&str, &[AttrType]>,
-    exit_rules: &[RuleSql],
-    recursive_rules: &[RuleSql],
-    workers: usize,
-    ctl: &EvalCtl,
-) -> Result<(LfpBreakdown, Vec<IterationTrace>), KmError> {
-    let mut b = LfpBreakdown::default();
-    let mut traces = Vec::new();
-
-    // Exit rules populate the accumulated tables.
-    let t = Instant::now();
-    let mut exit_added = 0u64;
-    for rule in exit_rules {
-        let added = insert_new(db, &all_table(ns, &rule.head_pred), &rule.full_sql)?;
-        b.tuples_produced += added;
-        exit_added += added;
-        b.n_eval_stmts += 1;
-    }
-    b.t_eval_rhs += t.elapsed();
-    if let Err(br) = ctl.charge_facts(exit_added) {
-        return Err(budget_err(br, clique_partial(types, &b, &mut traces)));
-    }
-
-    // delta := current accumulated contents (exit results + seeds).
-    timed(&mut b.t_temp_tables, || -> Result<(), KmError> {
-        for (p, tys) in types {
-            db.execute(&format!("DROP TABLE IF EXISTS {}", delta_table(ns, p)))?;
-            db.execute(&create_table_sql(&delta_table(ns, p), tys))?;
-        }
-        Ok(())
-    })?;
-    b.n_temp_ops += 2 * types.len() as u64;
-    let t = Instant::now();
-    for p in types.keys() {
-        db.execute(&format!(
-            "INSERT INTO {} SELECT * FROM {}",
-            delta_table(ns, p),
-            all_table(ns, p)
-        ))?;
-        b.n_eval_stmts += 1;
-    }
-    b.t_eval_rhs += t.elapsed();
-
-    // The delta variants read the (stable within an iteration) delta and
-    // accumulated tables and append to per-head candidate tables, so they
-    // form an independent batch.
-    let eval_sqls: Vec<String> = recursive_rules
-        .iter()
-        .flat_map(|rule| {
-            rule.delta_variants
-                .iter()
-                .map(|variant| format!("INSERT INTO {} {variant}", new_table(ns, &rule.head_pred)))
-        })
-        .collect();
-    let eval_batch: Vec<BatchStmt> = eval_sqls.iter().map(|s| BatchStmt::Sql(s)).collect();
-
-    loop {
-        b.iterations += 1;
-        if let Err(br) = ctl.check_iters(b.iterations) {
-            return Err(budget_err(br, clique_partial(types, &b, &mut traces)));
-        }
-        let iter_start = Instant::now();
-        let snap = StatSnap::take(db);
-
-        // Fresh candidate tables.
-        let t = Instant::now();
-        for (p, tys) in types {
-            db.execute(&format!("DROP TABLE IF EXISTS {}", new_table(ns, p)))?;
-            db.execute(&create_table_sql(&new_table(ns, p), tys))?;
-        }
-        let mut d_temp = t.elapsed();
-        b.n_temp_ops += 2 * types.len() as u64;
-
-        // Evaluate the differential of each recursive rule.
-        let t = Instant::now();
-        let worker_eval = run_batch(db, &eval_batch, workers)?;
-        b.n_eval_stmts += eval_batch.len() as u64;
-        let mut d_eval = t.elapsed();
-
-        // Termination check on the differential.
-        let mut delta_cards = Vec::with_capacity(types.len());
-        let mut new_tuples: Vec<(&str, Vec<Vec<Value>>)> = Vec::new();
-        let t = Instant::now();
-        for p in types.keys() {
-            let rs = db.execute(&format!(
-                "SELECT * FROM {} EXCEPT SELECT * FROM {}",
-                new_table(ns, p),
-                all_table(ns, p)
-            ))?;
-            b.n_term_checks += 1;
-            delta_cards.push((p.to_string(), rs.rows.len() as u64));
-            if !rs.rows.is_empty() {
-                new_tuples.push((p, rs.rows));
-            }
-        }
-        let d_term = t.elapsed();
-
-        // Drop candidate and (old) delta tables — the per-iteration churn.
-        let t = Instant::now();
-        for p in types.keys() {
-            db.execute(&format!("DROP TABLE {}", new_table(ns, p)))?;
-            db.execute(&format!("DROP TABLE {}", delta_table(ns, p)))?;
-        }
-        d_temp += t.elapsed();
-        b.n_temp_ops += 2 * types.len() as u64;
-
-        let done = new_tuples.is_empty();
-        let mut fresh = 0u64;
-        if !done {
-            // New deltas: exactly the new tuples; also fold them into the
-            // accumulated tables.
-            let t = Instant::now();
-            for (p, tys) in types {
-                db.execute(&create_table_sql(&delta_table(ns, p), tys))?;
-            }
-            d_temp += t.elapsed();
-            b.n_temp_ops += types.len() as u64;
-            let t = Instant::now();
-            for (p, rows) in new_tuples {
-                let added = db.insert_rows_batched(&all_table(ns, p), rows.clone())?;
-                b.tuples_produced += added;
-                fresh += added;
-                db.insert_rows_batched(&delta_table(ns, p), rows)?;
-            }
-            d_eval += t.elapsed();
-        }
-        b.t_temp_tables += d_temp;
-        b.t_eval_rhs += d_eval;
-        b.t_termination += d_term;
-        let mut iter = snap.finish(db);
-        iter.iteration = b.iterations;
-        iter.delta_cards = delta_cards;
-        iter.t_temp = d_temp;
-        iter.t_eval = d_eval;
-        iter.t_term = d_term;
-        iter.t_total = iter_start.elapsed();
-        iter.worker_eval = worker_eval;
-        traces.push(iter);
-        if let Err(br) = ctl.charge_facts(fresh) {
-            return Err(budget_err(br, clique_partial(types, &b, &mut traces)));
-        }
-        if done {
-            return Ok((b, traces));
-        }
-    }
-}
-
-/// Naive LFP in embedded-SQL style: the candidate tables are created once
-/// and recycled with TRUNCATE, every per-iteration statement is prepared
-/// once (parse + plan) before the loop, and the termination check folds the
-/// genuinely new tuples into the accumulated table server-side — only the
-/// affected count crosses the SQL boundary. Novelty is decided by probing
-/// a full-key index on the accumulated table ([`termination_sql`]), not by
-/// re-scanning it.
-fn eval_clique_naive_prepared(
-    db: &DbHandle,
-    ns: &str,
-    types: &BTreeMap<&str, &[AttrType]>,
-    exit_rules: &[RuleSql],
-    recursive_rules: &[RuleSql],
-    workers: usize,
-    ctl: &EvalCtl,
-) -> Result<(LfpBreakdown, Vec<IterationTrace>), KmError> {
-    let mut b = LfpBreakdown::default();
-    let mut traces = Vec::new();
-
-    // Candidate tables, created once for the whole fixpoint, plus the
-    // full-key index each termination check probes.
-    timed(&mut b.t_temp_tables, || -> Result<(), KmError> {
-        for (p, tys) in types {
-            db.execute(&format!("DROP TABLE IF EXISTS {}", new_table(ns, p)))?;
-            db.execute(&create_table_sql(&new_table(ns, p), tys))?;
-            if !tys.is_empty() {
-                db.execute(&term_index_sql(&all_table(ns, p), tys.len()))?;
-            }
-        }
-        Ok(())
-    })?;
-    b.n_temp_ops += 3 * types.len() as u64;
-
-    // Compile every per-iteration statement once. All DDL for this clique
-    // is done, so the cached plans stay valid across the loop (TRUNCATE
-    // does not invalidate them).
-    let preds: Vec<&str> = types.keys().copied().collect();
-    let mut eval_stmts = Vec::new();
-    let t = Instant::now();
+    // rule statements form an independent batch.
     for rule in exit_rules.iter().chain(recursive_rules) {
-        eval_stmts.push(db.prepare(&format!(
+        plan.eval.push(format!(
             "INSERT INTO {} {}",
             new_table(ns, &rule.head_pred),
             rule.full_sql
-        ))?);
+        ));
     }
-    b.t_eval_rhs += t.elapsed();
-    let mut trunc_stmts = Vec::new();
-    let t = Instant::now();
-    for p in &preds {
-        trunc_stmts.push(db.prepare(&format!("TRUNCATE TABLE {}", new_table(ns, p)))?);
-    }
-    b.t_temp_tables += t.elapsed();
-    let mut term_stmts = Vec::new();
-    let t = Instant::now();
-    for (p, tys) in types {
-        term_stmts.push(db.prepare(&termination_sql(
-            &all_table(ns, p),
-            &new_table(ns, p),
-            &all_table(ns, p),
-            tys.len(),
-        ))?);
-    }
-    b.t_termination += t.elapsed();
-    let eval_batch: Vec<BatchStmt> = eval_stmts
-        .iter()
-        .map(|id| BatchStmt::Prepared(*id))
-        .collect();
-
-    loop {
-        b.iterations += 1;
-        if let Err(br) = ctl.check_iters(b.iterations) {
-            return Err(budget_err(br, clique_partial(types, &b, &mut traces)));
-        }
-        let iter_start = Instant::now();
-        let snap = StatSnap::take(db);
-
-        // Recycle the candidate tables.
-        let t = Instant::now();
-        for id in &trunc_stmts {
-            db.execute_prepared(*id, &[])?;
-        }
-        let d_temp = t.elapsed();
-        b.t_temp_tables += d_temp;
-        b.n_temp_ops += trunc_stmts.len() as u64;
-
-        // Recompute the full RHS: exit rules and recursive rules alike.
-        let t = Instant::now();
-        let worker_eval = run_batch(db, &eval_batch, workers)?;
-        b.n_eval_stmts += eval_batch.len() as u64;
-        let d_eval = t.elapsed();
-        b.t_eval_rhs += d_eval;
-
-        // Termination check + fold in one server-side statement per
-        // predicate.
-        let mut delta_cards = Vec::with_capacity(types.len());
-        let mut new_tuples = 0;
-        let t = Instant::now();
-        for (p, id) in preds.iter().zip(&term_stmts) {
-            let rs = db.execute_prepared(*id, &[])?;
-            b.n_term_checks += 1;
-            delta_cards.push((p.to_string(), rs.affected));
-            new_tuples += rs.affected;
-        }
-        let d_term = t.elapsed();
-        b.t_termination += d_term;
-        b.tuples_produced += new_tuples;
-
-        let mut iter = snap.finish(db);
-        iter.iteration = b.iterations;
-        iter.delta_cards = delta_cards;
-        iter.t_temp = d_temp;
-        iter.t_eval = d_eval;
-        iter.t_term = d_term;
-        iter.t_total = iter_start.elapsed();
-        iter.worker_eval = worker_eval;
-        traces.push(iter);
-        if let Err(br) = ctl.charge_facts(new_tuples) {
-            return Err(budget_err(br, clique_partial(types, &b, &mut traces)));
-        }
-
-        if new_tuples == 0 {
-            break;
-        }
-    }
-
-    // Drop the recycled temporaries and release the handles.
-    timed(&mut b.t_temp_tables, || -> Result<(), KmError> {
-        for p in &preds {
-            db.execute(&format!("DROP TABLE {}", new_table(ns, p)))?;
-        }
-        Ok(())
-    })?;
-    b.n_temp_ops += preds.len() as u64;
-    for id in eval_stmts.into_iter().chain(trunc_stmts).chain(term_stmts) {
-        db.deallocate(id)?;
-    }
-    Ok((b, traces))
+    plan
 }
 
-/// Semi-naive LFP in embedded-SQL style. Candidate and delta tables are
-/// created once and recycled with TRUNCATE; the delta variants, the
-/// termination check and the delta-fold are prepared once before the loop.
-/// The termination check ([`termination_sql`]) inserts the genuinely new
+/// Semi-naive LFP: the exit rules (and any seeds already present)
+/// initialize the accumulated and delta tables, then every iteration
+/// evaluates the differential variants against the previous delta. The
+/// termination check ([`termination_sql`]) inserts the genuinely new
 /// tuples straight into the next delta via an index-probing `NOT EXISTS`
-/// anti-join — only their count crosses the SQL boundary, instead of the
-/// tuples being materialized in the client and re-inserted row by row.
-fn eval_clique_seminaive_prepared(
-    db: &DbHandle,
+/// anti-join — only their count crosses the SQL boundary — and the fold
+/// appends that delta to the accumulated table.
+fn seminaive_plan(
     ns: &str,
     types: &BTreeMap<&str, &[AttrType]>,
     exit_rules: &[RuleSql],
     recursive_rules: &[RuleSql],
+) -> CliquePlan {
+    let mut plan = CliquePlan::default();
+    for rule in exit_rules {
+        plan.exit.push(insert_new_sql(
+            &all_table(ns, &rule.head_pred),
+            &rule.full_sql,
+        ));
+    }
+    for (p, tys) in types {
+        let (all, new, delta) = (all_table(ns, p), new_table(ns, p), delta_table(ns, p));
+        plan.preds.push(p.to_string());
+        plan.setup.push(format!("DROP TABLE IF EXISTS {new}"));
+        plan.setup.push(create_table_sql(&new, tys));
+        plan.setup.push(format!("DROP TABLE IF EXISTS {delta}"));
+        plan.setup.push(create_table_sql(&delta, tys));
+        if !tys.is_empty() {
+            plan.setup.push(term_index_sql(&all, tys.len()));
+        }
+        // delta := current accumulated contents (exit results + seeds).
+        plan.init
+            .push(format!("INSERT INTO {delta} SELECT * FROM {all}"));
+        plan.recycle_eval.push(format!("TRUNCATE TABLE {new}"));
+        plan.recycle_term.push(format!("TRUNCATE TABLE {delta}"));
+        plan.term
+            .push(termination_sql(&delta, &new, &all, tys.len()));
+        plan.fold
+            .push(format!("INSERT INTO {all} SELECT * FROM {delta}"));
+        plan.teardown.push(format!("DROP TABLE {new}"));
+        plan.teardown.push(format!("DROP TABLE {delta}"));
+    }
+    // The delta variants read the (stable within an iteration) delta and
+    // accumulated tables and append to per-head candidate tables, so they
+    // form an independent batch.
+    for rule in recursive_rules {
+        for variant in &rule.delta_variants {
+            plan.eval.push(format!(
+                "INSERT INTO {} {variant}",
+                new_table(ns, &rule.head_pred)
+            ));
+        }
+    }
+    plan
+}
+
+fn run_all(db: &DbHandle, sqls: &[String]) -> Result<(), KmError> {
+    sqls.iter().try_for_each(|sql| db.execute(sql).map(drop))
+}
+
+fn run_prepared(db: &DbHandle, stmts: &[StmtId]) -> Result<(), KmError> {
+    stmts
+        .iter()
+        .try_for_each(|id| db.execute_prepared(*id, &[]).map(drop))
+}
+
+/// Compile `sqls`, recording each handle in `open` the moment it exists so
+/// the caller can release it even when a later statement fails to parse.
+fn prepare_all(
+    db: &DbHandle,
+    sqls: &[String],
+    open: &mut Vec<StmtId>,
+) -> Result<Vec<StmtId>, KmError> {
+    let from = open.len();
+    for sql in sqls {
+        open.push(db.prepare(sql)?);
+    }
+    Ok(open[from..].to_vec())
+}
+
+/// The embedded-SQL LFP loop: run `plan` to its fixpoint. Temp tables are
+/// created once and recycled with TRUNCATE, and every per-iteration
+/// statement is compiled once (parse + plan) before the loop — all DDL for
+/// the clique is done by then, so the cached plans stay valid across it
+/// (TRUNCATE does not invalidate them). Only affected counts cross the SQL
+/// boundary.
+fn eval_clique(
+    db: &DbHandle,
+    plan: &CliquePlan,
     workers: usize,
     ctl: &EvalCtl,
 ) -> Result<(LfpBreakdown, Vec<IterationTrace>), KmError> {
     let mut b = LfpBreakdown::default();
     let mut traces = Vec::new();
+    let mut open = Vec::new();
+    let fixpoint = (|| -> Result<(), KmError> {
+        let t = Instant::now();
+        let mut exit_added = 0;
+        for sql in &plan.exit {
+            exit_added += db.execute(sql)?.affected;
+        }
+        b.t_eval_rhs += t.elapsed();
+        b.n_eval_stmts += plan.exit.len() as u64;
+        b.tuples_produced += exit_added;
+        ctl.charge_facts(exit_added)
+            .map_err(|br| budget_err(br, clique_partial(&plan.preds, &b, &mut traces)))?;
 
-    // Exit rules populate the accumulated tables (single-shot statements).
-    let t = Instant::now();
-    let mut exit_added = 0u64;
-    for rule in exit_rules {
-        let added = insert_new(db, &all_table(ns, &rule.head_pred), &rule.full_sql)?;
-        b.tuples_produced += added;
-        exit_added += added;
-        b.n_eval_stmts += 1;
-    }
-    b.t_eval_rhs += t.elapsed();
-    if let Err(br) = ctl.charge_facts(exit_added) {
-        return Err(budget_err(br, clique_partial(types, &b, &mut traces)));
-    }
+        timed(&mut b.t_temp_tables, || run_all(db, &plan.setup))?;
+        b.n_temp_ops += plan.setup.len() as u64;
+        timed(&mut b.t_eval_rhs, || run_all(db, &plan.init))?;
+        b.n_eval_stmts += plan.init.len() as u64;
 
-    // Candidate and delta tables, created once for the whole fixpoint,
-    // plus the full-key index each termination check probes.
-    timed(&mut b.t_temp_tables, || -> Result<(), KmError> {
-        for (p, tys) in types {
-            db.execute(&format!("DROP TABLE IF EXISTS {}", new_table(ns, p)))?;
-            db.execute(&create_table_sql(&new_table(ns, p), tys))?;
-            db.execute(&format!("DROP TABLE IF EXISTS {}", delta_table(ns, p)))?;
-            db.execute(&create_table_sql(&delta_table(ns, p), tys))?;
-            if !tys.is_empty() {
-                db.execute(&term_index_sql(&all_table(ns, p), tys.len()))?;
+        let eval = timed(&mut b.t_eval_rhs, || prepare_all(db, &plan.eval, &mut open))?;
+        let t = Instant::now();
+        let recycle_eval = prepare_all(db, &plan.recycle_eval, &mut open)?;
+        let recycle_term = prepare_all(db, &plan.recycle_term, &mut open)?;
+        b.t_temp_tables += t.elapsed();
+        let t = Instant::now();
+        let term = prepare_all(db, &plan.term, &mut open)?;
+        let fold = prepare_all(db, &plan.fold, &mut open)?;
+        b.t_termination += t.elapsed();
+
+        loop {
+            b.iterations += 1;
+            ctl.check_iters(b.iterations)
+                .map_err(|br| budget_err(br, clique_partial(&plan.preds, &b, &mut traces)))?;
+            let iter_start = Instant::now();
+            let snap = StatSnap::take(db);
+
+            let mut d_temp = Duration::ZERO;
+            let mut d_eval = Duration::ZERO;
+            timed(&mut d_temp, || run_prepared(db, &recycle_eval))?;
+            let worker_eval = timed(&mut d_eval, || run_batch(db, &eval, workers))?;
+            timed(&mut d_temp, || run_prepared(db, &recycle_term))?;
+
+            let t = Instant::now();
+            let mut delta_cards = Vec::with_capacity(term.len());
+            let mut new_tuples = 0;
+            for (p, id) in plan.preds.iter().zip(&term) {
+                let n = db.execute_prepared(*id, &[])?.affected;
+                delta_cards.push((p.clone(), n));
+                new_tuples += n;
+            }
+            let d_term = t.elapsed();
+            let done = new_tuples == 0;
+            if !done {
+                timed(&mut d_eval, || run_prepared(db, &fold))?;
+                b.n_eval_stmts += fold.len() as u64;
+            }
+
+            b.n_temp_ops += (recycle_eval.len() + recycle_term.len()) as u64;
+            b.n_eval_stmts += eval.len() as u64;
+            b.n_term_checks += term.len() as u64;
+            b.tuples_produced += new_tuples;
+            b.t_temp_tables += d_temp;
+            b.t_eval_rhs += d_eval;
+            b.t_termination += d_term;
+            let mut iter = snap.finish(db);
+            iter.iteration = b.iterations;
+            iter.delta_cards = delta_cards;
+            iter.t_temp = d_temp;
+            iter.t_eval = d_eval;
+            iter.t_term = d_term;
+            iter.t_total = iter_start.elapsed();
+            iter.worker_eval = worker_eval;
+            traces.push(iter);
+            ctl.charge_facts(new_tuples)
+                .map_err(|br| budget_err(br, clique_partial(&plan.preds, &b, &mut traces)))?;
+            if done {
+                return Ok(());
             }
         }
-        Ok(())
-    })?;
-    b.n_temp_ops += 5 * types.len() as u64;
+    })();
 
-    // delta := current accumulated contents (exit results + seeds).
+    // Teardown runs however the fixpoint ended, so an aborted evaluation
+    // strands neither temp tables nor prepared handles in the engine. An
+    // abort may have struck before `setup` finished, so only a completed
+    // fixpoint reports a teardown failure.
     let t = Instant::now();
-    for p in types.keys() {
-        db.execute(&format!(
-            "INSERT INTO {} SELECT * FROM {}",
-            delta_table(ns, p),
-            all_table(ns, p)
-        ))?;
-        b.n_eval_stmts += 1;
-    }
-    b.t_eval_rhs += t.elapsed();
-
-    // Compile every per-iteration statement once.
-    let preds: Vec<&str> = types.keys().copied().collect();
-    let mut eval_stmts = Vec::new();
-    let t = Instant::now();
-    for rule in recursive_rules {
-        for variant in &rule.delta_variants {
-            eval_stmts.push(db.prepare(&format!(
-                "INSERT INTO {} {variant}",
-                new_table(ns, &rule.head_pred)
-            ))?);
-        }
-    }
-    b.t_eval_rhs += t.elapsed();
-    let mut trunc_new = Vec::new();
-    let mut trunc_delta = Vec::new();
-    let t = Instant::now();
-    for p in &preds {
-        trunc_new.push(db.prepare(&format!("TRUNCATE TABLE {}", new_table(ns, p)))?);
-        trunc_delta.push(db.prepare(&format!("TRUNCATE TABLE {}", delta_table(ns, p)))?);
+    let mut closed = Ok(());
+    for sql in &plan.teardown {
+        closed = closed.and(db.execute(sql).map(drop));
     }
     b.t_temp_tables += t.elapsed();
-    let mut term_stmts = Vec::new();
-    let mut fold_stmts = Vec::new();
-    let t = Instant::now();
-    for (p, tys) in types {
-        term_stmts.push(db.prepare(&termination_sql(
-            &delta_table(ns, p),
-            &new_table(ns, p),
-            &all_table(ns, p),
-            tys.len(),
-        ))?);
-        fold_stmts.push(db.prepare(&format!(
-            "INSERT INTO {} SELECT * FROM {}",
-            all_table(ns, p),
-            delta_table(ns, p)
-        ))?);
+    b.n_temp_ops += plan.teardown.len() as u64;
+    for id in open {
+        closed = closed.and(db.deallocate(id));
     }
-    b.t_termination += t.elapsed();
-    let eval_batch: Vec<BatchStmt> = eval_stmts
-        .iter()
-        .map(|id| BatchStmt::Prepared(*id))
-        .collect();
-
-    loop {
-        b.iterations += 1;
-        if let Err(br) = ctl.check_iters(b.iterations) {
-            return Err(budget_err(br, clique_partial(types, &b, &mut traces)));
-        }
-        let iter_start = Instant::now();
-        let snap = StatSnap::take(db);
-
-        // Recycle the candidate tables, then evaluate the differential of
-        // each recursive rule against the previous delta.
-        let t = Instant::now();
-        for id in &trunc_new {
-            db.execute_prepared(*id, &[])?;
-        }
-        let mut d_temp = t.elapsed();
-        b.n_temp_ops += trunc_new.len() as u64;
-
-        let t = Instant::now();
-        let worker_eval = run_batch(db, &eval_batch, workers)?;
-        b.n_eval_stmts += eval_batch.len() as u64;
-        let mut d_eval = t.elapsed();
-
-        // Recycle the delta, then refill it with exactly the new tuples —
-        // the server-side termination check.
-        let t = Instant::now();
-        for id in &trunc_delta {
-            db.execute_prepared(*id, &[])?;
-        }
-        d_temp += t.elapsed();
-        b.n_temp_ops += trunc_delta.len() as u64;
-
-        let mut delta_cards = Vec::with_capacity(types.len());
-        let mut new_tuples = 0;
-        let t = Instant::now();
-        for (p, id) in preds.iter().zip(&term_stmts) {
-            let rs = db.execute_prepared(*id, &[])?;
-            b.n_term_checks += 1;
-            delta_cards.push((p.to_string(), rs.affected));
-            new_tuples += rs.affected;
-        }
-        let d_term = t.elapsed();
-
-        let done = new_tuples == 0;
-        if !done {
-            // Fold the delta into the accumulated tables.
-            let t = Instant::now();
-            for id in &fold_stmts {
-                let rs = db.execute_prepared(*id, &[])?;
-                b.n_eval_stmts += 1;
-                b.tuples_produced += rs.affected;
-            }
-            d_eval += t.elapsed();
-        }
-        b.t_temp_tables += d_temp;
-        b.t_eval_rhs += d_eval;
-        b.t_termination += d_term;
-        let mut iter = snap.finish(db);
-        iter.iteration = b.iterations;
-        iter.delta_cards = delta_cards;
-        iter.t_temp = d_temp;
-        iter.t_eval = d_eval;
-        iter.t_term = d_term;
-        iter.t_total = iter_start.elapsed();
-        iter.worker_eval = worker_eval;
-        traces.push(iter);
-        if let Err(br) = ctl.charge_facts(new_tuples) {
-            return Err(budget_err(br, clique_partial(types, &b, &mut traces)));
-        }
-        if done {
-            break;
-        }
-    }
-
-    // Drop the recycled temporaries and release the handles.
-    timed(&mut b.t_temp_tables, || -> Result<(), KmError> {
-        for p in &preds {
-            db.execute(&format!("DROP TABLE {}", new_table(ns, p)))?;
-            db.execute(&format!("DROP TABLE {}", delta_table(ns, p)))?;
-        }
-        Ok(())
-    })?;
-    b.n_temp_ops += 2 * preds.len() as u64;
-    for id in eval_stmts
-        .into_iter()
-        .chain(trunc_new)
-        .chain(trunc_delta)
-        .chain(term_stmts)
-        .chain(fold_stmts)
-    {
-        db.deallocate(id)?;
-    }
+    fixpoint.and(closed)?;
     Ok((b, traces))
 }
 
@@ -1991,19 +1538,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_issues_more_eval_statements() {
-        let (program, _) = ancestor_program("?- anc(A, B).");
-        let mut db1 = chain_engine(10);
-        let prog = compile(&program, &db1);
-        let naive = run_program(&mut db1, &prog, LfpStrategy::Naive).unwrap();
-        let mut db2 = chain_engine(10);
-        let semi = run_program(&mut db2, &prog, LfpStrategy::SemiNaive).unwrap();
-        // Naive recomputes everything each round: strictly more tuple work.
-        assert!(naive.breakdown.n_eval_stmts >= semi.breakdown.n_eval_stmts);
-        assert_eq!(naive.rows, semi.rows);
-    }
-
-    #[test]
     fn query_with_constant_restricts_result() {
         let mut db = chain_engine(5);
         let (program, _) = ancestor_program("?- anc(a2, W).");
@@ -2077,28 +1611,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_and_unprepared_lfp_agree() {
-        let (program, _) = ancestor_program("?- anc(A, B).");
-        for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
-            let mut db_p = chain_engine(8);
-            let prog = compile(&program, &db_p);
-            let prepared = run_program_opts(&mut db_p, &prog, strategy, false, true).unwrap();
-            let mut db_u = chain_engine(8);
-            let unprepared = run_program_opts(&mut db_u, &prog, strategy, false, false).unwrap();
-            assert_eq!(
-                prepared.rows, unprepared.rows,
-                "{strategy:?}: answers must be byte-identical"
-            );
-            assert_eq!(prepared.rows.len(), 28, "C(8,2) ancestor pairs");
-            assert_eq!(
-                prepared.breakdown.tuples_produced,
-                unprepared.breakdown.tuples_produced
-            );
-        }
-    }
-
-    #[test]
-    fn prepared_lfp_compiles_statements_once() {
+    fn lfp_compiles_statements_once() {
         let mut db = chain_engine(8);
         let (program, _) = ancestor_program("?- anc(A, B).");
         let prog = compile(&program, &db);
@@ -2124,47 +1637,90 @@ mod tests {
     #[test]
     fn clique_traces_account_for_wall_time() {
         let (program, _) = ancestor_program("?- anc(A, B).");
-        for prepared in [false, true] {
-            for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
-                let mut db = chain_engine(8);
-                let prog = compile(&program, &db);
-                let out = run_program_opts(&mut db, &prog, strategy, false, prepared).unwrap();
-                assert_eq!(out.clique_traces.len(), 1, "one clique over anc");
-                let trace = &out.clique_traces[0];
-                assert!(trace.predicates.contains(&"anc".to_string()));
-                assert!(!trace.is_magic);
-                assert_eq!(trace.iterations.len() as u64, out.breakdown.iterations);
-                // Iteration wall times plus setup reconstruct the clique
-                // total exactly (t_setup is defined as the remainder).
-                let sum: Duration =
-                    trace.t_setup + trace.iterations.iter().map(|i| i.t_total).sum::<Duration>();
-                assert!(sum <= trace.total);
-                assert!(trace.total - sum < Duration::from_millis(1));
-                // The last iteration finds nothing new; earlier ones do.
-                let cards: Vec<u64> = trace
-                    .iterations
-                    .iter()
-                    .map(|i| i.delta_cards.iter().map(|(_, n)| n).sum())
-                    .collect();
-                assert_eq!(*cards.last().unwrap(), 0, "final round is empty");
-                assert!(cards[..cards.len() - 1].iter().all(|&n| n > 0));
-                // Iteration numbers are 1-based and consecutive.
-                for (i, iter) in trace.iterations.iter().enumerate() {
-                    assert_eq!(iter.iteration, i as u64 + 1);
-                    assert!(iter.statements > 0);
-                }
-                if prepared {
-                    // After the first round every statement reuses its plan.
-                    assert!(trace.iterations[1..]
-                        .iter()
-                        .all(|i| i.plan_cache_misses == 0 && i.plan_cache_hits > 0));
-                }
+        for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
+            let mut db = chain_engine(8);
+            let prog = compile(&program, &db);
+            let out = run_program(&mut db, &prog, strategy).unwrap();
+            assert_eq!(out.clique_traces.len(), 1, "one clique over anc");
+            let trace = &out.clique_traces[0];
+            assert!(trace.predicates.contains(&"anc".to_string()));
+            assert!(!trace.is_magic);
+            assert_eq!(trace.iterations.len() as u64, out.breakdown.iterations);
+            // Iteration wall times plus setup reconstruct the clique
+            // total exactly (t_setup is defined as the remainder).
+            let sum: Duration =
+                trace.t_setup + trace.iterations.iter().map(|i| i.t_total).sum::<Duration>();
+            assert!(sum <= trace.total);
+            assert!(trace.total - sum < Duration::from_millis(1));
+            // The last iteration finds nothing new; earlier ones do.
+            let cards: Vec<u64> = trace
+                .iterations
+                .iter()
+                .map(|i| i.delta_cards.iter().map(|(_, n)| n).sum())
+                .collect();
+            assert_eq!(*cards.last().unwrap(), 0, "final round is empty");
+            assert!(cards[..cards.len() - 1].iter().all(|&n| n > 0));
+            // Iteration numbers are 1-based and consecutive.
+            for (i, iter) in trace.iterations.iter().enumerate() {
+                assert_eq!(iter.iteration, i as u64 + 1);
+                assert!(iter.statements > 0);
             }
+            // After the first round every statement reuses its plan.
+            assert!(trace.iterations[1..]
+                .iter()
+                .all(|i| i.plan_cache_misses == 0 && i.plan_cache_hits > 0));
+        }
+    }
+
+    /// The statement sequence of the Fig 11 tree at depth 6: counts per
+    /// Table 5 category and per-iteration statement totals, as recorded
+    /// from commit 4c4654c. One statement more, fewer, or charged to
+    /// another category changes a number here.
+    #[test]
+    fn statement_sequence_matches_recorded_counts() {
+        use crate::session::{binary_sym, Session, SessionConfig};
+        // (strategy, [iterations, n_temp_ops, n_eval_stmts, n_term_checks],
+        // per-iteration statements)
+        let golden: [(LfpStrategy, [u64; 4], &[u64]); 2] = [
+            (LfpStrategy::Naive, [6, 16, 13, 6], &[4, 4, 4, 4, 4, 4]),
+            (LfpStrategy::SemiNaive, [5, 23, 12, 5], &[5, 5, 5, 5, 4]),
+        ];
+        for (strategy, counts, per_iteration) in golden {
+            let mut s = Session::new(SessionConfig {
+                strategy,
+                ..SessionConfig::default()
+            })
+            .unwrap();
+            s.define_base("parent", &binary_sym()).unwrap();
+            s.db_execute("CREATE INDEX parent_c0 ON parent (c0)")
+                .unwrap();
+            s.load_facts(
+                "parent",
+                workload::edges_to_rows(&workload::full_binary_tree(6)),
+            )
+            .unwrap();
+            s.load_rules(&workload::ancestor_program("parent")).unwrap();
+            let (_, r) = s.query("?- anc(n1, W).").unwrap();
+            assert_eq!(r.rows.len(), 62, "{strategy:?}");
+            let b = r.outcome.breakdown;
+            assert_eq!(
+                [b.iterations, b.n_temp_ops, b.n_eval_stmts, b.n_term_checks],
+                counts,
+                "{strategy:?}"
+            );
+            assert_eq!(b.tuples_produced, 320, "{strategy:?}");
+            assert_eq!(r.outcome.clique_traces.len(), 1);
+            let statements: Vec<u64> = r.outcome.clique_traces[0]
+                .iterations
+                .iter()
+                .map(|i| i.statements)
+                .collect();
+            assert_eq!(statements, per_iteration, "{strategy:?}");
         }
     }
 
     #[test]
-    fn prepared_lfp_recycles_temp_tables() {
+    fn lfp_recycles_temp_tables() {
         let mut db = chain_engine(6);
         let created_before = db.stats().tables_created;
         let (program, _) = ancestor_program("?- anc(A, B).");
@@ -2172,8 +1728,7 @@ mod tests {
         let out = run_program(&mut db, &prog, LfpStrategy::SemiNaive).unwrap();
         let per_run = db.stats().tables_created - created_before;
         // d_anc, d__query, new_anc, delta_anc: one CREATE each, regardless
-        // of iteration count — the unprepared path would create new/delta
-        // tables every iteration.
+        // of iteration count.
         assert_eq!(per_run, 4, "temp tables are recycled, not recreated");
         assert!(out.breakdown.iterations >= 5);
     }
@@ -2194,62 +1749,63 @@ mod tests {
         }
     }
 
+    /// Prepared statements currently held open in the engine.
+    fn prepared_open(db: &Engine) -> f64 {
+        db.metrics().gauge_value("engine.prepared_open").unwrap()
+    }
+
     #[test]
     fn iteration_budget_trips_with_partial_traces() {
-        for prepared in [false, true] {
-            for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
-                let mut db = chain_engine(10);
-                let (program, _) = ancestor_program("?- anc(A, B).");
-                let prog = compile(&program, &db);
-                let before = db.table_names();
-                let limits = EvalLimits {
-                    max_iterations: Some(2),
-                    ..EvalLimits::default()
-                };
-                let err = run_program_governed(&mut db, &prog, strategy, false, prepared, &limits)
-                    .unwrap_err();
-                let (resource, limit, used, partial) = budget_parts(err);
-                assert_eq!(
-                    resource,
-                    EvalResource::Iterations,
-                    "{strategy:?}/{prepared}"
-                );
-                assert_eq!(limit, 2);
-                assert_eq!(used, 3, "tripped entering iteration 3");
-                // The two admitted iterations are reported via the trace
-                // machinery, and they did real work.
-                let clique = partial
-                    .clique_traces
-                    .last()
-                    .expect("failing clique contributes a trace");
-                assert_eq!(clique.iterations.len(), 2);
-                assert!(clique.iterations.iter().all(|i| i.statements > 0));
-                assert!(partial.breakdown.tuples_produced > 0);
-                // The engine keeps serving and no temporaries leak.
-                assert_eq!(db.table_names(), before, "temp tables dropped");
-                assert!(db.execute("SELECT * FROM parent").is_ok());
-            }
+        for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
+            let mut db = chain_engine(10);
+            let (program, _) = ancestor_program("?- anc(A, B).");
+            let prog = compile(&program, &db);
+            let before = db.table_names();
+            let limits = EvalLimits {
+                max_iterations: Some(2),
+                ..EvalLimits::default()
+            };
+            let err = run_program_governed(&mut db, &prog, strategy, false, &limits).unwrap_err();
+            let (resource, limit, used, partial) = budget_parts(err);
+            assert_eq!(resource, EvalResource::Iterations, "{strategy:?}");
+            assert_eq!(limit, 2);
+            assert_eq!(used, 3, "tripped entering iteration 3");
+            // The two admitted iterations are reported via the trace
+            // machinery, and they did real work.
+            let clique = partial
+                .clique_traces
+                .last()
+                .expect("failing clique contributes a trace");
+            assert_eq!(clique.iterations.len(), 2);
+            assert!(clique.iterations.iter().all(|i| i.statements > 0));
+            assert!(partial.breakdown.tuples_produced > 0);
+            // The engine keeps serving; neither temporaries nor prepared
+            // handles leak.
+            assert_eq!(db.table_names(), before, "temp tables dropped");
+            assert_eq!(prepared_open(&db), 0.0, "{strategy:?}: handles released");
+            assert!(db.execute("SELECT * FROM parent").is_ok());
         }
     }
 
     #[test]
     fn derived_fact_budget_trips() {
-        let mut db = chain_engine(10);
-        let (program, _) = ancestor_program("?- anc(A, B).");
-        let prog = compile(&program, &db);
-        let limits = EvalLimits {
-            max_derived_facts: Some(12),
-            ..EvalLimits::default()
-        };
-        let err =
-            run_program_governed(&mut db, &prog, LfpStrategy::SemiNaive, false, true, &limits)
-                .unwrap_err();
-        let (resource, limit, used, partial) = budget_parts(err);
-        assert_eq!(resource, EvalResource::DerivedFacts);
-        assert_eq!(limit, 12);
-        assert!(used > 12, "charge observed the overshoot");
-        assert!(!partial.clique_traces.is_empty());
-        assert!(db.execute("SELECT * FROM parent").is_ok());
+        for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
+            let mut db = chain_engine(10);
+            let (program, _) = ancestor_program("?- anc(A, B).");
+            let prog = compile(&program, &db);
+            let limits = EvalLimits {
+                max_derived_facts: Some(12),
+                ..EvalLimits::default()
+            };
+            let err = run_program_governed(&mut db, &prog, strategy, false, &limits).unwrap_err();
+            let (resource, limit, used, partial) = budget_parts(err);
+            assert_eq!(resource, EvalResource::DerivedFacts);
+            assert_eq!(limit, 12);
+            assert!(used > 12, "charge observed the overshoot");
+            assert!(!partial.clique_traces.is_empty());
+            assert_eq!(prepared_open(&db), 0.0, "{strategy:?}: handles released");
+            assert!(db.execute("SELECT * FROM parent").is_ok());
+        }
     }
 
     #[test]
@@ -2263,9 +1819,8 @@ mod tests {
             deadline: Some(Duration::ZERO),
             ..EvalLimits::default()
         };
-        let err =
-            run_program_governed(&mut db, &prog, LfpStrategy::SemiNaive, false, true, &limits)
-                .unwrap_err();
+        let err = run_program_governed(&mut db, &prog, LfpStrategy::SemiNaive, false, &limits)
+            .unwrap_err();
         let (resource, _, _, _) = budget_parts(err);
         assert_eq!(resource, EvalResource::Deadline);
         // The eval deadline is cleared on exit: the engine serves again.
@@ -2284,7 +1839,6 @@ mod tests {
             &prog,
             LfpStrategy::SemiNaive,
             false,
-            true,
             &EvalLimits::default(),
         )
         .unwrap();
@@ -2293,25 +1847,24 @@ mod tests {
 
     #[test]
     fn engine_cancellation_surfaces_as_eval_budget() {
-        let mut db = chain_engine(8);
-        let (program, _) = ancestor_program("?- anc(A, B).");
-        let prog = compile(&program, &db);
-        db.cancel();
-        let err = run_program_governed(
-            &mut db,
-            &prog,
-            LfpStrategy::SemiNaive,
-            false,
-            true,
-            &EvalLimits::default(),
-        )
-        .unwrap_err();
-        let (resource, _, _, _) = budget_parts(err);
-        assert_eq!(resource, EvalResource::Canceled);
-        // The governed exit acknowledged the cancellation: a clean re-run
-        // succeeds and yields the full answer.
-        let out = run_program(&mut db, &prog, LfpStrategy::SemiNaive).unwrap();
-        assert_eq!(out.rows.len(), 28);
+        // DDL and TRUNCATE do not poll the cancel flag, so the naive loop
+        // is inside its first iteration, statements compiled, when the
+        // breach surfaces; semi-naive trips on its first exit rule.
+        for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
+            let mut db = chain_engine(8);
+            let (program, _) = ancestor_program("?- anc(A, B).");
+            let prog = compile(&program, &db);
+            db.cancel();
+            let err = run_program_governed(&mut db, &prog, strategy, false, &EvalLimits::default())
+                .unwrap_err();
+            let (resource, _, _, _) = budget_parts(err);
+            assert_eq!(resource, EvalResource::Canceled);
+            assert_eq!(prepared_open(&db), 0.0, "{strategy:?}: handles released");
+            // The governed exit acknowledged the cancellation: a clean
+            // re-run succeeds and yields the full answer.
+            let out = run_program(&mut db, &prog, strategy).unwrap();
+            assert_eq!(out.rows.len(), 28);
+        }
     }
 
     #[test]

@@ -40,12 +40,6 @@ pub struct SessionConfig {
     /// either fully pre- or fully post-update. Off by default: without it
     /// the engine's I/O path is byte-for-byte the original one.
     pub durability: bool,
-    /// Issue the LFP loop's per-iteration SQL as prepared statements
-    /// (compile once per fixpoint call, recycle temp tables with TRUNCATE,
-    /// server-side termination check) instead of re-parsing strings every
-    /// iteration. On by default; the bench harness turns it off for the
-    /// ablation.
-    pub prepared_sql: bool,
     /// Worker threads for evaluation: partitioned operators inside the
     /// engine, plus the runtime's clique DAG scheduler and per-iteration
     /// delta-statement batches. `0` (the default) inherits the engine's
@@ -88,7 +82,6 @@ impl Default for SessionConfig {
             special_tc: false,
             supplementary: false,
             durability: false,
-            prepared_sql: true,
             parallelism: 0,
             deadline: None,
             max_iterations: None,
@@ -610,7 +603,6 @@ impl Session {
             &entry.compiled.program,
             self.config.strategy,
             self.config.special_tc,
-            self.config.prepared_sql,
             &limits,
         )?;
         let rows = std::mem::take(&mut outcome.rows);
@@ -877,7 +869,6 @@ impl Session {
             &compiled.program,
             self.config.strategy,
             self.config.special_tc,
-            self.config.prepared_sql,
             &limits,
         )?;
         let rows = std::mem::take(&mut outcome.rows);

@@ -426,7 +426,7 @@ fn est_walk(catalog: &Catalog, plan: &PhysPlan, out: &mut Vec<u64>) -> EstOut {
         PhysPlan::IndexLookup {
             table,
             index_pos,
-            key,
+            keys,
             residual,
         } => match catalog.table(table) {
             Ok(t) => {
@@ -435,7 +435,6 @@ fn est_walk(catalog: &Catalog, plan: &PhysPlan, out: &mut Vec<u64>) -> EstOut {
                 let key_sel: f64 = t.indexes[*index_pos]
                     .key_cols()
                     .iter()
-                    .take(key.len())
                     .map(|&kc| {
                         col_distinct(t, kc)
                             .map(|d| 1.0 / d as f64)
@@ -443,7 +442,10 @@ fn est_walk(catalog: &Catalog, plan: &PhysPlan, out: &mut Vec<u64>) -> EstOut {
                     })
                     .product();
                 EstOut {
-                    rows: n * key_sel * conds_selectivity(catalog, &origins, residual),
+                    rows: keys.len() as f64
+                        * n
+                        * key_sel
+                        * conds_selectivity(catalog, &origins, residual),
                     origins,
                 }
             }

@@ -1589,6 +1589,7 @@ impl Engine {
         r.counter("engine.statements", s.statements);
         r.counter("engine.tables_created", s.tables_created);
         r.counter("engine.tables_dropped", s.tables_dropped);
+        r.gauge("engine.prepared_open", self.prepared.len() as f64);
         r.counter("stats.refreshes", self.stats_refreshes);
         r.counter("stats.sampled_rows", self.stats_sampled_rows);
         r.counter("plan.predicates_pushed", self.rewrite_predicates_pushed);

@@ -995,21 +995,24 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
         PhysPlan::IndexLookup {
             table,
             index_pos,
-            key,
+            keys,
             residual,
         } => {
             let t = ctx.catalog.table(table)?;
-            let key = resolve_key(key, ctx.params);
-            ctx.count_probe();
-            let rids = t.indexes[*index_pos].lookup(&key);
-            let mut out = Vec::with_capacity(rids.len());
-            for &rid in rids {
-                let tuple = fetch_indexed(ctx, t, rid)?;
-                ctx.count_fetched();
-                if eval_all(residual, &tuple, ctx.params) {
-                    out.push(emit.row(tuple));
-                } else {
-                    ctx.prof_drop();
+            let mut out = Vec::new();
+            for key in keys {
+                let key = resolve_key(key, ctx.params);
+                ctx.count_probe();
+                let rids = t.indexes[*index_pos].lookup(&key);
+                out.reserve(rids.len());
+                for &rid in rids {
+                    let tuple = fetch_indexed(ctx, t, rid)?;
+                    ctx.count_fetched();
+                    if eval_all(residual, &tuple, ctx.params) {
+                        out.push(emit.row(tuple));
+                    } else {
+                        ctx.prof_drop();
+                    }
                 }
             }
             Ok(out)

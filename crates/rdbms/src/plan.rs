@@ -29,6 +29,7 @@ use crate::rewrite::{
 };
 use crate::sql::ast::*;
 use crate::value::{ColType, Value};
+use std::collections::HashSet;
 
 /// A resolved condition over a flat row layout (column positions are
 /// absolute offsets into the combined row).
@@ -77,11 +78,13 @@ pub enum PhysPlan {
         table: String,
         filters: Vec<ExecCond>,
     },
-    /// Exact-match index lookup; `residual` filters run on fetched rows.
+    /// Exact-match index lookup: every key of `keys` is probed, in list
+    /// order — one key for an equality, the distinct list values for an
+    /// `IN`. `residual` filters run on fetched rows.
     IndexLookup {
         table: String,
         index_pos: usize,
-        key: Vec<KeyExpr>,
+        keys: Vec<Vec<KeyExpr>>,
         residual: Vec<ExecCond>,
     },
     /// Hash join on equi-key columns; `residual` runs on joined rows using
@@ -207,17 +210,24 @@ impl PhysPlan {
             }
             PhysPlan::IndexLookup {
                 table,
-                key,
+                keys,
                 residual,
                 ..
-            } => {
-                let key_str: Vec<String> = key.iter().map(|v| v.to_string()).collect();
-                format!(
-                    "IndexLookup {table} key=({}){}",
-                    key_str.join(", "),
+            } => match keys.as_slice() {
+                [key] => {
+                    let key_str: Vec<String> = key.iter().map(|v| v.to_string()).collect();
+                    format!(
+                        "IndexLookup {table} key=({}){}",
+                        key_str.join(", "),
+                        fmt_conds(residual)
+                    )
+                }
+                _ => format!(
+                    "IndexLookup {table} [{} key(s)]{}",
+                    keys.len(),
                     fmt_conds(residual)
-                )
-            }
+                ),
+            },
             PhysPlan::IndexRange {
                 table,
                 lo,
@@ -828,20 +838,19 @@ fn attach_residual(plan: PhysPlan, mut conds: Vec<ExecCond>) -> PhysPlan {
         PhysPlan::IndexLookup {
             table,
             index_pos,
-            key,
+            keys,
             mut residual,
         } => {
             residual.append(&mut conds);
             PhysPlan::IndexLookup {
                 table,
                 index_pos,
-                key,
+                keys,
                 residual,
             }
         }
-        // Any other shape (e.g. the UnionAll an IN-list index expansion
-        // produces, or a pruning Project) keeps its semantics under a
-        // generic filter — never silently drop a condition.
+        // Any other shape (e.g. a pruning Project) keeps its semantics
+        // under a generic filter — never silently drop a condition.
         other => PhysPlan::Filter {
             child: Box::new(other),
             conds,
@@ -905,14 +914,14 @@ fn access_path(
             return Ok(PhysPlan::IndexLookup {
                 table: b.table.clone(),
                 index_pos: pos,
-                key,
+                keys: vec![key],
                 residual,
             });
         }
     }
-    // An IN-list over a single-column index expands to a union of index
-    // lookups — this is what keeps the Stored D/KB extraction query flat in
-    // the total rule count (Figure 7).
+    // An IN-list over a single-column index probes the index once per
+    // list value — this is what keeps the Stored D/KB extraction query
+    // flat in the total rule count (Figure 7).
     for (pos, index) in table.indexes.iter().enumerate() {
         let [key_col] = index.key_cols() else {
             continue;
@@ -927,24 +936,19 @@ fn access_path(
             .filter(|c| !matches!(c, LocalCond::InList(col, vs) if col == key_col && vs == values))
             .map(local_to_exec)
             .collect();
-        // Dedupe list values so a row cannot match through two arms.
-        let mut distinct: Vec<&Value> = Vec::new();
-        for v in values {
-            if !distinct.contains(&v) {
-                distinct.push(v);
-            }
-        }
-        let mut arms = distinct.into_iter().map(|v| PhysPlan::IndexLookup {
+        // Dedupe list values so a row cannot match through two keys.
+        let mut seen = HashSet::with_capacity(values.len());
+        let keys = values
+            .iter()
+            .filter(|v| seen.insert(*v))
+            .map(|v| vec![KeyExpr::Lit(v.clone())])
+            .collect();
+        return Ok(PhysPlan::IndexLookup {
             table: b.table.clone(),
             index_pos: pos,
-            key: vec![KeyExpr::Lit(v.clone())],
-            residual: residual.clone(),
+            keys,
+            residual,
         });
-        let first = arms.next().expect("IN list is non-empty");
-        return Ok(arms.fold(first, |acc, arm| PhysPlan::UnionAll {
-            left: Box::new(acc),
-            right: Box::new(arm),
-        }));
     }
     // Range predicates over a single-column ordered index.
     for (pos, index) in table.indexes.iter().enumerate() {

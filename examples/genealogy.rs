@@ -22,7 +22,6 @@ fn build_session(optimize: bool) -> Result<Session, Box<dyn std::error::Error>> 
         special_tc: false,
         supplementary: false,
         durability: false,
-        prepared_sql: true,
         parallelism: 0,
         ..SessionConfig::default()
     })?;

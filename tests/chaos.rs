@@ -304,6 +304,13 @@ fn episode(seed: u64, refs: &BTreeMap<usize, Reference>) -> &'static str {
     }
     let (_, r) = s.query(QUERY).unwrap();
     assert_eq!(r.rows, *expected, "seed {seed}: clean re-run answers");
+    // Neither the perturbed evaluation nor the clean one left a prepared
+    // statement open in the engine.
+    assert_eq!(
+        s.engine().metrics().gauge_value("engine.prepared_open"),
+        Some(0.0),
+        "seed {seed}: prepared handles leaked"
+    );
     name
 }
 

@@ -1,8 +1,8 @@
 //! Parallel evaluation must be invisible in the results: for randomized
-//! graph workloads, every LFP evaluator (naive/semi-naive × prepared SQL
-//! on/off) and the specialized transitive-closure operator must produce
-//! byte-identical answers and final relation contents at 2/4/8 workers as
-//! at parallelism 1. Only wall time may differ.
+//! graph workloads, both LFP strategies (naive, semi-naive) and the
+//! specialized transitive-closure operator must produce byte-identical
+//! answers and final relation contents at 2/4/8 workers as at
+//! parallelism 1. Only wall time may differ.
 
 use km::session::{binary_sym, Session, SessionConfig};
 use km::LfpStrategy;
@@ -49,43 +49,39 @@ fn run_once(edges: &[(u8, u8)], config: SessionConfig, query: &str) -> RunResult
     (result.rows, dump(&mut s))
 }
 
-/// The five evaluation configurations under test: the four generic LFP
-/// evaluators plus the specialized transitive-closure operator.
+/// The three evaluation configurations under test: the generic LFP loop
+/// under each strategy plus the specialized transitive-closure operator.
 fn configs() -> Vec<(&'static str, SessionConfig)> {
-    let mut out = Vec::new();
-    for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
-        for prepared_sql in [false, true] {
-            let name = match (strategy, prepared_sql) {
-                (LfpStrategy::Naive, false) => "naive",
-                (LfpStrategy::Naive, true) => "naive-prepared",
-                (LfpStrategy::SemiNaive, false) => "semi-naive",
-                (LfpStrategy::SemiNaive, true) => "semi-naive-prepared",
-            };
-            out.push((
-                name,
-                SessionConfig {
-                    strategy,
-                    prepared_sql,
-                    ..SessionConfig::default()
-                },
-            ));
-        }
-    }
-    out.push((
-        "special-tc",
-        SessionConfig {
-            special_tc: true,
-            ..SessionConfig::default()
-        },
-    ));
-    out
+    vec![
+        (
+            "naive",
+            SessionConfig {
+                strategy: LfpStrategy::Naive,
+                ..SessionConfig::default()
+            },
+        ),
+        (
+            "semi-naive",
+            SessionConfig {
+                strategy: LfpStrategy::SemiNaive,
+                ..SessionConfig::default()
+            },
+        ),
+        (
+            "special-tc",
+            SessionConfig {
+                special_tc: true,
+                ..SessionConfig::default()
+            },
+        ),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Answers and final relation contents at 2/4/8 workers equal the
-    /// serial run's, for every evaluator, on random graphs.
+    /// serial run's, for every configuration, on random graphs.
     #[test]
     fn parallel_matches_serial(
         edges in prop::collection::vec((0u8..10, 0u8..10), 0..25),

@@ -10,6 +10,36 @@ use rdbms::{DbError, Engine, Value};
 // ---------------------------------------------------------------------
 
 #[test]
+fn long_in_list_probes_an_index_without_recursing() {
+    // The lookup is one plan node however long the list, so planning,
+    // running and dropping it fit the 2 MiB stack of a test thread.
+    let mut e = Engine::new();
+    e.execute("CREATE TABLE t (a char, b integer)").unwrap();
+    let rows: Vec<Vec<Value>> = (0..6000)
+        .map(|i| vec![Value::from(format!("p{i}")), Value::Int(i)])
+        .collect();
+    e.insert_rows("t", rows).unwrap();
+    e.execute("CREATE INDEX t_a ON t (a)").unwrap();
+    // 5 000 literals, descending, with one repeated and one absent.
+    let mut list: Vec<String> = (0..4998).rev().map(|i| format!("'p{i}'")).collect();
+    list.push("'p4997'".into());
+    list.push("'absent'".into());
+    let before = e.stats().exec;
+    let rs = e
+        .execute(&format!("SELECT b FROM t WHERE a IN ({})", list.join(", ")))
+        .unwrap();
+    let after = e.stats().exec;
+    let expected: Vec<Vec<Value>> = (0..4998).rev().map(|i| vec![Value::Int(i)]).collect();
+    assert_eq!(rs.rows, expected, "list order, first occurrence wins");
+    assert_eq!(after.tuples_scanned, before.tuples_scanned, "no scan");
+    assert_eq!(
+        after.index_probes - before.index_probes,
+        4999,
+        "one probe per distinct list value"
+    );
+}
+
+#[test]
 fn bulk_load_survives_buffer_pressure() {
     // A pool of 4 frames (16 KiB) against ~100 KiB of data forces steady
     // eviction; results must be unaffected.

@@ -208,3 +208,20 @@ fn query_sees_base_data_loaded_after_commit() {
     let (_, after) = s.query("?- anc(a0, W).").unwrap();
     assert_eq!(after.rows.len(), before.rows.len() + 1);
 }
+
+#[test]
+fn two_thousand_rule_commit_fits_a_test_thread_stack() {
+    // The commit reads the dictionaries back with one IN-list per
+    // relation over every predicate it touches — 2 000 literals here.
+    let mut s = Session::new(SessionConfig::default()).unwrap();
+    s.define_base("base", &binary_sym()).unwrap();
+    let program = workload::chain_rule_base(100, 20, "base");
+    assert_eq!(program.clauses.len(), 2000);
+    for clause in &program.clauses {
+        s.workspace_mut().add_clause(clause.clone());
+    }
+    s.commit_workspace().unwrap();
+    s.workspace_mut().clear();
+    let (compiled, _) = s.query(&workload::rules::chain_query(7, 0, "a")).unwrap();
+    assert_eq!(compiled.relevant_rules, 20, "one whole chain is extracted");
+}
