@@ -1,7 +1,6 @@
 //! One module per paper table/figure. Each exposes `run()`, which prints
 //! the regenerated rows in the shape the paper reports.
 
-pub mod chaos;
 pub mod concurrency;
 pub mod datasets;
 pub mod fig10;
@@ -15,12 +14,10 @@ pub mod fig8;
 pub mod fig9;
 pub mod optimizer;
 pub mod optimizers;
-pub mod parallel;
 pub mod scale;
 pub mod table4;
 pub mod table5;
 pub mod table8;
-pub mod trace;
 pub mod wal;
 
 use std::time::Duration;
@@ -49,9 +46,6 @@ pub const ALL: &[(&str, fn())] = &[
     ("datasets", datasets::run),
     ("optimizer", optimizer::run),
     ("optimizers", optimizers::run),
-    ("parallel", parallel::run),
     ("scale", scale::run),
-    ("trace", trace::run),
-    ("chaos", chaos::run),
     ("concurrency", concurrency::run),
 ];

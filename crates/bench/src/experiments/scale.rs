@@ -1,7 +1,7 @@
 //! Scaled-workload benchmark: memory-bounded execution at 10^5–10^7
 //! edges — three orders of magnitude past the paper's Table 1 sizes.
 //!
-//! Four measurements per tier, written to `BENCH_scale.json`:
+//! Three measurements per tier, written to `BENCH_scale.json`:
 //!
 //! 1. **t_q** — a raw self-join (`edge ⋈ edge`) on the engine, run once
 //!    unbounded and once under a memory budget far smaller than the build
@@ -10,10 +10,7 @@
 //! 2. **t_eval** — the full ancestor closure over the same relation
 //!    through the Knowledge Manager's LFP loop, again unbounded vs.
 //!    budgeted; answer sets must match.
-//! 3. **Parallelism** — the closure at 1/2/4 workers (first tier only),
-//!    with `host_cores` recorded so single-core results aren't read as
-//!    regressions.
-//! 4. **Buffer pool** — scan pollution: indexed point lookups on a small
+//! 3. **Buffer pool** — scan pollution: indexed point lookups on a small
 //!    hot table interleaved with full scans of the big heap. The hot
 //!    lookups' hit rate must stay high even when the pool (32 frames) is
 //!    a tiny fraction of the scanned relation — scans fault pages in
@@ -126,13 +123,11 @@ struct TcRun {
 }
 
 /// Evaluate the full ancestor closure on a fresh session. Rows are
-/// sorted before fingerprinting: the engine's operator output order is
-/// deterministic, but the KM's clique scheduler batches inserts, so only
-/// the *set* of answers is contracted across parallelism settings.
-fn run_tc(edges: &IntEdges, budget: Option<u64>, workers: usize) -> TcRun {
+/// sorted before fingerprinting: only the *set* of answers is contracted
+/// between the in-memory and the spilled run.
+fn run_tc(edges: &IntEdges, budget: Option<u64>) -> TcRun {
     let mut s = Session::new(SessionConfig {
         memory_budget: budget,
-        parallelism: workers,
         ..SessionConfig::default()
     })
     .expect("session");
@@ -259,8 +254,8 @@ pub fn run() {
 
         // -- t_eval: LFP closure, unbounded vs. budgeted ------------------
         let tc = (edges_n <= TC_MAX_EDGES).then(|| {
-            let mem = run_tc(&edges, None, 0);
-            let spill = run_tc(&edges, Some(SPILL_BUDGET), 0);
+            let mem = run_tc(&edges, None);
+            let spill = run_tc(&edges, Some(SPILL_BUDGET));
             assert!(
                 spill.spill_partitions > 0,
                 "{edges_n} edges: budgeted closure must spill"
@@ -272,25 +267,6 @@ pub fn run() {
             );
             (mem, spill)
         });
-
-        // -- parallelism sweep (first tier only) --------------------------
-        let par: Vec<(usize, TcRun)> = if first_tier {
-            [1usize, 2, 4]
-                .iter()
-                .map(|&w| (w, run_tc(&edges, None, w)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        if let Some((_, serial)) = par.first() {
-            for (w, r) in &par {
-                assert_eq!(
-                    (r.answers, r.hash),
-                    (serial.answers, serial.hash),
-                    "answers at {w} workers differ from serial"
-                );
-            }
-        }
 
         // -- buffer-pool scan pollution (first tier only) -----------------
         // 32 frames = 128 KiB, far below the ~2.5 MiB heap of the 10^5
@@ -346,18 +322,6 @@ pub fn run() {
                 s.spill_partitions,
                 s.sort_runs,
             );
-        }
-        if !par.is_empty() {
-            let _ = write!(json, ",\n      \"parallel\": [");
-            for (j, (w, r)) in par.iter().enumerate() {
-                let _ = write!(
-                    json,
-                    "{}{{\"workers\": {w}, \"t_eval_ms\": {:.3}}}",
-                    if j == 0 { "" } else { ", " },
-                    ms(r.wall)
-                );
-            }
-            let _ = write!(json, "]");
         }
         if let Some((small, large)) = &buf {
             let _ = write!(

@@ -18,20 +18,11 @@ pub use workload::edges_to_rows;
 /// of `depth` levels, with the ancestor rules in the workspace and an index
 /// on `parent.c0` (the join column every rule uses).
 pub fn tree_session(depth: u32, optimize: bool, strategy: LfpStrategy) -> Result<Session, KmError> {
-    tree_session_configured(
-        depth,
-        SessionConfig {
-            optimize,
-            strategy,
-            ..SessionConfig::default()
-        },
-    )
-}
-
-/// [`tree_session`] with an explicit configuration (the parallel sweep
-/// varies `parallelism`).
-pub fn tree_session_configured(depth: u32, config: SessionConfig) -> Result<Session, KmError> {
-    let mut s = Session::new(config)?;
+    let mut s = Session::new(SessionConfig {
+        optimize,
+        strategy,
+        ..SessionConfig::default()
+    })?;
     s.define_base("parent", &binary_sym())?;
     s.db_execute("CREATE INDEX parent_c0 ON parent (c0)")?;
     s.load_facts("parent", edges_to_rows(&workload::full_binary_tree(depth)))?;

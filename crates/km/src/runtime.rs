@@ -22,10 +22,9 @@ use crate::codegen::{all_table, delta_table, new_table, EvalProgram, ProgNode, R
 use crate::stored::KmError;
 use crate::util::attr_to_coltype;
 use hornlog::types::AttrType;
-use rdbms::{BudgetKind, DbError, Engine, ResultSet, StmtId, Value};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use rdbms::{BudgetKind, DbError, Engine, StmtId, Value};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// LFP evaluation strategy.
@@ -98,12 +97,6 @@ pub struct IterationTrace {
     pub plan_replans: u64,
     /// SQL statements executed during this iteration.
     pub statements: u64,
-    /// Per-worker busy time of the RHS evaluation phase when the delta
-    /// statements were dispatched to worker threads (empty when they ran
-    /// inline on the clique's own thread, i.e. at parallelism 1). The
-    /// workers serialize at the engine, so these overlap with `t_eval`
-    /// rather than summing to it.
-    pub worker_eval: Vec<Duration>,
 }
 
 /// Per-clique LFP trace: setup cost plus one [`IterationTrace`] per round.
@@ -121,13 +114,12 @@ pub struct CliqueTrace {
     /// `total` minus the summed iteration wall times: table creation,
     /// statement preparation, exit rules, final drops.
     pub t_setup: Duration,
-    /// Index of the scheduler worker that evaluated this clique (0 when
-    /// the evaluation order ran serially).
-    pub worker: usize,
     pub iterations: Vec<IterationTrace>,
 }
 
-/// Timing of one evaluation-order node.
+/// Timing of one evaluation-order node. Nodes run one after another
+/// inside the evaluation, so `elapsed` summed over an outcome's nodes never
+/// exceeds the outcome's `total`.
 #[derive(Debug, Clone)]
 pub struct NodeTiming {
     pub predicates: Vec<String>,
@@ -137,11 +129,6 @@ pub struct NodeTiming {
     pub is_magic: bool,
     pub elapsed: Duration,
     pub breakdown: LfpBreakdown,
-    /// Index of the scheduler worker that evaluated this node (0 when the
-    /// evaluation order ran serially). Node wall times overlap when the
-    /// scheduler runs independent nodes concurrently, so summing
-    /// `elapsed` across nodes can exceed the outcome's `total`.
-    pub worker: usize,
 }
 
 /// The outcome of running a generated program.
@@ -261,14 +248,14 @@ struct CtlBreach {
 }
 
 /// The km-level evaluation governor: an absolute deadline, a per-clique
-/// iteration cap, and a cumulative derived-fact budget shared (atomically)
-/// by every node the scheduler may be running concurrently.
+/// iteration cap, and a cumulative derived-fact budget across every node
+/// of the evaluation.
 struct EvalCtl {
     started: Instant,
     deadline: Option<Instant>,
     max_iterations: Option<u64>,
     max_derived_facts: Option<u64>,
-    derived: AtomicU64,
+    derived: Cell<u64>,
 }
 
 impl EvalCtl {
@@ -278,7 +265,7 @@ impl EvalCtl {
             deadline,
             max_iterations: limits.max_iterations,
             max_derived_facts: limits.max_derived_facts,
-            derived: AtomicU64::new(0),
+            derived: Cell::new(0),
         }
     }
 
@@ -317,7 +304,8 @@ impl EvalCtl {
         if n == 0 {
             return Ok(());
         }
-        let used = self.derived.fetch_add(n, Ordering::Relaxed) + n;
+        let used = self.derived.get() + n;
+        self.derived.set(used);
         if let Some(m) = self.max_derived_facts {
             if used > m {
                 return Err(CtlBreach {
@@ -356,7 +344,6 @@ fn clique_partial(
             is_magic: !preds.is_empty() && preds.iter().all(|p| p.starts_with("m_")),
             total: Duration::ZERO,
             t_setup: Duration::ZERO,
-            worker: 0,
             iterations: std::mem::take(traces),
         }],
     }
@@ -443,221 +430,24 @@ fn dedup(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows
 }
 
-/// The runtime's handle to the single-writer engine during evaluation.
-///
-/// Every SQL statement acquires the mutex for exactly its own duration, so
-/// WAL appends and buffer-pool I/O stay serialized even when several
-/// evaluation-order nodes — or several delta statements of one iteration —
-/// are in flight on worker threads. Concurrent statements interleave but
-/// never overlap inside the engine; the CPU parallelism that makes the
-/// knob pay off lives *inside* each statement, in the engine's
-/// partitioned operators (see `rdbms::exec`).
-struct DbHandle<'a> {
-    engine: Mutex<&'a mut Engine>,
-}
-
-impl<'a> DbHandle<'a> {
-    fn new(engine: &'a mut Engine) -> DbHandle<'a> {
-        DbHandle {
-            engine: Mutex::new(engine),
-        }
-    }
-
-    fn execute(&self, sql: &str) -> Result<ResultSet, KmError> {
-        Ok(self.engine.lock().unwrap().execute(sql)?)
-    }
-
-    fn execute_prepared(&self, id: StmtId, params: &[Value]) -> Result<ResultSet, KmError> {
-        Ok(self.engine.lock().unwrap().execute_prepared(id, params)?)
-    }
-
-    fn prepare(&self, sql: &str) -> Result<StmtId, KmError> {
-        Ok(self.engine.lock().unwrap().prepare(sql)?)
-    }
-
-    fn deallocate(&self, id: StmtId) -> Result<(), KmError> {
-        Ok(self.engine.lock().unwrap().deallocate(id)?)
-    }
-
-    fn insert_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64, KmError> {
-        Ok(self.engine.lock().unwrap().insert_rows(table, rows)?)
-    }
-
-    /// Load a temporary relation one engine batch at a time. Each chunk
-    /// holds the engine mutex for only its own insert, so concurrent
-    /// evaluation-order nodes interleave at batch granularity instead of
-    /// stalling behind one monolithic load of a large delta.
-    fn insert_rows_batched(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64, KmError> {
-        let batch = self.engine.lock().unwrap().batch_rows().max(1);
-        if rows.len() <= batch {
-            return self.insert_rows(table, rows);
-        }
-        let mut added = 0u64;
-        let mut rows = rows;
-        while !rows.is_empty() {
-            let rest = rows.split_off(rows.len().min(batch));
-            added += self.insert_rows(table, std::mem::replace(&mut rows, rest))?;
-        }
-        Ok(added)
-    }
-}
-
-/// Execute a batch of independent prepared statements — the per-iteration
-/// rule (or delta-variant) evaluations, which only read stable tables and
-/// append to distinct-per-rule candidate tables — on up to `workers` threads.
-///
-/// Statements are claimed by index from a shared counter and serialize at
-/// the engine lock, so the result is the same multiset of rows as the
-/// serial loop in every candidate table. Returns each worker's busy time
-/// (empty when the batch ran inline on the calling thread); on failure the
-/// error of the lowest-indexed failing statement is reported, matching
-/// which statement the serial loop would have failed on.
-fn run_batch(db: &DbHandle, stmts: &[StmtId], workers: usize) -> Result<Vec<Duration>, KmError> {
-    if workers <= 1 || stmts.len() < 2 {
-        run_prepared(db, stmts)?;
-        return Ok(Vec::new());
-    }
-    let next = AtomicUsize::new(0);
-    let n = workers.min(stmts.len());
-    let outcomes: Vec<Result<Duration, (usize, KmError)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= stmts.len() {
-                            return Ok(busy);
-                        }
-                        let t = Instant::now();
-                        db.execute_prepared(stmts[i], &[]).map_err(|e| (i, e))?;
-                        busy += t.elapsed();
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-    let mut times = Vec::with_capacity(n);
-    let mut first_err: Option<(usize, KmError)> = None;
-    for o in outcomes {
-        match o {
-            Ok(d) => times.push(d),
-            Err((i, e)) => {
-                let replace = match &first_err {
-                    None => true,
-                    Some((j, _)) => i < *j,
-                };
-                if replace {
-                    first_err = Some((i, e));
-                }
-            }
-        }
-    }
-    match first_err {
-        Some((_, e)) => Err(e),
-        None => Ok(times),
-    }
-}
-
-/// Collect the predicates a generated SQL statement reads through their
-/// accumulated (`d_`-prefixed, `ns`-namespaced) tables. Single-quoted
-/// literals are skipped so a symbol constant cannot alias a table name.
-fn d_table_refs(sql: &str, ns: &str, out: &mut BTreeSet<String>) {
-    let b = sql.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        if b[i] == b'\'' {
-            i += 1;
-            while i < b.len() && b[i] != b'\'' {
-                i += 1;
-            }
-            i += 1;
-        } else if b[i].is_ascii_alphabetic() || b[i] == b'_' {
-            let start = i;
-            while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                i += 1;
-            }
-            if let Some(p) = sql[start..i].strip_prefix("d_") {
-                let p = p.strip_prefix(ns).unwrap_or(p);
-                if !p.is_empty() {
-                    out.insert(p.to_string());
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Dependency edges of the evaluation-order DAG: `deps[i]` lists the
-/// indices of the nodes whose defined predicates node `i`'s rules read via
-/// the accumulated `d_` tables. The evaluation order list is topologically
-/// sorted, so every dependency points at an earlier index; nodes with
-/// disjoint dependency chains (e.g. the magic clique of one subquery and
-/// an unrelated predicate) are free to run concurrently.
-fn node_deps(prog: &EvalProgram) -> Vec<Vec<usize>> {
-    let mut defined: BTreeMap<&str, usize> = BTreeMap::new();
-    for (i, node) in prog.nodes.iter().enumerate() {
-        for p in node.predicates() {
-            defined.insert(p, i);
-        }
-    }
-    prog.nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            let rules: Vec<&RuleSql> = match node {
-                ProgNode::Predicate { rules, .. } => rules.iter().collect(),
-                ProgNode::Clique {
-                    exit_rules,
-                    recursive_rules,
-                    ..
-                } => exit_rules.iter().chain(recursive_rules).collect(),
-            };
-            let mut refs = BTreeSet::new();
-            for rule in rules {
-                d_table_refs(&rule.full_sql, &prog.ns, &mut refs);
-                for v in &rule.delta_variants {
-                    d_table_refs(v, &prog.ns, &mut refs);
-                }
-            }
-            let mut deps = BTreeSet::new();
-            for p in &refs {
-                if let Some(&j) = defined.get(p.as_str()) {
-                    if j != i {
-                        deps.insert(j);
-                    }
-                }
-            }
-            deps.into_iter().collect()
-        })
-        .collect()
-}
-
 /// What evaluating one evaluation-order node yields, before trace assembly.
 struct NodeOut {
     breakdown: LfpBreakdown,
     iterations: Vec<IterationTrace>,
-    /// Wall time of the node on the worker that ran it.
+    /// Wall time of the node.
     elapsed: Duration,
     /// The specialized TC operator ran: `elapsed` is the single
     /// statement's time and the clique trace gets zero setup.
     tc: bool,
-    worker: usize,
 }
 
 /// Evaluate one node of the evaluation order.
 fn eval_node(
-    db: &DbHandle,
+    db: &mut Engine,
     prog: &EvalProgram,
     node: &ProgNode,
     strategy: LfpStrategy,
     special_tc: bool,
-    workers: usize,
     ctl: &EvalCtl,
 ) -> Result<NodeOut, KmError> {
     let node_start = Instant::now();
@@ -667,7 +457,6 @@ fn eval_node(
             iterations: Vec::new(),
             elapsed: node_start.elapsed(),
             tc: false,
-            worker: 0,
         }),
         ProgNode::Clique {
             preds,
@@ -694,13 +483,12 @@ fn eval_node(
                     seminaive_plan(&prog.ns, &types, exit_rules, recursive_rules)
                 }
             };
-            let (b, iterations) = eval_clique(db, &plan, workers, ctl)?;
+            let (b, iterations) = eval_clique(db, &plan, ctl)?;
             Ok(NodeOut {
                 breakdown: b,
                 iterations,
                 elapsed: node_start.elapsed(),
                 tc: false,
-                worker: 0,
             })
         }
     }
@@ -710,7 +498,7 @@ fn eval_node(
 /// closure of `src` with the engine's specialized operator: one statement,
 /// reported as a single iteration.
 fn eval_tc(
-    db: &DbHandle,
+    db: &mut Engine,
     ns: &str,
     pred: &str,
     src: &str,
@@ -748,12 +536,10 @@ fn eval_tc(
         iterations: traces,
         elapsed,
         tc: true,
-        worker: 0,
     })
 }
 
-/// Fold one node's result into the outcome accumulators, in evaluation
-/// order — regardless of which worker evaluated it when.
+/// Fold one node's result into the outcome accumulators.
 fn record_node(
     node: &ProgNode,
     out: NodeOut,
@@ -775,7 +561,6 @@ fn record_node(
             } else {
                 out.elapsed.saturating_sub(iter_total)
             },
-            worker: out.worker,
             iterations: out.iterations,
         });
     }
@@ -785,109 +570,7 @@ fn record_node(
         is_magic,
         elapsed: out.elapsed,
         breakdown: out.breakdown,
-        worker: out.worker,
     });
-}
-
-/// Shared state of the clique DAG scheduler.
-struct SchedState {
-    /// Unmet dependency count per node.
-    remaining: Vec<usize>,
-    /// Nodes whose dependencies are all evaluated; workers claim the
-    /// smallest index first so the schedule is deterministic up to timing.
-    ready: BTreeSet<usize>,
-    /// Nodes claimed so far (running or finished).
-    claimed: usize,
-    results: Vec<Option<NodeOut>>,
-    /// First failure by node index; once set, idle workers drain and exit.
-    error: Option<(usize, KmError)>,
-}
-
-/// Run the evaluation-order nodes on a scoped pool of `workers` threads,
-/// dispatching each node as soon as the nodes it reads from are done.
-fn run_nodes_parallel(
-    db: &DbHandle,
-    prog: &EvalProgram,
-    strategy: LfpStrategy,
-    special_tc: bool,
-    workers: usize,
-    ctl: &EvalCtl,
-) -> Result<Vec<NodeOut>, KmError> {
-    let n = prog.nodes.len();
-    let deps = node_deps(prog);
-    let mut dependents = vec![Vec::new(); n];
-    let mut remaining = vec![0usize; n];
-    for (i, ds) in deps.iter().enumerate() {
-        remaining[i] = ds.len();
-        for &d in ds {
-            dependents[d].push(i);
-        }
-    }
-    let ready: BTreeSet<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
-    let state = Mutex::new(SchedState {
-        remaining,
-        ready,
-        claimed: 0,
-        results: (0..n).map(|_| None).collect(),
-        error: None,
-    });
-    let cv = Condvar::new();
-    let dependents = &dependents;
-    std::thread::scope(|scope| {
-        for w in 0..workers.min(n.max(1)) {
-            let state = &state;
-            let cv = &cv;
-            scope.spawn(move || loop {
-                let i = {
-                    let mut g = state.lock().unwrap();
-                    loop {
-                        if g.error.is_some() || g.claimed == n {
-                            return;
-                        }
-                        if let Some(&i) = g.ready.iter().next() {
-                            g.ready.remove(&i);
-                            g.claimed += 1;
-                            break i;
-                        }
-                        g = cv.wait(g).unwrap();
-                    }
-                };
-                let r = eval_node(db, prog, &prog.nodes[i], strategy, special_tc, workers, ctl);
-                let mut g = state.lock().unwrap();
-                match r {
-                    Ok(mut out) => {
-                        out.worker = w;
-                        for &d in &dependents[i] {
-                            g.remaining[d] -= 1;
-                            if g.remaining[d] == 0 {
-                                g.ready.insert(d);
-                            }
-                        }
-                        g.results[i] = Some(out);
-                    }
-                    Err(e) => {
-                        let replace = match &g.error {
-                            None => true,
-                            Some((j, _)) => i < *j,
-                        };
-                        if replace {
-                            g.error = Some((i, e));
-                        }
-                    }
-                }
-                cv.notify_all();
-            });
-        }
-    });
-    let state = state.into_inner().unwrap();
-    if let Some((_, e)) = state.error {
-        return Err(e);
-    }
-    Ok(state
-        .results
-        .into_iter()
-        .map(|o| o.expect("scheduler evaluated every node"))
-        .collect())
 }
 
 /// Run a generated program to completion and read the answer, with no
@@ -960,10 +643,8 @@ fn run_program_inner(
     special_tc: bool,
     ctl: &EvalCtl,
 ) -> Result<EvalOutcome, KmError> {
-    let workers = db.parallelism();
     let start = Instant::now();
     let mut breakdown = LfpBreakdown::default();
-    let db = DbHandle::new(db);
 
     // Create the accumulated tables and load seeds.
     timed(&mut breakdown.t_temp_tables, || -> Result<(), KmError> {
@@ -979,7 +660,7 @@ fn run_program_inner(
     breakdown.n_temp_ops += 2 * prog.tables.len() as u64;
     let t = Instant::now();
     for (pred, rows) in &prog.seeds {
-        let added = db.insert_rows_batched(&all_table(&prog.ns, pred), dedup(rows.clone()))?;
+        let added = db.insert_rows(&all_table(&prog.ns, pred), dedup(rows.clone()))?;
         breakdown.tuples_produced += added;
         if let Err(br) = ctl.charge_facts(added) {
             return Err(budget_err(
@@ -993,55 +674,31 @@ fn run_program_inner(
     }
     breakdown.t_eval_rhs += t.elapsed();
 
-    // Evaluate the nodes: strictly in order when serial, in dependency
-    // order on the scheduler's thread pool otherwise. Traces are folded in
-    // evaluation-order either way, so consumers see the same shape.
+    // Evaluate the nodes, strictly in evaluation order.
     let mut node_timings = Vec::with_capacity(prog.nodes.len());
     let mut clique_traces = Vec::new();
-    let mut eval_err: Option<KmError> = None;
-    if workers <= 1 {
-        for node in &prog.nodes {
-            match eval_node(&db, prog, node, strategy, special_tc, workers, ctl) {
-                Ok(out) => record_node(
-                    node,
-                    out,
-                    &mut breakdown,
-                    &mut node_timings,
-                    &mut clique_traces,
-                ),
-                Err(e) => {
-                    eval_err = Some(e);
-                    break;
-                }
+    for node in &prog.nodes {
+        match eval_node(db, prog, node, strategy, special_tc, ctl) {
+            Ok(out) => record_node(
+                node,
+                out,
+                &mut breakdown,
+                &mut node_timings,
+                &mut clique_traces,
+            ),
+            // Attach what the completed nodes produced ahead of the
+            // failing node's own partial state.
+            Err(e) => {
+                return Err(promote(
+                    e,
+                    PartialProgress {
+                        breakdown,
+                        node_timings,
+                        clique_traces,
+                    },
+                ))
             }
         }
-    } else {
-        match run_nodes_parallel(&db, prog, strategy, special_tc, workers, ctl) {
-            Ok(outs) => {
-                for (node, out) in prog.nodes.iter().zip(outs) {
-                    record_node(
-                        node,
-                        out,
-                        &mut breakdown,
-                        &mut node_timings,
-                        &mut clique_traces,
-                    );
-                }
-            }
-            Err(e) => eval_err = Some(e),
-        }
-    }
-    if let Some(e) = eval_err {
-        // Attach what the completed nodes produced ahead of the failing
-        // node's own partial state.
-        return Err(promote(
-            e,
-            PartialProgress {
-                breakdown,
-                node_timings,
-                clique_traces,
-            },
-        ));
     }
 
     // Read the answer.
@@ -1083,8 +740,8 @@ struct StatSnap {
 }
 
 impl StatSnap {
-    fn take(db: &DbHandle) -> StatSnap {
-        let s = db.engine.lock().unwrap().stats();
+    fn take(db: &Engine) -> StatSnap {
+        let s = db.stats();
         StatSnap {
             plan_cache_hits: s.exec.plan_cache_hits,
             plan_cache_misses: s.exec.plan_cache_misses,
@@ -1093,7 +750,7 @@ impl StatSnap {
         }
     }
 
-    fn finish(&self, db: &DbHandle) -> IterationTrace {
+    fn finish(&self, db: &Engine) -> IterationTrace {
         let now = StatSnap::take(db);
         IterationTrace {
             plan_cache_hits: now.plan_cache_hits - self.plan_cache_hits,
@@ -1114,7 +771,7 @@ fn insert_new_sql(target: &str, select_sql: &str) -> String {
 
 /// Evaluate a non-recursive predicate node: one pass over its rules.
 fn eval_predicate(
-    db: &DbHandle,
+    db: &mut Engine,
     ns: &str,
     rules: &[RuleSql],
     ctl: &EvalCtl,
@@ -1165,8 +822,7 @@ struct CliquePlan {
     init: Vec<String>,
     /// Prepared temp-table recycling at the top of every iteration.
     recycle_eval: Vec<String>,
-    /// Prepared, mutually independent evaluation statements of every
-    /// iteration (see [`run_batch`]).
+    /// Prepared evaluation statements of every iteration.
     eval: Vec<String>,
     /// Prepared temp-table recycling between `eval` and `term`.
     recycle_term: Vec<String>,
@@ -1205,9 +861,6 @@ fn naive_plan(
         plan.term.push(termination_sql(&all, &new, &all, tys.len()));
         plan.teardown.push(format!("DROP TABLE {new}"));
     }
-    // Each rule appends only to its own head's candidate table and reads
-    // only the (stable within an iteration) accumulated tables, so the
-    // rule statements form an independent batch.
     for rule in exit_rules.iter().chain(recursive_rules) {
         plan.eval.push(format!(
             "INSERT INTO {} {}",
@@ -1260,9 +913,6 @@ fn seminaive_plan(
         plan.teardown.push(format!("DROP TABLE {new}"));
         plan.teardown.push(format!("DROP TABLE {delta}"));
     }
-    // The delta variants read the (stable within an iteration) delta and
-    // accumulated tables and append to per-head candidate tables, so they
-    // form an independent batch.
     for rule in recursive_rules {
         for variant in &rule.delta_variants {
             plan.eval.push(format!(
@@ -1274,20 +924,24 @@ fn seminaive_plan(
     plan
 }
 
-fn run_all(db: &DbHandle, sqls: &[String]) -> Result<(), KmError> {
-    sqls.iter().try_for_each(|sql| db.execute(sql).map(drop))
+fn run_all(db: &mut Engine, sqls: &[String]) -> Result<(), KmError> {
+    for sql in sqls {
+        db.execute(sql)?;
+    }
+    Ok(())
 }
 
-fn run_prepared(db: &DbHandle, stmts: &[StmtId]) -> Result<(), KmError> {
-    stmts
-        .iter()
-        .try_for_each(|id| db.execute_prepared(*id, &[]).map(drop))
+fn run_prepared(db: &mut Engine, stmts: &[StmtId]) -> Result<(), KmError> {
+    for id in stmts {
+        db.execute_prepared(*id, &[])?;
+    }
+    Ok(())
 }
 
 /// Compile `sqls`, recording each handle in `open` the moment it exists so
 /// the caller can release it even when a later statement fails to parse.
 fn prepare_all(
-    db: &DbHandle,
+    db: &mut Engine,
     sqls: &[String],
     open: &mut Vec<StmtId>,
 ) -> Result<Vec<StmtId>, KmError> {
@@ -1305,9 +959,8 @@ fn prepare_all(
 /// (TRUNCATE does not invalidate them). Only affected counts cross the SQL
 /// boundary.
 fn eval_clique(
-    db: &DbHandle,
+    db: &mut Engine,
     plan: &CliquePlan,
-    workers: usize,
     ctl: &EvalCtl,
 ) -> Result<(LfpBreakdown, Vec<IterationTrace>), KmError> {
     let mut b = LfpBreakdown::default();
@@ -1350,7 +1003,7 @@ fn eval_clique(
             let mut d_temp = Duration::ZERO;
             let mut d_eval = Duration::ZERO;
             timed(&mut d_temp, || run_prepared(db, &recycle_eval))?;
-            let worker_eval = timed(&mut d_eval, || run_batch(db, &eval, workers))?;
+            timed(&mut d_eval, || run_prepared(db, &eval))?;
             timed(&mut d_temp, || run_prepared(db, &recycle_term))?;
 
             let t = Instant::now();
@@ -1382,7 +1035,6 @@ fn eval_clique(
             iter.t_eval = d_eval;
             iter.t_term = d_term;
             iter.t_total = iter_start.elapsed();
-            iter.worker_eval = worker_eval;
             traces.push(iter);
             ctl.charge_facts(new_tuples)
                 .map_err(|br| budget_err(br, clique_partial(&plan.preds, &b, &mut traces)))?;
@@ -1406,7 +1058,8 @@ fn eval_clique(
     for id in open {
         closed = closed.and(db.deallocate(id));
     }
-    fixpoint.and(closed)?;
+    fixpoint?;
+    closed?;
     Ok((b, traces))
 }
 
@@ -1495,20 +1148,6 @@ mod tests {
         let plain = compile(&program, &db);
         let base = run_program(&mut db, &plain, LfpStrategy::SemiNaive).unwrap();
         assert_eq!(out.rows, base.rows);
-    }
-
-    #[test]
-    fn namespaced_deps_still_resolve() {
-        // The scheduler's dependency edges come from `d_<ns><pred>` refs
-        // in the generated SQL; the namespace must be stripped before the
-        // predicate lookup or every namespaced program would appear
-        // dependency-free (and race under parallel evaluation).
-        let (program, _) = ancestor_program("?- anc(a0, W).");
-        let db = chain_engine(4);
-        let prog = compile_ns(&program, &db, "s9_");
-        let deps = node_deps(&prog);
-        assert_eq!(deps.len(), 2);
-        assert_eq!(deps[1], vec![0], "_query depends on the anc clique");
     }
 
     #[test]
@@ -1672,13 +1311,29 @@ mod tests {
         }
     }
 
+    /// The Fig 11 tree at depth 6 with the ancestor rules loaded.
+    fn fig11_session(config: crate::session::SessionConfig) -> crate::session::Session {
+        let mut s = crate::session::Session::new(config).unwrap();
+        s.define_base("parent", &crate::session::binary_sym())
+            .unwrap();
+        s.db_execute("CREATE INDEX parent_c0 ON parent (c0)")
+            .unwrap();
+        s.load_facts(
+            "parent",
+            workload::edges_to_rows(&workload::full_binary_tree(6)),
+        )
+        .unwrap();
+        s.load_rules(&workload::ancestor_program("parent")).unwrap();
+        s
+    }
+
     /// The statement sequence of the Fig 11 tree at depth 6: counts per
     /// Table 5 category and per-iteration statement totals, as recorded
     /// from commit 4c4654c. One statement more, fewer, or charged to
     /// another category changes a number here.
     #[test]
     fn statement_sequence_matches_recorded_counts() {
-        use crate::session::{binary_sym, Session, SessionConfig};
+        use crate::session::SessionConfig;
         // (strategy, [iterations, n_temp_ops, n_eval_stmts, n_term_checks],
         // per-iteration statements)
         let golden: [(LfpStrategy, [u64; 4], &[u64]); 2] = [
@@ -1686,20 +1341,10 @@ mod tests {
             (LfpStrategy::SemiNaive, [5, 23, 12, 5], &[5, 5, 5, 5, 4]),
         ];
         for (strategy, counts, per_iteration) in golden {
-            let mut s = Session::new(SessionConfig {
+            let mut s = fig11_session(SessionConfig {
                 strategy,
                 ..SessionConfig::default()
-            })
-            .unwrap();
-            s.define_base("parent", &binary_sym()).unwrap();
-            s.db_execute("CREATE INDEX parent_c0 ON parent (c0)")
-                .unwrap();
-            s.load_facts(
-                "parent",
-                workload::edges_to_rows(&workload::full_binary_tree(6)),
-            )
-            .unwrap();
-            s.load_rules(&workload::ancestor_program("parent")).unwrap();
+            });
             let (_, r) = s.query("?- anc(n1, W).").unwrap();
             assert_eq!(r.rows.len(), 62, "{strategy:?}");
             let b = r.outcome.breakdown;
@@ -1716,6 +1361,34 @@ mod tests {
                 .map(|i| i.statements)
                 .collect();
             assert_eq!(statements, per_iteration, "{strategy:?}");
+        }
+    }
+
+    /// Evaluation-order nodes run one after another, so their wall times
+    /// nest inside the evaluation's: with magic sets on the program has
+    /// several nodes that do not read each other, and they still sum to no
+    /// more than the total.
+    #[test]
+    fn node_times_sum_to_at_most_the_total() {
+        use crate::session::SessionConfig;
+        for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
+            for optimize in [false, true] {
+                let mut s = fig11_session(SessionConfig {
+                    strategy,
+                    optimize,
+                    ..SessionConfig::default()
+                });
+                let (_, r) = s.query("?- anc(n1, W).").unwrap();
+                assert_eq!(r.rows.len(), 62, "{strategy:?} optimize={optimize}");
+                let nodes = &r.outcome.node_timings;
+                assert!(nodes.len() >= if optimize { 3 } else { 2 });
+                let sum: Duration = nodes.iter().map(|n| n.elapsed).sum();
+                assert!(
+                    sum <= r.outcome.total,
+                    "{strategy:?} optimize={optimize}: nodes {sum:?} > total {:?}",
+                    r.outcome.total
+                );
+            }
         }
     }
 

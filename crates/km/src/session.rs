@@ -40,13 +40,6 @@ pub struct SessionConfig {
     /// either fully pre- or fully post-update. Off by default: without it
     /// the engine's I/O path is byte-for-byte the original one.
     pub durability: bool,
-    /// Worker threads for evaluation: partitioned operators inside the
-    /// engine, plus the runtime's clique DAG scheduler and per-iteration
-    /// delta-statement batches. `0` (the default) inherits the engine's
-    /// own default (the `RDBMS_PARALLELISM` environment variable, else
-    /// serial); any other value is set on the engine explicitly. Answers
-    /// are identical at every setting.
-    pub parallelism: usize,
     /// Wall-clock budget per evaluation. Armed on the engine too, so
     /// long-running individual statements observe the same clock. A breach
     /// surfaces as [`KmError::Eval`] with partial traces attached; the
@@ -61,10 +54,9 @@ pub struct SessionConfig {
     /// [`Session::recover`], recording the result on the engine's
     /// `engine.recovery_verified` gauge. On by default.
     pub verify_on_recover: bool,
-    /// Rows per operator batch inside the engine, and the chunk size for
-    /// the runtime's temporary-relation loads. `0` (the default) inherits
-    /// the engine's own default (the `RDBMS_BATCH_SIZE` environment
-    /// variable, else [`rdbms::DEFAULT_BATCH_ROWS`]).
+    /// Rows per operator batch inside the engine. `0` (the default)
+    /// inherits the engine's own default (the `RDBMS_BATCH_SIZE`
+    /// environment variable, else [`rdbms::DEFAULT_BATCH_ROWS`]).
     pub batch_rows: usize,
     /// Byte budget for per-statement operator state inside the engine.
     /// With spilling enabled (the default) joins and sorts whose state
@@ -82,7 +74,6 @@ impl Default for SessionConfig {
             special_tc: false,
             supplementary: false,
             durability: false,
-            parallelism: 0,
             deadline: None,
             max_iterations: None,
             max_derived_facts: None,
@@ -202,6 +193,18 @@ struct Prepared {
     workspace_gen: u64,
 }
 
+/// Set the engine-level parts of `config` on a session's evaluation
+/// engine. Once per constructor is enough: the settings stay with the
+/// session's engine, across snapshot refreshes on a shared backend too.
+fn apply_engine_config(db: &mut Engine, config: &SessionConfig) {
+    if config.batch_rows > 0 {
+        db.set_batch_rows(config.batch_rows);
+    }
+    if config.memory_budget.is_some() {
+        db.set_memory_budget(config.memory_budget);
+    }
+}
+
 impl Session {
     /// Create a session with freshly initialized storage structures.
     pub fn new(config: SessionConfig) -> Result<Session, KmError> {
@@ -209,15 +212,7 @@ impl Session {
         if config.durability {
             db.enable_wal();
         }
-        if config.parallelism > 0 {
-            db.set_parallelism(config.parallelism);
-        }
-        if config.batch_rows > 0 {
-            db.set_batch_rows(config.batch_rows);
-        }
-        if config.memory_budget.is_some() {
-            db.set_memory_budget(config.memory_budget);
-        }
+        apply_engine_config(&mut db, &config);
         let stored = StoredDkb::new(config.compiled_storage);
         stored.init(&mut db)?;
         Ok(Session {
@@ -248,6 +243,7 @@ impl Session {
     /// shared catalog actually maintains, mirroring [`Session::open`].
     pub fn attach(shared: &SharedEngine, config: SessionConfig) -> Result<Session, KmError> {
         let mut backend = ExecBackend::Shared(shared.session());
+        apply_engine_config(backend.eval_engine(), &config);
         let stored = StoredDkb::new(config.compiled_storage);
         loop {
             backend.refresh()?;
@@ -298,7 +294,8 @@ impl Session {
     /// (its temporaries and `commit_workspace` materializations stay
     /// private), never the durability domain.
     pub fn fork_reader(&mut self) -> Result<Session, KmError> {
-        let backend = self.backend.fork_reader()?;
+        let mut backend = self.backend.fork_reader()?;
+        apply_engine_config(backend.eval_engine(), &self.config);
         // The private fork has no WAL, so the snapshot session must not
         // try to run durable commits.
         let mut config = self.config;
@@ -521,15 +518,7 @@ impl Session {
         if config.durability {
             db.enable_wal();
         }
-        if config.parallelism > 0 {
-            db.set_parallelism(config.parallelism);
-        }
-        if config.batch_rows > 0 {
-            db.set_batch_rows(config.batch_rows);
-        }
-        if config.memory_budget.is_some() {
-            db.set_memory_budget(config.memory_budget);
-        }
+        apply_engine_config(&mut db, &config);
         for required in ["rulesource", "idb_relname", "idb_column", "edb_relname"] {
             if !db.has_table(required) {
                 return Err(KmError::Semantic(format!(
@@ -596,7 +585,6 @@ impl Session {
         // Run without cloning the program: the prepared map and the engine
         // are disjoint fields.
         let limits = self.eval_limits();
-        self.configure_eval_engine();
         let entry = &self.prepared[name];
         let mut outcome = run_program_governed(
             self.backend.eval_engine(),
@@ -841,29 +829,10 @@ impl Session {
         }
     }
 
-    /// Re-apply the session's engine knobs to the evaluation engine. A
-    /// shared session's snapshot is re-forked from the live engine on
-    /// every refresh, losing per-session settings; this runs before each
-    /// evaluation so they stick. Idempotent on the private backend.
-    fn configure_eval_engine(&mut self) {
-        let cfg = self.config;
-        let e = self.backend.eval_engine();
-        if cfg.parallelism > 0 {
-            e.set_parallelism(cfg.parallelism);
-        }
-        if cfg.batch_rows > 0 {
-            e.set_batch_rows(cfg.batch_rows);
-        }
-        if cfg.memory_budget.is_some() {
-            e.set_memory_budget(cfg.memory_budget);
-        }
-    }
-
     /// Execute a compiled query on the evaluation engine — the snapshot
     /// the query was compiled against, for a shared session.
     pub fn execute(&mut self, compiled: &CompiledQuery) -> Result<QueryResult, KmError> {
         let limits = self.eval_limits();
-        self.configure_eval_engine();
         let mut outcome = run_program_governed(
             self.backend.eval_engine(),
             &compiled.program,

@@ -7,10 +7,7 @@
 //!
 //! The pool is deliberately single-writer: `with_page` takes `&mut self`
 //! and `&mut Disk`, so all page I/O happens on the thread driving the
-//! executor. The partitioned parallel operators (see `exec.rs`) respect
-//! this: scans decode their rows inside the page closure on the driving
-//! thread, and worker threads are handed only materialized rows and
-//! read-only index directories — workers never fault pages, so no frame
+//! executor: scans decode their rows inside the page closure, no frame
 //! latching is needed and WAL writes stay serialized.
 
 use crate::catalog::DbError;

@@ -427,7 +427,8 @@ impl DbSession {
 
     /// The session's snapshot engine. Reads run here without any lock;
     /// the per-session governor, budgets, and spill mode are configured
-    /// through it ([`Engine::set_statement_timeout`] etc.).
+    /// through it ([`Engine::set_statement_timeout`] etc.) and stay with
+    /// the session when a refresh or commit replaces the snapshot.
     pub fn engine(&mut self) -> &mut Engine {
         &mut self.snap
     }
@@ -453,7 +454,8 @@ impl DbSession {
     pub fn refresh(&mut self) -> Result<(), DbError> {
         self.txn = None;
         let mut live = self.shared.live.lock().unwrap();
-        self.snap = live.engine.fork()?;
+        let fork = live.engine.fork()?;
+        self.snap.replace_snapshot(fork);
         self.snapshot_seq = live.commit_seq;
         self.fork_gen += 1;
         Ok(())
@@ -833,7 +835,7 @@ impl DbSession {
         // their statement ids do not exist in the new engine.
         if !live.engine.crashed() {
             if let Ok(fork) = live.engine.fork() {
-                self.snap = fork;
+                self.snap.replace_snapshot(fork);
                 self.snapshot_seq = live.commit_seq;
                 self.fork_gen += 1;
                 self.txn = None;

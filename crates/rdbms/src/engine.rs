@@ -113,6 +113,36 @@ struct PreparedStmt {
     plan: Option<(u64, PlannedQuery)>,
 }
 
+/// Execution settings that belong to whoever drives an engine — a
+/// session — rather than to the database it holds: set through the
+/// `Engine::set_*` methods and the cancel handle, copied by
+/// [`Engine::fork`] (all but the cancel flag, which a fork gets fresh),
+/// and moved whole onto each new snapshot of a concurrent session by
+/// [`Engine::replace_snapshot`] so a refresh cannot drop them.
+#[derive(Clone)]
+struct ExecConfig {
+    /// Cooperative cancellation flag shared with every clone handed out by
+    /// [`Engine::cancel_handle`]. Once set, every governed statement fails
+    /// with [`DbError::Budget`] (kind `Canceled`) at its next batch
+    /// boundary until [`Engine::reset_cancel`] acknowledges it — a
+    /// canceled session stays canceled, it does not silently resume.
+    cancel: Arc<AtomicBool>,
+    /// Wall-clock allowance per statement; converted to an absolute
+    /// deadline when each statement's governor is created.
+    statement_timeout: Option<Duration>,
+    /// Cumulative rows-processed budget per statement.
+    max_rows: Option<u64>,
+    /// Materialized-state byte budget per statement (hash-join builds).
+    max_bytes: Option<u64>,
+    /// Whether memory-bounded operators divert to spill files when the
+    /// memory budget cannot hold their state. Initialized from the
+    /// `RDBMS_SPILL` environment variable (`off`/`0`/`false` disables,
+    /// `force` spills unconditionally, anything else enables).
+    spill: SpillMode,
+    /// Rows per operator batch; initialized from `RDBMS_BATCH_SIZE`.
+    batch_rows: usize,
+}
+
 /// The in-process relational engine.
 pub struct Engine {
     disk: Disk,
@@ -131,25 +161,8 @@ pub struct Engine {
     next_stmt_id: u64,
     /// Per-operator profile collected by the most recent EXPLAIN ANALYZE.
     last_profile: Vec<OpProfile>,
-    /// Worker count handed to the executor's partitioned operators. 1 (the
-    /// default) is the historical single-threaded read path; any setting
-    /// produces byte-identical plans and answers. Initialized from the
-    /// `RDBMS_PARALLELISM` environment variable when set, so whole test
-    /// suites can be swept at a parallelism level without code changes.
-    parallelism: usize,
-    /// Cooperative cancellation flag shared with every clone handed out by
-    /// [`Engine::cancel_handle`]. Once set, every governed statement fails
-    /// with [`DbError::Budget`] (kind `Canceled`) at its next batch
-    /// boundary until [`Engine::reset_cancel`] acknowledges it — a
-    /// canceled session stays canceled, it does not silently resume.
-    cancel: Arc<AtomicBool>,
-    /// Wall-clock allowance per statement; converted to an absolute
-    /// deadline when each statement's governor is created.
-    statement_timeout: Option<Duration>,
-    /// Cumulative rows-processed budget per statement.
-    max_rows: Option<u64>,
-    /// Materialized-state byte budget per statement (hash-join builds).
-    max_bytes: Option<u64>,
+    /// The session-scoped execution settings (see [`ExecConfig`]).
+    exec_cfg: ExecConfig,
     /// Absolute deadline imposed by the layer above (the Knowledge
     /// Manager's per-evaluation deadline); combined with the per-statement
     /// timeout by taking whichever expires first.
@@ -163,13 +176,6 @@ pub struct Engine {
     /// reported via [`Engine::note_recovery_verified`]; `None` until a
     /// recovery has been verified (gauge reads -1).
     recovery_verified: Option<bool>,
-    /// Whether memory-bounded operators divert to spill files when the
-    /// memory budget cannot hold their state. Initialized from the
-    /// `RDBMS_SPILL` environment variable (`off`/`0`/`false` disables,
-    /// `force` spills unconditionally, anything else enables).
-    spill: SpillMode,
-    /// Rows per operator batch; initialized from `RDBMS_BATCH_SIZE`.
-    batch_rows: usize,
     /// Physical planner mode: cost-based (the default) or the legacy
     /// heuristics, kept for ablation. Initialized from the
     /// `RDBMS_COST_PLANNER` environment variable (`off`/`0`/`heuristic`
@@ -217,19 +223,20 @@ impl Engine {
             prepared: BTreeMap::new(),
             next_stmt_id: 0,
             last_profile: Vec::new(),
-            parallelism: default_parallelism(),
-            cancel: Arc::new(AtomicBool::new(false)),
-            statement_timeout: None,
-            max_rows: None,
-            max_bytes: None,
+            exec_cfg: ExecConfig {
+                cancel: Arc::new(AtomicBool::new(false)),
+                statement_timeout: None,
+                max_rows: None,
+                max_bytes: None,
+                spill: default_spill_mode(),
+                batch_rows: default_batch_rows(),
+            },
             eval_deadline: None,
             gov_canceled: 0,
             gov_deadline: 0,
             gov_rows: 0,
             gov_memory: 0,
             recovery_verified: None,
-            spill: default_spill_mode(),
-            batch_rows: default_batch_rows(),
             planner_mode: default_planner_mode(),
             stats_refreshes: 0,
             stats_sampled_rows: 0,
@@ -257,14 +264,14 @@ impl Engine {
 
     /// Set the per-statement wall-clock allowance (`None` = unlimited).
     pub fn set_statement_timeout(&mut self, timeout: Option<Duration>) {
-        self.statement_timeout = timeout;
+        self.exec_cfg.statement_timeout = timeout;
     }
 
     /// Set the per-statement rows-processed budget (`None` = unlimited).
     /// Every operator's materialized output counts, so intermediate
     /// blow-ups trip it even when the final result is small.
     pub fn set_row_budget(&mut self, rows: Option<u64>) {
-        self.max_rows = rows;
+        self.exec_cfg.max_rows = rows;
     }
 
     /// Set the per-statement materialized-bytes budget (`None` =
@@ -273,27 +280,27 @@ impl Engine {
     /// remaining budget partitions to disk instead of failing; with
     /// [`SpillMode::Disabled`] a breach surfaces as [`DbError::Budget`].
     pub fn set_memory_budget(&mut self, bytes: Option<u64>) {
-        self.max_bytes = bytes;
+        self.exec_cfg.max_bytes = bytes;
     }
 
     /// Set whether memory-bounded operators may spill to disk.
     pub fn set_spill_mode(&mut self, mode: SpillMode) {
-        self.spill = mode;
+        self.exec_cfg.spill = mode;
     }
 
     pub fn spill_mode(&self) -> SpillMode {
-        self.spill
+        self.exec_cfg.spill
     }
 
     /// Set the operator batch size (rows gathered per buffer-pool visit
     /// in scans, rows per governor poll in probe/filter loops). Answers
     /// are identical at any setting ≥ 1.
     pub fn set_batch_rows(&mut self, rows: usize) {
-        self.batch_rows = rows.max(1);
+        self.exec_cfg.batch_rows = rows.max(1);
     }
 
     pub fn batch_rows(&self) -> usize {
-        self.batch_rows
+        self.exec_cfg.batch_rows
     }
 
     /// Impose (or clear) an absolute deadline that applies to every
@@ -308,22 +315,22 @@ impl Engine {
     /// (another thread, a fault injector) and set it to cancel whatever
     /// statement is running at its next batch boundary.
     pub fn cancel_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.cancel)
+        Arc::clone(&self.exec_cfg.cancel)
     }
 
     /// Request cancellation of the running (and any subsequent) statement.
     pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
+        self.exec_cfg.cancel.store(true, Ordering::Relaxed);
     }
 
     /// Whether cancellation has been requested and not yet acknowledged.
     pub fn cancel_requested(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
+        self.exec_cfg.cancel.load(Ordering::Relaxed)
     }
 
     /// Acknowledge a cancellation, letting statements run again.
     pub fn reset_cancel(&self) {
-        self.cancel.store(false, Ordering::Relaxed);
+        self.exec_cfg.cancel.store(false, Ordering::Relaxed);
     }
 
     /// Record the outcome of a post-recovery integrity verification (the
@@ -336,7 +343,7 @@ impl Engine {
     /// per-statement timeout and the evaluation deadline combine by
     /// whichever expires first.
     fn governor(&self) -> QueryGovernor {
-        let deadline = match (self.statement_timeout, self.eval_deadline) {
+        let deadline = match (self.exec_cfg.statement_timeout, self.eval_deadline) {
             (None, None) => None,
             (Some(t), None) => Some(Instant::now() + t),
             (None, Some(d)) => Some(d),
@@ -345,10 +352,10 @@ impl Engine {
         QueryGovernor::new(
             ExecLimits {
                 deadline,
-                max_rows: self.max_rows,
-                max_bytes: self.max_bytes,
+                max_rows: self.exec_cfg.max_rows,
+                max_bytes: self.exec_cfg.max_bytes,
             },
-            Arc::clone(&self.cancel),
+            Arc::clone(&self.exec_cfg.cancel),
         )
     }
 
@@ -364,17 +371,6 @@ impl Engine {
             }
         }
         r
-    }
-
-    /// Set the worker count for partitioned read operators (clamped to at
-    /// least 1). Answers and plans are byte-identical at any setting; only
-    /// wall time and the `exec.tasks_spawned` counter change.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers.max(1);
-    }
-
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Resize the buffer pool to `frames` frames (dirty pages are
@@ -405,7 +401,7 @@ impl Engine {
     /// own cancellation flag, no WAL, no fault injector, and no prepared
     /// statements — it is the MVCC read surface of a concurrent session
     /// ([`crate::concurrent`]), never a durability domain. Execution
-    /// knobs (parallelism, spill mode, batch size, budgets) carry over.
+    /// knobs (spill mode, batch size, budgets) carry over.
     pub fn fork(&mut self) -> Result<Engine, DbError> {
         if self.txn.is_some() {
             return Err(DbError::Txn(
@@ -426,25 +422,32 @@ impl Engine {
             prepared: BTreeMap::new(),
             next_stmt_id: 0,
             last_profile: Vec::new(),
-            parallelism: self.parallelism,
-            cancel: Arc::new(AtomicBool::new(false)),
-            statement_timeout: self.statement_timeout,
-            max_rows: self.max_rows,
-            max_bytes: self.max_bytes,
+            exec_cfg: ExecConfig {
+                cancel: Arc::new(AtomicBool::new(false)),
+                ..self.exec_cfg.clone()
+            },
             eval_deadline: None,
             gov_canceled: 0,
             gov_deadline: 0,
             gov_rows: 0,
             gov_memory: 0,
             recovery_verified: None,
-            spill: self.spill,
-            batch_rows: self.batch_rows,
             planner_mode: self.planner_mode,
             stats_refreshes: 0,
             stats_sampled_rows: 0,
             rewrite_predicates_pushed: 0,
             rewrite_projections_pruned: 0,
         })
+    }
+
+    /// Replace this engine — a concurrent session's snapshot — with `fork`,
+    /// a newer fork of the same live engine. The execution settings stay
+    /// with the session: whatever was set on the outgoing snapshot (cancel
+    /// handle, timeout, budgets, spill mode, batch size) moves to the new
+    /// one, instead of the copy `fork` took from the live engine.
+    pub(crate) fn replace_snapshot(&mut self, fork: Engine) {
+        let outgoing = std::mem::replace(self, fork);
+        self.exec_cfg = outgoing.exec_cfg;
     }
 
     /// Defer per-commit durability flushes to an explicit
@@ -972,10 +975,9 @@ impl Engine {
                 stats: &mut self.exec_stats,
                 params,
                 profiler: None,
-                parallelism: self.parallelism,
                 governor: Some(&governor),
-                spill: self.spill,
-                batch_rows: self.batch_rows,
+                spill: self.exec_cfg.spill,
+                batch_rows: self.exec_cfg.batch_rows,
             };
             execute_plan(&planned.plan, &mut ctx)
         };
@@ -1007,10 +1009,9 @@ impl Engine {
                 stats: &mut self.exec_stats,
                 params,
                 profiler: Some(Profiler::default()),
-                parallelism: self.parallelism,
                 governor: Some(&governor),
-                spill: self.spill,
-                batch_rows: self.batch_rows,
+                spill: self.exec_cfg.spill,
+                batch_rows: self.exec_cfg.batch_rows,
             };
             let rows = execute_plan(&planned.plan, &mut ctx);
             let profile = ctx.profiler.take().expect("installed above").into_nodes();
@@ -1575,9 +1576,6 @@ impl Engine {
         r.counter("exec.parse_ns", s.exec.parse_ns);
         r.counter("exec.plan_ns", s.exec.plan_ns);
         r.counter("exec.exec_ns", s.exec.exec_ns);
-        r.gauge("exec.threads", self.parallelism as f64);
-        r.counter("exec.tasks_spawned", s.exec.tasks_spawned);
-        r.gauge("exec.partition_skew", s.exec.partition_skew as f64);
         r.counter("exec.spill_partitions", s.exec.spill_partitions);
         r.counter("exec.spill_bytes", s.exec.spill_bytes);
         r.counter("exec.sort_runs", s.exec.sort_runs);
@@ -1606,16 +1604,6 @@ impl Engine {
         );
         r
     }
-}
-
-/// Executor parallelism a fresh engine starts with: `RDBMS_PARALLELISM`
-/// when set to a positive integer, else 1 (serial).
-fn default_parallelism() -> usize {
-    std::env::var("RDBMS_PARALLELISM")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 /// Planner mode a fresh engine starts with:

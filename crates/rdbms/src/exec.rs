@@ -67,12 +67,6 @@ pub struct ExecStats {
     pub plan_ns: u64,
     /// Wall time spent executing physical plans, in nanoseconds.
     pub exec_ns: u64,
-    /// Worker tasks spawned by partitioned parallel operators.
-    pub tasks_spawned: u64,
-    /// Worst partition imbalance observed, as the percentage by which the
-    /// slowest worker of a partitioned operator exceeded the mean worker
-    /// time (0 = perfectly even, or no parallel run yet).
-    pub partition_skew: u64,
     /// Spill partitions created by memory-bounded operators (Grace
     /// hash-join and hash-dedup partitions; one per partition per side
     /// pair, not per file).
@@ -174,14 +168,9 @@ pub struct ExecCtx<'a> {
     pub params: &'a [Value],
     /// When set, `execute_plan` records an [`OpProfile`] per plan node.
     pub profiler: Option<Profiler>,
-    /// Worker count for partitioned operators; 1 runs everything inline on
-    /// the calling thread (the default, byte-identical to the historical
-    /// single-threaded executor).
-    pub parallelism: usize,
     /// The statement's execution governor. Checked at operator entry and
-    /// every [`GOVERNOR_CHECK_INTERVAL`] rows inside scan/join loops,
-    /// including partitioned worker closures. `None` means ungoverned
-    /// (internal maintenance statements).
+    /// every [`GOVERNOR_CHECK_INTERVAL`] rows inside scan/join loops.
+    /// `None` means ungoverned (internal maintenance statements).
     pub governor: Option<&'a QueryGovernor>,
     /// Whether memory-bounded operators may spill to disk instead of
     /// failing on a memory-budget breach.
@@ -270,18 +259,15 @@ impl ExecCtx<'_> {
         }
     }
 
-    /// Fold one worker's locally accumulated counters into the global
-    /// stats and the profiled operator, so totals are identical to a
-    /// serial run no matter how the rows were partitioned.
-    fn absorb(&mut self, c: WorkerCounts) {
+    /// Fold a row loop's locally accumulated counters into the global
+    /// stats and the profiled operator.
+    fn absorb(&mut self, c: RowCounts) {
         self.stats.tuples_scanned += c.scanned;
-        self.stats.index_probes += c.probes;
         self.stats.join_output += c.join_output;
         self.stats.batches += c.batches;
         if let Some(p) = self.profiler.as_mut() {
             if let Some(op) = p.current() {
                 op.tuples_scanned += c.scanned;
-                op.index_probes += c.probes;
                 op.residual_dropped += c.dropped;
                 op.batches += c.batches;
             }
@@ -289,21 +275,16 @@ impl ExecCtx<'_> {
     }
 }
 
-/// Execution counters a partitioned worker accumulates locally; merged
-/// into [`ExecStats`] (and the profiler) by [`ExecCtx::absorb`] after the
-/// workers join, so parallel runs report the same totals as serial ones.
+/// Execution counters a row loop accumulates locally and folds into
+/// [`ExecStats`] (and the profiler) with one [`ExecCtx::absorb`] per batch
+/// or operator, keeping the profiler test off the per-row path.
 #[derive(Debug, Clone, Copy, Default)]
-struct WorkerCounts {
+struct RowCounts {
     scanned: u64,
-    probes: u64,
     join_output: u64,
     dropped: u64,
     batches: u64,
 }
-
-/// Minimum rows each worker must receive before a partitioned operator
-/// spawns threads: below this, thread start-up dominates the row work.
-const PAR_MIN_ROWS_PER_WORKER: usize = 256;
 
 /// Outer cardinality below which a full-key anti-join always probes the
 /// index: at this scale a probe and a hash-set lookup cost the same, and
@@ -312,8 +293,7 @@ const ANTI_JOIN_PROBE_FLOOR: u64 = 256;
 
 /// Periodic cooperative governor check for row loops: probes the
 /// governor once every [`GOVERNOR_CHECK_INTERVAL`] iterations so the
-/// atomic loads stay off the per-row fast path. Safe to call from
-/// partitioned worker threads (the governor is all atomics).
+/// atomic loads stay off the per-row fast path.
 #[inline]
 fn gov_tick(gov: Option<&QueryGovernor>, i: usize) -> Result<(), DbError> {
     if let Some(g) = gov {
@@ -474,172 +454,6 @@ fn cmp_keys(a: &Tuple, b: &Tuple, keys: &[usize]) -> std::cmp::Ordering {
         }
     }
     std::cmp::Ordering::Equal
-}
-
-/// Contiguous chunk ranges splitting `n` items across `workers` chunks.
-/// Each chunk is sized by the rows *remaining* when it is cut
-/// (`ceil(remaining / remaining_workers)`), so the division stays
-/// balanced to within one row even when `n` sits just above the
-/// `PAR_MIN_ROWS_PER_WORKER` floor, and a sub-floor tail can never be
-/// stranded on its own worker: if cutting the chunk would leave fewer
-/// than the floor per remaining worker, the tail folds into the current
-/// chunk instead of spawning under-fed threads.
-fn chunk_ranges(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let workers = workers.min(n).max(1);
-    let mut ranges = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        if start >= n {
-            break;
-        }
-        let remaining = n - start;
-        let remaining_workers = workers - w;
-        let mut len = remaining.div_ceil(remaining_workers);
-        // Fold the tail: splitting further would leave the remaining
-        // workers below the spawn floor, so the imbalance of one big
-        // chunk beats the start-up cost of starving threads. (The
-        // callers' worker selection already guarantees the floor, so
-        // this only fires for direct calls with oversized counts.)
-        if remaining_workers > 1
-            && remaining - len < (remaining_workers - 1) * PAR_MIN_ROWS_PER_WORKER
-        {
-            len = remaining;
-        }
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
-/// Run `f` over `items`, partitioned into contiguous chunks across the
-/// context's worker budget. Outputs are concatenated in chunk order, so
-/// the result is byte-identical to one serial pass (`f` over the whole
-/// slice) — order-preserving partitioning is what keeps every answer
-/// independent of the parallelism setting. Falls back to the inline serial
-/// pass when parallelism is 1 or the input is too small to pay for thread
-/// start-up. Worker counters and the partition-skew gauge are merged after
-/// the scoped threads join; on error the first failing chunk (in chunk
-/// order) wins, again matching the serial pass.
-fn par_run<T, F>(ctx: &mut ExecCtx<'_>, items: &[T], f: F) -> Result<Vec<Tuple>, DbError>
-where
-    T: Sync,
-    F: Fn(&[T], &mut WorkerCounts) -> Result<Vec<Tuple>, DbError> + Sync,
-{
-    let workers = ctx
-        .parallelism
-        .min(items.len() / PAR_MIN_ROWS_PER_WORKER)
-        .max(1);
-    if workers <= 1 {
-        let mut counts = WorkerCounts::default();
-        let out = f(items, &mut counts);
-        ctx.absorb(counts);
-        return out;
-    }
-    let ranges = chunk_ranges(items.len(), workers);
-    let results = std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|r| {
-                let chunk = &items[r.clone()];
-                s.spawn(move || {
-                    let t0 = std::time::Instant::now();
-                    let mut counts = WorkerCounts::default();
-                    let out = f(chunk, &mut counts);
-                    (out, counts, t0.elapsed().as_nanos() as u64)
-                })
-            })
-            .collect();
-        join_workers(handles)
-    });
-    finish_par(ctx, results)
-}
-
-/// [`par_run`] over an owned vector: the items are moved into per-worker
-/// chunk vectors (one pointer move per element, no deep clone), so
-/// filter-style operators can pass surviving rows through untouched.
-fn par_run_owned<T, F>(ctx: &mut ExecCtx<'_>, items: Vec<T>, f: F) -> Result<Vec<Tuple>, DbError>
-where
-    T: Send,
-    F: Fn(Vec<T>, &mut WorkerCounts) -> Result<Vec<Tuple>, DbError> + Sync,
-{
-    let workers = ctx
-        .parallelism
-        .min(items.len() / PAR_MIN_ROWS_PER_WORKER)
-        .max(1);
-    if workers <= 1 {
-        let mut counts = WorkerCounts::default();
-        let out = f(items, &mut counts);
-        ctx.absorb(counts);
-        return out;
-    }
-    let ranges = chunk_ranges(items.len(), workers);
-    let mut it = items.into_iter();
-    let chunks: Vec<Vec<T>> = ranges
-        .iter()
-        .map(|r| it.by_ref().take(r.len()).collect())
-        .collect();
-    let results = std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                s.spawn(move || {
-                    let t0 = std::time::Instant::now();
-                    let mut counts = WorkerCounts::default();
-                    let out = f(chunk, &mut counts);
-                    (out, counts, t0.elapsed().as_nanos() as u64)
-                })
-            })
-            .collect();
-        join_workers(handles)
-    });
-    finish_par(ctx, results)
-}
-
-type WorkerResult = (Result<Vec<Tuple>, DbError>, WorkerCounts, u64);
-
-fn join_workers(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, WorkerResult>>,
-) -> Vec<WorkerResult> {
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("partitioned worker panicked"))
-        .collect()
-}
-
-/// Worker runs shorter than this are dominated by thread start-up and
-/// scheduler jitter, not row work; their timings say nothing about the
-/// partitioning, so they are excluded from the skew gauge. This is what
-/// produced the ~200% `exec.partition_skew` readings near the
-/// rows-per-worker floor: microsecond-scale workers where a single
-/// descheduling tick triples one worker's wall time.
-const SKEW_MIN_MEAN_NS: u64 = 100_000;
-
-/// Merge worker counters and the partition-skew gauge, then concatenate
-/// chunk outputs in chunk order (first error, in chunk order, wins).
-fn finish_par(ctx: &mut ExecCtx<'_>, results: Vec<WorkerResult>) -> Result<Vec<Tuple>, DbError> {
-    ctx.stats.tasks_spawned += results.len() as u64;
-    let mean_ns = (results.iter().map(|(_, _, ns)| ns).sum::<u64>() / results.len() as u64).max(1);
-    let max_ns = results.iter().map(|(_, _, ns)| *ns).max().unwrap_or(0);
-    if mean_ns >= SKEW_MIN_MEAN_NS {
-        let skew = (max_ns * 100 / mean_ns).saturating_sub(100);
-        ctx.stats.partition_skew = ctx.stats.partition_skew.max(skew);
-    }
-    let mut err = None;
-    let mut out = Vec::new();
-    for (chunk_out, counts, _) in results {
-        ctx.absorb(counts);
-        match chunk_out {
-            Ok(rows) if err.is_none() => out.extend(rows),
-            Ok(_) => {}
-            Err(e) => err = err.or(Some(e)),
-        }
-    }
-    match err {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
 }
 
 /// A row the conditions of a plan can be evaluated against: a flat tuple,
@@ -833,11 +647,11 @@ fn scan_rows(
         if scanned == 0 {
             return Ok(());
         }
-        ctx.absorb(WorkerCounts {
+        ctx.absorb(RowCounts {
             scanned: scanned as u64,
             dropped,
             batches: 1,
-            ..WorkerCounts::default()
+            ..RowCounts::default()
         });
     }
 }
@@ -890,8 +704,7 @@ impl<'r> BuildTable<'r> {
     }
 }
 
-/// A built hash join, ready to be probed: shared read-only by the probe
-/// workers.
+/// A built hash join, ready to be probed.
 struct HashProbe<'a> {
     table: &'a BuildTable<'a>,
     /// The build rows are the join's left side.
@@ -905,7 +718,7 @@ struct HashProbe<'a> {
 impl HashProbe<'_> {
     /// Probe with each row of `probe`, appending the joins that pass the
     /// residual to `out`.
-    fn run(&self, probe: &[Tuple], c: &mut WorkerCounts, out: &mut Vec<Tuple>) {
+    fn run(&self, probe: &[Tuple], c: &mut RowCounts, out: &mut Vec<Tuple>) {
         for prow in probe {
             let key = PackedKey::from_cols(prow, self.probe_keys);
             for brow in self.table.matches(&key) {
@@ -1085,10 +898,6 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
             }
             let table = BuildTable::build(&build, build_keys, ctx.governor)?;
             ctx.prof_build(build.len() as u64);
-            // The hash table is built once and shared read-only; probe rows
-            // are partitioned into contiguous chunks whose outputs are
-            // concatenated in probe order, so the joined rows come out in
-            // exactly the serial order at any parallelism setting.
             let join = HashProbe {
                 table: &table,
                 build_left,
@@ -1097,19 +906,19 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                 params: ctx.params,
                 emit,
             };
-            let gov = ctx.governor;
-            let batch = ctx.batch_rows.max(1);
-            par_run(ctx, &probe, |chunk, c| {
-                let mut out = Vec::new();
-                for sub in chunk.chunks(batch) {
-                    if let Some(g) = gov {
-                        g.check()?;
-                    }
-                    c.batches += 1;
-                    join.run(sub, c, &mut out);
+            let mut out = Vec::new();
+            for sub in probe.chunks(ctx.batch_rows.max(1)) {
+                if let Some(g) = ctx.governor {
+                    g.check()?;
                 }
-                Ok(out)
-            })
+                let mut counts = RowCounts {
+                    batches: 1,
+                    ..RowCounts::default()
+                };
+                join.run(sub, &mut counts, &mut out);
+                ctx.absorb(counts);
+            }
+            Ok(out)
         }
         PhysPlan::IndexNlJoin {
             left,
@@ -1153,7 +962,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                     params,
                     emit,
                 };
-                let mut counts = WorkerCounts::default();
+                let mut counts = RowCounts::default();
                 let mut out = Vec::new();
                 for (li, lrow) in left_rows.iter().enumerate() {
                     gov_tick(ctx.governor, li)?;
@@ -1212,25 +1021,20 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
             if let (Some(pos), true) = (*index_pos, probe_pays) {
                 // The correlation keys are exactly the index key: a row of
                 // the inner table matches iff the probe hits, so no scan
-                // and no tuple fetch are needed. Probes are pure reads of
-                // the in-memory directory, so outer rows partition across
-                // workers; order is preserved by chunk concatenation.
+                // and no tuple fetch are needed.
                 let index = &t.indexes[pos];
-                let gov = ctx.governor;
-                return par_run_owned(ctx, rows, |chunk, c| {
-                    let mut out = Vec::new();
-                    for (ri, row) in chunk.into_iter().enumerate() {
-                        gov_tick(gov, ri)?;
-                        c.probes += 1;
-                        if index
-                            .lookup(&PackedKey::from_cols(&row, outer_keys))
-                            .is_empty()
-                        {
-                            out.push(row);
-                        }
+                let mut out = Vec::new();
+                for (ri, row) in rows.into_iter().enumerate() {
+                    gov_tick(ctx.governor, ri)?;
+                    ctx.count_probe();
+                    if index
+                        .lookup(&PackedKey::from_cols(&row, outer_keys))
+                        .is_empty()
+                    {
+                        out.push(row);
                     }
-                    Ok(out)
-                });
+                }
+                return Ok(out);
             }
             // Materialize the (filtered) inner side's keys once. When the
             // planner found a full-key index but probing lost the cost race
@@ -1253,19 +1057,14 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                 // Uncorrelated NOT EXISTS: all-or-nothing.
                 return Ok(if inner_nonempty { Vec::new() } else { rows });
             }
-            // Membership tests against the frozen key set are pure reads;
-            // partition the outer rows like the probing path.
-            let gov = ctx.governor;
-            par_run_owned(ctx, rows, |chunk, _c| {
-                let mut out = Vec::new();
-                for (ri, row) in chunk.into_iter().enumerate() {
-                    gov_tick(gov, ri)?;
-                    if !keys.contains(&PackedKey::from_cols(&row, outer_keys)) {
-                        out.push(row);
-                    }
+            let mut out = Vec::new();
+            for (ri, row) in rows.into_iter().enumerate() {
+                gov_tick(ctx.governor, ri)?;
+                if !keys.contains(&PackedKey::from_cols(&row, outer_keys)) {
+                    out.push(row);
                 }
-                Ok(out)
-            })
+            }
+            Ok(out)
         }
         PhysPlan::CrossJoin {
             left,
@@ -1450,7 +1249,7 @@ fn grace_hash_join(
         .map(SpillFile::bytes)
         .sum();
     ctx.count_spill(parts as u64, spilled);
-    let mut counts = WorkerCounts::default();
+    let mut counts = RowCounts::default();
     let mut tagged: Vec<(u64, Tuple)> = Vec::new();
     let mut result = Ok(());
     'parts: for (bf, pf) in build_files.iter().zip(probe_files.iter()) {
@@ -1697,63 +1496,4 @@ fn spill_dedup(
     outcome?;
     tagged.sort_by_key(|&(seq, _)| seq);
     Ok(tagged.into_iter().map(|(_, t)| t).collect())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sizes(n: usize, workers: usize) -> Vec<usize> {
-        let ranges = chunk_ranges(n, workers);
-        // Chunks must tile [0, n) contiguously in order.
-        let mut expect = 0;
-        for r in &ranges {
-            assert_eq!(r.start, expect, "gap or overlap at {r:?} for n={n}");
-            assert!(r.end > r.start, "empty chunk {r:?} for n={n}");
-            expect = r.end;
-        }
-        assert_eq!(expect, n);
-        ranges.iter().map(|r| r.len()).collect()
-    }
-
-    /// Near the rows-per-worker floor — the regime the skew gauge flagged
-    /// — remaining-rows sizing keeps partition cardinalities within one
-    /// row of each other, so any residual skew is scheduler noise, not
-    /// partitioning.
-    #[test]
-    fn partition_sizes_balanced_near_floor() {
-        for n in [512, 513, 600, 767, 1023, 1024, 2048, 4097] {
-            let workers = (n / PAR_MIN_ROWS_PER_WORKER).clamp(1, 4);
-            let s = sizes(n, workers);
-            assert_eq!(s.len(), workers);
-            let (min, max) = (*s.iter().min().unwrap(), *s.iter().max().unwrap());
-            assert!(
-                max - min <= 1,
-                "n={n} workers={workers}: row skew {s:?} exceeds one row"
-            );
-            assert!(
-                min >= PAR_MIN_ROWS_PER_WORKER,
-                "n={n}: chunk below spawn floor in {s:?}"
-            );
-        }
-    }
-
-    /// A worker count too large for the input folds the tail instead of
-    /// starving threads below the spawn floor.
-    #[test]
-    fn partition_tail_folds_instead_of_starving() {
-        assert_eq!(sizes(300, 4), vec![300]);
-        assert_eq!(sizes(520, 2), vec![260, 260]);
-        // 700/3 would leave ~233-row chunks (< floor): folds to one.
-        assert_eq!(sizes(700, 3), vec![700]);
-    }
-
-    #[test]
-    fn partition_degenerate_inputs() {
-        assert_eq!(sizes(1, 8), vec![1]);
-        assert_eq!(sizes(5, 1), vec![5]);
-        // Empty inputs never reach chunk_ranges (par_run's serial
-        // fallback handles them), but it must not panic or emit chunks.
-        assert!(chunk_ranges(0, 4).is_empty());
-    }
 }

@@ -6,15 +6,15 @@
 //! [`QueryGovernor::check`] at batch boundaries (roughly every
 //! [`GOVERNOR_CHECK_INTERVAL`] rows) and [`QueryGovernor::charge_rows`] /
 //! [`QueryGovernor::charge_bytes`] as they materialize intermediate
-//! results. All state is atomic, so a single governor can be shared by
-//! the partitioned-operator worker threads without locking: the first
-//! worker to observe a breach returns an error, the scoped-thread join
-//! propagates it in chunk order, and no partial state escapes.
+//! results. The counters are atomics so operators charge through a
+//! shared reference; statements run on the calling thread, and the first
+//! check to observe a breach returns an error the statement unwinds with.
 //!
-//! Cancellation is a plain `Arc<AtomicBool>` flag. The engine hands out
-//! clones (see `Engine::cancel_handle`) so another thread — or a
-//! fault-injection hook — can flip it while a statement runs; the flag
-//! is reset when the next statement begins.
+//! Cancellation is the one cross-thread part: a plain `Arc<AtomicBool>`
+//! flag. The engine hands out clones (see `Engine::cancel_handle`) so
+//! another thread — or a fault-injection hook — can flip it while a
+//! statement runs; it stays set until `Engine::reset_cancel`
+//! acknowledges it.
 
 use crate::catalog::DbError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -127,8 +127,7 @@ impl QueryGovernor {
     }
 
     /// Cheap cooperative check: cancellation flag, then deadline, then
-    /// accumulated budgets. Called at operator batch boundaries and
-    /// inside partitioned workers.
+    /// accumulated budgets. Called at operator batch boundaries.
     pub fn check(&self) -> Result<(), DbError> {
         if self.cancel.load(Ordering::Relaxed) {
             return Err(DbError::Budget(BudgetBreach {

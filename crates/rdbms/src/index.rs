@@ -193,9 +193,7 @@ enum Directory {
 /// ordered indexes — range scans.
 ///
 /// The probe counter is an [`AtomicU64`] so lookups can be counted while
-/// the catalog (and thus the index) is borrowed immutably during execution
-/// — including from the partitioned operators' worker threads, which share
-/// one `&TableIndex` and probe it concurrently.
+/// the catalog (and thus the index) is borrowed immutably during execution.
 #[derive(Debug)]
 pub struct TableIndex {
     name: String,

@@ -5,15 +5,7 @@
 //! The registry backs the three observability surfaces this testbed
 //! reports on: the per-operator EXPLAIN ANALYZE profile, the engine-level
 //! buffer/disk/WAL counters ([`crate::Engine::metrics`]), and the
-//! Knowledge Manager's per-iteration LFP traces — which the bench crate
-//! serializes into `BENCH_trace.json`.
-//!
-//! The parallel execution layer reports through the same registry:
-//! `exec.threads` (the engine's configured worker count),
-//! `exec.tasks_spawned` (partitioned worker tasks launched so far), and
-//! `exec.partition_skew` (worst observed percentage by which the slowest
-//! partition exceeded the mean partition time; 0 when splits were even or
-//! nothing ran in parallel).
+//! Knowledge Manager's per-iteration LFP traces.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

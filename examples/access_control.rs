@@ -19,7 +19,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         special_tc: true, // role-hierarchy closure uses the TC operator
         supplementary: false,
         durability: false,
-        parallelism: 0,
         ..SessionConfig::default()
     })?;
 

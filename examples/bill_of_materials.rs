@@ -25,7 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         special_tc: false,
         supplementary: false,
         durability: false,
-        parallelism: 0,
         ..SessionConfig::default()
     })?;
 

@@ -22,7 +22,6 @@ fn build_session(optimize: bool) -> Result<Session, Box<dyn std::error::Error>> 
         special_tc: false,
         supplementary: false,
         durability: false,
-        parallelism: 0,
         ..SessionConfig::default()
     })?;
     s.define_base("parent", &binary_sym())?;

@@ -65,11 +65,10 @@ fn chain_closure_stays_within_its_allocation_budget() {
     .unwrap();
     s.load_rules(&workload::ancestor_program("edge")).unwrap();
     let compiled = s.compile("?- anc(X, Y).").unwrap();
-    // The budget is for the default in-memory, serial configuration,
-    // whatever the environment the suite runs under says.
+    // The budget is for the default in-memory configuration, whatever
+    // the environment the suite runs under says.
     let e = s.engine_mut();
     e.set_spill_mode(SpillMode::Enabled);
-    e.set_parallelism(1);
     e.set_batch_rows(DEFAULT_BATCH_ROWS);
     e.set_planner_mode(PlannerMode::CostBased);
 

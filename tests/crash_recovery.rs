@@ -265,21 +265,17 @@ fn metrics_collection_never_perturbs_recovery() {
 }
 
 #[test]
-fn fault_during_parallel_evaluation_recovers() {
-    // A durable session evaluating with 4 workers: the clique scheduler,
-    // the per-iteration delta batches, and the partitioned operators are
-    // all live, but every page and WAL write still goes through the
-    // single engine lock. The sweep arms the injector and runs a
-    // parallel clique evaluation plus commit inside the armed window,
-    // crashing at every write point the episode reaches — the commit's
-    // WAL writes always, and the evaluation's own spill-file writes when
-    // RDBMS_SPILL=force makes the operators spill. Recovery must restore
-    // the exact pre-commit stored D/KB, and parallel evaluation must
-    // keep producing the reference answer afterwards.
+fn fault_during_evaluation_and_commit_recovers() {
+    // The sweep arms the injector and runs a clique evaluation plus
+    // commit inside the armed window, crashing at every write point the
+    // episode reaches — the commit's WAL writes always, and the
+    // evaluation's own spill-file writes when RDBMS_SPILL=force makes the
+    // operators spill. Recovery must restore the exact pre-commit stored
+    // D/KB, and evaluation must keep producing the reference answer
+    // afterwards.
     let make = || {
         let mut s = Session::new(SessionConfig {
             durability: true,
-            parallelism: 4,
             ..SessionConfig::default()
         })
         .unwrap();
@@ -311,8 +307,8 @@ fn fault_during_parallel_evaluation_recovers() {
         let pre = dump(s.engine_mut());
         s.engine_mut()
             .set_fault_injector(FaultInjector::new().fail_after_writes(k));
-        // Under the default budget-driven spill mode the parallel LFP is
-        // pure read-path work (temp pages stay in the buffer pool), so
+        // Under the default budget-driven spill mode the LFP is pure
+        // read-path work (temp pages stay in the buffer pool), so
         // the armed fault only ever fires inside the commit. Under
         // RDBMS_SPILL=force the evaluation itself emits spill-file
         // writes: early write points then crash the disk mid-query, and
@@ -337,20 +333,19 @@ fn fault_during_parallel_evaluation_recovers() {
                         assert_eq!(
                             dump(s.engine_mut()),
                             pre,
-                            "crash at write {k} with 4 evaluation workers: recovery \
-                             must restore the pre-commit stored D/KB"
+                            "crash at write {k}: recovery must restore the \
+                             pre-commit stored D/KB"
                         );
                         s.verify_integrity().unwrap();
-                        // The recovered session still evaluates correctly —
-                        // and still in parallel.
+                        // The recovered session still evaluates correctly.
                         let (_, r) = s.query("?- anc(a0, W).").unwrap();
-                        assert_eq!(r.rows, expected, "parallel re-run after crash at {k}");
+                        assert_eq!(r.rows, expected, "re-run after crash at {k}");
                         crash_points += 1;
                     }
                 }
             }
             Err(_) => {
-                // A spill-file write point inside the parallel evaluation.
+                // A spill-file write point inside the evaluation.
                 assert!(
                     s.engine().crashed(),
                     "evaluation failed without a crash at k={k}"
@@ -364,7 +359,7 @@ fn fault_during_parallel_evaluation_recovers() {
                 );
                 s.verify_integrity().unwrap();
                 let (_, r) = s.query("?- anc(a0, W).").unwrap();
-                assert_eq!(r.rows, expected, "parallel re-run after eval crash at {k}");
+                assert_eq!(r.rows, expected, "re-run after eval crash at {k}");
                 s.commit_workspace().unwrap();
                 assert_eq!(dump(s.engine_mut()), post, "commit after eval crash at {k}");
                 s.verify_integrity().unwrap();

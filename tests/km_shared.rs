@@ -5,9 +5,11 @@
 //! operations serially, under every interleaving.
 
 use km::session::{binary_sym, Session, SessionConfig};
+use km::{EvalError, EvalResource, KmError};
 use proptest::prelude::*;
-use rdbms::{DbError, Engine, FaultInjector, SharedEngine, Value};
+use rdbms::{BudgetKind, DbError, Engine, FaultInjector, SharedEngine, Value};
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::thread;
 
 const ANC_RULES: &str = "anc(X, Y) :- parent(X, Y).\n\
@@ -136,6 +138,72 @@ fn commuting_same_table_inserts_no_longer_conflict() {
         Err(DbError::WriteConflict(_)) => {}
         other => panic!("table-granular baseline must conflict, got {other:?}"),
     }
+}
+
+/// Which resource a budget error tripped on, whichever layer raised it
+/// (a statement of the compile phase, or the evaluation).
+fn tripped(e: &KmError) -> Option<EvalResource> {
+    match e {
+        KmError::Db(DbError::Budget(b)) => Some(match b.kind {
+            BudgetKind::Canceled => EvalResource::Canceled,
+            BudgetKind::Deadline => EvalResource::Deadline,
+            BudgetKind::Rows => EvalResource::Rows,
+            BudgetKind::Memory => EvalResource::Memory,
+        }),
+        KmError::Eval(e) => {
+            let EvalError::Budget { resource, .. } = **e;
+            Some(resource)
+        }
+        _ => None,
+    }
+}
+
+/// The cancel handle taken from an attached session's engine belongs to
+/// the session: `query` re-snapshots before it compiles, and the flag set
+/// beforehand must still stop it — as it does on a private session.
+#[test]
+fn cancel_handle_of_a_shared_session_survives_the_snapshot_refresh() {
+    let shared = shared_ancestor_dkb(8);
+    let mut s = Session::attach(&shared, SessionConfig::default()).expect("attach");
+    let handle = s.engine().cancel_handle();
+    handle.store(true, Ordering::Relaxed);
+    let err = s
+        .query("?- anc(a0, W).")
+        .expect_err("canceled before it ran");
+    assert_eq!(tripped(&err), Some(EvalResource::Canceled), "{err}");
+
+    // Acknowledged, the session serves again — on the same handle.
+    s.engine().reset_cancel();
+    let (_, r) = s.query("?- anc(a0, W).").expect("serves after reset");
+    assert_eq!(r.rows.len(), 7);
+    handle.store(true, Ordering::Relaxed);
+    assert!(
+        s.engine().cancel_requested(),
+        "the handle still reaches the session's current snapshot"
+    );
+}
+
+/// A row budget set through `engine_mut()` stays in force across the
+/// snapshot replacements of `compile` (refresh) and `commit_workspace`
+/// (re-snapshot after the commit).
+#[test]
+fn row_budget_of_a_shared_session_survives_refresh_and_commit() {
+    let shared = shared_ancestor_dkb(300);
+    let mut s = Session::attach(&shared, SessionConfig::default()).expect("attach");
+    s.load_rules("hop(X, Y) :- parent(X, Y).\n").expect("rule");
+    // Below the 299 `parent` rows the query's scan emits, above anything
+    // one statement of the commit processes.
+    s.engine_mut().set_row_budget(Some(200));
+    let err = s.query("?- hop(X, Y).").expect_err("over the row budget");
+    assert_eq!(tripped(&err), Some(EvalResource::Rows), "{err}");
+
+    s.commit_workspace().expect("commit fits the budget");
+    let err = s.query("?- hop(X, Y).").expect_err("still over the budget");
+    assert_eq!(tripped(&err), Some(EvalResource::Rows), "{err}");
+
+    s.engine_mut().set_row_budget(None);
+    let (_, r) = s.query("?- hop(X, Y).").expect("budget lifted");
+    assert_eq!(r.rows.len(), 299);
 }
 
 /// Crash sweep over two users' interleaved workspace commits: inject a

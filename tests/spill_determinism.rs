@@ -1,9 +1,9 @@
 //! Memory-bounded execution must be invisible in the results: Grace
 //! hash joins, external merge-sorts, and spill-partitioned dedup must
 //! produce byte-identical output (content *and* order) to the in-memory
-//! operators, across randomized memory budgets, batch sizes, and
-//! parallelism settings. A disk fault during a spill write must leave
-//! the engine recoverable with no answer corruption.
+//! operators, across randomized memory budgets and batch sizes. A disk
+//! fault during a spill write must leave the engine recoverable with no
+//! answer corruption.
 
 use proptest::prelude::*;
 use rdbms::{Engine, FaultInjector, SpillMode, Value};
@@ -40,19 +40,16 @@ proptest! {
 
     /// Forced spilling (every join/sort/dedup goes through the disk
     /// paths) returns exactly what the in-memory engine returns, at any
-    /// batch size and parallelism.
+    /// batch size.
     #[test]
     fn forced_spill_is_byte_identical(
         edges in arb_edges(),
         batch in 1usize..300,
-        workers_ix in 0usize..3,
     ) {
-        let workers = [1usize, 2, 4][workers_ix];
         let mut plain = engine_with(&edges);
         let mut spilly = engine_with(&edges);
         spilly.set_spill_mode(SpillMode::Forced);
         spilly.set_batch_rows(batch);
-        spilly.set_parallelism(workers);
         for q in QUERIES {
             let expect = plain.execute(q).unwrap().rows;
             let got = spilly.execute(q).unwrap().rows;
@@ -76,14 +73,11 @@ proptest! {
         edges in arb_edges(),
         budget in 512u64..16_384,
         batch in 1usize..300,
-        workers_ix in 0usize..3,
     ) {
-        let workers = [1usize, 2, 4][workers_ix];
         let mut plain = engine_with(&edges);
         let mut bounded = engine_with(&edges);
         bounded.set_memory_budget(Some(budget));
         bounded.set_batch_rows(batch);
-        bounded.set_parallelism(workers);
         for q in QUERIES {
             let expect = plain.execute(q).unwrap().rows;
             let got = bounded.execute(q).unwrap().rows;
