@@ -40,7 +40,8 @@ pub fn new_table(ns: &str, pred: &str) -> String {
 /// The SQL generated for one rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleSql {
-    /// Head predicate (table `d_<head>` receives the rows).
+    /// Head predicate (table `d_<head>` receives the rows; the result
+    /// predicate's go to the caller instead).
     pub head_pred: String,
     /// The rule's source text (for tracing / EXPLAIN-style output).
     pub source: String,
@@ -92,14 +93,16 @@ pub struct EvalProgram {
     /// [`CodegenEnv::ns`] the program was generated under). The runtime
     /// must create/drop the program's temporaries through this.
     pub ns: String,
-    /// Derived tables to create: predicate → column types.
+    /// Derived tables to create: predicate → column types. The result
+    /// predicate is not among them — nothing reads it but the caller, so
+    /// the runtime answers from its rules' SELECTs and never stores it.
     pub tables: BTreeMap<String, Vec<AttrType>>,
     /// Ground facts to seed, grouped by predicate (magic seeds and
     /// workspace facts for predicates without a stored base relation).
     pub seeds: Vec<(String, Vec<Vec<Value>>)>,
     /// Evaluation-order nodes.
     pub nodes: Vec<ProgNode>,
-    /// Predicate whose table holds the query answer.
+    /// Predicate whose rules compute the query answer.
     pub result_pred: String,
     /// Column types of the answer.
     pub result_types: Vec<AttrType>,
@@ -372,7 +375,8 @@ fn compile_rule(
 /// Generate the full evaluation program from an evaluation order list.
 ///
 /// `facts` are the ground clauses to seed (workspace facts and magic seed
-/// facts); `result_pred` names the predicate holding the answer.
+/// facts); `result_pred` names the predicate whose rules are the answer.
+/// No rule reads it, so it gets no table.
 pub fn generate(
     order: &[EvalNode],
     facts: &[Clause],
@@ -380,10 +384,11 @@ pub fn generate(
     env: &CodegenEnv<'_>,
 ) -> Result<EvalProgram, KmError> {
     // Tables: every derived predicate appearing in the order list plus
-    // every fact-seeded predicate that is not a stored base relation.
+    // every fact-seeded predicate that is not a stored base relation —
+    // except the result predicate.
     let mut tables: BTreeMap<String, Vec<AttrType>> = BTreeMap::new();
     let mut want_table = |pred: &str| -> Result<(), KmError> {
-        if env.base_preds.contains(pred) || tables.contains_key(pred) {
+        if pred == result_pred || env.base_preds.contains(pred) || tables.contains_key(pred) {
             return Ok(());
         }
         let types = env
@@ -456,7 +461,6 @@ pub fn generate(
         .get(result_pred)
         .cloned()
         .ok_or_else(|| KmError::Internal(format!("no types for result {result_pred}")))?;
-    want_table(result_pred)?;
 
     Ok(EvalProgram {
         ns: env.ns.to_string(),
@@ -611,7 +615,10 @@ mod tests {
         assert_eq!(prog.result_pred, "_query");
         assert_eq!(prog.result_types, vec![AttrType::Sym]);
         assert!(prog.tables.contains_key("anc"));
-        assert!(prog.tables.contains_key("_query"));
+        assert!(
+            !prog.tables.contains_key("_query"),
+            "the result predicate is answered, not stored"
+        );
         assert!(
             !prog.tables.contains_key("parent"),
             "base tables not recreated"
@@ -647,7 +654,7 @@ mod tests {
             parse_clause("m_anc(adam).").unwrap(),
             parse_clause("m_anc(bob).").unwrap(),
         ];
-        let prog = generate(&[], &seeds, "m_anc", &env).unwrap();
+        let prog = generate(&[], &seeds, "anc", &env).unwrap();
         assert_eq!(prog.seeds.len(), 1);
         assert_eq!(prog.seeds[0].0, "m_anc");
         assert_eq!(prog.seeds[0].1.len(), 2);

@@ -40,7 +40,8 @@ pub struct LfpBreakdown {
     /// Creating and dropping temporary tables.
     pub t_temp_tables: Duration,
     /// Evaluating rule right-hand sides (or their differentials) and
-    /// installing new tuples.
+    /// installing new tuples. The result node's answer `SELECT` and the
+    /// sort + de-duplication of its rows are charged here too.
     pub t_eval_rhs: Duration,
     /// Termination checks (set differences).
     pub t_termination: Duration,
@@ -52,7 +53,8 @@ pub struct LfpBreakdown {
     pub n_term_checks: u64,
     /// LFP iterations run (cliques only).
     pub iterations: u64,
-    /// New tuples installed into derived tables.
+    /// New tuples installed into derived tables, plus the distinct answer
+    /// rows of the result node (which has no table to install them in).
     pub tuples_produced: u64,
 }
 
@@ -119,7 +121,8 @@ pub struct CliqueTrace {
 
 /// Timing of one evaluation-order node. Nodes run one after another
 /// inside the evaluation, so `elapsed` summed over an outcome's nodes never
-/// exceeds the outcome's `total`.
+/// exceeds the outcome's `total`. The result node's `elapsed` is the answer
+/// read: its `SELECT`s plus the sort + de-duplication of the rows.
 #[derive(Debug, Clone)]
 pub struct NodeTiming {
     pub predicates: Vec<String>,
@@ -329,6 +332,14 @@ fn budget_err(br: CtlBreach, partial: PartialProgress) -> KmError {
     }))
 }
 
+/// Partial progress of a node that has no traces to report yet.
+fn breakdown_partial(breakdown: LfpBreakdown) -> PartialProgress {
+    PartialProgress {
+        breakdown,
+        ..PartialProgress::default()
+    }
+}
+
 /// Partial progress of a clique that was mid-fixpoint: its iterations so
 /// far, packaged as the final clique trace.
 fn clique_partial(
@@ -436,6 +447,8 @@ struct NodeOut {
     iterations: Vec<IterationTrace>,
     /// Wall time of the node.
     elapsed: Duration,
+    /// The query answer, if this was the result node (empty otherwise).
+    answer: Vec<Vec<Value>>,
     /// The specialized TC operator ran: `elapsed` is the single
     /// statement's time and the clique trace gets zero setup.
     tc: bool,
@@ -452,12 +465,20 @@ fn eval_node(
 ) -> Result<NodeOut, KmError> {
     let node_start = Instant::now();
     match node {
-        ProgNode::Predicate { rules, .. } => Ok(NodeOut {
-            breakdown: eval_predicate(db, &prog.ns, rules, ctl)?,
-            iterations: Vec::new(),
-            elapsed: node_start.elapsed(),
-            tc: false,
-        }),
+        ProgNode::Predicate { pred, rules } => {
+            let (breakdown, answer) = if *pred == prog.result_pred {
+                eval_answer(db, rules, ctl)?
+            } else {
+                (eval_predicate(db, &prog.ns, rules, ctl)?, Vec::new())
+            };
+            Ok(NodeOut {
+                breakdown,
+                iterations: Vec::new(),
+                elapsed: node_start.elapsed(),
+                answer,
+                tc: false,
+            })
+        }
         ProgNode::Clique {
             preds,
             exit_rules,
@@ -488,6 +509,7 @@ fn eval_node(
                 breakdown: b,
                 iterations,
                 elapsed: node_start.elapsed(),
+                answer: Vec::new(),
                 tc: false,
             })
         }
@@ -535,6 +557,7 @@ fn eval_tc(
         breakdown: b,
         iterations: traces,
         elapsed,
+        answer: Vec::new(),
         tc: true,
     })
 }
@@ -611,8 +634,8 @@ pub fn run_program_governed(
     match r {
         Ok(out) => Ok(out),
         Err(e) => {
-            // Late breaches (answer read, cleanup) carry no trace state;
-            // promote them with empty progress.
+            // A breach during the final cleanup carries no trace state;
+            // promote it with empty progress.
             let e = promote(e, PartialProgress::default());
             if matches!(e, KmError::Eval(_)) {
                 db.reset_cancel();
@@ -663,13 +686,7 @@ fn run_program_inner(
         let added = db.insert_rows(&all_table(&prog.ns, pred), dedup(rows.clone()))?;
         breakdown.tuples_produced += added;
         if let Err(br) = ctl.charge_facts(added) {
-            return Err(budget_err(
-                br,
-                PartialProgress {
-                    breakdown,
-                    ..PartialProgress::default()
-                },
-            ));
+            return Err(budget_err(br, breakdown_partial(breakdown)));
         }
     }
     breakdown.t_eval_rhs += t.elapsed();
@@ -677,15 +694,19 @@ fn run_program_inner(
     // Evaluate the nodes, strictly in evaluation order.
     let mut node_timings = Vec::with_capacity(prog.nodes.len());
     let mut clique_traces = Vec::new();
+    let mut rows = Vec::new();
     for node in &prog.nodes {
         match eval_node(db, prog, node, strategy, special_tc, ctl) {
-            Ok(out) => record_node(
-                node,
-                out,
-                &mut breakdown,
-                &mut node_timings,
-                &mut clique_traces,
-            ),
+            Ok(mut out) => {
+                rows.append(&mut out.answer);
+                record_node(
+                    node,
+                    out,
+                    &mut breakdown,
+                    &mut node_timings,
+                    &mut clique_traces,
+                )
+            }
             // Attach what the completed nodes produced ahead of the
             // failing node's own partial state.
             Err(e) => {
@@ -700,14 +721,6 @@ fn run_program_inner(
             }
         }
     }
-
-    // Read the answer.
-    let rs = db.execute(&format!(
-        "SELECT DISTINCT * FROM {}",
-        all_table(&prog.ns, &prog.result_pred)
-    ))?;
-    let mut rows = rs.rows;
-    rows.sort();
 
     // Clean up exactly the temporaries this run created (user-created
     // temp tables in the same engine are not ours to drop).
@@ -769,6 +782,33 @@ fn insert_new_sql(target: &str, select_sql: &str) -> String {
     format!("INSERT INTO {target} {select_sql} EXCEPT SELECT * FROM {target}")
 }
 
+/// Evaluate the result node. No rule reads the result predicate — its one
+/// consumer is the caller — so its rows are never stored: each rule's
+/// `full_sql` runs as a plain `SELECT` and the union is sorted and
+/// de-duplicated here. The distinct rows are charged as derived tuples,
+/// which is what `INSERT … EXCEPT` into a table would have counted.
+fn eval_answer(
+    db: &mut Engine,
+    rules: &[RuleSql],
+    ctl: &EvalCtl,
+) -> Result<(LfpBreakdown, Vec<Vec<Value>>), KmError> {
+    let mut b = LfpBreakdown::default();
+    let t = Instant::now();
+    let mut rows = Vec::new();
+    for rule in rules {
+        ctl.check_deadline()
+            .map_err(|br| budget_err(br, breakdown_partial(b)))?;
+        rows.append(&mut db.execute(&rule.full_sql)?.rows);
+        b.n_eval_stmts += 1;
+    }
+    let rows = dedup(rows);
+    b.t_eval_rhs = t.elapsed();
+    b.tuples_produced = rows.len() as u64;
+    ctl.charge_facts(b.tuples_produced)
+        .map_err(|br| budget_err(br, breakdown_partial(b)))?;
+    Ok((b, rows))
+}
+
 /// Evaluate a non-recursive predicate node: one pass over its rules.
 fn eval_predicate(
     db: &mut Engine,
@@ -778,28 +818,14 @@ fn eval_predicate(
 ) -> Result<LfpBreakdown, KmError> {
     let mut b = LfpBreakdown::default();
     for rule in rules {
-        if let Err(br) = ctl.check_deadline() {
-            return Err(budget_err(
-                br,
-                PartialProgress {
-                    breakdown: b,
-                    ..PartialProgress::default()
-                },
-            ));
-        }
+        ctl.check_deadline()
+            .map_err(|br| budget_err(br, breakdown_partial(b)))?;
         let sql = insert_new_sql(&all_table(ns, &rule.head_pred), &rule.full_sql);
         let added = timed(&mut b.t_eval_rhs, || db.execute(&sql))?.affected;
         b.n_eval_stmts += 1;
         b.tuples_produced += added;
-        if let Err(br) = ctl.charge_facts(added) {
-            return Err(budget_err(
-                br,
-                PartialProgress {
-                    breakdown: b,
-                    ..PartialProgress::default()
-                },
-            ));
-        }
+        ctl.charge_facts(added)
+            .map_err(|br| budget_err(br, breakdown_partial(b)))?;
     }
     Ok(b)
 }
@@ -1311,8 +1337,8 @@ mod tests {
         }
     }
 
-    /// The Fig 11 tree at depth 6 with the ancestor rules loaded.
-    fn fig11_session(config: crate::session::SessionConfig) -> crate::session::Session {
+    /// The Fig 11 tree at `depth` with the ancestor rules loaded.
+    fn fig11_session(depth: u32, config: crate::session::SessionConfig) -> crate::session::Session {
         let mut s = crate::session::Session::new(config).unwrap();
         s.define_base("parent", &crate::session::binary_sym())
             .unwrap();
@@ -1320,7 +1346,7 @@ mod tests {
             .unwrap();
         s.load_facts(
             "parent",
-            workload::edges_to_rows(&workload::full_binary_tree(6)),
+            workload::edges_to_rows(&workload::full_binary_tree(depth)),
         )
         .unwrap();
         s.load_rules(&workload::ancestor_program("parent")).unwrap();
@@ -1329,24 +1355,37 @@ mod tests {
 
     /// The statement sequence of the Fig 11 tree at depth 6: counts per
     /// Table 5 category and per-iteration statement totals, as recorded
-    /// from commit 4c4654c. One statement more, fewer, or charged to
-    /// another category changes a number here.
+    /// from commit 4c4654c, less the three temp-table operations (DROP IF
+    /// EXISTS, CREATE, DROP) the result predicate's table used to cost —
+    /// it has none now, so the only tables an execution creates are the
+    /// clique's. One statement more, fewer, or charged to another category
+    /// changes a number here.
     #[test]
     fn statement_sequence_matches_recorded_counts() {
         use crate::session::SessionConfig;
         // (strategy, [iterations, n_temp_ops, n_eval_stmts, n_term_checks],
-        // per-iteration statements)
-        let golden: [(LfpStrategy, [u64; 4], &[u64]); 2] = [
-            (LfpStrategy::Naive, [6, 16, 13, 6], &[4, 4, 4, 4, 4, 4]),
-            (LfpStrategy::SemiNaive, [5, 23, 12, 5], &[5, 5, 5, 5, 4]),
+        // per-iteration statements, tables created: d_anc, new_anc and —
+        // semi-naive only — delta_anc)
+        let golden: [(LfpStrategy, [u64; 4], &[u64], u64); 2] = [
+            (LfpStrategy::Naive, [6, 13, 13, 6], &[4, 4, 4, 4, 4, 4], 2),
+            (LfpStrategy::SemiNaive, [5, 20, 12, 5], &[5, 5, 5, 5, 4], 3),
         ];
-        for (strategy, counts, per_iteration) in golden {
-            let mut s = fig11_session(SessionConfig {
-                strategy,
-                ..SessionConfig::default()
-            });
+        for (strategy, counts, per_iteration, tables) in golden {
+            let mut s = fig11_session(
+                6,
+                SessionConfig {
+                    strategy,
+                    ..SessionConfig::default()
+                },
+            );
+            let created = s.engine().stats().tables_created;
             let (_, r) = s.query("?- anc(n1, W).").unwrap();
             assert_eq!(r.rows.len(), 62, "{strategy:?}");
+            assert_eq!(
+                s.engine().stats().tables_created - created,
+                tables,
+                "{strategy:?}: no table for the result predicate"
+            );
             let b = r.outcome.breakdown;
             assert_eq!(
                 [b.iterations, b.n_temp_ops, b.n_eval_stmts, b.n_term_checks],
@@ -1373,11 +1412,14 @@ mod tests {
         use crate::session::SessionConfig;
         for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
             for optimize in [false, true] {
-                let mut s = fig11_session(SessionConfig {
-                    strategy,
-                    optimize,
-                    ..SessionConfig::default()
-                });
+                let mut s = fig11_session(
+                    6,
+                    SessionConfig {
+                        strategy,
+                        optimize,
+                        ..SessionConfig::default()
+                    },
+                );
                 let (_, r) = s.query("?- anc(n1, W).").unwrap();
                 assert_eq!(r.rows.len(), 62, "{strategy:?} optimize={optimize}");
                 let nodes = &r.outcome.node_timings;
@@ -1392,6 +1434,21 @@ mod tests {
         }
     }
 
+    /// The loop's temporaries are volatile: filling `d_anc`, `new_anc` and
+    /// `delta_anc` far past the auto-analyze floor samples nothing, so no
+    /// statistics version moves under the cached plans.
+    #[test]
+    fn lfp_temp_tables_are_never_auto_analyzed() {
+        let mut s = fig11_session(8, crate::session::SessionConfig::default());
+        let refreshes =
+            |s: &crate::session::Session| s.engine().metrics().counter_value("stats.refreshes");
+        let before = refreshes(&s);
+        let (_, r) = s.query("?- anc(n1, W).").unwrap();
+        assert_eq!(r.rows.len(), 254);
+        assert!(r.outcome.breakdown.tuples_produced > 1_000);
+        assert_eq!(refreshes(&s), before);
+    }
+
     #[test]
     fn lfp_recycles_temp_tables() {
         let mut db = chain_engine(6);
@@ -1400,9 +1457,9 @@ mod tests {
         let prog = compile(&program, &db);
         let out = run_program(&mut db, &prog, LfpStrategy::SemiNaive).unwrap();
         let per_run = db.stats().tables_created - created_before;
-        // d_anc, d__query, new_anc, delta_anc: one CREATE each, regardless
-        // of iteration count.
-        assert_eq!(per_run, 4, "temp tables are recycled, not recreated");
+        // d_anc, new_anc, delta_anc: one CREATE each, regardless of
+        // iteration count.
+        assert_eq!(per_run, 3, "temp tables are recycled, not recreated");
         assert!(out.breakdown.iterations >= 5);
     }
 
@@ -1478,6 +1535,36 @@ mod tests {
             assert!(!partial.clique_traces.is_empty());
             assert_eq!(prepared_open(&db), 0.0, "{strategy:?}: handles released");
             assert!(db.execute("SELECT * FROM parent").is_ok());
+        }
+    }
+
+    /// The answer rows count against the derived-fact budget although no
+    /// table receives them: a budget the clique's 45 pairs fit in trips on
+    /// the result node's 45 more.
+    #[test]
+    fn derived_fact_budget_trips_on_the_answer() {
+        for strategy in [LfpStrategy::Naive, LfpStrategy::SemiNaive] {
+            let mut db = chain_engine(10);
+            let (program, _) = ancestor_program("?- anc(A, B).");
+            let prog = compile(&program, &db);
+            let before = db.table_names();
+            let limits = EvalLimits {
+                max_derived_facts: Some(60),
+                ..EvalLimits::default()
+            };
+            let err = run_program_governed(&mut db, &prog, strategy, false, &limits).unwrap_err();
+            let (resource, limit, used, partial) = budget_parts(err);
+            assert_eq!(resource, EvalResource::DerivedFacts, "{strategy:?}");
+            assert_eq!((limit, used), (60, 90));
+            // The clique ran to its fixpoint; the result node's rows are in
+            // the breakdown but the node did not complete.
+            assert_eq!(partial.node_timings.len(), 1);
+            assert!(partial.node_timings[0].is_clique);
+            assert_eq!(partial.breakdown.tuples_produced, 90);
+            assert_eq!(db.table_names(), before, "temp tables dropped");
+            assert_eq!(prepared_open(&db), 0.0, "{strategy:?}: handles released");
+            let out = run_program(&mut db, &prog, strategy).unwrap();
+            assert_eq!(out.rows.len(), 45);
         }
     }
 

@@ -538,7 +538,7 @@ impl DbSession {
         stmt: &SessionStmt,
         params: &[Value],
     ) -> Result<ResultSet, DbError> {
-        self.run(&stmt.sql, Some((stmt, params)), &stmt.stmt.clone())
+        self.run(&stmt.sql, Some((stmt, params)), &stmt.stmt)
     }
 
     /// Insert literal rows through the MVCC write path: executed on the

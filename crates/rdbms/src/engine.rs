@@ -107,10 +107,11 @@ pub struct StmtId(u64);
 
 /// A prepared statement: the parsed AST plus, for query-bearing statements,
 /// the physical plan cached under the catalog epoch it was built against.
+/// Both are shared with each execution, not copied into it.
 struct PreparedStmt {
-    stmt: Stmt,
+    stmt: Arc<Stmt>,
     n_params: usize,
-    plan: Option<(u64, PlannedQuery)>,
+    plan: Option<(u64, Arc<PlannedQuery>)>,
 }
 
 /// Execution settings that belong to whoever drives an engine — a
@@ -672,7 +673,7 @@ impl Engine {
         self.prepared.insert(
             id,
             PreparedStmt {
-                stmt,
+                stmt: Arc::new(stmt),
                 n_params,
                 plan: None,
             },
@@ -699,7 +700,7 @@ impl Engine {
                 .prepared
                 .get(&id.0)
                 .ok_or_else(|| DbError::Plan(format!("no such prepared statement: {id:?}")))?;
-            (e.stmt.clone(), e.n_params)
+            (Arc::clone(&e.stmt), e.n_params)
         };
         if params.len() != n_params {
             return Err(DbError::Plan(format!(
@@ -708,7 +709,7 @@ impl Engine {
             )));
         }
         self.statements += 1;
-        match &stmt {
+        match &*stmt {
             Stmt::Select(query) => {
                 let planned = self.cached_plan(id, query, None)?;
                 self.execute_planned(&planned, params)
@@ -750,7 +751,7 @@ impl Engine {
         id: StmtId,
         query: &Query,
         insert_target: Option<&str>,
-    ) -> Result<PlannedQuery, DbError> {
+    ) -> Result<Arc<PlannedQuery>, DbError> {
         let epoch = self.catalog_epoch;
         let mut stale = false;
         if let Some((cached_epoch, planned)) =
@@ -765,7 +766,7 @@ impl Engine {
                 // be inverted relative to what the planner picks today.
                 if !stats_stale(&self.catalog, planned) {
                     self.exec_stats.plan_cache_hits += 1;
-                    return Ok(planned.clone());
+                    return Ok(Arc::clone(planned));
                 }
                 stale = true;
             }
@@ -778,12 +779,12 @@ impl Engine {
         let t0 = Instant::now();
         let planned = self.plan_with_mode(query);
         self.exec_stats.plan_ns += t0.elapsed().as_nanos() as u64;
-        let planned = planned?;
+        let planned = Arc::new(planned?);
         if let Some(table) = insert_target {
             self.check_insert_select_types(table, query)?;
         }
         if let Some(e) = self.prepared.get_mut(&id.0) {
-            e.plan = Some((epoch, planned.clone()));
+            e.plan = Some((epoch, Arc::clone(&planned)));
         }
         Ok(planned)
     }
@@ -1124,10 +1125,16 @@ impl Engine {
     }
 
     /// Re-sample `table`'s column statistics if its modification counter
-    /// has crossed the churn threshold since the last analyze.
+    /// has crossed the churn threshold since the last analyze. `TEMP`
+    /// tables are never due: they are scratch space that is truncated and
+    /// refilled, so a sample describes rows that are gone before the next
+    /// plan is made, and installing it would re-plan every cached
+    /// statement over the table. Plans over a temp table follow its live
+    /// row count instead (the drift check in `stats_stale`); an explicit
+    /// [`Engine::analyze_table`] still works.
     fn maybe_analyze(&mut self, table: &str) -> Result<(), DbError> {
         let t = self.catalog.table(table)?;
-        if t.stats.is_stale(t.heap.tuple_count()) {
+        if !t.is_temp && t.stats.is_stale(t.heap.tuple_count()) {
             self.analyze_table(table)?;
         }
         Ok(())

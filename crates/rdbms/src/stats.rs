@@ -34,10 +34,9 @@ pub const HIST_BUCKETS: usize = 16;
 /// was last analyzed at.
 pub const ANALYZE_MIN_MODS: u64 = 256;
 /// Tables below this row count are never auto-analyzed: with so few rows
-/// every plan costs about the same, and skipping them keeps the statistics
-/// version still while the LFP runtime churns its tiny delta tables —
-/// an analyze there would invalidate cached plans every iteration.
-/// An explicit [`Engine::analyze_table`](crate::engine::Engine::analyze_table)
+/// every plan costs about the same, and an analyze would only bump the
+/// statistics version and invalidate cached plans. (`TEMP` tables are not
+/// auto-analyzed at any size.) An explicit [`Engine::analyze_table`](crate::engine::Engine::analyze_table)
 /// still installs estimates at any size.
 pub const ANALYZE_ROWS_FLOOR: u64 = 256;
 

@@ -224,3 +224,45 @@ fn session_plans_use_snapshot_consistent_stats() {
     assert_eq!(refreshed.version, live_version);
     assert_eq!(reader.table_len("t").unwrap(), 64 + 2048);
 }
+
+/// `TEMP` tables are volatile scratch space: however far one is filled (and
+/// refilled after a truncate) past the auto-analyze floor, nothing samples
+/// it and its statistics version — which cached plans are keyed on — never
+/// moves. An explicit analyze still installs estimates, and the same fill
+/// on an ordinary table still auto-analyzes.
+#[test]
+fn temp_tables_are_never_auto_analyzed() {
+    let refreshes = |e: &Engine| e.metrics().counter_value("stats.refreshes");
+    let fill = |e: &mut Engine, table: &str| {
+        let rows: Vec<Vec<Value>> = (0..12_000)
+            .map(|i| vec![Value::Int(i % 512), Value::Int(i)])
+            .collect();
+        e.insert_rows(table, rows).unwrap();
+    };
+    let mut e = Engine::new();
+    e.execute("CREATE TEMP TABLE scratch (k int, v int)")
+        .unwrap();
+    e.execute("CREATE TABLE kept (k int, v int)").unwrap();
+
+    fill(&mut e, "scratch");
+    e.execute("DELETE FROM scratch WHERE k = 7").unwrap();
+    e.execute("TRUNCATE TABLE scratch").unwrap();
+    fill(&mut e, "scratch");
+    let stats = e.table_stats("scratch").unwrap();
+    assert_eq!(stats.version, 0);
+    assert!(stats.columns.is_empty());
+    assert_eq!(refreshes(&e), 0);
+
+    e.analyze_table("scratch").unwrap();
+    let stats = e.table_stats("scratch").unwrap();
+    assert_eq!(stats.version, 1);
+    assert_eq!(stats.analyzed_rows, 12_000);
+    assert_eq!(stats.columns.len(), 2);
+    assert_eq!(refreshes(&e), 1);
+
+    fill(&mut e, "kept");
+    let stats = e.table_stats("kept").unwrap();
+    assert!(stats.version >= 1, "an ordinary table still auto-analyzes");
+    assert!(!stats.columns.is_empty());
+    assert!(refreshes(&e) >= 2);
+}

@@ -77,41 +77,54 @@ fn reference() -> Reference {
 
 /// Acceptance criterion: a fact-budget-exceeding run over the cyclic
 /// closure terminates with `EvalError::Budget` well within its deadline,
-/// partial traces intact, engine still serving.
+/// partial traces intact, engine still serving. The second budget holds
+/// the whole closure and trips on the answer rows instead — they count as
+/// derived facts although no table receives them.
 #[test]
 fn divergent_closure_trips_budget_within_deadline() {
+    let answer = reference().0;
+    let closure = answer.len() as u64;
     let mut s = chaos_session(SessionConfig {
         deadline: Some(Duration::from_secs(30)),
-        max_derived_facts: Some(20),
         ..SessionConfig::default()
     });
-    let start = Instant::now();
-    let err = s.query(QUERY).unwrap_err();
-    assert!(
-        start.elapsed() < Duration::from_secs(30),
-        "budget must fire long before the deadline"
-    );
-    match err {
-        KmError::Eval(boxed) => {
-            let EvalError::Budget {
-                resource,
-                used,
-                partial,
-                ..
-            } = *boxed;
-            assert_eq!(resource, EvalResource::DerivedFacts);
-            assert!(used > 20);
-            assert!(
-                !partial.clique_traces.is_empty() || partial.breakdown.tuples_produced > 0,
-                "partial progress is reported via the trace machinery"
-            );
+    for budget in [20, closure + closure / 2] {
+        s.config.max_derived_facts = Some(budget);
+        let start = Instant::now();
+        let err = s.query(QUERY).unwrap_err();
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "budget must fire long before the deadline"
+        );
+        match err {
+            KmError::Eval(boxed) => {
+                let EvalError::Budget {
+                    resource,
+                    used,
+                    partial,
+                    ..
+                } = *boxed;
+                assert_eq!(resource, EvalResource::DerivedFacts);
+                assert!(used > budget);
+                assert!(
+                    !partial.clique_traces.is_empty() || partial.breakdown.tuples_produced > 0,
+                    "partial progress is reported via the trace machinery"
+                );
+                if budget > closure {
+                    assert_eq!(used, 2 * closure, "closure plus answer");
+                }
+            }
+            other => panic!("expected budget error, got {other:?}"),
         }
-        other => panic!("expected budget error, got {other:?}"),
+        assert_eq!(
+            s.engine().metrics().gauge_value("engine.prepared_open"),
+            Some(0.0)
+        );
     }
     // The engine is still serving: lift the budget, get the full answer.
     s.config.max_derived_facts = None;
     let (_, r) = s.query(QUERY).unwrap();
-    assert_eq!(r.rows, reference().0);
+    assert_eq!(r.rows, answer);
 }
 
 /// Satellite: cancellation armed at every write point of an

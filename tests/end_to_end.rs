@@ -130,6 +130,45 @@ fn second_argument_bound() {
     }
 }
 
+/// Query shapes whose result node is all there is to evaluate, or nearly:
+/// ground (boolean) queries answer with one `true` row or none, and a
+/// query straight on a base relation has no derived predicate at all.
+#[test]
+fn boolean_and_base_relation_queries() {
+    let edges = graphs::full_binary_tree(4);
+    let row = |cells: &[&str]| -> Vec<Value> { cells.iter().map(|c| Value::from(*c)).collect() };
+    for config in all_configs() {
+        let mut s = session_with_edges(config, &edges);
+        let (compiled, yes) = s.query("?- anc(n1, n15).").unwrap();
+        assert_eq!(compiled.answer_vars, ["answer"]);
+        assert_eq!(yes.rows, [row(&["true"])]);
+        let (_, no) = s.query("?- anc(n15, n1).").unwrap();
+        assert!(no.rows.is_empty());
+        let (_, both) = s.query("?- edge(n1, n2), anc(n2, n9).").unwrap();
+        assert_eq!(both.rows, [row(&["true"])]);
+
+        let (compiled, children) = s.query("?- edge(n3, W).").unwrap();
+        assert_eq!(compiled.relevant_rules, 0);
+        assert_eq!(children.rows, [row(&["n6"]), row(&["n7"])]);
+        assert_eq!(children.outcome.node_timings.len(), 1);
+        assert_eq!(children.outcome.breakdown.tuples_produced, 2);
+        let (_, all) = s.query("?- edge(V, W).").unwrap();
+        let mut expected = rows(&edges);
+        expected.sort();
+        assert_eq!(all.rows, expected);
+        let (_, grand) = s.query("?- edge(n1, M), edge(M, W).").unwrap();
+        assert_eq!(
+            grand.rows,
+            [
+                row(&["n2", "n4"]),
+                row(&["n2", "n5"]),
+                row(&["n3", "n6"]),
+                row(&["n3", "n7"])
+            ]
+        );
+    }
+}
+
 #[test]
 fn nonlinear_ancestor_agrees_with_linear() {
     let edges = graphs::layered_dag(4, 4, 2, 5);
