@@ -1,25 +1,20 @@
 //! Concurrent multi-session sweep, written to `BENCH_concurrency.json`.
 //!
-//! Sessions (threads) × write mix × target-table contention × group
-//! commit on/off. Each thread runs a fixed op count against one
-//! [`SharedEngine`]: reads execute on the session's private snapshot,
-//! writes are autocommit transactions funnelled through the commit
-//! queue. Per cell we report throughput, fsyncs per commit, and the
-//! first-committer-wins conflict rate.
+//! Sessions (threads) × write mix × target-table contention, at the one
+//! commit protocol the engine has (group commit, key-granular validation
+//! of literal inserts; DESIGN §16–17). Each thread runs a fixed op count
+//! against one [`SharedEngine`]: reads execute on the session's private
+//! snapshot, writes are autocommit transactions funnelled through the
+//! commit queue. Per cell we report throughput, fsyncs per commit, and
+//! the first-committer-wins conflict rate.
 //!
-//! The two contention modes tell the story together, and the `shared`
-//! mode is additionally run under both validation granularities. With
-//! table-granular validation any concurrent change to a written table
-//! fails a committer, so under `shared` contention (all writers on one
-//! table) a drained batch commits at most one transaction:
-//! conflicts/commit climbs and group commit has nothing to coalesce.
-//! Key-granular validation (the default) tracks the written keys per
-//! table version instead; the sweep's insert keys are disjoint, the
-//! commits commute, and the conflict rate collapses to zero — the
-//! before/after pair in `BENCH_concurrency.json` quantifies it. Under
-//! `private` contention (each session writes its own table) batches
-//! commit wholesale either way and the fsyncs/commit ratio falls below
-//! 1 as sessions are added; with group commit off it is pinned at 1.
+//! Under `private` contention (each session writes its own table) batches
+//! commit wholesale and the fsyncs/commit ratio falls below 1 as sessions
+//! are added. Under `shared` contention (all writers on one table) the
+//! sweep's insert keys are disjoint, the commits commute, and the
+//! conflict rate stays at zero. The per-commit-fsync and table-granular
+//! baselines this sweep used to compare against left the engine with
+//! their last numbers recorded (`BENCH_concurrency.json` at `c0f99bd`).
 //! `RDBMS_FSYNC_MICROS` (default 200 here) prices each fsync so the
 //! batching also shows up as throughput, the way it would on real
 //! storage.
@@ -44,8 +39,8 @@ const DEFAULT_FSYNC_MICROS: u64 = 200;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Contention {
-    /// Every writer inserts into the same table: maximal validation
-    /// conflicts, no batching headroom.
+    /// Every writer inserts into the same table, each its own keys:
+    /// validation has to tell them apart for a batch to commit whole.
     Shared,
     /// Each session writes its own table: commits commute, batches
     /// commit wholesale.
@@ -65,8 +60,6 @@ struct Cell {
     sessions: usize,
     write_pct: u32,
     contention: Contention,
-    group_commit: bool,
-    key_granular: bool,
     ops: u64,
     commits: u64,
     conflicts: u64,
@@ -109,16 +102,8 @@ fn is_write(thread: usize, op: usize, write_pct: u32) -> bool {
     (h % 100) < u64::from(write_pct)
 }
 
-fn run_cell(
-    sessions: usize,
-    write_pct: u32,
-    contention: Contention,
-    group_commit: bool,
-    key_granular: bool,
-) -> Cell {
+fn run_cell(sessions: usize, write_pct: u32, contention: Contention) -> Cell {
     let shared = seeded(sessions);
-    shared.set_group_commit(group_commit);
-    shared.set_key_granular(key_granular);
     let t0 = Instant::now();
     let per_thread: Vec<(u64, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..sessions)
@@ -155,8 +140,6 @@ fn run_cell(
         sessions,
         write_pct,
         contention,
-        group_commit,
-        key_granular,
         ops,
         commits: per_thread.iter().map(|&(c, _)| c).sum(),
         conflicts: per_thread.iter().map(|&(_, c)| c).sum(),
@@ -266,23 +249,7 @@ pub fn run() {
     for &contention in &[Contention::Private, Contention::Shared] {
         for &write_pct in WRITE_PCTS {
             for &sessions in SESSIONS {
-                for group_commit in [false, true] {
-                    // Private-table commits commute at either granularity;
-                    // only the shared table shows the ablation.
-                    let granularities: &[bool] = match contention {
-                        Contention::Shared => &[false, true],
-                        Contention::Private => &[true],
-                    };
-                    for &key_granular in granularities {
-                        cells.push(run_cell(
-                            sessions,
-                            write_pct,
-                            contention,
-                            group_commit,
-                            key_granular,
-                        ));
-                    }
-                }
+                cells.push(run_cell(sessions, write_pct, contention));
             }
         }
     }
@@ -294,8 +261,6 @@ pub fn run() {
                 c.sessions.to_string(),
                 format!("{}%", c.write_pct),
                 c.contention.name().to_string(),
-                if c.group_commit { "on" } else { "off" }.to_string(),
-                if c.key_granular { "key" } else { "table" }.to_string(),
                 format!("{:.0}", c.ops_per_sec),
                 f3(c.fsyncs_per_commit()),
                 f3(c.conflict_rate()),
@@ -309,8 +274,6 @@ pub fn run() {
             "sessions",
             "writes",
             "contention",
-            "group commit",
-            "validation",
             "ops/s",
             "fsyncs/commit",
             "conflicts/commit",
@@ -322,10 +285,8 @@ pub fn run() {
         "Reads never block: they run on per-session snapshots without touching \
          the commit queue. Private-table writers show group commit at work — \
          fsyncs/commit drops below 1 as sessions contend for the WAL. \
-         Shared-table writers show the validation granularity instead: \
-         table-granular lets each batch commit one winner while the rest \
-         retry; key-granular sees the disjoint insert keys commute and the \
-         conflict rate collapse."
+         Shared-table writers insert disjoint keys, which key-granular \
+         validation lets commute: no conflicts."
     );
 
     let km_cells: Vec<KmCell> = KM_SESSIONS
@@ -376,7 +337,7 @@ pub fn run() {
         let _ = write!(
             json,
             "{}\n    {{\"sessions\": {}, \"write_pct\": {}, \"contention\": \"{}\", \
-             \"group_commit\": {}, \"key_granular\": {}, \"ops\": {}, \"commits\": {}, \
+             \"ops\": {}, \"commits\": {}, \
              \"conflicts\": {}, \"elapsed_ms\": {:.3}, \"ops_per_sec\": {:.1}, \
              \"fsyncs\": {}, \"fsyncs_per_commit\": {:.4}, \"conflict_rate\": {:.4}, \
              \"group_commit_batches\": {}}}",
@@ -384,8 +345,6 @@ pub fn run() {
             c.sessions,
             c.write_pct,
             c.contention.name(),
-            c.group_commit,
-            c.key_granular,
             c.ops,
             c.commits,
             c.conflicts,
@@ -427,32 +386,9 @@ pub fn run() {
 mod tests {
     use super::*;
 
-    /// The acceptance gate's shape: group commit must strictly reduce
-    /// fsyncs/commit once disjoint-table sessions contend for the WAL.
-    #[test]
-    fn group_commit_reduces_fsyncs_per_commit() {
-        std::env::set_var("RDBMS_FSYNC_MICROS", "500");
-        let off = run_cell(4, 100, Contention::Private, false, true);
-        let on = run_cell(4, 100, Contention::Private, true, true);
-        assert!(off.commits > 0 && on.commits > 0);
-        assert!(
-            (off.fsyncs_per_commit() - 1.0).abs() < 1e-9,
-            "without group commit every commit fsyncs itself, got {}",
-            off.fsyncs_per_commit()
-        );
-        assert!(
-            on.fsyncs_per_commit() <= off.fsyncs_per_commit(),
-            "group commit must not fsync more often ({} vs {})",
-            on.fsyncs_per_commit(),
-            off.fsyncs_per_commit()
-        );
-        assert_eq!(off.conflicts, 0, "private tables cannot conflict");
-        assert_eq!(on.conflicts, 0, "private tables cannot conflict");
-    }
-
     #[test]
     fn autocommit_writers_never_surface_conflicts() {
-        let cell = run_cell(4, 50, Contention::Shared, true, true);
+        let cell = run_cell(4, 50, Contention::Shared);
         assert_eq!(cell.ops, 400);
         // Conflicts are retried inside the session; callers see none,
         // so every write op lands exactly one commit.
@@ -461,26 +397,8 @@ mod tests {
             .filter(|&w| w)
             .count() as u64;
         assert_eq!(cell.commits, writes);
-    }
-
-    /// The PR's headline number: on the shared-table insert workload
-    /// (disjoint keys), key-granular validation must show a measurably
-    /// lower conflict rate than the table-granular baseline.
-    #[test]
-    fn key_granular_validation_lowers_shared_conflict_rate() {
-        let table = run_cell(4, 100, Contention::Shared, true, false);
-        let key = run_cell(4, 100, Contention::Shared, true, true);
-        assert!(table.commits > 0 && key.commits > 0);
-        assert_eq!(
-            key.conflicts, 0,
-            "disjoint-key inserts commute under key granularity"
-        );
-        assert!(
-            table.conflicts > 0,
-            "the table-granular baseline must show contention for the \
-             ablation to mean anything"
-        );
-        assert!(key.conflict_rate() < table.conflict_rate());
+        assert_eq!(cell.conflicts, 0, "the sweep's insert keys are disjoint");
+        assert!(cell.fsyncs <= cell.commits, "at most one fsync per commit");
     }
 
     /// The km sweep's invariant is enforced inside the cell (every

@@ -12,7 +12,6 @@ pub mod fig15;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod optimizer;
 pub mod optimizers;
 pub mod scale;
 pub mod table4;
@@ -44,7 +43,6 @@ pub const ALL: &[(&str, fn())] = &[
     ("table8", table8::run),
     ("wal", wal::run),
     ("datasets", datasets::run),
-    ("optimizer", optimizer::run),
     ("optimizers", optimizers::run),
     ("scale", scale::run),
     ("concurrency", concurrency::run),

@@ -50,14 +50,6 @@ pub struct SessionConfig {
     /// Maximum derived tuples installed per evaluation, cumulative across
     /// all cliques and non-recursive nodes.
     pub max_derived_facts: Option<u64>,
-    /// Run [`StoredDkb::verify_integrity`] automatically after
-    /// [`Session::recover`], recording the result on the engine's
-    /// `engine.recovery_verified` gauge. On by default.
-    pub verify_on_recover: bool,
-    /// Rows per operator batch inside the engine. `0` (the default)
-    /// inherits the engine's own default (the `RDBMS_BATCH_SIZE`
-    /// environment variable, else [`rdbms::DEFAULT_BATCH_ROWS`]).
-    pub batch_rows: usize,
     /// Byte budget for per-statement operator state inside the engine.
     /// With spilling enabled (the default) joins and sorts whose state
     /// exceeds the budget go through the Grace-partitioned / external-sort
@@ -77,8 +69,6 @@ impl Default for SessionConfig {
             deadline: None,
             max_iterations: None,
             max_derived_facts: None,
-            verify_on_recover: true,
-            batch_rows: 0,
             memory_budget: None,
         }
     }
@@ -197,9 +187,6 @@ struct Prepared {
 /// engine. Once per constructor is enough: the settings stay with the
 /// session's engine, across snapshot refreshes on a shared backend too.
 fn apply_engine_config(db: &mut Engine, config: &SessionConfig) {
-    if config.batch_rows > 0 {
-        db.set_batch_rows(config.batch_rows);
-    }
     if config.memory_budget.is_some() {
         db.set_memory_budget(config.memory_budget);
     }
@@ -472,20 +459,18 @@ impl Session {
         for entry in self.prepared.values_mut() {
             entry.valid = false;
         }
-        // Cross-check the recovered dictionary structures unless the
-        // caller opted out; the engine gauge records the verdict either
-        // way so an operator can see it in the metrics export.
-        if self.config.verify_on_recover {
-            let verified = self.stored.verify_integrity(&mut self.backend);
-            match self.backend.shared_engine() {
-                Some(sh) => sh.with_live(|e| e.note_recovery_verified(verified.is_ok())),
-                None => self
-                    .backend
-                    .eval_engine()
-                    .note_recovery_verified(verified.is_ok()),
-            }
-            verified?;
+        // Cross-check the recovered dictionary structures; the engine
+        // gauge records the verdict either way so an operator can see it
+        // in the metrics export.
+        let verified = self.stored.verify_integrity(&mut self.backend);
+        match self.backend.shared_engine() {
+            Some(sh) => sh.with_live(|e| e.note_recovery_verified(verified.is_ok())),
+            None => self
+                .backend
+                .eval_engine()
+                .note_recovery_verified(verified.is_ok()),
         }
+        verified?;
         Ok(report)
     }
 

@@ -37,8 +37,6 @@
 //!   Because validation covers the *read* set too, the replay runs
 //!   against exactly the table states the fork execution saw — the
 //!   committed history is serializable in commit order.
-//!   [`SharedEngine::set_key_granular`] reverts to pure table
-//!   granularity, the ablation baseline of `experiments concurrency`.
 //!
 //! * **Group commit.** Commits funnel through a queue: a committing
 //!   session enqueues its transaction, then contends for the live-engine
@@ -46,7 +44,7 @@
 //!   queued transaction — its own and any that piled up behind the
 //!   previous leader — applying each in arrival order with per-commit
 //!   fsyncs deferred, then flushing the WAL **once** for the whole batch
-//!   ([`Engine::fsync_wal`]). Followers find their result already
+//!   (`Engine::fsync_wal`). Followers find their result already
 //!   recorded when they get the lock and return without applying
 //!   anything. Under contention the fsyncs-per-commit ratio drops below
 //!   1; the `wal.fsyncs` / `wal.group_commits` /
@@ -63,8 +61,9 @@ use crate::sql::ast::{CmpOp, Condition, Query, Stmt};
 use crate::sql::parser::{parse_script, parse_stmt_params};
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// A statement recorded on a session's fork, to be replayed on the live
 /// engine at commit.
@@ -246,14 +245,6 @@ struct Shared {
     /// Signaled after a leader drains a batch, so followers whose result
     /// is ready wake promptly even while the next leader holds `live`.
     batch_done: Condvar,
-    /// When on (the default), leaders defer per-commit fsyncs and flush
-    /// once per drained batch; when off every commit fsyncs itself —
-    /// the ablation baseline for `experiments concurrency`.
-    group_commit: AtomicBool,
-    /// When on (the default), literal-row inserts validate at key
-    /// granularity; off restores PR-8 table granularity (the ablation
-    /// baseline).
-    key_granular: AtomicBool,
     next_session: AtomicU64,
     next_ticket: AtomicU64,
     /// Simulated fsync latency (µs), from `RDBMS_FSYNC_MICROS`.
@@ -265,13 +256,6 @@ struct Shared {
 #[derive(Clone)]
 pub struct SharedEngine {
     shared: Arc<Shared>,
-}
-
-fn fsync_micros_env() -> u64 {
-    std::env::var("RDBMS_FSYNC_MICROS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
 }
 
 impl SharedEngine {
@@ -293,27 +277,11 @@ impl SharedEngine {
                     results: BTreeMap::new(),
                 }),
                 batch_done: Condvar::new(),
-                group_commit: AtomicBool::new(true),
-                key_granular: AtomicBool::new(true),
                 next_session: AtomicU64::new(0),
                 next_ticket: AtomicU64::new(0),
-                fsync_micros: fsync_micros_env(),
+                fsync_micros: crate::engine::env_fsync_micros(),
             }),
         }
-    }
-
-    /// Toggle group commit (on by default). Off = every commit fsyncs
-    /// individually, the baseline the concurrency bench compares against.
-    pub fn set_group_commit(&self, on: bool) {
-        self.shared.group_commit.store(on, Ordering::Relaxed);
-    }
-
-    /// Toggle key-granular validation of literal-row inserts (on by
-    /// default). Off = every write validates at table granularity, the
-    /// PR-8 baseline `experiments concurrency` compares conflict rates
-    /// against.
-    pub fn set_key_granular(&self, on: bool) {
-        self.shared.key_granular.store(on, Ordering::Relaxed);
     }
 
     /// Open a new session on the current committed state.
@@ -800,27 +768,20 @@ impl DbSession {
                 live = self.shared.batch_done.wait(live).unwrap();
                 continue;
             }
-            let defer = self.shared.group_commit.load(Ordering::Relaxed);
-            let key_granular = self.shared.key_granular.load(Ordering::Relaxed);
-            live.engine.set_defer_fsync(defer);
+            live.engine.set_defer_fsync(true);
             let mut mine = None;
             for p in batch {
                 let p_ticket = p.ticket;
-                let r = apply_one(&mut live, p, key_granular);
-                if !defer && r.is_ok() {
-                    simulate_fsync(self.shared.fsync_micros);
-                }
+                let r = apply_one(&mut live, p);
                 if p_ticket == ticket {
                     mine = Some(r);
                 } else {
                     live.results.insert(p_ticket, r);
                 }
             }
-            if defer {
-                live.engine.set_defer_fsync(false);
-                if live.engine.fsync_wal() > 0 {
-                    simulate_fsync(self.shared.fsync_micros);
-                }
+            live.engine.set_defer_fsync(false);
+            if live.engine.fsync_wal() > 0 && self.shared.fsync_micros > 0 {
+                std::thread::sleep(Duration::from_micros(self.shared.fsync_micros));
             }
             self.shared.batch_done.notify_all();
             if let Some(r) = mine {
@@ -1036,21 +997,14 @@ fn conds_tables(conds: &[Condition], out: &mut BTreeSet<String>) {
     }
 }
 
-fn simulate_fsync(micros: u64) {
-    if micros > 0 {
-        std::thread::sleep(std::time::Duration::from_micros(micros));
-    }
-}
-
 /// Validate and apply one queued transaction on the live engine.
 ///
 /// First-committer-wins over the read ∪ write footprint. Reads and coarse
 /// writes conflict with *any* commit that wrote the table past this
 /// transaction's snapshot; key-listed literal inserts conflict only with
 /// a coarse write, an overlapping key, or a key history pruned past the
-/// snapshot. With `key_granular` off every write validates coarsely (the
-/// PR-8 baseline).
-fn apply_one(live: &mut Live, p: Pending, key_granular: bool) -> Result<(), DbError> {
+/// snapshot.
+fn apply_one(live: &mut Live, p: Pending) -> Result<(), DbError> {
     let conflict = |table: &str, seq: u64, what: &str| {
         Err(DbError::WriteConflict(format!(
             "table '{table}' {what} by a concurrent commit \
@@ -1070,7 +1024,7 @@ fn apply_one(live: &mut Live, p: Pending, key_granular: bool) -> Result<(), DbEr
             continue;
         };
         match write {
-            TableWrite::Keys(keys) if key_granular => {
+            TableWrite::Keys(keys) => {
                 if h.coarse_seq > p.snapshot_seq {
                     return conflict(table, h.coarse_seq, "was rewritten");
                 }
@@ -1084,7 +1038,7 @@ fn apply_one(live: &mut Live, p: Pending, key_granular: bool) -> Result<(), DbEr
                     }
                 }
             }
-            TableWrite::DeleteKeys(atoms) if key_granular => {
+            TableWrite::DeleteKeys(atoms) => {
                 if h.coarse_seq > p.snapshot_seq {
                     return conflict(table, h.coarse_seq, "was rewritten");
                 }
@@ -1113,7 +1067,7 @@ fn apply_one(live: &mut Live, p: Pending, key_granular: bool) -> Result<(), DbEr
                     }
                 }
             }
-            _ => {
+            TableWrite::Coarse => {
                 if h.last_seq > p.snapshot_seq {
                     return conflict(table, h.last_seq, "was modified");
                 }
@@ -1126,9 +1080,9 @@ fn apply_one(live: &mut Live, p: Pending, key_granular: bool) -> Result<(), DbEr
     for (table, write) in &p.write_set {
         let h = live.history.entry(table.clone()).or_default();
         match write {
-            TableWrite::Keys(keys) if key_granular => h.record_keys(keys, seq),
-            TableWrite::DeleteKeys(atoms) if key_granular => h.record_delete_keys(atoms, seq),
-            _ => h.record_coarse(seq),
+            TableWrite::Keys(keys) => h.record_keys(keys, seq),
+            TableWrite::DeleteKeys(atoms) => h.record_delete_keys(atoms, seq),
+            TableWrite::Coarse => h.record_coarse(seq),
         }
     }
     Ok(())
@@ -1290,22 +1244,6 @@ mod tests {
         assert!(matches!(err, DbError::WriteConflict(_)), "{err}");
     }
 
-    /// The ablation toggle also coarsens point deletes.
-    #[test]
-    fn table_granularity_toggle_coarsens_point_deletes() {
-        let shared = seeded();
-        shared.set_key_granular(false);
-        let mut a = shared.session();
-        let mut b = shared.session();
-        a.begin().unwrap();
-        b.begin().unwrap();
-        a.execute("DELETE FROM kv WHERE k = 1").unwrap();
-        b.execute("DELETE FROM kv WHERE k = 2").unwrap();
-        a.commit().unwrap();
-        let err = b.commit().unwrap_err();
-        assert!(matches!(err, DbError::WriteConflict(_)), "{err}");
-    }
-
     /// Regression (key-granular validation): commuting literal inserts
     /// into the same table no longer raise `WriteConflict`.
     #[test]
@@ -1322,23 +1260,6 @@ mod tests {
         assert_eq!(a.conflicts() + b.conflicts(), 0);
         let mut check = shared.session();
         assert_eq!(dump(&mut check).len(), 4);
-    }
-
-    /// The ablation toggle restores PR-8 table granularity: the same
-    /// disjoint-key schedule conflicts again.
-    #[test]
-    fn table_granularity_toggle_restores_old_conflicts() {
-        let shared = seeded();
-        shared.set_key_granular(false);
-        let mut a = shared.session();
-        let mut b = shared.session();
-        a.begin().unwrap();
-        b.begin().unwrap();
-        a.execute("INSERT INTO kv VALUES (3, 30)").unwrap();
-        b.execute("INSERT INTO kv VALUES (4, 40)").unwrap();
-        a.commit().unwrap();
-        let err = b.commit().unwrap_err();
-        assert!(matches!(err, DbError::WriteConflict(_)), "{err}");
     }
 
     /// Overlapping keys still conflict: a key-level observer could

@@ -9,9 +9,9 @@
 //! 3. sampled [`TableStats`](crate::stats::TableStats) — distinct-count
 //!    and histogram estimates refreshed by reservoir sampling.
 //!
-//! When none apply, estimators fall back to the flat constants the legacy
-//! heuristic planner used (`1/20` per equality, `1/3` per range side), so
-//! an unanalyzed table plans no worse than before.
+//! When none apply, estimators fall back to flat constants (`1/20` per
+//! equality, `1/3` per range side) — the no-statistics fallback, and all
+//! that is left of the heuristic planner (DESIGN §18).
 //!
 //! Cost units are abstract "tuple visits": a sequential scan pays 1 per
 //! row, an index fetch pays [`C_FETCH`] (probe + heap fetch + decode), a
@@ -25,15 +25,6 @@ use crate::sql::ast::CmpOp;
 use crate::value::Value;
 use std::ops::Bound;
 
-/// Which planner makes physical decisions. `Heuristic` reproduces the
-/// legacy flat-heuristic planner (the ablation baseline for `experiments
-/// optimizer`); `CostBased` is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlannerMode {
-    Heuristic,
-    CostBased,
-}
-
 /// Cost of reading one row in a sequential scan.
 pub(crate) const C_SCAN: f64 = 1.0;
 /// Cost of one index probe (hash/ordered directory lookup).
@@ -45,8 +36,7 @@ pub(crate) const C_FETCH: f64 = 2.0;
 /// hash + copy; costed slightly above an index fetch so a probe strategy
 /// wins ties on small inputs, where the build's fixed overhead dominates).
 pub(crate) const C_BUILD: f64 = 2.0;
-/// Fallback equality selectivity when no distinct count is known —
-/// matches the legacy heuristic's flat `base/20`.
+/// Fallback equality selectivity when no distinct count is known.
 pub(crate) const DEFAULT_EQ_SEL: f64 = 1.0 / 20.0;
 /// Fallback selectivity per bounded range side.
 pub(crate) const DEFAULT_RANGE_SEL: f64 = 1.0 / 3.0;
@@ -77,7 +67,7 @@ pub(crate) fn local_selectivity(t: &Table, c: &ExecCond) -> f64 {
                 .map(|d| 1.0 / d as f64)
                 .unwrap_or(DEFAULT_EQ_SEL)
         }
-        // `!=` rarely filters much; the legacy heuristic ignored it too.
+        // `!=` rarely filters much.
         ExecCond::ColCmpLit(_, CmpOp::Ne, _) | ExecCond::ColCmpParam(_, CmpOp::Ne, _) => 1.0,
         ExecCond::ColCmpLit(col, op, v) => range_selectivity_one(t, *col, *op, Some(v)),
         ExecCond::ColCmpParam(col, op, _) => range_selectivity_one(t, *col, *op, None),
@@ -129,8 +119,8 @@ pub(crate) fn est_table_rows(catalog: &Catalog, table: &str, conds: &[ExecCond])
 }
 
 /// Selectivity of one equi-join predicate: `1 / max(d_left, d_right)`
-/// over the joined columns' distinct counts, with the legacy flat `1/20`
-/// when neither side is known.
+/// over the joined columns' distinct counts, with the flat `1/20` when
+/// neither side is known.
 pub(crate) fn join_selectivity(catalog: &Catalog, l: (&str, usize), r: (&str, usize)) -> f64 {
     let d = |(name, col): (&str, usize)| -> Option<u64> {
         catalog.table(name).ok().and_then(|t| col_distinct(t, col))
@@ -327,8 +317,7 @@ fn bound_ref(b: &Bound<Value>) -> Bound<&Value> {
 
 /// Per-operator row estimates for a physical plan, in pre-order (the
 /// order `PhysPlan::explain()` lists operators and the EXPLAIN ANALYZE
-/// profiler records them). Works for plans from either planner mode, so
-/// the heuristic baseline gets estimate annotations too.
+/// profiler records them).
 pub fn estimate_plan(catalog: &Catalog, plan: &PhysPlan) -> Vec<u64> {
     let mut out = Vec::new();
     est_walk(catalog, plan, &mut out);

@@ -17,6 +17,7 @@ use crate::heap::RecordId;
 use crate::index::PackedKey;
 use crate::page::MAX_PAYLOAD;
 use crate::plan::{output_types, plan_query, ExecCond, PlannedQuery};
+use crate::rewrite::RewriteReport;
 use crate::schema::{serialize_tuple_into, serialized_len, Schema, Tuple};
 use crate::sql::ast::{CmpOp, ColRef, Condition, Query, Scalar, SelectItem, Stmt};
 use crate::sql::parser::{parse_script, parse_stmt, parse_stmt_params};
@@ -26,8 +27,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-pub use crate::cost::PlannerMode;
 
 /// Result of one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,9 +116,10 @@ struct PreparedStmt {
 /// Execution settings that belong to whoever drives an engine — a
 /// session — rather than to the database it holds: set through the
 /// `Engine::set_*` methods and the cancel handle, copied by
-/// [`Engine::fork`] (all but the cancel flag, which a fork gets fresh),
-/// and moved whole onto each new snapshot of a concurrent session by
-/// [`Engine::replace_snapshot`] so a refresh cannot drop them.
+/// [`Engine::fork`] (all but the cancel flag and the evaluation deadline,
+/// which a fork gets fresh), and moved whole onto each new snapshot of a
+/// concurrent session by [`Engine::replace_snapshot`] so a refresh cannot
+/// drop them.
 #[derive(Clone)]
 struct ExecConfig {
     /// Cooperative cancellation flag shared with every clone handed out by
@@ -136,12 +136,36 @@ struct ExecConfig {
     /// Materialized-state byte budget per statement (hash-join builds).
     max_bytes: Option<u64>,
     /// Whether memory-bounded operators divert to spill files when the
-    /// memory budget cannot hold their state. Initialized from the
-    /// `RDBMS_SPILL` environment variable (`off`/`0`/`false` disables,
-    /// `force` spills unconditionally, anything else enables).
+    /// memory budget cannot hold their state. Initialized from
+    /// `RDBMS_SPILL` (the "Environment" table further down this file).
     spill: SpillMode,
-    /// Rows per operator batch; initialized from `RDBMS_BATCH_SIZE`.
+    /// Rows per operator batch; [`DEFAULT_BATCH_ROWS`] unless set.
     batch_rows: usize,
+    /// Absolute deadline imposed by the layer above (the Knowledge
+    /// Manager's per-evaluation deadline); combined with the per-statement
+    /// timeout by taking whichever expires first.
+    eval_deadline: Option<Instant>,
+}
+
+/// Event counts outside [`ExecStats`]; every engine, forks included,
+/// starts them at zero.
+#[derive(Default)]
+struct Counters {
+    /// SQL statements executed through the `execute` entry points.
+    statements: u64,
+    /// Tables created / dropped (temp-table churn shows up here).
+    tables_created: u64,
+    tables_dropped: u64,
+    /// Governor breaches observed, by kind.
+    gov_canceled: u64,
+    gov_deadline: u64,
+    gov_rows: u64,
+    gov_memory: u64,
+    /// Statistics refreshes (analyze scans) run, and rows sampled by them.
+    stats_refreshes: u64,
+    stats_sampled_rows: u64,
+    /// Rewrite-rule activity accumulated at plan time.
+    rewrites: RewriteReport,
 }
 
 /// The in-process relational engine.
@@ -150,9 +174,7 @@ pub struct Engine {
     pool: BufferPool,
     catalog: Catalog,
     exec_stats: ExecStats,
-    statements: u64,
-    tables_created: u64,
-    tables_dropped: u64,
+    counters: Counters,
     txn: Option<TxnState>,
     /// Bumped on every catalog change (CREATE/DROP table or index, rollback,
     /// recovery); cached plans tagged with an older epoch are re-planned
@@ -164,30 +186,10 @@ pub struct Engine {
     last_profile: Vec<OpProfile>,
     /// The session-scoped execution settings (see [`ExecConfig`]).
     exec_cfg: ExecConfig,
-    /// Absolute deadline imposed by the layer above (the Knowledge
-    /// Manager's per-evaluation deadline); combined with the per-statement
-    /// timeout by taking whichever expires first.
-    eval_deadline: Option<Instant>,
-    /// Governor breaches observed, by kind (for the metrics registry).
-    gov_canceled: u64,
-    gov_deadline: u64,
-    gov_rows: u64,
-    gov_memory: u64,
     /// Result of the most recent post-recovery integrity verification
     /// reported via [`Engine::note_recovery_verified`]; `None` until a
     /// recovery has been verified (gauge reads -1).
     recovery_verified: Option<bool>,
-    /// Physical planner mode: cost-based (the default) or the legacy
-    /// heuristics, kept for ablation. Initialized from the
-    /// `RDBMS_COST_PLANNER` environment variable (`off`/`0`/`heuristic`
-    /// selects the heuristics).
-    planner_mode: PlannerMode,
-    /// Statistics refreshes (analyze scans) run, and rows sampled by them.
-    stats_refreshes: u64,
-    stats_sampled_rows: u64,
-    /// Rewrite-rule activity accumulated at plan time.
-    rewrite_predicates_pushed: u64,
-    rewrite_projections_pruned: u64,
 }
 
 impl Default for Engine {
@@ -203,60 +205,45 @@ impl Engine {
 
     pub fn with_pool_size(frames: usize) -> Engine {
         let mut disk = Disk::new();
-        // A fault-heavy CI profile: `RDBMS_FAULT_PROFILE=transient:<n>`
-        // arms a transient-read injector on every fresh engine so the
-        // whole test suite runs with the read-retry path constantly
-        // exercised. The retry loop masks any n >= 2 (a read only fails
-        // permanently after consecutive faulted retries).
-        if let Some(n) = fault_profile_transient() {
+        if let Some(n) = env_fault_profile_transient() {
             disk.set_fault_injector(FaultInjector::new().transient_read_every(n));
         }
+        let exec_cfg = ExecConfig {
+            cancel: Arc::new(AtomicBool::new(false)),
+            statement_timeout: None,
+            max_rows: None,
+            max_bytes: None,
+            spill: env_spill_mode(),
+            batch_rows: DEFAULT_BATCH_ROWS,
+            eval_deadline: None,
+        };
+        Engine::assemble(disk, frames, Catalog::new(), 0, exec_cfg)
+    }
+
+    /// The one place an `Engine` is put together: what a fresh engine and
+    /// a fork differ in is passed in, everything else — counters, prepared
+    /// statements, transaction state, buffered pages — starts empty.
+    fn assemble(
+        disk: Disk,
+        frames: usize,
+        catalog: Catalog,
+        catalog_epoch: u64,
+        exec_cfg: ExecConfig,
+    ) -> Engine {
         Engine {
             disk,
             pool: BufferPool::new(frames),
-            catalog: Catalog::new(),
+            catalog,
             exec_stats: ExecStats::default(),
-            statements: 0,
-            tables_created: 0,
-            tables_dropped: 0,
+            counters: Counters::default(),
             txn: None,
-            catalog_epoch: 0,
+            catalog_epoch,
             prepared: BTreeMap::new(),
             next_stmt_id: 0,
             last_profile: Vec::new(),
-            exec_cfg: ExecConfig {
-                cancel: Arc::new(AtomicBool::new(false)),
-                statement_timeout: None,
-                max_rows: None,
-                max_bytes: None,
-                spill: default_spill_mode(),
-                batch_rows: default_batch_rows(),
-            },
-            eval_deadline: None,
-            gov_canceled: 0,
-            gov_deadline: 0,
-            gov_rows: 0,
-            gov_memory: 0,
+            exec_cfg,
             recovery_verified: None,
-            planner_mode: default_planner_mode(),
-            stats_refreshes: 0,
-            stats_sampled_rows: 0,
-            rewrite_predicates_pushed: 0,
-            rewrite_projections_pruned: 0,
         }
-    }
-
-    /// Select the physical planner: cost-based or the legacy heuristics.
-    /// Switching modes drops cached plans (they were built the other way).
-    pub fn set_planner_mode(&mut self, mode: PlannerMode) {
-        if self.planner_mode != mode {
-            self.planner_mode = mode;
-            self.catalog_epoch += 1;
-        }
-    }
-
-    pub fn planner_mode(&self) -> PlannerMode {
-        self.planner_mode
     }
 
     // ------------------------------------------------------------------
@@ -309,7 +296,7 @@ impl Engine {
     /// LFP evaluation so the whole fixpoint, not each statement, races the
     /// clock.
     pub fn set_eval_deadline(&mut self, deadline: Option<Instant>) {
-        self.eval_deadline = deadline;
+        self.exec_cfg.eval_deadline = deadline;
     }
 
     /// A clone of the cooperative cancellation flag. Store it anywhere
@@ -344,7 +331,7 @@ impl Engine {
     /// per-statement timeout and the evaluation deadline combine by
     /// whichever expires first.
     fn governor(&self) -> QueryGovernor {
-        let deadline = match (self.exec_cfg.statement_timeout, self.eval_deadline) {
+        let deadline = match (self.exec_cfg.statement_timeout, self.exec_cfg.eval_deadline) {
             (None, None) => None,
             (Some(t), None) => Some(Instant::now() + t),
             (None, Some(d)) => Some(d),
@@ -365,10 +352,10 @@ impl Engine {
     fn note_budget<T>(&mut self, r: Result<T, DbError>) -> Result<T, DbError> {
         if let Err(DbError::Budget(b)) = &r {
             match b.kind {
-                BudgetKind::Canceled => self.gov_canceled += 1,
-                BudgetKind::Deadline => self.gov_deadline += 1,
-                BudgetKind::Rows => self.gov_rows += 1,
-                BudgetKind::Memory => self.gov_memory += 1,
+                BudgetKind::Canceled => self.counters.gov_canceled += 1,
+                BudgetKind::Deadline => self.counters.gov_deadline += 1,
+                BudgetKind::Rows => self.counters.gov_rows += 1,
+                BudgetKind::Memory => self.counters.gov_memory += 1,
             }
         }
         r
@@ -410,42 +397,26 @@ impl Engine {
             ));
         }
         self.pool.flush_all(&mut self.disk)?;
-        Ok(Engine {
-            disk: self.disk.fork(),
-            pool: BufferPool::new(self.pool.capacity()),
-            catalog: self.catalog.clone(),
-            exec_stats: ExecStats::default(),
-            statements: 0,
-            tables_created: 0,
-            tables_dropped: 0,
-            txn: None,
-            catalog_epoch: self.catalog_epoch,
-            prepared: BTreeMap::new(),
-            next_stmt_id: 0,
-            last_profile: Vec::new(),
-            exec_cfg: ExecConfig {
-                cancel: Arc::new(AtomicBool::new(false)),
-                ..self.exec_cfg.clone()
-            },
+        let exec_cfg = ExecConfig {
+            cancel: Arc::new(AtomicBool::new(false)),
             eval_deadline: None,
-            gov_canceled: 0,
-            gov_deadline: 0,
-            gov_rows: 0,
-            gov_memory: 0,
-            recovery_verified: None,
-            planner_mode: self.planner_mode,
-            stats_refreshes: 0,
-            stats_sampled_rows: 0,
-            rewrite_predicates_pushed: 0,
-            rewrite_projections_pruned: 0,
-        })
+            ..self.exec_cfg.clone()
+        };
+        Ok(Engine::assemble(
+            self.disk.fork(),
+            self.pool.capacity(),
+            self.catalog.clone(),
+            self.catalog_epoch,
+            exec_cfg,
+        ))
     }
 
     /// Replace this engine — a concurrent session's snapshot — with `fork`,
     /// a newer fork of the same live engine. The execution settings stay
     /// with the session: whatever was set on the outgoing snapshot (cancel
-    /// handle, timeout, budgets, spill mode, batch size) moves to the new
-    /// one, instead of the copy `fork` took from the live engine.
+    /// handle, timeouts, budgets, spill mode, batch size) moves to the new
+    /// one, instead of the copy `fork` took from the live engine — an
+    /// evaluation deadline in force included.
     pub(crate) fn replace_snapshot(&mut self, fork: Engine) {
         let outgoing = std::mem::replace(self, fork);
         self.exec_cfg = outgoing.exec_cfg;
@@ -454,13 +425,13 @@ impl Engine {
     /// Defer per-commit durability flushes to an explicit
     /// [`Engine::fsync_wal`] (the group-commit path; see
     /// [`crate::concurrent`]).
-    pub fn set_defer_fsync(&mut self, on: bool) {
+    pub(crate) fn set_defer_fsync(&mut self, on: bool) {
         self.disk.set_defer_fsync(on);
     }
 
     /// Flush the WAL once on behalf of every deferred commit since the
     /// last flush; returns how many commits this fsync made durable.
-    pub fn fsync_wal(&mut self) -> u64 {
+    pub(crate) fn fsync_wal(&mut self) -> u64 {
         self.disk.fsync_wal()
     }
 
@@ -708,7 +679,7 @@ impl Engine {
                 params.len()
             )));
         }
-        self.statements += 1;
+        self.counters.statements += 1;
         match &*stmt {
             Stmt::Select(query) => {
                 let planned = self.cached_plan(id, query, None)?;
@@ -776,10 +747,7 @@ impl Engine {
         } else {
             self.exec_stats.plan_cache_misses += 1;
         }
-        let t0 = Instant::now();
-        let planned = self.plan_with_mode(query);
-        self.exec_stats.plan_ns += t0.elapsed().as_nanos() as u64;
-        let planned = Arc::new(planned?);
+        let planned = Arc::new(self.plan(query)?);
         if let Some(table) = insert_target {
             self.check_insert_select_types(table, query)?;
         }
@@ -789,12 +757,14 @@ impl Engine {
         Ok(planned)
     }
 
-    /// Plan a query under the engine's planner mode, folding the rewrite
-    /// report into the engine-wide rewrite counters.
-    fn plan_with_mode(&mut self, query: &Query) -> Result<PlannedQuery, DbError> {
-        let planned = plan_query(&self.catalog, query, self.planner_mode)?;
-        self.rewrite_predicates_pushed += planned.rewrites.predicates_pushed;
-        self.rewrite_projections_pruned += planned.rewrites.projections_pruned;
+    /// Plan a query, timing it and folding the rewrite report into the
+    /// engine-wide rewrite counters.
+    fn plan(&mut self, query: &Query) -> Result<PlannedQuery, DbError> {
+        let t0 = Instant::now();
+        let planned = plan_query(&self.catalog, query);
+        self.exec_stats.plan_ns += t0.elapsed().as_nanos() as u64;
+        let planned = planned?;
+        self.counters.rewrites.absorb(planned.rewrites);
         Ok(planned)
     }
 
@@ -805,7 +775,7 @@ impl Engine {
                 "statement contains `?` parameters; use prepare/execute_prepared".into(),
             ));
         }
-        self.statements += 1;
+        self.counters.statements += 1;
         self.dispatch_stmt(stmt)
     }
 
@@ -824,7 +794,7 @@ impl Engine {
                 );
                 self.catalog
                     .create_table(&mut self.disk, name, schema, *temp)?;
-                self.tables_created += 1;
+                self.counters.tables_created += 1;
                 self.catalog_epoch += 1;
                 if let Some(txn) = self.txn.as_mut() {
                     txn.ops.push(TxnOp::Created(name.clone()));
@@ -840,7 +810,7 @@ impl Engine {
                 };
                 match result {
                     Ok(()) => {
-                        self.tables_dropped += 1;
+                        self.counters.tables_dropped += 1;
                         self.catalog_epoch += 1;
                         Ok(ResultSet::empty())
                     }
@@ -897,17 +867,10 @@ impl Engine {
                 Ok(ResultSet::dml(n))
             }
             Stmt::Select(query) => self.run_query(query),
-            Stmt::Explain(query) => {
-                let t0 = Instant::now();
-                let planned = self.plan_with_mode(query);
-                self.exec_stats.plan_ns += t0.elapsed().as_nanos() as u64;
-                Ok(explain_result(&planned?))
-            }
+            Stmt::Explain(query) => Ok(explain_result(&self.plan(query)?)),
             Stmt::ExplainAnalyze(query) => {
-                let t0 = Instant::now();
-                let planned = self.plan_with_mode(query);
-                self.exec_stats.plan_ns += t0.elapsed().as_nanos() as u64;
-                self.explain_analyze(&planned?, &[])
+                let planned = self.plan(query)?;
+                self.explain_analyze(&planned, &[])
             }
         }
     }
@@ -954,10 +917,8 @@ impl Engine {
 
     /// Plan and execute a query against the current catalog.
     fn run_query(&mut self, query: &Query) -> Result<ResultSet, DbError> {
-        let t0 = Instant::now();
-        let planned = self.plan_with_mode(query);
-        self.exec_stats.plan_ns += t0.elapsed().as_nanos() as u64;
-        self.execute_planned(&planned?, &[])
+        let planned = self.plan(query)?;
+        self.execute_planned(&planned, &[])
     }
 
     /// Run a physical plan with the given parameter bindings.
@@ -1178,8 +1139,8 @@ impl Engine {
         let epoch = self.catalog_epoch;
         let t = self.catalog.table_mut(table)?;
         t.stats.install(columns, live, epoch);
-        self.stats_refreshes += 1;
-        self.stats_sampled_rows += sampled;
+        self.counters.stats_refreshes += 1;
+        self.counters.stats_sampled_rows += sampled;
         Ok(())
     }
 
@@ -1527,7 +1488,7 @@ impl Engine {
         let n = self
             .catalog
             .drop_temp_tables(&mut self.disk, &mut self.pool);
-        self.tables_dropped += n as u64;
+        self.counters.tables_dropped += n as u64;
         if n > 0 {
             self.catalog_epoch += 1;
         }
@@ -1540,9 +1501,9 @@ impl Engine {
             disk: self.disk.stats(),
             buffer: self.pool.stats(),
             exec: self.exec_stats,
-            statements: self.statements,
-            tables_created: self.tables_created,
-            tables_dropped: self.tables_dropped,
+            statements: self.counters.statements,
+            tables_created: self.counters.tables_created,
+            tables_dropped: self.counters.tables_dropped,
         }
     }
 
@@ -1587,18 +1548,19 @@ impl Engine {
         r.counter("exec.spill_bytes", s.exec.spill_bytes);
         r.counter("exec.sort_runs", s.exec.sort_runs);
         r.counter("exec.batches", s.exec.batches);
-        r.counter("governor.cancellations", self.gov_canceled);
-        r.counter("governor.deadline_breaches", self.gov_deadline);
-        r.counter("governor.row_budget_breaches", self.gov_rows);
-        r.counter("governor.memory_budget_breaches", self.gov_memory);
+        r.counter("governor.cancellations", self.counters.gov_canceled);
+        r.counter("governor.deadline_breaches", self.counters.gov_deadline);
+        r.counter("governor.row_budget_breaches", self.counters.gov_rows);
+        r.counter("governor.memory_budget_breaches", self.counters.gov_memory);
         r.counter("engine.statements", s.statements);
         r.counter("engine.tables_created", s.tables_created);
         r.counter("engine.tables_dropped", s.tables_dropped);
         r.gauge("engine.prepared_open", self.prepared.len() as f64);
-        r.counter("stats.refreshes", self.stats_refreshes);
-        r.counter("stats.sampled_rows", self.stats_sampled_rows);
-        r.counter("plan.predicates_pushed", self.rewrite_predicates_pushed);
-        r.counter("plan.projections_pruned", self.rewrite_projections_pruned);
+        r.counter("stats.refreshes", self.counters.stats_refreshes);
+        r.counter("stats.sampled_rows", self.counters.stats_sampled_rows);
+        let rewrites = self.counters.rewrites;
+        r.counter("plan.predicates_pushed", rewrites.predicates_pushed);
+        r.counter("plan.projections_pruned", rewrites.projections_pruned);
         // -1 = no verified recovery yet, 1 = last recovery verified clean,
         // 0 = last recovery FAILED verification.
         r.gauge(
@@ -1613,23 +1575,23 @@ impl Engine {
     }
 }
 
-/// Planner mode a fresh engine starts with:
-/// `RDBMS_COST_PLANNER=off|0|heuristic` selects the legacy heuristics
-/// (always-index joins, syntactic join order) for ablation; anything else
-/// (or unset) selects the cost-based planner.
-fn default_planner_mode() -> PlannerMode {
-    match std::env::var("RDBMS_COST_PLANNER").ok().as_deref() {
-        Some("off") | Some("0") | Some("heuristic") => PlannerMode::Heuristic,
-        _ => PlannerMode::CostBased,
-    }
-}
+// ----------------------------------------------------------------------
+// Environment
+// ----------------------------------------------------------------------
+//
+// Every environment variable the engine reads, each once, when an engine
+// (or a `SharedEngine`) is constructed. They exist so CI can run the
+// unmodified test suite in another mode; programs use the setters.
+//
+// | variable              | values                     | effect |
+// |-----------------------|----------------------------|--------|
+// | `RDBMS_SPILL`         | `off`/`0`/`false`          | spilling disabled: a memory-budget breach stays fatal |
+// |                       | `force`                    | every memory-bounded operator spills, so small data exercises the path |
+// |                       | anything else, or unset    | budget-triggered spilling |
+// | `RDBMS_FAULT_PROFILE` | `transient:<n>`, n >= 2    | every nth page read of a fresh engine fails once: the retry path stays hot |
+// | `RDBMS_FSYNC_MICROS`  | integer, default 0         | simulated latency of each group-commit fsync, so batching shows in throughput |
 
-/// Spill mode a fresh engine starts with: `RDBMS_SPILL=off|0|false`
-/// disables spilling (budget breaches stay fatal), `RDBMS_SPILL=force`
-/// routes every memory-bounded operator through the spill path so test
-/// suites exercise it on small data, anything else (or unset) enables
-/// budget-triggered spilling.
-fn default_spill_mode() -> SpillMode {
+fn env_spill_mode() -> SpillMode {
     match std::env::var("RDBMS_SPILL").ok().as_deref() {
         Some("off") | Some("0") | Some("false") => SpillMode::Disabled,
         Some("force") => SpillMode::Forced,
@@ -1637,25 +1599,19 @@ fn default_spill_mode() -> SpillMode {
     }
 }
 
-/// Operator batch size a fresh engine starts with: `RDBMS_BATCH_SIZE`
-/// when set to a positive integer, else [`DEFAULT_BATCH_ROWS`].
-fn default_batch_rows() -> usize {
-    std::env::var("RDBMS_BATCH_SIZE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_BATCH_ROWS)
-}
-
-/// Parse the `RDBMS_FAULT_PROFILE` environment variable. The only profile
-/// today is `transient:<n>` — every nth page read fails once — used by CI
-/// to run the whole suite with the retry path hot. Values below 2 are
-/// ignored: a faulted retry of a faulted read would turn the transient
-/// profile into a permanent outage.
-fn fault_profile_transient() -> Option<u64> {
+/// Values below 2 are ignored: a faulted retry of a faulted read would
+/// turn the transient profile into a permanent outage.
+fn env_fault_profile_transient() -> Option<u64> {
     let profile = std::env::var("RDBMS_FAULT_PROFILE").ok()?;
     let n = profile.strip_prefix("transient:")?.parse::<u64>().ok()?;
     (n >= 2).then_some(n)
+}
+
+pub(crate) fn env_fsync_micros() -> u64 {
+    std::env::var("RDBMS_FSYNC_MICROS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(0)
 }
 
 fn scalar_is_param(s: &Scalar) -> bool {
@@ -3152,5 +3108,79 @@ mod tests {
         e.execute("DROP TABLE sink").unwrap();
         e.execute("CREATE TABLE sink (n integer)").unwrap();
         assert!(e.execute_prepared(id, &[]).is_err());
+    }
+
+    /// A fork is a fresh engine over the same data: no event of the
+    /// parent's life shows in its counters — whatever the registry lists,
+    /// so a counter added later is covered — while every execution
+    /// setting of the parent is in force on it.
+    #[test]
+    fn fork_zeroes_every_counter_and_keeps_every_setting() {
+        let mut e = engine_with_parent();
+        e.execute("CREATE INDEX parent_par ON parent (par)")
+            .unwrap();
+        e.execute(
+            "SELECT a.par, b.child FROM parent a, parent b \
+             WHERE a.child = b.par AND a.par = 'adam'",
+        )
+        .unwrap();
+        e.analyze_table("parent").unwrap();
+        e.execute("DELETE FROM parent WHERE child = 'eve'").unwrap();
+        e.execute("CREATE TEMP TABLE scratch (n integer)").unwrap();
+        e.drop_temp_tables();
+        e.prepare("SELECT * FROM parent WHERE par = ?").unwrap();
+        e.set_row_budget(Some(0));
+        assert!(e.execute("SELECT * FROM parent").is_err());
+        let worked = e.metrics();
+        for name in [
+            "engine.statements",
+            "engine.tables_dropped",
+            "stats.refreshes",
+            "plan.predicates_pushed",
+            "governor.row_budget_breaches",
+            "exec.index_probes",
+            "buffer.hits",
+        ] {
+            assert!(worked.counter_value(name) > 0, "{name} saw no work");
+        }
+        assert_eq!(worked.gauge_value("engine.prepared_open"), Some(1.0));
+
+        e.set_row_budget(Some(2));
+        e.set_memory_budget(Some(1));
+        e.set_spill_mode(SpillMode::Disabled);
+        e.set_batch_rows(7);
+        e.cancel();
+        let mut fork = e.fork().unwrap();
+
+        let fresh = fork.metrics();
+        for (name, metric) in fresh.iter() {
+            if let crate::metrics::Metric::Counter(v) = metric {
+                assert_eq!(*v, 0, "{name} carried over into the fork");
+            }
+        }
+        assert_eq!(fresh.gauge_value("engine.prepared_open"), Some(0.0));
+
+        assert!(e.cancel_requested());
+        assert!(!fork.cancel_requested(), "a fork gets its own cancel flag");
+        assert_eq!(fork.batch_rows(), 7);
+        assert_eq!(fork.spill_mode(), SpillMode::Disabled);
+        let breach = |r: Result<ResultSet, DbError>| match r {
+            Err(DbError::Budget(b)) => b.kind,
+            other => panic!("expected a budget breach, got {other:?}"),
+        };
+        assert_eq!(
+            breach(fork.execute("SELECT * FROM parent")),
+            BudgetKind::Rows,
+            "three rows against a budget of two"
+        );
+        fork.set_row_budget(None);
+        fork.execute("DROP INDEX parent_par").unwrap();
+        assert_eq!(
+            breach(
+                fork.execute("SELECT a.par, b.child FROM parent a, parent b WHERE a.child = b.par")
+            ),
+            BudgetKind::Memory,
+            "a hash build against a one-byte budget, spilling disabled"
+        );
     }
 }

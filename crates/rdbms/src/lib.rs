@@ -24,8 +24,7 @@
 //! * [`cost`] — the cost model: selectivity estimation and join-order /
 //!   access-path / join-method costing;
 //! * [`plan`] — binding, access-path selection (index lookups, index
-//!   nested-loop joins, hash joins), cost-based join ordering with a
-//!   legacy heuristic mode for ablation;
+//!   nested-loop joins, hash joins), cost-based join ordering;
 //! * [`exec`] — the materializing executor with logical-work counters;
 //! * [`governor`] — per-statement deadlines, cooperative cancellation,
 //!   and row/memory budgets checked at operator batch boundaries;
@@ -72,7 +71,7 @@ pub mod wal;
 pub use catalog::DbError;
 pub use concurrent::{DbSession, SessionStmt, SharedEngine};
 pub use disk::{DiskStats, FaultInjector, RecoveryReport};
-pub use engine::{Engine, EngineStats, PlannerMode, ResultSet, StmtId};
+pub use engine::{Engine, EngineStats, ResultSet, StmtId};
 pub use exec::{OpProfile, SpillMode, DEFAULT_BATCH_ROWS};
 pub use governor::{BudgetBreach, BudgetKind, ExecLimits, QueryGovernor};
 pub use metrics::{Metric, Registry};

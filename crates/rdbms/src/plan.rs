@@ -15,15 +15,16 @@
 //!   using live cardinality estimates (Figure 8's join-selectivity
 //!   sensitivity; Figure 12's accumulated-relation joins).
 //! * **Cost-based join ordering** — exhaustive for 2–3 way joins, greedy
-//!   beyond, driven by per-column statistics instead of flat selectivity
-//!   constants.
+//!   beyond, driven by per-column statistics; the flat `1/20` / `1/3`
+//!   selectivities survive only as `cost.rs`'s fallback for a column with
+//!   no statistics.
 //!
-//! [`PlannerMode::Heuristic`] reproduces the legacy planner (flat `1/20`
-//! selectivities, greedy smallest-first order, index-if-usable joins) as the
-//! ablation baseline for `experiments optimizer`.
+//! There is one pipeline (DESIGN §18 "Why there is one planner"): bind
+//! ([`rewrite::build_block`]) → predicate pushdown → projection pruning →
+//! [`cost::join_order`] → access path / join method.
 
-use crate::catalog::{Catalog, DbError};
-use crate::cost::{self, PlannerMode};
+use crate::catalog::{Catalog, DbError, Table};
+use crate::cost;
 use crate::rewrite::{
     self, resolve_col, Binding, LocalCond, Resolved, ResolvedCond, RewriteReport,
 };
@@ -360,26 +361,18 @@ impl PlannedQuery {
 }
 
 /// Plan a (possibly compound) query.
-pub fn plan_query(
-    catalog: &Catalog,
-    query: &Query,
-    mode: PlannerMode,
-) -> Result<PlannedQuery, DbError> {
-    let mut planned = plan_query_inner(catalog, query, mode)?;
+pub fn plan_query(catalog: &Catalog, query: &Query) -> Result<PlannedQuery, DbError> {
+    let mut planned = plan_query_inner(catalog, query)?;
     planned.est_rows = cost::estimate_plan(catalog, &planned.plan);
     Ok(planned)
 }
 
-fn plan_query_inner(
-    catalog: &Catalog,
-    query: &Query,
-    mode: PlannerMode,
-) -> Result<PlannedQuery, DbError> {
+fn plan_query_inner(catalog: &Catalog, query: &Query) -> Result<PlannedQuery, DbError> {
     match query {
-        Query::Select(block) => plan_select(catalog, block, mode),
+        Query::Select(block) => plan_select(catalog, block),
         Query::Union { left, right, all } => {
-            let l = plan_query_inner(catalog, left, mode)?;
-            let r = plan_query_inner(catalog, right, mode)?;
+            let l = plan_query_inner(catalog, left)?;
+            let r = plan_query_inner(catalog, right)?;
             check_compatible(&l, &r, "UNION")?;
             let (lp, rp) = (l.plan.clone(), r.plan.clone());
             let plan = if *all {
@@ -396,8 +389,8 @@ fn plan_query_inner(
             Ok(merge_compound(plan, l, r))
         }
         Query::Except { left, right } => {
-            let l = plan_query_inner(catalog, left, mode)?;
-            let r = plan_query_inner(catalog, right, mode)?;
+            let l = plan_query_inner(catalog, left)?;
+            let r = plan_query_inner(catalog, right)?;
             check_compatible(&l, &r, "EXCEPT")?;
             let plan = PhysPlan::Except {
                 left: Box::new(l.plan.clone()),
@@ -460,11 +453,7 @@ fn pos_of(layout: &[LayoutEntry], r: Resolved) -> usize {
     unreachable!("column's relation not yet in layout")
 }
 
-fn plan_select(
-    catalog: &Catalog,
-    block: &SelectBlock,
-    mode: PlannerMode,
-) -> Result<PlannedQuery, DbError> {
+fn plan_select(catalog: &Catalog, block: &SelectBlock) -> Result<PlannedQuery, DbError> {
     // 1/2. Bind the FROM list and run the rewrite rules (predicate
     // pushdown, projection pruning).
     let rewrite::QueryBlock {
@@ -492,27 +481,23 @@ fn plan_select(
         .iter()
         .map(|v| v.iter().map(local_to_exec).collect())
         .collect();
-    let order = match mode {
-        PlannerMode::Heuristic => join_order_heuristic(&bindings, &local, &joins),
-        PlannerMode::CostBased => cost::join_order(catalog, &bindings, &local_exec, &joins),
-    };
+    let order = cost::join_order(catalog, &bindings, &local_exec, &joins);
 
-    // Columns each relation feeds into the join pipeline. Pruning is a
-    // cost-mode rewrite; heuristic mode reproduces the legacy full-width
-    // layouts.
+    // Columns each relation feeds into the join pipeline, as narrowed by
+    // projection pruning.
     let kept_cols = |rel: usize| -> Vec<usize> {
-        match (mode, &needed[rel]) {
-            (PlannerMode::CostBased, Some(cols)) => cols.clone(),
-            _ => (0..bindings[rel].schema.arity()).collect(),
+        match &needed[rel] {
+            Some(cols) => cols.clone(),
+            None => (0..bindings[rel].schema.arity()).collect(),
         }
     };
     let prune_wrap = |rel: usize, p: PhysPlan| -> PhysPlan {
-        match (mode, &needed[rel]) {
-            (PlannerMode::CostBased, Some(cols)) => PhysPlan::Project {
+        match &needed[rel] {
+            Some(cols) => PhysPlan::Project {
                 child: Box::new(p),
                 exprs: cols.iter().map(|&c| ProjExpr::Col(c)).collect(),
             },
-            _ => p,
+            None => p,
         }
     };
 
@@ -522,7 +507,7 @@ fn plan_select(
     let mut pending_joins = joins.clone();
     let mut pending_cross = cross;
     // Running cardinality estimate of the built side; drives the
-    // index-NL-vs-hash choice in cost mode.
+    // index-NL-vs-hash choice.
     let mut cur_est: f64 = 0.0;
 
     for &rel in &order {
@@ -546,10 +531,7 @@ fn plan_select(
             let right_keys: Vec<usize> = pairs.iter().map(|&(_, i)| i.col).collect();
 
             if left_keys.is_empty() {
-                let right = prune_wrap(
-                    rel,
-                    access_path(catalog, &bindings, rel, &local[rel], mode)?,
-                );
+                let right = prune_wrap(rel, access_path(catalog, &bindings[rel], &local[rel])?);
                 cur_est = cur_est.max(0.05) * rel_est.max(0.05);
                 layout.push(LayoutEntry {
                     rel,
@@ -571,33 +553,17 @@ fn plan_select(
                         )
                     })
                     .product();
-                let index_choice = match usable_join_index(catalog, &bindings[rel], &right_keys) {
-                    Some(pos) => {
-                        let keep = match mode {
-                            // Legacy behavior: probe whenever an index covers
-                            // the join columns.
-                            PlannerMode::Heuristic => true,
-                            PlannerMode::CostBased => cost::prefer_index_nl(
-                                catalog.table(&bindings[rel].table)?,
-                                pos,
-                                cur_est,
-                                rel_est,
-                            ),
-                        };
-                        keep.then_some(pos)
-                    }
-                    None => None,
-                };
+                let inner = catalog.table(&bindings[rel].table)?;
+                let index_choice = usable_join_index(inner, &right_keys)
+                    .filter(|&pos| cost::prefer_index_nl(inner, pos, cur_est, rel_est));
                 cur_est = (cur_est.max(0.05) * rel_est.max(0.05) * join_sel).max(0.05);
                 if let Some(index_pos) = index_choice {
                     // Reorder left keys to match the index key-column order,
                     // consuming one join pair per index key column.
-                    let idx_cols = catalog.table(&bindings[rel].table)?.indexes[index_pos]
-                        .key_cols()
-                        .to_vec();
+                    let idx_cols = inner.indexes[index_pos].key_cols();
                     let mut used = vec![false; right_keys.len()];
                     let mut ordered_left = Vec::with_capacity(idx_cols.len());
-                    for kc in &idx_cols {
+                    for kc in idx_cols {
                         let at = right_keys
                             .iter()
                             .enumerate()
@@ -634,10 +600,7 @@ fn plan_select(
                         residual,
                     }
                 } else {
-                    let right = prune_wrap(
-                        rel,
-                        access_path(catalog, &bindings, rel, &local[rel], mode)?,
-                    );
+                    let right = prune_wrap(rel, access_path(catalog, &bindings[rel], &local[rel])?);
                     let kept = kept_cols(rel);
                     // Probe keys are positions in the (possibly pruned) right
                     // layout; pruning always keeps join columns.
@@ -661,10 +624,7 @@ fn plan_select(
             }
         } else {
             cur_est = rel_est;
-            let base = prune_wrap(
-                rel,
-                access_path(catalog, &bindings, rel, &local[rel], mode)?,
-            );
+            let base = prune_wrap(rel, access_path(catalog, &bindings[rel], &local[rel])?);
             layout.push(LayoutEntry {
                 rel,
                 cols: kept_cols(rel),
@@ -859,14 +819,7 @@ fn attach_residual(plan: PhysPlan, mut conds: Vec<ExecCond>) -> PhysPlan {
 }
 
 /// Pick the access path for one relation given its local filters.
-fn access_path(
-    catalog: &Catalog,
-    bindings: &[Binding],
-    rel: usize,
-    local: &[LocalCond],
-    mode: PlannerMode,
-) -> Result<PhysPlan, DbError> {
-    let b = &bindings[rel];
+fn access_path(catalog: &Catalog, b: &Binding, local: &[LocalCond]) -> Result<PhysPlan, DbError> {
     let table = catalog.table(&b.table)?;
     // Constant- or parameter-equality columns available for index keys.
     let mut eq_cols: Vec<(usize, KeyExpr)> = Vec::new();
@@ -993,10 +946,8 @@ fn access_path(
         // A wide range fetches most of the table through the index — each
         // hit a random access — where a sequential scan is cheaper. With
         // histogram statistics the estimated fraction gates the choice;
-        // without them the flat fallback (≤1/3) always takes the index,
-        // matching the legacy heuristic.
-        if mode == PlannerMode::CostBased && cost::range_scan_pays(table, *key_col, &lo, &hi) >= 0.5
-        {
+        // without them the flat fallback (≤1/3) always takes the index.
+        if cost::range_scan_pays(table, *key_col, &lo, &hi) >= 0.5 {
             continue;
         }
         // Everything stays as a residual check (bounds may overlap several
@@ -1048,10 +999,9 @@ fn tighten_hi(a: std::ops::Bound<Value>, b: std::ops::Bound<Value>) -> std::ops:
     }
 }
 
-/// An index on `binding`'s table whose key columns are exactly covered by
-/// the available join columns.
-fn usable_join_index(catalog: &Catalog, binding: &Binding, join_cols: &[usize]) -> Option<usize> {
-    let table = catalog.table(&binding.table).ok()?;
+/// An index on `table` whose key columns are exactly covered by the
+/// available join columns.
+fn usable_join_index(table: &Table, join_cols: &[usize]) -> Option<usize> {
     // Two join predicates on the *same* inner column (`join_cols = [0, 0]`)
     // must not disqualify a single-column index on it: match against the
     // distinct column set; the unconsumed pairs run as residual checks.
@@ -1065,65 +1015,6 @@ fn usable_join_index(catalog: &Catalog, binding: &Binding, join_cols: &[usize]) 
         index.key_cols().iter().all(|kc| distinct.contains(kc))
             && index.key_cols().len() == distinct.len()
     })
-}
-
-/// The legacy greedy join order: start from the most restricted relation
-/// (flat selectivity constants), then extend with connected relations.
-/// Kept verbatim as the `PlannerMode::Heuristic` ablation baseline.
-fn join_order_heuristic(
-    bindings: &[Binding],
-    local: &[Vec<LocalCond>],
-    joins: &[(Resolved, Resolved)],
-) -> Vec<usize> {
-    let n = bindings.len();
-    if n == 1 {
-        return vec![0];
-    }
-    // Restriction-aware size estimate: constant filters shrink a relation.
-    // A point equality keeps the flat 1/20 selectivity; an IN-list is a
-    // union of point lookups, so its estimate scales with the list's
-    // cardinality instead of masquerading as a single point lookup. A
-    // one-sided range (`<`, `<=`, `>`, `>=`) keeps 1/3 of the relation —
-    // coarse, but enough to seed the join order with the ranged relation
-    // when it is the only restricted one (two range conditions on the
-    // same relation, the BETWEEN desugaring, compound to 1/9).
-    let est = |rel: usize| -> u64 {
-        let base = bindings[rel].tuple_count.max(1);
-        let mut e = base;
-        for c in &local[rel] {
-            e = match c {
-                LocalCond::ColCmpLit(_, CmpOp::Eq, _) | LocalCond::ColCmpParam(_, CmpOp::Eq, _) => {
-                    e.min((base / 20).max(1))
-                }
-                LocalCond::InList(_, vs) => e.min(
-                    ((base / 20).max(1))
-                        .saturating_mul(vs.len() as u64)
-                        .min(base),
-                ),
-                LocalCond::ColCmpLit(_, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge, _)
-                | LocalCond::ColCmpParam(_, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge, _) => {
-                    (e / 3).max(1)
-                }
-                _ => e,
-            };
-        }
-        e
-    };
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
-    // Seed with the smallest estimated relation.
-    remaining.sort_by_key(|&r| est(r));
-    order.push(remaining.remove(0));
-    while !remaining.is_empty() {
-        let connected_pos = remaining.iter().position(|&r| {
-            joins.iter().any(|(a, b)| {
-                (a.rel == r && order.contains(&b.rel)) || (b.rel == r && order.contains(&a.rel))
-            })
-        });
-        let pos = connected_pos.unwrap_or(0);
-        order.push(remaining.remove(pos));
-    }
-    order
 }
 
 /// Plan `SELECT c1, .., cn, COUNT(*) FROM ... GROUP BY c1, .., cn`. The
@@ -1414,7 +1305,6 @@ pub fn output_types(catalog: &Catalog, query: &Query) -> Result<Vec<ColType>, Db
                     table: table.name.clone(),
                     binding: tref.binding().to_ascii_lowercase(),
                     schema: table.schema.clone(),
-                    tuple_count: 0,
                 });
             }
             let mut types = Vec::new();

@@ -34,7 +34,6 @@ pub(crate) struct Binding {
     /// Name by which columns qualify this occurrence.
     pub binding: String,
     pub schema: Schema,
-    pub tuple_count: u64,
 }
 
 /// A column resolved to (relation index in FROM order, local column index).
@@ -123,7 +122,6 @@ pub(crate) fn build_block<'a>(
             table: table.name.clone(),
             binding,
             schema: table.schema.clone(),
-            tuple_count: table.heap.tuple_count(),
         });
     }
 

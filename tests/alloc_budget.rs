@@ -12,7 +12,7 @@
 
 use hornlog::types::AttrType;
 use km::session::{Session, SessionConfig};
-use rdbms::{PlannerMode, SpillMode, DEFAULT_BATCH_ROWS};
+use rdbms::SpillMode;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -68,10 +68,7 @@ fn chain_closure_stays_within_its_allocation_budget() {
     let compiled = s.compile("?- anc(X, Y).").unwrap();
     // The budget is for the default in-memory configuration, whatever
     // the environment the suite runs under says.
-    let e = s.engine_mut();
-    e.set_spill_mode(SpillMode::Enabled);
-    e.set_batch_rows(DEFAULT_BATCH_ROWS);
-    e.set_planner_mode(PlannerMode::CostBased);
+    s.engine_mut().set_spill_mode(SpillMode::Enabled);
 
     // Once to warm up, once measured.
     s.execute(&compiled).unwrap();

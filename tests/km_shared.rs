@@ -7,10 +7,11 @@
 use km::session::{binary_sym, Session, SessionConfig};
 use km::{EvalError, EvalResource, KmError};
 use proptest::prelude::*;
-use rdbms::{BudgetKind, DbError, Engine, FaultInjector, SharedEngine, Value};
+use rdbms::{BudgetKind, DbError, Engine, FaultInjector, SharedEngine, SpillMode, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::thread;
+use std::time::Duration;
 
 const ANC_RULES: &str = "anc(X, Y) :- parent(X, Y).\n\
                          anc(X, Y) :- parent(X, Z), anc(Z, Y).\n";
@@ -100,9 +101,7 @@ fn concurrent_attach_bootstraps_catalog_once() {
 
 /// Regression pinning key-granular validation at the km layer: two
 /// sessions inserting *different* keys into the same stored relation in
-/// overlapping transactions both commit (the inserts commute). Dropping
-/// the engine to table-granular validation makes the same schedule
-/// conflict — the ablation baseline.
+/// overlapping transactions both commit (the inserts commute).
 #[test]
 fn commuting_same_table_inserts_no_longer_conflict() {
     let shared = shared_ancestor_dkb(4);
@@ -123,21 +122,6 @@ fn commuting_same_table_inserts_no_longer_conflict() {
     a.backend_mut().refresh().expect("refresh");
     let rows = a.db_execute("SELECT * FROM parent").expect("scan").rows;
     assert_eq!(rows.len(), 5, "both inserts landed");
-
-    // Ablation: table-granular validation reports a (false) conflict on
-    // the exact same commuting schedule.
-    shared.set_key_granular(false);
-    a.backend_mut().begin().expect("begin a2");
-    b.backend_mut().begin().expect("begin b2");
-    a.db_execute("INSERT INTO parent VALUES ('kc', 'vc')")
-        .expect("a insert");
-    b.db_execute("INSERT INTO parent VALUES ('kd', 'vd')")
-        .expect("b insert");
-    a.backend_mut().commit().expect("a commits first");
-    match b.backend_mut().commit() {
-        Err(DbError::WriteConflict(_)) => {}
-        other => panic!("table-granular baseline must conflict, got {other:?}"),
-    }
 }
 
 /// Which resource a budget error tripped on, whichever layer raised it
@@ -185,7 +169,8 @@ fn cancel_handle_of_a_shared_session_survives_the_snapshot_refresh() {
 
 /// A row budget set through `engine_mut()` stays in force across the
 /// snapshot replacements of `compile` (refresh) and `commit_workspace`
-/// (re-snapshot after the commit).
+/// (re-snapshot after the commit), and so does every other execution
+/// setting of the session's engine.
 #[test]
 fn row_budget_of_a_shared_session_survives_refresh_and_commit() {
     let shared = shared_ancestor_dkb(300);
@@ -204,6 +189,25 @@ fn row_budget_of_a_shared_session_survives_refresh_and_commit() {
     s.engine_mut().set_row_budget(None);
     let (_, r) = s.query("?- hop(X, Y).").expect("budget lifted");
     assert_eq!(r.rows.len(), 299);
+
+    // The refresh `query` starts with must not hand back the live
+    // engine's settings: no statement fits a zero timeout.
+    let e = s.engine_mut();
+    e.set_statement_timeout(Some(Duration::ZERO));
+    e.set_spill_mode(SpillMode::Disabled);
+    e.set_batch_rows(7);
+    let err = s.query("?- hop(X, Y).").expect_err("no time allowed");
+    assert_eq!(tripped(&err), Some(EvalResource::Deadline), "{err}");
+    assert_eq!(s.engine().spill_mode(), SpillMode::Disabled);
+    assert_eq!(s.engine().batch_rows(), 7);
+
+    // A one-byte memory budget with spilling disabled stops the first
+    // hash build of the recursive query's join.
+    let e = s.engine_mut();
+    e.set_statement_timeout(None);
+    e.set_memory_budget(Some(1));
+    let err = s.query("?- anc(a0, W).").expect_err("no memory allowed");
+    assert_eq!(tripped(&err), Some(EvalResource::Memory), "{err}");
 }
 
 /// Crash sweep over two users' interleaved workspace commits: inject a

@@ -225,3 +225,35 @@ fn two_thousand_rule_commit_fits_a_test_thread_stack() {
     let (compiled, _) = s.query(&workload::rules::chain_query(7, 0, "a")).unwrap();
     assert_eq!(compiled.relevant_rules, 20, "one whole chain is extracted");
 }
+
+/// Figure 7's claim as a count: what one `compile` reads from the Stored
+/// D/KB depends on the relevant rules (R_rs), not on how many rules are
+/// stored (R_s) — the planner looks the bound predicates up through the
+/// indexes and never seeds a join from the unrestricted `rulesource`.
+#[test]
+fn compile_reads_are_flat_in_the_stored_rule_count() {
+    let reads_at = |chains: usize| -> [u64; 3] {
+        let mut s = Session::new(SessionConfig::default()).unwrap();
+        s.define_base("base", &binary_sym()).unwrap();
+        for clause in &workload::chain_rule_base(chains, 20, "base").clauses {
+            s.workspace_mut().add_clause(clause.clone());
+        }
+        s.commit_workspace().unwrap();
+        s.workspace_mut().clear();
+        let query = workload::rules::chain_query(0, 13, "a");
+        // Once to warm up, once measured.
+        s.compile(&query).unwrap();
+        let before = s.engine().stats().exec;
+        let compiled = s.compile(&query).unwrap();
+        let after = s.engine().stats().exec;
+        assert_eq!(compiled.relevant_rules, 7);
+        [
+            after.tuples_scanned - before.tuples_scanned,
+            after.tuples_fetched - before.tuples_fetched,
+            after.index_probes - before.index_probes,
+        ]
+    };
+    let small = reads_at(20);
+    assert_eq!(small, reads_at(100), "R_s = 400 vs 2 000");
+    assert!(small[2] > 0, "extraction goes through the indexes");
+}
