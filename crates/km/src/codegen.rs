@@ -170,6 +170,28 @@ impl<'a> CodegenEnv<'a> {
     }
 }
 
+/// Whether `rule` merely re-arranges the columns of one derived relation:
+/// its body is a single positive atom over a derived predicate, every
+/// argument of that atom is a different variable, and the head carries all
+/// of them. An injective projection of a set is a set, and derived tables
+/// are sets by construction (seeds are de-duplicated, every other insert
+/// is `EXCEPT` or `NOT EXISTS` against the table itself), so such a rule's
+/// rows are already distinct. A base relation is a bag, so it does not
+/// qualify.
+fn rearranges_a_derived_relation(rule: &Clause, env: &CodegenEnv<'_>) -> bool {
+    let [atom] = rule.body.as_slice() else {
+        return false;
+    };
+    if !rule.negative_body.is_empty() || env.base_preds.contains(&atom.predicate) {
+        return false;
+    }
+    let mut seen = BTreeSet::new();
+    atom.args.iter().all(|arg| match arg {
+        Term::Var(v) => seen.insert(v) && rule.head.args.contains(arg),
+        Term::Const(_) => false,
+    })
+}
+
 /// Generate the SQL for one rule body. `table_override` substitutes the
 /// table read by one body occurrence (index into `rule.body`) — this is how
 /// delta variants are produced.
@@ -177,6 +199,17 @@ pub fn rule_to_sql(
     rule: &Clause,
     env: &CodegenEnv<'_>,
     table_override: Option<(usize, String)>,
+) -> Result<String, KmError> {
+    rule_sql(rule, env, table_override, true)
+}
+
+/// [`rule_to_sql`], with `SELECT DISTINCT` or — for a rule whose rows the
+/// caller knows to be distinct already — plain `SELECT`.
+fn rule_sql(
+    rule: &Clause,
+    env: &CodegenEnv<'_>,
+    table_override: Option<(usize, String)>,
+    distinct: bool,
 ) -> Result<String, KmError> {
     if rule.body.is_empty() {
         return Err(KmError::Internal(format!(
@@ -274,7 +307,8 @@ pub fn rule_to_sql(
     }
 
     let mut sql = format!(
-        "SELECT DISTINCT {} FROM {}",
+        "SELECT {}{} FROM {}",
+        if distinct { "DISTINCT " } else { "" },
         select.join(", "),
         from.join(", ")
     );
@@ -347,13 +381,18 @@ fn detect_transitive_closure(clique: &hornlog::Clique, env: &CodegenEnv<'_>) -> 
 }
 
 /// Compile one rule into [`RuleSql`], generating delta variants for each
-/// occurrence of a predicate in `clique_preds`.
+/// occurrence of a predicate in `clique_preds`. A rule of the result node
+/// (`answers`) is read by the caller, which sorts and de-duplicates the
+/// answer anyway; when its rows cannot repeat it runs without `DISTINCT`,
+/// sparing the engine a hash pass over the whole answer.
 fn compile_rule(
     rule: &Clause,
     env: &CodegenEnv<'_>,
     clique_preds: &BTreeSet<String>,
+    answers: bool,
 ) -> Result<RuleSql, KmError> {
-    let full_sql = rule_to_sql(rule, env, None)?;
+    let distinct = !(answers && rearranges_a_derived_relation(rule, env));
+    let full_sql = rule_sql(rule, env, None, distinct)?;
     let mut delta_variants = Vec::new();
     for (i, atom) in rule.body.iter().enumerate() {
         if clique_preds.contains(&atom.predicate) {
@@ -426,7 +465,7 @@ pub fn generate(
                 let compiled: Result<Vec<RuleSql>, KmError> = rules
                     .iter()
                     .filter(|r| !r.body.is_empty())
-                    .map(|r| compile_rule(r, env, &BTreeSet::new()))
+                    .map(|r| compile_rule(r, env, &BTreeSet::new(), name == result_pred))
                     .collect();
                 nodes.push(ProgNode::Predicate {
                     pred: name.clone(),
@@ -439,12 +478,12 @@ pub fn generate(
                     .exit_rules
                     .iter()
                     .filter(|r| !r.body.is_empty())
-                    .map(|r| compile_rule(r, env, &BTreeSet::new()))
+                    .map(|r| compile_rule(r, env, &BTreeSet::new(), false))
                     .collect();
                 let rec: Result<Vec<RuleSql>, KmError> = clique
                     .recursive_rules
                     .iter()
-                    .map(|r| compile_rule(r, env, &clique_preds))
+                    .map(|r| compile_rule(r, env, &clique_preds, false))
                     .collect();
                 nodes.push(ProgNode::Clique {
                     preds: clique.predicates.iter().cloned().collect(),
@@ -638,6 +677,91 @@ mod tests {
         assert_eq!(recursive_rules[0].delta_variants.len(), 1);
         assert!(recursive_rules[0].delta_variants[0].contains("delta_anc"));
         assert!(prog.sql_count() >= 3);
+    }
+
+    /// The result node's SQL for `query` over the ancestor program.
+    fn answer_sql(query: &str) -> Vec<String> {
+        use hornlog::evalgraph::evaluation_order;
+        use hornlog::parser::{parse_program, parse_query};
+
+        let mut program = parse_program(
+            "anc(X, Y) :- parent(X, Y).\n\
+             anc(X, Y) :- parent(X, Z), anc(Z, Y).\n",
+        )
+        .unwrap();
+        let query = parse_query(query).unwrap();
+        let arity = query.head.arity();
+        program.push(query);
+        let (mut types, base, cols) = env_fixture();
+        types.insert("_query".into(), vec![AttrType::Sym; arity]);
+        let env = CodegenEnv {
+            types: &types,
+            base_preds: &base,
+            base_columns: &cols,
+            ns: "",
+        };
+        let order = evaluation_order(&program).unwrap();
+        let prog = generate(&order, &[], "_query", &env).unwrap();
+        let Some(ProgNode::Predicate { pred, rules }) = prog.nodes.last() else {
+            panic!("the result node comes last");
+        };
+        assert_eq!(pred, "_query");
+        rules.iter().map(|r| r.full_sql.clone()).collect()
+    }
+
+    #[test]
+    fn answer_read_of_a_whole_derived_relation_skips_distinct() {
+        // Every column of the one derived atom reaches the head under its
+        // own variable: the rows are distinct already.
+        assert_eq!(
+            answer_sql("?- anc(X, Y)."),
+            ["SELECT t0.c0, t0.c1 FROM d_anc t0"]
+        );
+    }
+
+    #[test]
+    fn answer_read_keeps_distinct_when_rows_could_repeat() {
+        // A constant drops a column from the head.
+        assert_eq!(
+            answer_sql("?- anc(adam, W)."),
+            ["SELECT DISTINCT t0.c1 FROM d_anc t0 WHERE t0.c0 = 'adam'"]
+        );
+        // A repeated variable does too.
+        assert_eq!(
+            answer_sql("?- anc(X, X)."),
+            ["SELECT DISTINCT t0.c0 FROM d_anc t0 WHERE t0.c0 = t0.c1"]
+        );
+        // A base relation is a bag.
+        assert_eq!(
+            answer_sql("?- parent(X, Y)."),
+            ["SELECT DISTINCT t0.par, t0.child FROM parent t0"]
+        );
+        // A join can produce the same pair twice.
+        assert_eq!(
+            answer_sql("?- anc(X, Z), anc(Z, Y)."),
+            ["SELECT DISTINCT t0.c0, t0.c1, t1.c1 FROM d_anc t0, d_anc t1 WHERE t0.c1 = t1.c0"]
+        );
+    }
+
+    #[test]
+    fn only_the_result_node_drops_distinct() {
+        // The same shape anywhere else keeps its SQL text: under
+        // `INSERT … EXCEPT` the planner already elides the operator.
+        let (mut types, base, cols) = env_fixture();
+        types.insert("copy".into(), vec![AttrType::Sym, AttrType::Sym]);
+        let env = CodegenEnv {
+            types: &types,
+            base_preds: &base,
+            base_columns: &cols,
+            ns: "",
+        };
+        let rule = parse_clause("copy(X, Y) :- anc(X, Y).").unwrap();
+        assert!(rearranges_a_derived_relation(&rule, &env));
+        let compiled = compile_rule(&rule, &env, &BTreeSet::new(), false).unwrap();
+        assert_eq!(
+            compiled.full_sql,
+            "SELECT DISTINCT t0.c0, t0.c1 FROM d_anc t0"
+        );
     }
 
     #[test]

@@ -12,9 +12,10 @@
 
 use crate::catalog::DbError;
 use crate::disk::{Disk, FileId, PageId};
+use crate::hash::KeyMap;
 use crate::page::PAGE_SIZE;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Default number of frames. 256 frames x 4 KiB = 1 MiB of buffer, small
 /// enough that the larger experiment relations actually overflow it and
@@ -57,7 +58,7 @@ struct Frame {
 /// A fixed-capacity page cache over the simulated disk.
 pub struct BufferPool {
     frames: Vec<Frame>,
-    map: HashMap<(FileId, PageId), usize>,
+    map: KeyMap<(FileId, PageId), usize>,
     /// Frames caching no page, lowest index on top: a miss takes the free
     /// frame a front-to-back search of `frames` would find, without the
     /// search.
@@ -82,7 +83,7 @@ impl BufferPool {
                     cold: false,
                 })
                 .collect(),
-            map: HashMap::new(),
+            map: KeyMap::default(),
             free: (0..capacity).map(Reverse).collect(),
             clock_hand: 0,
             cold_queue: VecDeque::new(),

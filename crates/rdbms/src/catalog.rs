@@ -215,8 +215,10 @@ impl Catalog {
         } else {
             HashIndex::new(index_name.to_ascii_lowercase(), key_cols)
         };
+        let mut row = Vec::new();
         table.heap.scan().for_each(disk, pool, |rid, payload| {
-            index.insert(&crate::exec::decode_tuple(table_name, rid, payload)?, rid);
+            crate::exec::decode_into(table_name, rid, payload, &mut row)?;
+            index.insert(&row, rid);
             Ok(())
         })?;
         table.indexes.push(index);

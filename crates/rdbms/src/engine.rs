@@ -9,7 +9,7 @@ use crate::buffer::{BufferPool, BufferStats, DEFAULT_POOL_FRAMES};
 use crate::catalog::{Catalog, DbError, Table};
 use crate::disk::{Disk, DiskStats, FaultInjector, RecoveryReport};
 use crate::exec::{
-    decode_tuple, execute_plan, ExecCtx, ExecStats, OpProfile, Profiler, SpillMode,
+    decode_into, decode_tuple, execute_plan, ExecCtx, ExecStats, OpProfile, Profiler, SpillMode,
     DEFAULT_BATCH_ROWS,
 };
 use crate::governor::{BudgetKind, ExecLimits, QueryGovernor, GOVERNOR_CHECK_INTERVAL};
@@ -18,6 +18,7 @@ use crate::index::PackedKey;
 use crate::page::MAX_PAYLOAD;
 use crate::plan::{output_types, plan_query, ExecCond, PlannedQuery};
 use crate::rewrite::RewriteReport;
+use crate::rowbuf::RowBuf;
 use crate::schema::{serialize_tuple_into, serialized_len, Schema, Tuple};
 use crate::sql::ast::{CmpOp, ColRef, Condition, Query, Scalar, SelectItem, Stmt};
 use crate::sql::parser::{parse_script, parse_stmt, parse_stmt_params};
@@ -595,10 +596,11 @@ impl Engine {
                 indexes,
                 ..
             } = table;
+            let mut row = Vec::new();
             heap.scan().for_each(disk, pool, |rid, payload| {
-                let tuple = decode_tuple(name, rid, payload)?;
+                decode_into(name, rid, payload, &mut row)?;
                 for index in indexes.iter_mut() {
-                    index.insert(&tuple, rid);
+                    index.insert(&row, rid);
                 }
                 Ok(())
             })?;
@@ -687,8 +689,8 @@ impl Engine {
             }
             Stmt::InsertSelect { table, query } => {
                 let planned = self.cached_plan(id, query, Some(table))?;
-                let rows = self.execute_planned(&planned, params)?.rows;
-                let n = self.insert_rows(table, rows)?;
+                let rows = self.run_planned(&planned, params)?;
+                let n = self.insert_slices(table, rows.len(), |i| rows.row(i))?;
                 Ok(ResultSet::dml(n))
             }
             Stmt::InsertValues { table, rows } => {
@@ -850,8 +852,9 @@ impl Engine {
             Stmt::InsertSelect { table, query } => {
                 // Type-check source against target, then run and load.
                 self.check_insert_select_types(table, query)?;
-                let rows = self.run_query(query)?.rows;
-                let n = self.insert_rows(table, rows)?;
+                let planned = self.plan(query)?;
+                let rows = self.run_planned(&planned, &[])?;
+                let n = self.insert_slices(table, rows.len(), |i| rows.row(i))?;
                 Ok(ResultSet::dml(n))
             }
             Stmt::InsertTransitiveClosure { table, source } => {
@@ -921,12 +924,23 @@ impl Engine {
         self.execute_planned(&planned, &[])
     }
 
-    /// Run a physical plan with the given parameter bindings.
+    /// Run a physical plan and hand its rows out of the engine — the one
+    /// place a row buffer becomes a vector per row.
     fn execute_planned(
         &mut self,
         planned: &PlannedQuery,
         params: &[Value],
     ) -> Result<ResultSet, DbError> {
+        let rows = self.run_planned(planned, params)?;
+        Ok(ResultSet {
+            columns: planned.columns.clone(),
+            rows: rows.into_rows(),
+            affected: 0,
+        })
+    }
+
+    /// Run a physical plan with the given parameter bindings.
+    fn run_planned(&mut self, planned: &PlannedQuery, params: &[Value]) -> Result<RowBuf, DbError> {
         let t0 = Instant::now();
         let governor = self.governor();
         let rows = {
@@ -946,11 +960,7 @@ impl Engine {
         self.exec_stats.exec_ns += t0.elapsed().as_nanos() as u64;
         let rows = self.note_budget(rows)?;
         self.exec_stats.rows_output += rows.len() as u64;
-        Ok(ResultSet {
-            columns: planned.columns.clone(),
-            rows,
-            affected: 0,
-        })
+        Ok(rows)
     }
 
     /// Execute `planned` with the per-operator profiler installed and
@@ -1038,6 +1048,18 @@ impl Engine {
     /// row touches the heap, so a mid-batch mismatch cannot leave a partial
     /// insert behind.
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Tuple>) -> Result<u64, DbError> {
+        self.insert_slices(table, rows.len(), |i| &rows[i])
+    }
+
+    /// [`Engine::insert_rows`] over `n` rows wherever they lie: `row(i)` is
+    /// the `i`-th. `INSERT … SELECT` loads its row buffer through this
+    /// without ever holding a vector per row.
+    fn insert_slices<'r>(
+        &mut self,
+        table: &str,
+        n: usize,
+        row: impl Fn(usize) -> &'r [Value],
+    ) -> Result<u64, DbError> {
         // Governor checks happen *before* the first row is written: a
         // budget breach (or a pending cancellation) rejects the whole
         // batch, so DML batches stay all-or-nothing under the governor
@@ -1045,10 +1067,10 @@ impl Engine {
         let governor = self.governor();
         let admitted = governor
             .check()
-            .and_then(|()| governor.charge_rows(rows.len() as u64));
+            .and_then(|()| governor.charge_rows(n as u64));
         self.note_budget(admitted)?;
         let t = self.catalog.table_mut(table)?;
-        for row in &rows {
+        for row in (0..n).map(&row) {
             if !t.schema.admits(row) {
                 return Err(DbError::TypeMismatch(format!(
                     "row {row:?} does not match schema {} of {}",
@@ -1067,16 +1089,16 @@ impl Engine {
         // buffer, each page filled under one visit), then one pass per
         // index. If the disk fails part-way, the rows already placed are
         // still indexed and counted before the error is returned.
-        let mut rids = Vec::with_capacity(rows.len());
+        let mut rids = Vec::with_capacity(n);
         let appended = t.heap.append(
             &mut self.disk,
             &mut self.pool,
-            rows.len(),
-            |i, buf| serialize_tuple_into(&rows[i], buf),
+            n,
+            |i, buf| serialize_tuple_into(row(i), buf),
             &mut rids,
         );
         for index in &mut t.indexes {
-            index.insert_batch(&rows, &rids);
+            index.insert_batch((0..n).map(&row), &rids);
         }
         let n = rids.len() as u64;
         t.stats.note_mods(n);

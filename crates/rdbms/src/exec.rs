@@ -3,21 +3,28 @@
 //! A materializing executor: each operator produces its full result before
 //! the parent consumes it. This mirrors how the testbed's generated
 //! embedded-SQL programs behaved (every LFP iteration materialized
-//! temporaries), and keeps join state simple. Logical work is counted in
-//! [`ExecStats`] so experiments can report machine-independent costs.
+//! temporaries), and keeps join state simple. A result is one flat
+//! `RowBuf`, not a vector per row: a row costs its producer a push and
+//! its consumer a slice, and only `Str` payloads own heap memory of their
+//! own. Logical work is counted in [`ExecStats`] so experiments can report
+//! machine-independent costs.
 
 use crate::buffer::BufferPool;
 use crate::catalog::{Catalog, DbError, Table};
 use crate::disk::Disk;
 use crate::governor::{QueryGovernor, GOVERNOR_CHECK_INTERVAL};
+use crate::hash::{KeyMap, KeySet};
 use crate::heap::RecordId;
 use crate::index::PackedKey;
 use crate::plan::{ExecCond, KeyExpr, PhysPlan, ProjExpr};
-use crate::schema::{deserialize_tuple, serialize_tuple, Tuple};
-use crate::spill::{decode_seq_tuple, encode_seq_tuple, partition_of, SpillFile, SpillWriter};
+use crate::rowbuf::RowBuf;
+use crate::schema::{deserialize_tuple_into, serialize_tuple_into, Tuple};
+use crate::spill::{
+    decode_seq_tuple, encode_seq_tuple, partition_of, SpillFile, SpillReader, SpillWriter,
+};
 use crate::value::Value;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// When memory-bounded operators may divert state to spill files
 /// instead of failing the statement.
@@ -304,18 +311,23 @@ fn gov_tick(gov: Option<&QueryGovernor>, i: usize) -> Result<(), DbError> {
     Ok(())
 }
 
-/// Approximate heap footprint of one materialized tuple, for charging
+/// Approximate heap footprint of one materialized row, for charging
 /// hash-join build sides against the memory budget. Deliberately a
-/// cheap over-estimate (enum discriminant + payload), not an exact
-/// allocator measurement.
-fn tuple_bytes(t: &Tuple) -> u64 {
-    t.iter()
+/// cheap over-estimate (enum discriminant + payload, plus a per-row
+/// header), not an exact allocator measurement.
+fn row_bytes(row: &[Value]) -> u64 {
+    row.iter()
         .map(|v| match v {
             Value::Int(_) => 16u64,
             Value::Str(s) => 24 + s.len() as u64,
         })
         .sum::<u64>()
         + 24
+}
+
+/// [`row_bytes`] over a whole buffer: an operator's materialized state.
+fn state_bytes(rows: &RowBuf) -> u64 {
+    rows.iter().map(row_bytes).sum()
 }
 
 /// Default rows per operator batch. Matches [`GOVERNOR_CHECK_INTERVAL`]
@@ -379,28 +391,33 @@ fn spill_partition_count(ctx: &ExecCtx<'_>, bytes: u64) -> usize {
 fn scatter_partitions(
     disk: &mut Disk,
     gov: Option<&QueryGovernor>,
-    rows: &[Tuple],
+    rows: &RowBuf,
     parts: usize,
     key_cols: Option<&[usize]>,
     tag_seq: bool,
 ) -> Result<Vec<SpillFile>, DbError> {
     let mut writers: Vec<SpillWriter> = (0..parts).map(|_| SpillWriter::new(disk)).collect();
+    // Both byte buffers are reused across rows: a row is serialized once,
+    // as tag + body, and an untagged stream stores the body alone.
+    let mut record = Vec::new();
+    let mut key = Vec::new();
     let mut failed = None;
     for (seq, row) in rows.iter().enumerate() {
         let step = gov_tick(gov, seq).and_then(|()| {
+            encode_seq_tuple(seq as u64, row, &mut record);
+            let body = &record[8..];
             let part = match key_cols {
                 Some(cols) => {
-                    let key: Vec<Value> = cols.iter().map(|&k| row[k].clone()).collect();
+                    key.clear();
+                    key.extend_from_slice(&(cols.len() as u16).to_le_bytes());
+                    for &k in cols {
+                        row[k].serialize_into(&mut key);
+                    }
                     partition_of(&key, parts)
                 }
-                None => partition_of(row, parts),
+                None => partition_of(body, parts),
             };
-            let payload = if tag_seq {
-                encode_seq_tuple(seq as u64, row)
-            } else {
-                serialize_tuple(row)
-            };
-            writers[part].push(disk, &payload)
+            writers[part].push(disk, if tag_seq { &record } else { body })
         });
         if let Err(e) = step {
             failed = Some(e);
@@ -432,21 +449,27 @@ fn scatter_partitions(
     Ok(files)
 }
 
-/// Read one spilled (untagged) tuple.
-fn read_spilled_tuple(
-    r: &mut crate::spill::SpillReader,
+/// Read one spilled (untagged) tuple into the reused `row`, through the
+/// reused `payload`; `false` past the last record.
+fn read_spilled_row(
+    r: &mut SpillReader,
     disk: &mut Disk,
-) -> Result<Option<Tuple>, DbError> {
-    match r.next(disk)? {
-        None => Ok(None),
-        Some(payload) => deserialize_tuple(&payload)
-            .map(Some)
-            .ok_or_else(|| DbError::Corruption("spilled tuple does not deserialize".into())),
+    payload: &mut Vec<u8>,
+    row: &mut Vec<Value>,
+) -> Result<bool, DbError> {
+    if !r.next(disk, payload)? {
+        return Ok(false);
     }
+    if !deserialize_tuple_into(payload, row) {
+        return Err(DbError::Corruption(
+            "spilled tuple does not deserialize".into(),
+        ));
+    }
+    Ok(true)
 }
 
 /// Compare two rows on the sort key columns.
-fn cmp_keys(a: &Tuple, b: &Tuple, keys: &[usize]) -> std::cmp::Ordering {
+fn cmp_keys(a: &[Value], b: &[Value], keys: &[usize]) -> std::cmp::Ordering {
     for &k in keys {
         let ord = a[k].cmp(&b[k]);
         if ord != std::cmp::Ordering::Equal {
@@ -454,6 +477,22 @@ fn cmp_keys(a: &Tuple, b: &Tuple, keys: &[usize]) -> std::cmp::Ordering {
         }
     }
     std::cmp::Ordering::Equal
+}
+
+/// The indexes of `rows[range]` in stable `keys` order.
+fn sort_order(rows: &RowBuf, range: Range<usize>, keys: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = range.collect();
+    order.sort_by(|&a, &b| cmp_keys(rows.row(a), rows.row(b), keys));
+    order
+}
+
+/// Put `rows` in the order of their `seqs` tags (ties keep their place):
+/// how the spilling operators restore input order after their partitions
+/// were processed one by one.
+fn restore_order(rows: RowBuf, seqs: &[u64]) -> RowBuf {
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by_key(|&i| seqs[i]);
+    rows.reordered(&order)
 }
 
 /// A row the conditions of a plan can be evaluated against: a flat tuple,
@@ -508,8 +547,8 @@ pub(crate) fn eval_all(conds: &[ExecCond], row: &[Value], params: &[Value]) -> b
 struct Emit<'p> {
     /// `None` emits the operator's natural row.
     exprs: Option<&'p [ProjExpr]>,
-    /// `exprs` is `Col(0), Col(1), ..`: an owned row is projected by
-    /// cutting it short, which is what `SELECT *` amounts to.
+    /// `exprs` is `Col(0), Col(1), ..`: a decoded row is projected by
+    /// moving its first columns out, which is what `SELECT *` amounts to.
     prefix: bool,
 }
 
@@ -531,38 +570,36 @@ impl<'p> Emit<'p> {
         }
     }
 
-    fn build<R: RowView + ?Sized>(exprs: &[ProjExpr], row: &R) -> Tuple {
-        exprs
-            .iter()
-            .map(|e| match e {
-                ProjExpr::Col(i) => row.col(*i).clone(),
-                ProjExpr::Lit(v) => v.clone(),
-            })
-            .collect()
+    /// Columns of an emitted row, for an operator whose own rows have
+    /// `natural` columns.
+    fn arity(&self, natural: usize) -> usize {
+        self.exprs.map_or(natural, <[ProjExpr]>::len)
     }
 
-    /// Emit an owned row.
-    fn row(&self, mut row: Tuple) -> Tuple {
+    fn build<R: RowView + ?Sized>(exprs: &[ProjExpr], row: &R, out: &mut RowBuf) {
+        out.push(exprs.iter().map(|e| match e {
+            ProjExpr::Col(i) => row.col(*i).clone(),
+            ProjExpr::Lit(v) => v.clone(),
+        }));
+    }
+
+    /// Emit a freshly decoded row, moving its values out of `row` where the
+    /// projection allows.
+    fn row(&self, row: &mut Vec<Value>, out: &mut RowBuf) {
         match self.exprs {
-            None => row,
+            None => out.push(row.drain(..)),
             Some(exprs) if self.prefix && exprs.len() <= row.len() => {
-                row.truncate(exprs.len());
-                row
+                out.push(row.drain(..exprs.len()));
             }
-            Some(exprs) => Self::build(exprs, row.as_slice()),
+            Some(exprs) => Self::build(exprs, row.as_slice(), out),
         }
     }
 
     /// Emit the join of `left` and `right`.
-    fn joined(&self, left: &[Value], right: &[Value]) -> Tuple {
+    fn joined(&self, left: &[Value], right: &[Value], out: &mut RowBuf) {
         match self.exprs {
-            None => {
-                let mut row = Vec::with_capacity(left.len() + right.len());
-                row.extend_from_slice(left);
-                row.extend_from_slice(right);
-                row
-            }
-            Some(exprs) => Self::build(exprs, &Joined(left, right)),
+            None => out.push_joined(left, right),
+            Some(exprs) => Self::build(exprs, &Joined(left, right), out),
         }
     }
 }
@@ -597,21 +634,61 @@ fn resolve_key(key: &[KeyExpr], params: &[Value]) -> PackedKey {
 /// Decode a stored payload, surfacing damage as [`DbError::Corruption`]
 /// instead of panicking so callers can attempt recovery.
 pub(crate) fn decode_tuple(table: &str, rid: RecordId, payload: &[u8]) -> Result<Tuple, DbError> {
-    deserialize_tuple(payload).ok_or_else(|| {
-        DbError::Corruption(format!(
-            "table {table}: stored tuple at {rid:?} does not deserialize"
-        ))
-    })
+    let mut row = Vec::new();
+    decode_into(table, rid, payload, &mut row)?;
+    Ok(row)
 }
 
-/// Decode the record an index entry points at, inside its page; a dangling
-/// entry means the index and heap have diverged, which is corruption, not a
-/// logic bug.
-fn fetch_indexed(ctx: &mut ExecCtx<'_>, table: &Table, rid: RecordId) -> Result<Tuple, DbError> {
+/// [`decode_tuple`] into a reused row.
+pub(crate) fn decode_into(
+    table: &str,
+    rid: RecordId,
+    payload: &[u8],
+    row: &mut Vec<Value>,
+) -> Result<(), DbError> {
+    if deserialize_tuple_into(payload, row) {
+        Ok(())
+    } else {
+        Err(DbError::Corruption(format!(
+            "table {table}: stored tuple at {rid:?} does not deserialize"
+        )))
+    }
+}
+
+/// Decode one of `table`'s records for the executor. The flat buffers rows
+/// go into are laid out by the schema's arity, so a record of any other
+/// width is refused here rather than misaligning every row after it.
+fn decode_row(
+    table: &Table,
+    rid: RecordId,
+    payload: &[u8],
+    row: &mut Vec<Value>,
+) -> Result<(), DbError> {
+    decode_into(&table.name, rid, payload, row)?;
+    if row.len() != table.schema.arity() {
+        return Err(DbError::Corruption(format!(
+            "table {}: stored tuple at {rid:?} has {} columns, schema has {}",
+            table.name,
+            row.len(),
+            table.schema.arity()
+        )));
+    }
+    Ok(())
+}
+
+/// Decode the record an index entry points at into `row`, inside its page;
+/// a dangling entry means the index and heap have diverged, which is
+/// corruption, not a logic bug.
+fn fetch_indexed(
+    ctx: &mut ExecCtx<'_>,
+    table: &Table,
+    rid: RecordId,
+    row: &mut Vec<Value>,
+) -> Result<(), DbError> {
     table
         .heap
         .read(ctx.disk, ctx.pool, rid, |payload| {
-            decode_tuple(&table.name, rid, payload)
+            decode_row(table, rid, payload, row)
         })?
         .unwrap_or_else(|| {
             Err(DbError::Corruption(format!(
@@ -621,25 +698,29 @@ fn fetch_indexed(ctx: &mut ExecCtx<'_>, table: &Table, rid: RecordId) -> Result<
         })
 }
 
-/// Scan all of `table`, decoding each live record inside its page latch and
-/// handing the row to `on_row`, which reports whether it kept the row (a
-/// row not kept counts as dropped by the scan's filters). Records are
-/// gathered `batch_rows` at a time — the cadence of governor polls and of
-/// the `batches` counter — with one buffer-pool visit per page touched.
+/// Scan all of `table`, decoding each live record inside its page latch —
+/// always into the same row, so a scan of integer rows allocates nothing —
+/// and handing that row to `on_row`, which takes what it wants of it and
+/// reports whether it kept the row (a row not kept counts as dropped by
+/// the scan's filters). Records are gathered `batch_rows` at a time — the
+/// cadence of governor polls and of the `batches` counter — with one
+/// buffer-pool visit per page touched.
 fn scan_rows(
     ctx: &mut ExecCtx<'_>,
     table: &Table,
-    mut on_row: impl FnMut(Tuple) -> bool,
+    mut on_row: impl FnMut(&mut Vec<Value>) -> bool,
 ) -> Result<(), DbError> {
     let batch = ctx.batch_rows.max(1);
     let mut scan = table.heap.scan();
+    let mut row = Vec::with_capacity(table.schema.arity());
     loop {
         if let Some(g) = ctx.governor {
             g.check()?;
         }
         let mut dropped = 0;
         let scanned = scan.for_each_batch(ctx.disk, ctx.pool, batch, |rid, payload| {
-            if !on_row(decode_tuple(&table.name, rid, payload)?) {
+            decode_row(table, rid, payload, &mut row)?;
+            if !on_row(&mut row) {
                 dropped += 1;
             }
             Ok(())
@@ -660,20 +741,21 @@ fn scan_rows(
 /// in build order. One map entry per distinct key and one link per row —
 /// no per-key vector, and (for integer keys) no per-row allocation.
 struct BuildTable<'r> {
-    rows: &'r [Tuple],
+    rows: &'r RowBuf,
     /// Key → (first, last) row index of its chain.
-    chains: HashMap<PackedKey, (usize, usize)>,
+    chains: KeyMap<PackedKey, (usize, usize)>,
     /// `next[i]` is the row after row `i` in its chain; `usize::MAX` ends it.
     next: Vec<usize>,
 }
 
 impl<'r> BuildTable<'r> {
     fn build(
-        rows: &'r [Tuple],
+        rows: &'r RowBuf,
         key_cols: &[usize],
         gov: Option<&QueryGovernor>,
     ) -> Result<BuildTable<'r>, DbError> {
-        let mut chains: HashMap<PackedKey, (usize, usize)> = HashMap::with_capacity(rows.len());
+        let mut chains: KeyMap<PackedKey, (usize, usize)> =
+            KeyMap::with_capacity_and_hasher(rows.len(), Default::default());
         let mut next = vec![usize::MAX; rows.len()];
         for (i, row) in rows.iter().enumerate() {
             gov_tick(gov, i)?;
@@ -692,13 +774,13 @@ impl<'r> BuildTable<'r> {
     }
 
     /// The build rows filed under `key`, in build order.
-    fn matches<'t>(&'t self, key: &PackedKey) -> impl Iterator<Item = &'r Tuple> + 't {
+    fn matches<'t>(&'t self, key: &PackedKey) -> impl Iterator<Item = &'r [Value]> + 't {
         let mut at = self.chains.get(key).map_or(usize::MAX, |&(first, _)| first);
         std::iter::from_fn(move || {
             let i = at;
             (i != usize::MAX).then(|| {
                 at = self.next[i];
-                &self.rows[i]
+                self.rows.row(i)
             })
         })
     }
@@ -716,39 +798,63 @@ struct HashProbe<'a> {
 }
 
 impl HashProbe<'_> {
-    /// Probe with each row of `probe`, appending the joins that pass the
-    /// residual to `out`.
-    fn run(&self, probe: &[Tuple], c: &mut RowCounts, out: &mut Vec<Tuple>) {
-        for prow in probe {
-            let key = PackedKey::from_cols(prow, self.probe_keys);
-            for brow in self.table.matches(&key) {
-                let (lrow, rrow) = if self.build_left {
-                    (brow, prow)
-                } else {
-                    (prow, brow)
-                };
-                if eval_row(self.residual, &Joined(lrow, rrow), self.params) {
-                    c.join_output += 1;
-                    out.push(self.emit.joined(lrow, rrow));
-                } else {
-                    c.dropped += 1;
-                }
+    /// Probe with `prow`, appending the joins that pass the residual to
+    /// `out`.
+    fn probe(&self, prow: &[Value], c: &mut RowCounts, out: &mut RowBuf) {
+        let key = PackedKey::from_cols(prow, self.probe_keys);
+        for brow in self.table.matches(&key) {
+            let (lrow, rrow) = if self.build_left {
+                (brow, prow)
+            } else {
+                (prow, brow)
+            };
+            if eval_row(self.residual, &Joined(lrow, rrow), self.params) {
+                c.join_output += 1;
+                self.emit.joined(lrow, rrow, out);
+            } else {
+                c.dropped += 1;
             }
         }
     }
 }
 
-/// Keep the first occurrence of every row, in input order.
-fn dedup_rows(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-    let mut seen = HashSet::with_capacity(rows.len());
-    rows.retain(|r| seen.insert(PackedKey::from_values(r)));
-    rows
+/// Keep the first occurrence of every row of `rows` that is not among
+/// `exclude`, in input order — what `DISTINCT`, `UNION` and `EXCEPT` keep —
+/// and return one flag per input row saying whether it stayed. Rows are
+/// marked against a set that borrows each row where it lies in its buffer
+/// (no key is built), then the gaps are closed in place.
+fn keep_first_occurrences(rows: &mut RowBuf, exclude: Option<&RowBuf>) -> Vec<bool> {
+    let excluded = exclude.map_or(0, RowBuf::len);
+    let mut seen: KeySet<&[Value]> =
+        KeySet::with_capacity_and_hasher(rows.len() + excluded, Default::default());
+    if let Some(exclude) = exclude {
+        seen.extend(exclude.iter());
+    }
+    let keep: Vec<bool> = rows.iter().map(|row| seen.insert(row)).collect();
+    drop(seen);
+    rows.retain_marked(&keep);
+    keep
+}
+
+/// Duplicate elimination, in memory or spilled: `rows` without repeats and
+/// without the rows of `exclude`.
+fn dedup(
+    ctx: &mut ExecCtx<'_>,
+    mut rows: RowBuf,
+    exclude: Option<RowBuf>,
+) -> Result<RowBuf, DbError> {
+    let state = state_bytes(&rows) + exclude.as_ref().map_or(0, state_bytes);
+    if spill_engaged(ctx, state) && !rows.is_empty() {
+        return spill_dedup(ctx, rows, exclude, state);
+    }
+    keep_first_occurrences(&mut rows, exclude.as_ref());
+    Ok(rows)
 }
 
 /// Execute `plan` to completion. When a [`Profiler`] is installed in the
 /// context, each node's wall time, output cardinality, and operator-local
 /// counters are recorded on the way.
-pub fn execute_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>, DbError> {
+pub(crate) fn execute_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>) -> Result<RowBuf, DbError> {
     execute_emitting(plan, ctx, Emit::NATURAL)
 }
 
@@ -758,7 +864,7 @@ fn execute_emitting(
     plan: &PhysPlan,
     ctx: &mut ExecCtx<'_>,
     emit: Emit<'_>,
-) -> Result<Vec<Tuple>, DbError> {
+) -> Result<RowBuf, DbError> {
     let profiled = ctx
         .profiler
         .as_mut()
@@ -783,7 +889,7 @@ fn execute_emitting(
     Ok(rows)
 }
 
-fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Vec<Tuple>, DbError> {
+fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<RowBuf, DbError> {
     debug_assert!(emit.exprs.is_none() || builds_rows(plan));
     if let Some(g) = ctx.governor {
         g.check()?;
@@ -792,14 +898,14 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
         PhysPlan::SeqScan { table, filters } => {
             // Decode and filter happen inside the page latch, on this
             // thread: the buffer pool is a single-writer resource, and a
-            // row leaves its page only as the tuple the parent asked for.
+            // row leaves its page only as the columns the parent asked for.
             let t = ctx.catalog.table(table)?;
             let params = ctx.params;
-            let mut out = Vec::new();
+            let mut out = RowBuf::new(emit.arity(t.schema.arity()));
             scan_rows(ctx, t, |row| {
-                let keep = eval_all(filters, &row, params);
+                let keep = eval_all(filters, row, params);
                 if keep {
-                    out.push(emit.row(row));
+                    emit.row(row, &mut out);
                 }
                 keep
             })?;
@@ -812,17 +918,18 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
             residual,
         } => {
             let t = ctx.catalog.table(table)?;
-            let mut out = Vec::new();
+            let mut out = RowBuf::new(emit.arity(t.schema.arity()));
+            let mut row = Vec::new();
             for key in keys {
                 let key = resolve_key(key, ctx.params);
                 ctx.count_probe();
                 let rids = t.indexes[*index_pos].lookup(&key);
                 out.reserve(rids.len());
                 for &rid in rids {
-                    let tuple = fetch_indexed(ctx, t, rid)?;
+                    fetch_indexed(ctx, t, rid, &mut row)?;
                     ctx.count_fetched();
-                    if eval_all(residual, &tuple, ctx.params) {
-                        out.push(emit.row(tuple));
+                    if eval_all(residual, &row, ctx.params) {
+                        emit.row(&mut row, &mut out);
                     } else {
                         ctx.prof_drop();
                     }
@@ -846,12 +953,13 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                 .range(to_key(lo), to_key(hi))
                 .expect("planner only ranges over ordered indexes");
             ctx.count_probe();
-            let mut out = Vec::with_capacity(rids.len());
+            let mut out = RowBuf::with_capacity(emit.arity(t.schema.arity()), rids.len());
+            let mut row = Vec::new();
             for rid in rids {
-                let tuple = fetch_indexed(ctx, t, rid)?;
+                fetch_indexed(ctx, t, rid, &mut row)?;
                 ctx.count_fetched();
-                if eval_all(residual, &tuple, ctx.params) {
-                    out.push(emit.row(tuple));
+                if eval_all(residual, &row, ctx.params) {
+                    emit.row(&mut row, &mut out);
                 } else {
                     ctx.prof_drop();
                 }
@@ -867,6 +975,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
         } => {
             let left_rows = execute_plan(left, ctx)?;
             let right_rows = execute_plan(right, ctx)?;
+            let out_arity = emit.arity(left_rows.arity() + right_rows.arity());
             // Build the hash table on the smaller side; output rows are
             // always left-columns-then-right-columns regardless.
             let build_left = left_rows.len() <= right_rows.len();
@@ -875,7 +984,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
             } else {
                 (right_rows, right_keys, left_rows, left_keys)
             };
-            let build_bytes: u64 = build.iter().map(tuple_bytes).sum();
+            let build_bytes = state_bytes(&build);
             if spill_engaged(ctx, build_bytes) && !build.is_empty() {
                 return grace_hash_join(
                     ctx,
@@ -887,6 +996,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                     residual,
                     build_bytes,
                     emit,
+                    out_arity,
                 );
             }
             // The build side is the join's materialized state: charge it
@@ -906,8 +1016,9 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                 params: ctx.params,
                 emit,
             };
-            let mut out = Vec::new();
-            for sub in probe.chunks(ctx.batch_rows.max(1)) {
+            let mut out = RowBuf::new(out_arity);
+            let batch = ctx.batch_rows.max(1);
+            for start in (0..probe.len()).step_by(batch) {
                 if let Some(g) = ctx.governor {
                     g.check()?;
                 }
@@ -915,7 +1026,9 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                     batches: 1,
                     ..RowCounts::default()
                 };
-                join.run(sub, &mut counts, &mut out);
+                for i in start..probe.len().min(start + batch) {
+                    join.probe(probe.row(i), &mut counts, &mut out);
+                }
                 ctx.absorb(counts);
             }
             Ok(out)
@@ -933,6 +1046,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
             let index = &t.indexes[*index_pos];
             let batch = ctx.batch_rows.max(1);
             let params = ctx.params;
+            let mut out = RowBuf::new(emit.arity(left_rows.arity() + t.schema.arity()));
             // The planner chose probing from its estimates at plan time;
             // whether it still pays is re-checked here against live
             // cardinalities. When the outer side has grown to the size of
@@ -944,11 +1058,11 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                 (left_rows.len() as u64) < t.heap.tuple_count().max(ANTI_JOIN_PROBE_FLOOR);
             if !probe_pays {
                 ctx.stats.join_adaptive_flips += 1;
-                let mut inner_rows = Vec::new();
+                let mut inner_rows = RowBuf::new(t.schema.arity());
                 scan_rows(ctx, t, |row| {
-                    let keep = eval_all(inner_filters, &row, params);
+                    let keep = eval_all(inner_filters, row, params);
                     if keep {
-                        inner_rows.push(row);
+                        inner_rows.push(row.drain(..));
                     }
                     keep
                 })?;
@@ -963,15 +1077,15 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                     emit,
                 };
                 let mut counts = RowCounts::default();
-                let mut out = Vec::new();
                 for (li, lrow) in left_rows.iter().enumerate() {
                     gov_tick(ctx.governor, li)?;
-                    join.run(std::slice::from_ref(lrow), &mut counts, &mut out);
+                    join.probe(lrow, &mut counts, &mut out);
                 }
                 ctx.absorb(counts);
                 return Ok(out);
             }
-            let mut out = Vec::new();
+            // Every fetched inner record decodes into this one row.
+            let mut inner = Vec::new();
             for (li, lrow) in left_rows.iter().enumerate() {
                 if li % batch == 0 {
                     if let Some(g) = ctx.governor {
@@ -982,7 +1096,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                 let key = PackedKey::from_cols(lrow, left_keys);
                 ctx.count_probe();
                 for &rid in index.lookup(&key) {
-                    let inner = fetch_indexed(ctx, t, rid)?;
+                    fetch_indexed(ctx, t, rid, &mut inner)?;
                     ctx.count_fetched();
                     if !eval_all(inner_filters, &inner, params) {
                         ctx.prof_drop();
@@ -990,7 +1104,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                     }
                     if eval_row(residual, &Joined(lrow, &inner), params) {
                         ctx.stats.join_output += 1;
-                        out.push(emit.joined(lrow, &inner));
+                        emit.joined(lrow, &inner, &mut out);
                     } else {
                         ctx.prof_drop();
                     }
@@ -1006,7 +1120,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
             inner_keys,
             index_pos,
         } => {
-            let rows = execute_plan(child, ctx)?;
+            let mut rows = execute_plan(child, ctx)?;
             let t = ctx.catalog.table(table)?;
             // The planner records an index as a *capability*; whether
             // probing actually pays is decided here against live
@@ -1018,23 +1132,20 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
             // LFP termination check — one inner scan into a fresh hash
             // set is cheaper than hammering the persistent index.
             let probe_pays = (rows.len() as u64) < t.heap.tuple_count().max(ANTI_JOIN_PROBE_FLOOR);
+            let mut keep = Vec::with_capacity(rows.len());
             if let (Some(pos), true) = (*index_pos, probe_pays) {
                 // The correlation keys are exactly the index key: a row of
                 // the inner table matches iff the probe hits, so no scan
                 // and no tuple fetch are needed.
                 let index = &t.indexes[pos];
-                let mut out = Vec::new();
-                for (ri, row) in rows.into_iter().enumerate() {
+                for (ri, row) in rows.iter().enumerate() {
                     gov_tick(ctx.governor, ri)?;
                     ctx.count_probe();
-                    if index
-                        .lookup(&PackedKey::from_cols(&row, outer_keys))
-                        .is_empty()
-                    {
-                        out.push(row);
-                    }
+                    let key = PackedKey::from_cols(row, outer_keys);
+                    keep.push(index.lookup(&key).is_empty());
                 }
-                return Ok(out);
+                rows.retain_marked(&keep);
+                return Ok(rows);
             }
             // Materialize the (filtered) inner side's keys once. When the
             // planner found a full-key index but probing lost the cost race
@@ -1042,29 +1153,31 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
             // sides, and `inner_filters` is empty — the scan fallback is
             // unchanged.
             let params = ctx.params;
-            let mut keys: HashSet<PackedKey> = HashSet::new();
+            let mut keys: KeySet<PackedKey> = KeySet::default();
             let mut inner_nonempty = false;
             scan_rows(ctx, t, |row| {
-                if eval_all(inner_filters, &row, params) {
+                if eval_all(inner_filters, row, params) {
                     inner_nonempty = true;
                     if !inner_keys.is_empty() {
-                        keys.insert(PackedKey::from_cols(&row, inner_keys));
+                        keys.insert(PackedKey::from_cols(row, inner_keys));
                     }
                 }
                 true
             })?;
             if outer_keys.is_empty() {
                 // Uncorrelated NOT EXISTS: all-or-nothing.
-                return Ok(if inner_nonempty { Vec::new() } else { rows });
+                return Ok(if inner_nonempty {
+                    RowBuf::new(rows.arity())
+                } else {
+                    rows
+                });
             }
-            let mut out = Vec::new();
-            for (ri, row) in rows.into_iter().enumerate() {
+            for (ri, row) in rows.iter().enumerate() {
                 gov_tick(ctx.governor, ri)?;
-                if !keys.contains(&PackedKey::from_cols(&row, outer_keys)) {
-                    out.push(row);
-                }
+                keep.push(!keys.contains(&PackedKey::from_cols(row, outer_keys)));
             }
-            Ok(out)
+            rows.retain_marked(&keep);
+            Ok(rows)
         }
         PhysPlan::CrossJoin {
             left,
@@ -1073,15 +1186,15 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
         } => {
             let left_rows = execute_plan(left, ctx)?;
             let right_rows = execute_plan(right, ctx)?;
-            let mut out = Vec::new();
+            let mut out = RowBuf::new(emit.arity(left_rows.arity() + right_rows.arity()));
             let mut steps = 0usize;
-            for lrow in &left_rows {
-                for rrow in &right_rows {
+            for lrow in left_rows.iter() {
+                for rrow in right_rows.iter() {
                     gov_tick(ctx.governor, steps)?;
                     steps += 1;
                     if eval_row(residual, &Joined(lrow, rrow), ctx.params) {
                         ctx.stats.join_output += 1;
-                        out.push(emit.joined(lrow, rrow));
+                        emit.joined(lrow, rrow, &mut out);
                     } else {
                         ctx.prof_drop();
                     }
@@ -1090,23 +1203,24 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
             Ok(out)
         }
         PhysPlan::Filter { child, conds } => {
-            let rows = execute_plan(child, ctx)?;
+            let mut rows = execute_plan(child, ctx)?;
             let batch = ctx.batch_rows.max(1);
-            let mut out = Vec::with_capacity(rows.len());
-            for (i, r) in rows.into_iter().enumerate() {
+            let mut keep = Vec::with_capacity(rows.len());
+            for (i, r) in rows.iter().enumerate() {
                 if i % batch == 0 {
                     if let Some(g) = ctx.governor {
                         g.check()?;
                     }
                     ctx.count_batch();
                 }
-                if eval_all(conds, &r, ctx.params) {
-                    out.push(r);
-                } else {
+                let pass = eval_all(conds, r, ctx.params);
+                if !pass {
                     ctx.prof_drop();
                 }
+                keep.push(pass);
             }
-            Ok(out)
+            rows.retain_marked(&keep);
+            Ok(rows)
         }
         PhysPlan::Project { child, exprs } => {
             let emit = Emit::project(exprs);
@@ -1114,24 +1228,27 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                 return execute_emitting(child, ctx, emit);
             }
             let rows = execute_plan(child, ctx)?;
-            Ok(rows.into_iter().map(|row| emit.row(row)).collect())
+            if emit.prefix && exprs.len() == rows.arity() {
+                return Ok(rows);
+            }
+            let mut out = RowBuf::with_capacity(exprs.len(), rows.len());
+            for row in rows.iter() {
+                Emit::build(exprs, row, &mut out);
+            }
+            Ok(out)
         }
         PhysPlan::Distinct { child } => {
             let rows = execute_plan(child, ctx)?;
-            let state: u64 = rows.iter().map(tuple_bytes).sum();
-            if spill_engaged(ctx, state) && !rows.is_empty() {
-                return spill_dedup(ctx, rows, None, state);
-            }
-            Ok(dedup_rows(rows))
+            dedup(ctx, rows, None)
         }
         PhysPlan::Sort { child, keys } => {
-            let mut rows = execute_plan(child, ctx)?;
-            let state: u64 = rows.iter().map(tuple_bytes).sum();
+            let rows = execute_plan(child, ctx)?;
+            let state = state_bytes(&rows);
             if spill_engaged(ctx, state) && !rows.is_empty() {
                 return external_sort(ctx, rows, keys, state);
             }
-            rows.sort_by(|a, b| cmp_keys(a, b, keys));
-            Ok(rows)
+            let order = sort_order(&rows, 0..rows.len(), keys);
+            Ok(rows.reordered(&order))
         }
         PhysPlan::CountStar { child } => {
             // Only the number of rows matters: a row source is asked for
@@ -1141,15 +1258,17 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
             } else {
                 execute_plan(child, ctx)?
             };
-            Ok(vec![vec![Value::Int(rows.len() as i64)]])
+            let mut out = RowBuf::new(1);
+            out.push([Value::Int(rows.len() as i64)]);
+            Ok(out)
         }
         PhysPlan::GroupCount { child, keys } => {
             let rows = execute_plan(child, ctx)?;
             // Insertion-ordered grouping so output is deterministic.
             let mut groups: Vec<(PackedKey, i64)> = Vec::new();
-            let mut group_of: HashMap<PackedKey, usize> = HashMap::new();
-            for row in rows {
-                let key = PackedKey::from_cols(&row, keys);
+            let mut group_of: KeyMap<PackedKey, usize> = KeyMap::default();
+            for row in rows.iter() {
+                let key = PackedKey::from_cols(row, keys);
                 match group_of.get(&key) {
                     Some(&g) => groups[g].1 += 1,
                     None => {
@@ -1158,40 +1277,26 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
                     }
                 }
             }
-            Ok(groups
-                .into_iter()
-                .map(|(key, count)| {
-                    let mut row = key.to_values();
-                    row.push(Value::Int(count));
-                    row
-                })
-                .collect())
+            let mut out = RowBuf::with_capacity(keys.len() + 1, groups.len());
+            for (key, count) in groups {
+                out.push(key.to_values().into_iter().chain([Value::Int(count)]));
+            }
+            Ok(out)
         }
         PhysPlan::UnionAll { left, right } => {
             let mut rows = execute_plan(left, ctx)?;
-            rows.extend(execute_plan(right, ctx)?);
+            rows.append(execute_plan(right, ctx)?);
             Ok(rows)
         }
         PhysPlan::UnionDistinct { left, right } => {
             let mut rows = execute_plan(left, ctx)?;
-            rows.extend(execute_plan(right, ctx)?);
-            let state: u64 = rows.iter().map(tuple_bytes).sum();
-            if spill_engaged(ctx, state) && !rows.is_empty() {
-                return spill_dedup(ctx, rows, None, state);
-            }
-            Ok(dedup_rows(rows))
+            rows.append(execute_plan(right, ctx)?);
+            dedup(ctx, rows, None)
         }
         PhysPlan::Except { left, right } => {
-            let mut rows = execute_plan(left, ctx)?;
+            let rows = execute_plan(left, ctx)?;
             let right_rows = execute_plan(right, ctx)?;
-            let state: u64 = rows.iter().chain(right_rows.iter()).map(tuple_bytes).sum();
-            if spill_engaged(ctx, state) && !rows.is_empty() {
-                return spill_dedup(ctx, rows, Some(right_rows), state);
-            }
-            let mut seen: HashSet<PackedKey> =
-                right_rows.into_iter().map(PackedKey::from_tuple).collect();
-            rows.retain(|r| seen.insert(PackedKey::from_values(r)));
-            Ok(rows)
+            dedup(ctx, rows, Some(right_rows))
         }
     }
 }
@@ -1206,16 +1311,18 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ve
 #[allow(clippy::too_many_arguments)]
 fn grace_hash_join(
     ctx: &mut ExecCtx<'_>,
-    build: Vec<Tuple>,
+    build: RowBuf,
     build_keys: &[usize],
-    probe: Vec<Tuple>,
+    probe: RowBuf,
     probe_keys: &[usize],
     build_left: bool,
     residual: &[ExecCond],
     build_bytes: u64,
     emit: Emit<'_>,
-) -> Result<Vec<Tuple>, DbError> {
+    out_arity: usize,
+) -> Result<RowBuf, DbError> {
     let parts = spill_partition_count(ctx, build_bytes);
+    let build_arity = build.arity();
     ctx.prof_build(build.len() as u64);
     let build_files = scatter_partitions(
         ctx.disk,
@@ -1250,79 +1357,67 @@ fn grace_hash_join(
         .sum();
     ctx.count_spill(parts as u64, spilled);
     let mut counts = RowCounts::default();
-    let mut tagged: Vec<(u64, Tuple)> = Vec::new();
-    let mut result = Ok(());
-    'parts: for (bf, pf) in build_files.iter().zip(probe_files.iter()) {
-        // Load this partition's build side (its rows keep their relative
-        // build order) and hash it; only now does the build state become
-        // memory-resident, sized by the partition target.
-        let mut part_build: Vec<Tuple> = Vec::with_capacity(bf.records() as usize);
-        let mut reader = bf.reader();
-        loop {
-            match read_spilled_tuple(&mut reader, ctx.disk) {
-                Ok(Some(t)) => part_build.push(t),
-                Ok(None) => break,
-                Err(e) => {
-                    result = Err(e);
-                    break 'parts;
-                }
+    // Every joined row, and beside it the ordinal of the probe row it
+    // came from.
+    let mut out = RowBuf::new(out_arity);
+    let mut seqs: Vec<u64> = Vec::new();
+    let mut run = || -> Result<(), DbError> {
+        let mut payload = Vec::new();
+        let mut row = Vec::new();
+        for (bf, pf) in build_files.iter().zip(probe_files.iter()) {
+            // Load this partition's build side (its rows keep their
+            // relative build order) and hash it; only now does the build
+            // state become memory-resident, sized by the partition target.
+            let mut part_build = RowBuf::with_capacity(build_arity, bf.records() as usize);
+            let mut reader = bf.reader();
+            while read_spilled_row(&mut reader, ctx.disk, &mut payload, &mut row)? {
+                part_build.push(row.drain(..));
+                gov_tick(ctx.governor, part_build.len())?;
             }
-            if let Err(e) = gov_tick(ctx.governor, part_build.len()) {
-                result = Err(e);
-                break 'parts;
+            let table = BuildTable::build(&part_build, build_keys, None)?;
+            let join = HashProbe {
+                table: &table,
+                build_left,
+                probe_keys,
+                residual,
+                params: ctx.params,
+                emit,
+            };
+            counts.batches += 1;
+            let mut reader = pf.reader();
+            let mut pi = 0usize;
+            while reader.next(ctx.disk, &mut payload)? {
+                gov_tick(ctx.governor, pi)?;
+                pi += 1;
+                let seq = decode_seq_tuple(&payload, &mut row)?;
+                join.probe(&row, &mut counts, &mut out);
+                seqs.resize(out.len(), seq);
             }
         }
-        let table = match BuildTable::build(&part_build, build_keys, None) {
-            Ok(t) => t,
-            Err(e) => {
-                result = Err(e);
-                break 'parts;
-            }
-        };
-        let join = HashProbe {
-            table: &table,
-            build_left,
-            probe_keys,
-            residual,
-            params: ctx.params,
-            emit,
-        };
-        counts.batches += 1;
-        let mut reader = pf.reader();
-        let mut pi = 0usize;
-        let mut joined = Vec::new();
-        loop {
-            let payload = match reader.next(ctx.disk) {
-                Ok(Some(p)) => p,
-                Ok(None) => break,
-                Err(e) => {
-                    result = Err(e);
-                    break 'parts;
-                }
-            };
-            if let Err(e) = gov_tick(ctx.governor, pi) {
-                result = Err(e);
-                break 'parts;
-            }
-            pi += 1;
-            let (seq, prow) = match decode_seq_tuple(&payload) {
-                Ok(v) => v,
-                Err(e) => {
-                    result = Err(e);
-                    break 'parts;
-                }
-            };
-            join.run(std::slice::from_ref(&prow), &mut counts, &mut joined);
-            tagged.extend(joined.drain(..).map(|row| (seq, row)));
-        }
-    }
+        Ok(())
+    };
+    let outcome = run();
     for f in build_files.into_iter().chain(probe_files) {
         f.destroy(ctx.disk);
     }
     ctx.absorb(counts);
-    result?;
-    tagged.sort_by_key(|&(seq, _)| seq);
-    Ok(tagged.into_iter().map(|(_, t)| t).collect())
+    outcome?;
+    Ok(restore_order(out, &seqs))
+}
+
+/// The head of one sorted run during the merge: its reader and the row it
+/// last read.
+struct RunHead {
+    reader: SpillReader,
+    row: Vec<Value>,
+    live: bool,
+}
+
+impl RunHead {
+    fn advance(&mut self, disk: &mut Disk, payload: &mut Vec<u8>) -> Result<(), DbError> {
+        self.live = read_spilled_row(&mut self.reader, disk, payload, &mut self.row)?;
+        Ok(())
+    }
 }
 
 /// External merge sort: cut the input into consecutive runs sized to
@@ -1332,52 +1427,54 @@ fn grace_hash_join(
 /// output is byte-identical to the in-memory path.
 fn external_sort(
     ctx: &mut ExecCtx<'_>,
-    rows: Vec<Tuple>,
+    rows: RowBuf,
     keys: &[usize],
     total_bytes: u64,
-) -> Result<Vec<Tuple>, DbError> {
-    let n = rows.len();
+) -> Result<RowBuf, DbError> {
+    let (n, arity) = (rows.len(), rows.arity());
     let run_target = spill_partition_bytes(ctx).max(total_bytes.div_ceil(SPILL_MAX_PARTITIONS));
     let mut runs: Vec<SpillFile> = Vec::new();
-    let mut cur: Vec<Tuple> = Vec::new();
-    let mut cur_bytes = 0u64;
-    let spill_run = |cur: &mut Vec<Tuple>, disk: &mut Disk| -> Result<SpillFile, DbError> {
-        cur.sort_by(|a, b| cmp_keys(a, b, keys));
+    let mut payload = Vec::new();
+    let mut spill_run = |range: Range<usize>, disk: &mut Disk| -> Result<SpillFile, DbError> {
         let mut w = SpillWriter::new(disk);
-        for t in cur.iter() {
-            if let Err(e) = w.push(disk, &serialize_tuple(t)) {
+        for i in sort_order(&rows, range, keys) {
+            payload.clear();
+            serialize_tuple_into(rows.row(i), &mut payload);
+            if let Err(e) = w.push(disk, &payload) {
                 w.abandon(disk);
                 return Err(e);
             }
         }
-        cur.clear();
         w.finish(disk)
     };
     let mut result = Ok(());
-    for (i, row) in rows.into_iter().enumerate() {
+    let mut run_start = 0;
+    let mut run_bytes = 0u64;
+    for i in 0..n {
         if let Err(e) = gov_tick(ctx.governor, i) {
             result = Err(e);
             break;
         }
-        cur_bytes += tuple_bytes(&row);
-        cur.push(row);
-        if cur_bytes >= run_target {
-            match spill_run(&mut cur, ctx.disk) {
+        run_bytes += row_bytes(rows.row(i));
+        if run_bytes >= run_target {
+            match spill_run(run_start..i + 1, ctx.disk) {
                 Ok(f) => runs.push(f),
                 Err(e) => {
                     result = Err(e);
                     break;
                 }
             }
-            cur_bytes = 0;
+            run_start = i + 1;
+            run_bytes = 0;
         }
     }
-    if result.is_ok() && !cur.is_empty() {
-        match spill_run(&mut cur, ctx.disk) {
+    if result.is_ok() && run_start < n {
+        match spill_run(run_start..n, ctx.disk) {
             Ok(f) => runs.push(f),
             Err(e) => result = Err(e),
         }
     }
+    drop(rows);
     if let Err(e) = result {
         for f in runs {
             f.destroy(ctx.disk);
@@ -1388,35 +1485,33 @@ fn external_sort(
     ctx.count_spill(0, runs.iter().map(SpillFile::bytes).sum());
     // K-way merge: pick the smallest head, lowest run index on ties
     // (strict less-than never displaces an equal earlier run).
-    let mut readers: Vec<crate::spill::SpillReader> = runs.iter().map(SpillFile::reader).collect();
-    let mut heads: Vec<Option<Tuple>> = Vec::with_capacity(readers.len());
-    let mut out = Vec::with_capacity(n);
+    let mut heads: Vec<RunHead> = runs
+        .iter()
+        .map(|f| RunHead {
+            reader: f.reader(),
+            row: Vec::new(),
+            live: false,
+        })
+        .collect();
+    let mut out = RowBuf::with_capacity(arity, n);
     let mut merge = || -> Result<(), DbError> {
-        for r in &mut readers {
-            heads.push(read_spilled_tuple(r, ctx.disk)?);
+        for h in &mut heads {
+            h.advance(ctx.disk, &mut payload)?;
         }
         loop {
             gov_tick(ctx.governor, out.len())?;
             let mut best: Option<usize> = None;
-            for i in 0..heads.len() {
-                if heads[i].is_none() {
-                    continue;
+            for (i, h) in heads.iter().enumerate().filter(|(_, h)| h.live) {
+                let wins = best.is_none_or(|b| {
+                    cmp_keys(&h.row, &heads[b].row, keys) == std::cmp::Ordering::Less
+                });
+                if wins {
+                    best = Some(i);
                 }
-                best = match best {
-                    None => Some(i),
-                    Some(b) => {
-                        let (hi, hb) = (heads[i].as_ref().unwrap(), heads[b].as_ref().unwrap());
-                        if cmp_keys(hi, hb, keys) == std::cmp::Ordering::Less {
-                            Some(i)
-                        } else {
-                            Some(b)
-                        }
-                    }
-                };
             }
             let Some(b) = best else { break };
-            out.push(heads[b].take().unwrap());
-            heads[b] = read_spilled_tuple(&mut readers[b], ctx.disk)?;
+            out.push(heads[b].row.drain(..));
+            heads[b].advance(ctx.disk, &mut payload)?;
         }
         Ok(())
     };
@@ -1437,10 +1532,11 @@ fn external_sort(
 /// carries its own exclusion set.
 fn spill_dedup(
     ctx: &mut ExecCtx<'_>,
-    rows: Vec<Tuple>,
-    exclude: Option<Vec<Tuple>>,
+    rows: RowBuf,
+    exclude: Option<RowBuf>,
     state_bytes: u64,
-) -> Result<Vec<Tuple>, DbError> {
+) -> Result<RowBuf, DbError> {
+    let arity = rows.arity();
     let parts = spill_partition_count(ctx, state_bytes);
     let row_files = scatter_partitions(ctx.disk, ctx.governor, &rows, parts, None, true)?;
     drop(rows);
@@ -1463,29 +1559,37 @@ fn spill_dedup(
         .map(SpillFile::bytes)
         .sum();
     ctx.count_spill(parts as u64, spilled);
-    let mut tagged: Vec<(u64, Tuple)> = Vec::new();
+    // The survivors of every partition, and beside them their ordinals.
+    let mut out = RowBuf::new(arity);
+    let mut seqs: Vec<u64> = Vec::new();
     let mut run = || -> Result<(), DbError> {
+        let mut payload = Vec::new();
+        let mut row = Vec::new();
         for (p, rf) in row_files.iter().enumerate() {
-            // One set holds the partition's exclusions and, as they
-            // pass, the rows already emitted.
-            let mut seen: HashSet<PackedKey> = HashSet::new();
+            let mut part_exclude = RowBuf::new(arity);
             if let Some(ef) = ex_files.get(p) {
                 let mut reader = ef.reader();
-                while let Some(t) = read_spilled_tuple(&mut reader, ctx.disk)? {
-                    gov_tick(ctx.governor, seen.len())?;
-                    seen.insert(PackedKey::from_tuple(t));
+                while read_spilled_row(&mut reader, ctx.disk, &mut payload, &mut row)? {
+                    gov_tick(ctx.governor, part_exclude.len())?;
+                    part_exclude.push(row.drain(..));
                 }
             }
+            let mut part = RowBuf::with_capacity(arity, rf.records() as usize);
+            let mut part_seqs = Vec::with_capacity(rf.records() as usize);
             let mut reader = rf.reader();
-            let mut i = 0usize;
-            while let Some(payload) = reader.next(ctx.disk)? {
-                gov_tick(ctx.governor, i)?;
-                i += 1;
-                let (seq, t) = decode_seq_tuple(&payload)?;
-                if seen.insert(PackedKey::from_values(&t)) {
-                    tagged.push((seq, t));
-                }
+            while reader.next(ctx.disk, &mut payload)? {
+                gov_tick(ctx.governor, part.len())?;
+                part_seqs.push(decode_seq_tuple(&payload, &mut row)?);
+                part.push(row.drain(..));
             }
+            let keep = keep_first_occurrences(&mut part, Some(&part_exclude));
+            seqs.extend(
+                part_seqs
+                    .iter()
+                    .zip(&keep)
+                    .filter_map(|(seq, keep)| keep.then_some(*seq)),
+            );
+            out.append(part);
         }
         Ok(())
     };
@@ -1494,6 +1598,5 @@ fn spill_dedup(
         f.destroy(ctx.disk);
     }
     outcome?;
-    tagged.sort_by_key(|&(seq, _)| seq);
-    Ok(tagged.into_iter().map(|(_, t)| t).collect())
+    Ok(restore_order(out, &seqs))
 }

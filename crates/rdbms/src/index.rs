@@ -14,18 +14,21 @@
 //! Directories live in memory while the indexed records stay on pages;
 //! probe counts are tracked so experiments can report logical index work.
 //!
-//! Every directory, and every hash table the executor builds (join build
-//! sides, anti-join key sets, `DISTINCT`/`EXCEPT` sets, `GROUP BY`), is
-//! keyed by [`PackedKey`]: one or two integer columns — the shape of every
-//! key the LFP loop generates — sit inline in the map entry, so building,
-//! probing and maintaining such a table allocates nothing per row.
+//! Every directory, and every hash table the executor keys on *part* of a
+//! row (join build sides, anti-join key sets, `GROUP BY`), is keyed by
+//! [`PackedKey`]: one or two integer columns — the shape of every key the
+//! LFP loop generates — sit inline in the map entry, so building, probing
+//! and maintaining such a table allocates nothing per row. (Whole-row sets
+//! — `DISTINCT`, `EXCEPT`, `UNION` — borrow the row where it already lies
+//! and build no key at all.)
 
+use crate::hash::KeyMap;
 use crate::heap::RecordId;
 use crate::value::Value;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::btree_map::Entry as BTreeEntry;
 use std::collections::hash_map::Entry as HashEntry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -185,7 +188,7 @@ impl Postings {
 
 #[derive(Debug, Clone)]
 enum Directory {
-    Hash(HashMap<PackedKey, Postings>),
+    Hash(KeyMap<PackedKey, Postings>),
     Ordered(BTreeMap<PackedKey, Postings>),
 }
 
@@ -224,7 +227,7 @@ impl TableIndex {
         TableIndex {
             name: name.into(),
             key_cols,
-            directory: Directory::Hash(HashMap::new()),
+            directory: Directory::Hash(KeyMap::default()),
             probes: AtomicU64::new(0),
         }
     }
@@ -276,13 +279,14 @@ impl TableIndex {
         }
     }
 
-    /// Register a batch of freshly appended rows: `rids[i]` is where
-    /// `rows[i]` landed. A hash directory grows once for the whole batch.
-    pub fn insert_batch(&mut self, rows: &[Vec<Value>], rids: &[RecordId]) {
+    /// Register a batch of freshly appended rows: `rids[i]` is where the
+    /// `i`-th of `rows` landed. A hash directory grows once for the whole
+    /// batch.
+    pub fn insert_batch<'r>(&mut self, rows: impl Iterator<Item = &'r [Value]>, rids: &[RecordId]) {
         if let Directory::Hash(m) = &mut self.directory {
             m.reserve(rids.len());
         }
-        for (row, rid) in rows.iter().zip(rids) {
+        for (row, rid) in rows.zip(rids) {
             self.insert(row, *rid);
         }
     }

@@ -54,12 +54,14 @@ pub mod disk;
 pub mod engine;
 pub mod exec;
 pub mod governor;
+mod hash;
 pub mod heap;
 pub mod index;
 pub mod metrics;
 pub mod page;
 pub mod plan;
 pub mod rewrite;
+mod rowbuf;
 pub mod schema;
 pub mod snapshot;
 pub mod spill;

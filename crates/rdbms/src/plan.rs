@@ -392,8 +392,15 @@ fn plan_query_inner(catalog: &Catalog, query: &Query) -> Result<PlannedQuery, Db
             let l = plan_query_inner(catalog, left)?;
             let r = plan_query_inner(catalog, right)?;
             check_compatible(&l, &r, "EXCEPT")?;
+            // EXCEPT keeps the first occurrence of each left row itself, so
+            // a DISTINCT directly beneath it would only hash every
+            // candidate a second time.
+            let left = match &l.plan {
+                PhysPlan::Distinct { child } => child.clone(),
+                other => Box::new(other.clone()),
+            };
             let plan = PhysPlan::Except {
-                left: Box::new(l.plan.clone()),
+                left,
                 right: Box::new(r.plan.clone()),
             };
             Ok(merge_compound(plan, l, r))

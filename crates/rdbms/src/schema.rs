@@ -120,18 +120,28 @@ pub fn serialize_tuple_into(tuple: &[Value], out: &mut Vec<u8>) {
 
 /// Decode a tuple previously produced by [`serialize_tuple`].
 pub fn deserialize_tuple(buf: &[u8]) -> Option<Tuple> {
-    let count_bytes: [u8; 2] = buf.get(0..2)?.try_into().ok()?;
-    let count = u16::from_le_bytes(count_bytes) as usize;
+    let mut tuple = Vec::new();
+    deserialize_tuple_into(buf, &mut tuple).then_some(tuple)
+}
+
+/// [`deserialize_tuple`] into a reused row: `row` is emptied and refilled,
+/// so decoding integer rows one after another allocates nothing. Returns
+/// whether `buf` was well formed; `row` is unspecified when it was not.
+pub(crate) fn deserialize_tuple_into(buf: &[u8], row: &mut Vec<Value>) -> bool {
+    row.clear();
+    let Some(count_bytes) = buf.get(0..2) else {
+        return false;
+    };
+    let count = u16::from_le_bytes([count_bytes[0], count_bytes[1]]) as usize;
     let mut pos = 2;
-    let mut tuple = Vec::with_capacity(count);
+    row.reserve(count);
     for _ in 0..count {
-        tuple.push(Value::deserialize_from(buf, &mut pos)?);
+        match Value::deserialize_from(buf, &mut pos) {
+            Some(v) => row.push(v),
+            None => return false,
+        }
     }
-    if pos == buf.len() {
-        Some(tuple)
-    } else {
-        None
-    }
+    pos == buf.len()
 }
 
 #[cfg(test)]

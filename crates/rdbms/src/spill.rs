@@ -17,7 +17,7 @@
 use crate::catalog::DbError;
 use crate::disk::{Disk, FileId, PageId};
 use crate::page::PAGE_SIZE;
-use crate::schema::{deserialize_tuple, serialize_tuple, Tuple};
+use crate::schema::{deserialize_tuple_into, serialize_tuple_into};
 use crate::value::Value;
 
 /// FNV-1a over a byte string. Spill partitioning needs a hash that is
@@ -33,32 +33,35 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Deterministic partition assignment for a join/dedup key.
-pub fn partition_of(key: &[Value], parts: usize) -> usize {
-    (fnv1a(&serialize_tuple(key)) % parts as u64) as usize
+/// Deterministic partition assignment for a join/dedup key, given in its
+/// serialized ([`serialize_tuple_into`]) form.
+pub fn partition_of(serialized_key: &[u8], parts: usize) -> usize {
+    (fnv1a(serialized_key) % parts as u64) as usize
 }
 
 /// Encode a sequence-tagged tuple (`u64` LE tag, then the serialized
-/// tuple). Probe rows and dedup candidates carry their original input
-/// position through the partitions so the merged output can be
-/// restored to exact input order.
-pub fn encode_seq_tuple(seq: u64, t: &Tuple) -> Vec<u8> {
-    let body = serialize_tuple(t);
-    let mut out = Vec::with_capacity(8 + body.len());
+/// tuple) into the emptied `out`. Probe rows and dedup candidates carry
+/// their original input position through the partitions so the merged
+/// output can be restored to exact input order.
+pub fn encode_seq_tuple(seq: u64, t: &[Value], out: &mut Vec<u8>) {
+    out.clear();
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    serialize_tuple_into(t, out);
 }
 
-/// Decode a record written by [`encode_seq_tuple`].
-pub fn decode_seq_tuple(buf: &[u8]) -> Result<(u64, Tuple), DbError> {
+/// Decode a record written by [`encode_seq_tuple`]: the tuple into the
+/// reused `row`, the tag returned.
+pub fn decode_seq_tuple(buf: &[u8], row: &mut Vec<Value>) -> Result<u64, DbError> {
     let tag: [u8; 8] = buf
         .get(0..8)
         .and_then(|s| s.try_into().ok())
         .ok_or_else(|| DbError::Corruption("spill record shorter than its seq tag".into()))?;
-    let tuple = deserialize_tuple(&buf[8..])
-        .ok_or_else(|| DbError::Corruption("spill record tuple does not deserialize".into()))?;
-    Ok((u64::from_le_bytes(tag), tuple))
+    if !deserialize_tuple_into(&buf[8..], row) {
+        return Err(DbError::Corruption(
+            "spill record tuple does not deserialize".into(),
+        ));
+    }
+    Ok(u64::from_le_bytes(tag))
 }
 
 /// Append-only spill stream under construction.
@@ -187,17 +190,19 @@ pub struct SpillReader {
 }
 
 impl SpillReader {
-    /// The next record's payload, or `None` past the last record.
-    pub fn next(&mut self, disk: &mut Disk) -> Result<Option<Vec<u8>>, DbError> {
+    /// Read the next record's payload into the reused `payload`; `false`
+    /// past the last record.
+    pub fn next(&mut self, disk: &mut Disk, payload: &mut Vec<u8>) -> Result<bool, DbError> {
         if self.remaining == 0 {
-            return Ok(None);
+            return Ok(false);
         }
         self.remaining -= 1;
         let mut len = [0u8; 4];
         self.read_exact(disk, &mut len)?;
-        let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-        self.read_exact(disk, &mut payload)?;
-        Ok(Some(payload))
+        payload.clear();
+        payload.resize(u32::from_le_bytes(len) as usize, 0);
+        self.read_exact(disk, payload)?;
+        Ok(true)
     }
 
     fn read_exact(&mut self, disk: &mut Disk, out: &mut [u8]) -> Result<(), DbError> {
@@ -223,6 +228,7 @@ impl SpillReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::serialize_tuple;
 
     #[test]
     fn roundtrip_records_across_page_boundaries() {
@@ -238,10 +244,12 @@ mod tests {
         let f = w.finish(&mut disk).unwrap();
         assert_eq!(f.records(), payloads.len() as u64);
         let mut r = f.reader();
+        let mut got = Vec::new();
         for p in &payloads {
-            assert_eq!(r.next(&mut disk).unwrap().as_deref(), Some(p.as_slice()));
+            assert!(r.next(&mut disk, &mut got).unwrap());
+            assert_eq!(&got, p);
         }
-        assert!(r.next(&mut disk).unwrap().is_none());
+        assert!(!r.next(&mut disk, &mut got).unwrap());
         f.destroy(&mut disk);
     }
 
@@ -251,29 +259,30 @@ mod tests {
         let w = SpillWriter::new(&mut disk);
         let f = w.finish(&mut disk).unwrap();
         assert_eq!(f.records(), 0);
-        assert!(f.reader().next(&mut disk).unwrap().is_none());
+        assert!(!f.reader().next(&mut disk, &mut Vec::new()).unwrap());
         f.destroy(&mut disk);
     }
 
     #[test]
     fn seq_tuple_roundtrip() {
-        let t: Tuple = vec![Value::Int(42), Value::Str("hello".into())];
-        let enc = encode_seq_tuple(7, &t);
-        let (seq, back) = decode_seq_tuple(&enc).unwrap();
-        assert_eq!(seq, 7);
+        let t = vec![Value::Int(42), Value::Str("hello".into())];
+        let mut enc = vec![0xAB];
+        encode_seq_tuple(7, &t, &mut enc);
+        let mut back = vec![Value::Int(-1)];
+        assert_eq!(decode_seq_tuple(&enc, &mut back).unwrap(), 7);
         assert_eq!(back, t);
     }
 
     #[test]
     fn partition_assignment_is_deterministic() {
-        let key = vec![Value::Str("n12345".into())];
+        let key = serialize_tuple(&[Value::Str("n12345".into())]);
         let p1 = partition_of(&key, 16);
         let p2 = partition_of(&key, 16);
         assert_eq!(p1, p2);
         assert!(p1 < 16);
         // Different keys spread across partitions.
         let spread: std::collections::HashSet<usize> = (0..1000)
-            .map(|i| partition_of(&[Value::Int(i)], 16))
+            .map(|i| partition_of(&serialize_tuple(&[Value::Int(i)]), 16))
             .collect();
         assert!(spread.len() > 8, "FNV spread too poor: {spread:?}");
     }

@@ -40,6 +40,60 @@ fn long_in_list_probes_an_index_without_recursing() {
 }
 
 #[test]
+fn except_needs_no_distinct_beneath_it() {
+    // EXCEPT keeps first occurrences itself, so the planner drops a
+    // DISTINCT sitting directly on its left input — the shape of every
+    // `INSERT INTO d_p SELECT DISTINCT … EXCEPT SELECT * FROM d_p` the LFP
+    // runtime issues. A DISTINCT on the right input is left alone.
+    let mut e = Engine::new();
+    e.execute("CREATE TABLE t (a integer, b integer)").unwrap();
+    e.execute("CREATE TABLE d (a integer, b integer)").unwrap();
+    let explain = |e: &mut Engine, sql: &str| -> Vec<String> {
+        let rows = e.execute(&format!("EXPLAIN {sql}")).unwrap().rows;
+        rows.iter().map(|r| r[0].to_string()).collect()
+    };
+    assert_eq!(
+        explain(
+            &mut e,
+            "SELECT DISTINCT x.a, y.b FROM t x, t y WHERE x.b = y.a EXCEPT SELECT * FROM d"
+        ),
+        [
+            "Except",
+            "  Project [2 col(s)]",
+            "    HashJoin on [1]=[0]",
+            "      SeqScan t",
+            "      SeqScan t",
+            "  Project [2 col(s)]",
+            "    SeqScan d",
+        ]
+    );
+    assert_eq!(
+        explain(
+            &mut e,
+            "SELECT a, b FROM d EXCEPT SELECT DISTINCT a, b FROM t"
+        ),
+        [
+            "Except",
+            "  Project [2 col(s)]",
+            "    SeqScan d",
+            "  Distinct",
+            "    Project [2 col(s)]",
+            "      SeqScan t",
+        ]
+    );
+    // One operator fewer materializes its output, so the statement's
+    // row-budget charge falls by what DISTINCT used to emit: scan 3 +
+    // project 3 + EXCEPT 2 (the right side is empty) = 8, not 10.
+    e.execute("INSERT INTO t VALUES (1, 1), (1, 1), (2, 2)")
+        .unwrap();
+    let sql = "SELECT DISTINCT a, b FROM t EXCEPT SELECT * FROM d";
+    e.set_row_budget(Some(7));
+    assert!(matches!(e.execute(sql), Err(DbError::Budget(_))));
+    e.set_row_budget(Some(8));
+    assert_eq!(e.execute(sql).unwrap().rows.len(), 2);
+}
+
+#[test]
 fn bulk_load_survives_buffer_pressure() {
     // A pool of 4 frames (16 KiB) against ~100 KiB of data forces steady
     // eviction; results must be unaffected.
@@ -277,6 +331,41 @@ proptest! {
             ))
             .unwrap();
         prop_assert_eq!(rs.rows.len(), low.difference(&high).count());
+    }
+
+    /// `SELECT DISTINCT … EXCEPT …` runs without a `Distinct` operator
+    /// (see `except_needs_no_distinct_beneath_it`) and still returns what
+    /// it always did: each left value not on the right, once, where it
+    /// first turned up in the scan.
+    #[test]
+    fn distinct_under_except_keeps_first_occurrences_in_order(
+        rows in arb_rows(),
+        pivot in 0i64..20,
+        forced in any::<bool>(),
+    ) {
+        let mut expected: Vec<(i64, String)> = Vec::new();
+        for r in rows.iter().filter(|r| r.b < pivot) {
+            let banned = rows.iter().any(|x| x.b >= pivot && x.a == r.a && x.s == r.s);
+            if !banned && !expected.contains(&(r.a, r.s.clone())) {
+                expected.push((r.a, r.s.clone()));
+            }
+        }
+        let mut e = load(&rows);
+        if forced {
+            e.set_spill_mode(rdbms::SpillMode::Forced);
+        }
+        let rs = e
+            .execute(&format!(
+                "SELECT DISTINCT a, s FROM t WHERE b < {pivot} \
+                 EXCEPT SELECT a, s FROM t WHERE b >= {pivot}"
+            ))
+            .unwrap();
+        let got: Vec<(i64, String)> = rs
+            .rows
+            .iter()
+            .map(|r| (r[0].as_int().unwrap(), r[1].as_str().unwrap().to_string()))
+            .collect();
+        prop_assert_eq!(got, expected);
     }
 
     /// DELETE removes exactly the matching rows.
