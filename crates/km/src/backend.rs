@@ -162,17 +162,6 @@ impl ExecBackend {
         }
     }
 
-    /// A read-only snapshot backend: a copy-on-write fork of the private
-    /// engine, or a fresh session on the shared engine (both paths are
-    /// MVCC snapshots of the current committed state — this is the one
-    /// fork mechanism, shared with [`DbSession`]).
-    pub fn fork_reader(&mut self) -> Result<ExecBackend, DbError> {
-        match self {
-            ExecBackend::Private(e) => Ok(ExecBackend::Private(e.fork()?)),
-            ExecBackend::Shared(s) => Ok(ExecBackend::Shared(s.shared_engine().session())),
-        }
-    }
-
     /// The temporary-table namespace this backend's evaluation scratch
     /// tables carry: empty on a private engine (sole owner of its name
     /// space), `s<id>_` on a shared session — so two sessions' semi-naive

@@ -269,35 +269,6 @@ impl Session {
         })
     }
 
-    /// A read-only snapshot of this session: the backend is an MVCC
-    /// snapshot of the current committed state ([`ExecBackend::fork_reader`]
-    /// — a copy-on-write [`Engine::fork`] on the private backend, a fresh
-    /// [`rdbms::DbSession`] on the shared one; both are the same fork
-    /// mechanism), the workspace and dictionary handles are cloned. Long
-    /// LFP evaluations run on the snapshot without blocking — or ever
-    /// observing — updates committed through this session afterwards; the
-    /// two sessions share pages until one of them writes. The private
-    /// fork carries no WAL: a snapshot is scratch space for evaluation
-    /// (its temporaries and `commit_workspace` materializations stay
-    /// private), never the durability domain.
-    pub fn fork_reader(&mut self) -> Result<Session, KmError> {
-        let mut backend = self.backend.fork_reader()?;
-        apply_engine_config(backend.eval_engine(), &self.config);
-        // The private fork has no WAL, so the snapshot session must not
-        // try to run durable commits.
-        let mut config = self.config;
-        config.durability = false;
-        Ok(Session {
-            backend,
-            stored: self.stored.clone(),
-            workspace: self.workspace.clone(),
-            config,
-            prepared: BTreeMap::new(),
-            recompilations: 0,
-            workspace_gen: self.workspace_gen,
-        })
-    }
-
     // -- plumbing ----------------------------------------------------------
 
     /// The engine evaluation runs on: the private engine, or the shared

@@ -17,24 +17,20 @@
 //!   session reads its own writes) *and* are recorded. At commit the
 //!   recorded statements are replayed on the live engine inside a WAL
 //!   transaction. Validation runs over the transaction's read ∪ write
-//!   footprint: reads and state-dependent writes (DDL, `TRUNCATE`,
-//!   multi-row `DELETE`, `INSERT ... SELECT`, transitive closure) are
-//!   validated at table granularity — any commit that touched the table
-//!   after this transaction's snapshot kills it with
-//!   [`DbError::WriteConflict`] and nothing is applied. Literal-row
-//!   inserts (`INSERT ... VALUES`, [`DbSession::insert_rows`]) are
-//!   validated at *key* granularity: the inserted rows are recorded as
-//!   keys, and the commit fails only when a concurrent commit coarsely
-//!   rewrote the table or inserted an overlapping key. Point deletes
-//!   (`DELETE ... WHERE col = literal`) are key-granular too: the
-//!   `(column, value)` atom conflicts only with a coarse write, a
-//!   concurrent insert of a matching row, or a concurrent point delete
-//!   not provably disjoint (same column, different value). Commuting
-//!   inserts and point deletes therefore take a conflict-free fast path.
-//!   This is sound because their replays preserve the serial outcome:
-//!   a literal insert is state-independent, and a point delete's matched
-//!   row set is unchanged by any commit it is allowed to overlap with.
-//!   Because validation covers the *read* set too, the replay runs
+//!   footprint: reads and state-dependent writes (DDL, `TRUNCATE`, every
+//!   `DELETE`, `INSERT ... SELECT`, transitive closure) are validated at
+//!   table granularity — any commit that touched the table after this
+//!   transaction's snapshot kills it with [`DbError::WriteConflict`] and
+//!   nothing is applied. Literal-row inserts (`INSERT ... VALUES`,
+//!   [`DbSession::insert_rows`]) are validated at *key* granularity: the
+//!   inserted rows are recorded as keys, and the commit fails only when a
+//!   concurrent commit coarsely rewrote the table or inserted an
+//!   overlapping key. Commuting inserts therefore take a conflict-free
+//!   fast path; this is sound because a literal insert's replay is
+//!   state-independent. These are the only two write granularities: the
+//!   Knowledge Manager's stored-D/KB traffic is DDL, literal inserts and
+//!   row batches, so a finer `DELETE` would buy no concurrency anyone
+//!   uses. Because validation covers the *read* set too, the replay runs
 //!   against exactly the table states the fork execution saw — the
 //!   committed history is serializable in commit order.
 //!
@@ -57,9 +53,8 @@ use crate::catalog::DbError;
 use crate::engine::{Engine, ResultSet};
 use crate::metrics::{Metric, Registry};
 use crate::schema::{Schema, Tuple};
-use crate::sql::ast::{CmpOp, Condition, Query, Stmt};
+use crate::sql::ast::{Condition, Query, Scalar, Stmt};
 use crate::sql::parser::{parse_script, parse_stmt_params};
-use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -70,10 +65,6 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 enum ReplayOp {
     Sql(String),
-    Prepared {
-        sql: String,
-        params: Vec<Value>,
-    },
     /// A literal row batch ([`DbSession::insert_rows`]) — the bulk-load
     /// path the Knowledge Manager's stored-D/KB loads go through.
     Rows {
@@ -83,6 +74,22 @@ enum ReplayOp {
     /// A multi-statement script ([`DbSession::execute_script`]), replayed
     /// as one unit; its footprint is the merge of its statements'.
     Script(String),
+}
+
+impl ReplayOp {
+    /// Execute the op on `engine`: the session's snapshot when the
+    /// statement runs, the live engine when the commit replays it.
+    fn run(&self, engine: &mut Engine) -> Result<ResultSet, DbError> {
+        match self {
+            ReplayOp::Sql(sql) => engine.execute(sql),
+            ReplayOp::Rows { table, rows } => Ok(ResultSet {
+                columns: Vec::new(),
+                rows: Vec::new(),
+                affected: engine.insert_rows(table, rows.clone())?,
+            }),
+            ReplayOp::Script(sql) => engine.execute_script(sql),
+        }
+    }
 }
 
 /// How a transaction wrote one table, for validation purposes.
@@ -100,16 +107,6 @@ enum TableWrite {
     /// overlap that could distinguish commit orders to a key-level
     /// observer).
     Keys(BTreeSet<Tuple>),
-    /// Point deletes (`DELETE ... WHERE col = literal`): each atom is a
-    /// `(column, value)` pair naming exactly the rows the delete targets.
-    /// Replay after a commuting commit is serial, so the delete conflicts
-    /// only with a coarse write, a concurrent insert of a matching row
-    /// (the replay would delete a row the fork never saw), or a
-    /// concurrent delete that cannot be proven disjoint (same column +
-    /// different value is the only provable case — one row holds one
-    /// value per column). Multi-conjunct and non-equality DELETEs stay
-    /// [`TableWrite::Coarse`].
-    DeleteKeys(BTreeSet<(usize, Value)>),
 }
 
 /// Merge another statement's write of `table` into a transaction's
@@ -120,13 +117,7 @@ fn merge_write(set: &mut BTreeMap<String, TableWrite>, table: String, write: Tab
             e.insert(write);
         }
         std::collections::btree_map::Entry::Occupied(mut e) => match (e.get_mut(), write) {
-            (TableWrite::Coarse, _) => {}
-            (slot, TableWrite::Coarse) => *slot = TableWrite::Coarse,
             (TableWrite::Keys(a), TableWrite::Keys(b)) => a.extend(b),
-            (TableWrite::DeleteKeys(a), TableWrite::DeleteKeys(b)) => a.extend(b),
-            // Inserts and deletes mixed on one table inside a transaction:
-            // the delete's outcome may depend on the insert, so the pair
-            // degrades to a coarse write (conservative, never unsound).
             (slot, _) => *slot = TableWrite::Coarse,
         },
     }
@@ -166,13 +157,6 @@ struct TableHistory {
     /// written at or below this, so validation treats "absent but floor
     /// past snapshot" as a conflict (conservative, never unsound).
     pruned_floor: u64,
-    /// Last-writer seq per point-delete atom `(column, value)`, FIFO-capped
-    /// at [`KEY_HISTORY_CAP`] like the insert keys.
-    deletes: BTreeMap<(usize, Value), u64>,
-    /// Insertion order of `deletes` entries, for pruning.
-    delete_order: VecDeque<((usize, Value), u64)>,
-    /// Highest seq ever pruned from `deletes`.
-    delete_floor: u64,
 }
 
 impl TableHistory {
@@ -185,9 +169,6 @@ impl TableHistory {
         self.keys.clear();
         self.order.clear();
         self.pruned_floor = 0;
-        self.deletes.clear();
-        self.delete_order.clear();
-        self.delete_floor = 0;
     }
 
     /// Record a literal-insert write of `keys` at `seq`.
@@ -205,22 +186,6 @@ impl TableHistory {
                 self.keys.remove(&k);
             }
             self.pruned_floor = self.pruned_floor.max(s);
-        }
-    }
-
-    /// Record a point-delete write of `atoms` at `seq`.
-    fn record_delete_keys(&mut self, atoms: &BTreeSet<(usize, Value)>, seq: u64) {
-        self.last_seq = seq;
-        for a in atoms {
-            self.deletes.insert(a.clone(), seq);
-            self.delete_order.push_back((a.clone(), seq));
-        }
-        while self.delete_order.len() > KEY_HISTORY_CAP {
-            let (a, s) = self.delete_order.pop_front().expect("len checked");
-            if self.deletes.get(&a) == Some(&s) {
-                self.deletes.remove(&a);
-            }
-            self.delete_floor = self.delete_floor.max(s);
         }
     }
 }
@@ -299,7 +264,6 @@ impl SharedEngine {
             id,
             snap,
             snapshot_seq,
-            fork_gen: 0,
             txn: None,
             commits: 0,
             conflicts: 0,
@@ -370,9 +334,6 @@ pub struct DbSession {
     /// The session's snapshot: a copy-on-write fork of the live engine.
     snap: Engine,
     snapshot_seq: u64,
-    /// Bumped every time `snap` is replaced; prepared handles remember
-    /// the generation they were built on and re-prepare when it moved.
-    fork_gen: u64,
     txn: Option<TxnRecording>,
     commits: u64,
     conflicts: u64,
@@ -425,7 +386,6 @@ impl DbSession {
         let fork = live.engine.fork()?;
         self.snap.replace_snapshot(fork);
         self.snapshot_seq = live.commit_seq;
-        self.fork_gen += 1;
         Ok(())
     }
 
@@ -481,32 +441,11 @@ impl DbSession {
         let (stmt, n_params) = parse_stmt_params(sql)?;
         if n_params > 0 {
             return Err(DbError::Plan(
-                "statement contains `?` parameters; use prepare/execute_prepared".into(),
+                "statement contains `?` parameters; a session executes literal SQL only".into(),
             ));
         }
-        self.run(sql, None, &stmt)
-    }
-
-    /// Prepare a statement on this session. The handle is fork-local;
-    /// the SQL text is kept so commits can replay it on the live engine.
-    pub fn prepare(&mut self, sql: &str) -> Result<SessionStmt, DbError> {
-        let id = self.snap.prepare(sql)?;
-        let (stmt, _) = parse_stmt_params(sql)?;
-        Ok(SessionStmt {
-            id,
-            sql: sql.to_string(),
-            stmt,
-            fork_gen: self.fork_gen,
-        })
-    }
-
-    /// Execute a prepared handle with bound parameters.
-    pub fn execute_prepared(
-        &mut self,
-        stmt: &SessionStmt,
-        params: &[Value],
-    ) -> Result<ResultSet, DbError> {
-        self.run(&stmt.sql, Some((stmt, params)), &stmt.stmt)
+        let (reads, writes) = self.stmt_tables(&stmt);
+        self.record_or_autocommit(ReplayOp::Sql(sql.to_string()), reads, writes)
     }
 
     /// Insert literal rows through the MVCC write path: executed on the
@@ -515,44 +454,15 @@ impl DbSession {
     /// Knowledge Manager's stored D/KB. In autocommit a write conflict is
     /// retried transparently, like [`DbSession::execute`].
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Tuple>) -> Result<u64, DbError> {
-        if self.txn.as_ref().is_some_and(|t| t.poisoned) {
-            return Err(DbError::Txn(
-                "transaction aborted by an earlier statement error; rollback first".into(),
-            ));
-        }
-        let keys: BTreeSet<Tuple> = rows.iter().cloned().collect();
+        let keys = rows.iter().cloned().collect();
+        let writes = BTreeMap::from([(norm(table), TableWrite::Keys(keys))]);
         let op = ReplayOp::Rows {
             table: table.to_string(),
-            rows: rows.clone(),
+            rows,
         };
-        if self.txn.is_some() {
-            let result = self.snap.insert_rows(table, rows);
-            if let Some(t) = self.txn.as_mut() {
-                match &result {
-                    Ok(_) => {
-                        t.ops.push(op);
-                        merge_write(&mut t.write_set, norm(table), TableWrite::Keys(keys));
-                    }
-                    Err(_) => t.poisoned = true,
-                }
-            }
-            return result;
-        }
-        loop {
-            let n = match self.snap.insert_rows(table, rows.clone()) {
-                Ok(n) => n,
-                Err(e) => {
-                    let _ = self.refresh();
-                    return Err(e);
-                }
-            };
-            let writes = BTreeMap::from([(norm(table), TableWrite::Keys(keys.clone()))]);
-            match self.submit(vec![op.clone()], BTreeSet::new(), writes) {
-                Ok(()) => return Ok(n),
-                Err(DbError::WriteConflict(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        Ok(self
+            .record_or_autocommit(op, BTreeSet::new(), writes)?
+            .affected)
     }
 
     /// Execute a multi-statement script through the MVCC path. The script
@@ -560,59 +470,16 @@ impl DbSession {
     /// validation footprint is the merge of its statements' footprints —
     /// the stored-D/KB bootstrap DDL goes through here.
     pub fn execute_script(&mut self, sql: &str) -> Result<ResultSet, DbError> {
-        if self.txn.as_ref().is_some_and(|t| t.poisoned) {
-            return Err(DbError::Txn(
-                "transaction aborted by an earlier statement error; rollback first".into(),
-            ));
-        }
-        let stmts = parse_script(sql)?;
         let mut reads = BTreeSet::new();
         let mut writes = BTreeMap::new();
-        for stmt in &stmts {
-            let (r, w) = self.stmt_tables(stmt, None);
+        for stmt in &parse_script(sql)? {
+            let (r, w) = self.stmt_tables(stmt);
             reads.extend(r);
             for (table, write) in w {
                 merge_write(&mut writes, table, write);
             }
         }
-        if writes.is_empty() {
-            let result = self.snap.execute_script(sql);
-            if let (Some(t), Ok(_)) = (self.txn.as_mut(), &result) {
-                t.read_set.extend(reads);
-            }
-            return result;
-        }
-        let op = ReplayOp::Script(sql.to_string());
-        if self.txn.is_some() {
-            let result = self.snap.execute_script(sql);
-            if let Some(t) = self.txn.as_mut() {
-                match &result {
-                    Ok(_) => {
-                        t.ops.push(op);
-                        t.read_set.extend(reads);
-                        for (table, write) in writes {
-                            merge_write(&mut t.write_set, table, write);
-                        }
-                    }
-                    Err(_) => t.poisoned = true,
-                }
-            }
-            return result;
-        }
-        loop {
-            let rs = match self.snap.execute_script(sql) {
-                Ok(rs) => rs,
-                Err(e) => {
-                    let _ = self.refresh();
-                    return Err(e);
-                }
-            };
-            match self.submit(vec![op.clone()], reads.clone(), writes.clone()) {
-                Ok(()) => return Ok(rs),
-                Err(DbError::WriteConflict(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        self.record_or_autocommit(ReplayOp::Script(sql.to_string()), reads, writes)
     }
 
     /// Whether the snapshot has `table`.
@@ -644,37 +511,39 @@ impl DbSession {
         self.snap.scan_all(table)
     }
 
-    fn run(
+    /// The one path every statement takes: `op` runs on the snapshot, and
+    /// `reads` / `writes` are its validation footprint.
+    ///
+    /// * No writes: a pure read. Its footprint joins an open
+    ///   transaction's read set (reads participate in validation).
+    /// * Inside a transaction: the op and its footprint are recorded for
+    ///   replay at commit, or — on error — the transaction is poisoned,
+    ///   since the fork may hold the statement's partial effects.
+    /// * Autocommit: a one-op transaction through the queue. A write
+    ///   conflict is retried transparently — the op re-runs on the fresh
+    ///   snapshot `submit` left behind, exactly as a new one-statement
+    ///   transaction would. Progress is guaranteed: every conflict means
+    ///   some other session's commit landed.
+    fn record_or_autocommit(
         &mut self,
-        sql: &str,
-        prepared: Option<(&SessionStmt, &[Value])>,
-        stmt: &Stmt,
+        op: ReplayOp,
+        reads: BTreeSet<String>,
+        writes: BTreeMap<String, TableWrite>,
     ) -> Result<ResultSet, DbError> {
         if self.txn.as_ref().is_some_and(|t| t.poisoned) {
             return Err(DbError::Txn(
                 "transaction aborted by an earlier statement error; rollback first".into(),
             ));
         }
-        let (reads, writes) = self.stmt_tables(stmt, prepared.map(|(_, p)| p));
         if writes.is_empty() {
-            // Pure read: run on the snapshot; record the footprint when
-            // a transaction is open (reads participate in validation).
-            let result = self.exec_on_snap(sql, prepared);
+            let result = op.run(&mut self.snap);
             if let (Some(t), Ok(_)) = (self.txn.as_mut(), &result) {
                 t.read_set.extend(reads);
             }
             return result;
         }
-        let op = match prepared {
-            Some((handle, params)) => ReplayOp::Prepared {
-                sql: handle.sql.clone(),
-                params: params.to_vec(),
-            },
-            None => ReplayOp::Sql(sql.to_string()),
-        };
-        if self.txn.is_some() {
-            let result = self.exec_on_snap(sql, prepared);
-            let t = self.txn.as_mut().expect("txn checked above");
+        if let Some(t) = self.txn.as_mut() {
+            let result = op.run(&mut self.snap);
             match &result {
                 Ok(_) => {
                     t.ops.push(op);
@@ -687,15 +556,9 @@ impl DbSession {
             }
             return result;
         }
-        // Autocommit: a one-statement transaction through the queue. A
-        // write conflict is retried transparently — the statement re-runs
-        // on the fresh snapshot `submit` left behind, exactly as a new
-        // single-statement transaction would. Progress is guaranteed:
-        // every conflict means some other session's commit landed.
         loop {
-            let result = self.exec_on_snap(sql, prepared);
-            let rs = match result {
-                Ok(rs) => rs,
+            let out = match op.run(&mut self.snap) {
+                Ok(out) => out,
                 Err(e) => {
                     // The fork may hold the failed statement's partial
                     // effects; discard it (best-effort if the live
@@ -705,32 +568,10 @@ impl DbSession {
                 }
             };
             match self.submit(vec![op.clone()], reads.clone(), writes.clone()) {
-                Ok(()) => return Ok(rs),
+                Ok(()) => return Ok(out),
                 Err(DbError::WriteConflict(_)) => continue,
                 Err(e) => return Err(e),
             }
-        }
-    }
-
-    /// Run the statement on the snapshot engine. Prepared handles from
-    /// an older fork generation are transparently re-prepared.
-    fn exec_on_snap(
-        &mut self,
-        sql: &str,
-        prepared: Option<(&SessionStmt, &[Value])>,
-    ) -> Result<ResultSet, DbError> {
-        match prepared {
-            Some((handle, params)) => {
-                if handle.fork_gen != self.fork_gen {
-                    let id = self.snap.prepare(&handle.sql)?;
-                    let r = self.snap.execute_prepared(id, params);
-                    let _ = self.snap.deallocate(id);
-                    r
-                } else {
-                    self.snap.execute_prepared(handle.id, params)
-                }
-            }
-            None => self.snap.execute(sql),
         }
     }
 
@@ -791,14 +632,11 @@ impl DbSession {
             // else (can't happen — we just drained it — but stay safe).
         };
         // Re-snapshot under the lock we already hold: the fresh fork is
-        // consistent with whatever batch just committed. The generation
-        // bump invalidates prepared handles compiled on the old fork —
-        // their statement ids do not exist in the new engine.
+        // consistent with whatever batch just committed.
         if !live.engine.crashed() {
             if let Ok(fork) = live.engine.fork() {
                 self.snap.replace_snapshot(fork);
                 self.snapshot_seq = live.commit_seq;
-                self.fork_gen += 1;
                 self.txn = None;
             }
         }
@@ -830,14 +668,8 @@ impl DbSession {
     }
 
     /// Tables a statement reads / writes (lower-cased), the footprint
-    /// first-committer-wins validation runs over. `params` binds `?`
-    /// placeholders of a prepared statement so literal inserts can list
-    /// their keys.
-    fn stmt_tables(
-        &self,
-        stmt: &Stmt,
-        params: Option<&[Value]>,
-    ) -> (BTreeSet<String>, BTreeMap<String, TableWrite>) {
+    /// first-committer-wins validation runs over.
+    fn stmt_tables(&self, stmt: &Stmt) -> (BTreeSet<String>, BTreeMap<String, TableWrite>) {
         let mut reads = BTreeSet::new();
         let mut writes = BTreeMap::new();
         match stmt {
@@ -860,10 +692,14 @@ impl DbSession {
                 }
             }
             Stmt::InsertValues { table, rows } => {
-                writes.insert(norm(table), insert_keys(rows, params));
+                writes.insert(norm(table), insert_keys(rows));
             }
             Stmt::Truncate { table } => {
                 writes.insert(norm(table), TableWrite::Coarse);
+            }
+            Stmt::Delete { table, predicate } => {
+                writes.insert(norm(table), TableWrite::Coarse);
+                conds_tables(predicate, &mut reads);
             }
             Stmt::InsertSelect { table, query } => {
                 writes.insert(norm(table), TableWrite::Coarse);
@@ -873,100 +709,31 @@ impl DbSession {
                 writes.insert(norm(table), TableWrite::Coarse);
                 reads.insert(norm(source));
             }
-            Stmt::Delete { table, predicate } => {
-                writes.insert(norm(table), self.delete_write(table, predicate, params));
-                conds_tables(predicate, &mut reads);
-            }
             Stmt::Select(query) | Stmt::Explain(query) | Stmt::ExplainAnalyze(query) => {
                 query_tables(query, &mut reads);
             }
         }
         (reads, writes)
     }
-
-    /// The write-set entry for a `DELETE`. A *point* delete — exactly one
-    /// `col = literal` (or bound-parameter) conjunct over the target
-    /// table — yields a key-granular [`TableWrite::DeleteKeys`] atom;
-    /// every other shape (multi-conjunct, range, `NOT EXISTS`,
-    /// column-to-column, unresolvable column) stays coarse.
-    fn delete_write(
-        &self,
-        table: &str,
-        predicate: &[Condition],
-        params: Option<&[Value]>,
-    ) -> TableWrite {
-        use crate::sql::ast::Scalar;
-        let [Condition::Cmp {
-            left,
-            op: CmpOp::Eq,
-            right,
-        }] = predicate
-        else {
-            return TableWrite::Coarse;
-        };
-        let (col, lit) = match (left, right) {
-            (Scalar::Col(c), other) | (other, Scalar::Col(c)) => (c, other),
-            _ => return TableWrite::Coarse,
-        };
-        if col
-            .table
-            .as_ref()
-            .is_some_and(|t| !t.eq_ignore_ascii_case(table))
-        {
-            return TableWrite::Coarse;
-        }
-        let value = match lit {
-            Scalar::Lit(v) => v.clone(),
-            Scalar::Param(i) => match params.and_then(|p| p.get(*i)) {
-                Some(v) => v.clone(),
-                None => return TableWrite::Coarse,
-            },
-            Scalar::Col(_) => return TableWrite::Coarse,
-        };
-        let Ok(schema) = self.snap.table_schema(table) else {
-            return TableWrite::Coarse;
-        };
-        match schema.index_of(&col.column) {
-            Some(idx) => TableWrite::DeleteKeys(BTreeSet::from([(idx, value)])),
-            None => TableWrite::Coarse,
-        }
-    }
 }
 
 /// The write-set entry for an `INSERT ... VALUES` statement: the inserted
-/// rows as keys. Any scalar that cannot be resolved to a literal (an
-/// unbound parameter, a column reference the parser should have rejected)
-/// degrades the whole statement to a coarse write — conservative, never
-/// unsound.
-fn insert_keys(rows: &[Vec<crate::sql::ast::Scalar>], params: Option<&[Value]>) -> TableWrite {
-    use crate::sql::ast::Scalar;
+/// rows as keys. Any scalar that is not a literal (a column reference the
+/// parser should have rejected) degrades the whole statement to a coarse
+/// write — conservative, never unsound.
+fn insert_keys(rows: &[Vec<Scalar>]) -> TableWrite {
     let mut keys = BTreeSet::new();
     for row in rows {
         let mut key = Vec::with_capacity(row.len());
         for scalar in row {
             match scalar {
                 Scalar::Lit(v) => key.push(v.clone()),
-                Scalar::Param(i) => match params.and_then(|p| p.get(*i)) {
-                    Some(v) => key.push(v.clone()),
-                    None => return TableWrite::Coarse,
-                },
-                Scalar::Col(_) => return TableWrite::Coarse,
+                _ => return TableWrite::Coarse,
             }
         }
         keys.insert(key);
     }
     TableWrite::Keys(keys)
-}
-
-/// A statement prepared on a [`DbSession`]: the fork-local handle plus
-/// the SQL text for commit-time replay.
-pub struct SessionStmt {
-    id: crate::engine::StmtId,
-    sql: String,
-    stmt: Stmt,
-    /// Fork generation the handle was prepared on; execution on a newer
-    /// fork transparently re-prepares there.
-    fork_gen: u64,
 }
 
 fn norm(name: &str) -> String {
@@ -1038,35 +805,6 @@ fn apply_one(live: &mut Live, p: Pending) -> Result<(), DbError> {
                     }
                 }
             }
-            TableWrite::DeleteKeys(atoms) => {
-                if h.coarse_seq > p.snapshot_seq {
-                    return conflict(table, h.coarse_seq, "was rewritten");
-                }
-                // A pruned insert-key history may hide a matching insert;
-                // a pruned delete history may hide an overlapping delete.
-                if h.pruned_floor > p.snapshot_seq {
-                    return conflict(table, h.pruned_floor, "key history was pruned");
-                }
-                if h.delete_floor > p.snapshot_seq {
-                    return conflict(table, h.delete_floor, "delete history was pruned");
-                }
-                for (col, value) in atoms {
-                    // A concurrent insert of a matching row: replaying the
-                    // delete would remove a row its fork never saw.
-                    for (key, &seq) in &h.keys {
-                        if seq > p.snapshot_seq && key.get(*col) == Some(value) {
-                            return conflict(table, seq, "had a matching row inserted");
-                        }
-                    }
-                    // A concurrent point delete is disjoint only when it
-                    // names the same column with a different value.
-                    for ((dcol, dval), &seq) in &h.deletes {
-                        if seq > p.snapshot_seq && (dcol != col || dval == value) {
-                            return conflict(table, seq, "had an overlapping delete");
-                        }
-                    }
-                }
-            }
             TableWrite::Coarse => {
                 if h.last_seq > p.snapshot_seq {
                     return conflict(table, h.last_seq, "was modified");
@@ -1081,7 +819,6 @@ fn apply_one(live: &mut Live, p: Pending) -> Result<(), DbError> {
         let h = live.history.entry(table.clone()).or_default();
         match write {
             TableWrite::Keys(keys) => h.record_keys(keys, seq),
-            TableWrite::DeleteKeys(atoms) => h.record_delete_keys(atoms, seq),
             TableWrite::Coarse => h.record_coarse(seq),
         }
     }
@@ -1094,18 +831,7 @@ fn apply_one(live: &mut Live, p: Pending) -> Result<(), DbError> {
 fn apply_ops(engine: &mut Engine, ops: &[ReplayOp]) -> Result<(), DbError> {
     engine.begin()?;
     for op in ops {
-        let r = match op {
-            ReplayOp::Sql(sql) => engine.execute(sql).map(|_| ()),
-            ReplayOp::Prepared { sql, params } => {
-                let id = engine.prepare(sql)?;
-                let r = engine.execute_prepared(id, params).map(|_| ());
-                let _ = engine.deallocate(id);
-                r
-            }
-            ReplayOp::Rows { table, rows } => engine.insert_rows(table, rows.clone()).map(|_| ()),
-            ReplayOp::Script(sql) => engine.execute_script(sql).map(|_| ()),
-        };
-        if let Err(e) = r {
+        if let Err(e) = op.run(engine) {
             let _ = engine.rollback();
             return Err(e);
         }
@@ -1116,6 +842,7 @@ fn apply_ops(engine: &mut Engine, ops: &[ReplayOp]) -> Result<(), DbError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn seeded() -> SharedEngine {
         let mut db = Engine::new();
@@ -1148,8 +875,8 @@ mod tests {
 
     #[test]
     fn first_committer_wins_on_the_same_table() {
-        // A state-dependent write (a multi-conjunct DELETE stays coarse)
-        // races a literal insert: the second committer must lose at table
+        // A state-dependent write (every DELETE is coarse) races a
+        // literal insert: the second committer must lose at table
         // granularity.
         let shared = seeded();
         let mut a = shared.session();
@@ -1172,10 +899,10 @@ mod tests {
         assert_eq!(dump(&mut b).len(), 2);
     }
 
-    /// A point delete and a literal insert of a non-matching row commute:
-    /// neither commit may conflict, and both effects land.
+    /// Every `DELETE` is a coarse write, so even a point delete loses to a
+    /// concurrent insert of an unrelated row; nothing of it is applied.
     #[test]
-    fn point_delete_commutes_with_disjoint_insert() {
+    fn point_delete_conflicts_with_disjoint_insert() {
         let shared = seeded();
         let mut a = shared.session();
         let mut b = shared.session();
@@ -1184,15 +911,10 @@ mod tests {
         a.execute("INSERT INTO kv VALUES (3, 30)").unwrap();
         b.execute("DELETE FROM kv WHERE k = 1").unwrap();
         a.commit().unwrap();
-        b.commit().expect("k=3 insert and k=1 delete commute");
+        let err = b.commit().unwrap_err();
+        assert!(matches!(err, DbError::WriteConflict(_)), "{err}");
         let mut check = shared.session();
-        assert_eq!(
-            dump(&mut check),
-            vec![
-                vec![Value::Int(2), Value::Int(20)],
-                vec![Value::Int(3), Value::Int(30)],
-            ]
-        );
+        assert_eq!(dump(&mut check).len(), 3, "the delete must not land");
     }
 
     /// A point delete must lose to a concurrent insert of a matching row:
@@ -1211,10 +933,11 @@ mod tests {
         assert!(matches!(err, DbError::WriteConflict(_)), "{err}");
     }
 
-    /// Point deletes naming the same column with different values target
-    /// provably disjoint rows and commute.
+    /// Point deletes of disjoint rows still conflict at table granularity:
+    /// the second committer loses, and retried on its fresh snapshot it
+    /// goes through.
     #[test]
-    fn point_deletes_on_distinct_values_commute() {
+    fn point_deletes_on_distinct_values_conflict() {
         let shared = seeded();
         let mut a = shared.session();
         let mut b = shared.session();
@@ -1223,9 +946,11 @@ mod tests {
         a.execute("DELETE FROM kv WHERE k = 1").unwrap();
         b.execute("DELETE FROM kv WHERE k = 2").unwrap();
         a.commit().unwrap();
-        b.commit().expect("k=1 and k=2 deletes commute");
-        let mut check = shared.session();
-        assert!(dump(&mut check).is_empty());
+        let err = b.commit().unwrap_err();
+        assert!(matches!(err, DbError::WriteConflict(_)), "{err}");
+        assert_eq!(dump(&mut b), vec![vec![Value::Int(2), Value::Int(20)]]);
+        b.execute("DELETE FROM kv WHERE k = 2").unwrap();
+        assert!(dump(&mut b).is_empty());
     }
 
     /// Point deletes on *different* columns may target the same row, so
@@ -1393,21 +1118,6 @@ mod tests {
         assert!(matches!(s.commit(), Err(DbError::Txn(_))));
         // After the failed commit the session is usable again.
         assert_eq!(dump(&mut s).len(), 2);
-    }
-
-    #[test]
-    fn prepared_statements_replay_at_commit() {
-        let shared = seeded();
-        let mut s = shared.session();
-        let ins = s.prepare("INSERT INTO kv VALUES (?, ?)").unwrap();
-        s.begin().unwrap();
-        s.execute_prepared(&ins, &[Value::Int(7), Value::Int(70)])
-            .unwrap();
-        s.execute_prepared(&ins, &[Value::Int(8), Value::Int(80)])
-            .unwrap();
-        s.commit().unwrap();
-        let mut check = shared.session();
-        assert_eq!(dump(&mut check).len(), 4);
     }
 
     #[test]

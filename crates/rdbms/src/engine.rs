@@ -471,19 +471,6 @@ impl Engine {
         self.disk.crashed()
     }
 
-    /// Keep committed WAL records instead of checkpointing at commit
-    /// (tests exercising the redo path use this).
-    pub fn set_checkpoint_on_commit(&mut self, on: bool) {
-        self.disk.set_checkpoint_on_commit(on);
-    }
-
-    /// Byte threshold above which a commit checkpoints the WAL even when
-    /// `checkpoint_on_commit` is off, so the log cannot grow without
-    /// bound in redo-retaining mode. `None` disables auto-checkpointing.
-    pub fn set_wal_autocheckpoint_bytes(&mut self, threshold: Option<u64>) {
-        self.disk.set_wal_autocheckpoint_bytes(threshold);
-    }
-
     /// Whether an engine-level transaction is active.
     pub fn in_transaction(&self) -> bool {
         self.txn.is_some()

@@ -71,7 +71,7 @@ pub mod value;
 pub mod wal;
 
 pub use catalog::DbError;
-pub use concurrent::{DbSession, SessionStmt, SharedEngine};
+pub use concurrent::{DbSession, SharedEngine};
 pub use disk::{DiskStats, FaultInjector, RecoveryReport};
 pub use engine::{Engine, EngineStats, ResultSet, StmtId};
 pub use exec::{OpProfile, SpillMode, DEFAULT_BATCH_ROWS};

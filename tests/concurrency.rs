@@ -1,16 +1,18 @@
 //! Concurrency tests for the multi-session MVCC engine: snapshot
-//! stability under a committing writer, first-committer-wins validation,
-//! prepared statements vs. concurrent DDL, and a crash sweep over the
-//! write points of interleaved group commits.
+//! stability under a committing writer, first-committer-wins validation
+//! of two concurrent writers, and a crash sweep over the write points of
+//! interleaved group commits.
 //!
 //! The serial-equivalence contract under test: a transaction that
 //! commits with its read ∪ write set unversioned since its snapshot is
 //! replayed verbatim on the live engine, so the multi-session history is
-//! byte-identical to some serial execution in commit order.
+//! byte-identical to some serial execution in commit order. A write is
+//! validated at one of two granularities: literal-row inserts by their
+//! rows, every other write (every `DELETE` included) by its table.
 
 use proptest::prelude::*;
-use rdbms::{DbError, Engine, FaultInjector, SharedEngine, Value};
-use std::collections::BTreeMap;
+use rdbms::{DbError, DbSession, Engine, FaultInjector, SharedEngine, Value};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -64,47 +66,6 @@ fn four_sessions_read_stable_snapshots_while_writer_commits() {
     }
     let mut check = shared.session();
     assert_eq!(check.execute(QUERY).unwrap().rows.len(), 202);
-}
-
-/// Satellite: prepared statements are fork-local. A handle keeps
-/// answering on the session's snapshot while another session rebuilds
-/// the table underneath it, and recompiles transparently once the
-/// session refreshes onto the new catalog.
-#[test]
-fn prepared_statements_survive_concurrent_ddl() {
-    let shared = seeded();
-    let mut a = shared.session();
-    let mut b = shared.session();
-    let q = a.prepare("SELECT v FROM kv WHERE k = ?").unwrap();
-    let before = a.execute_prepared(&q, &[Value::Int(1)]).unwrap().rows;
-    assert_eq!(before, vec![vec![Value::Int(10)]]);
-
-    // B drops and recreates kv with a different shape and content.
-    b.execute("DROP TABLE kv").unwrap();
-    b.execute("CREATE TABLE kv (k int, v int, w int)").unwrap();
-    b.execute("INSERT INTO kv VALUES (1, 11, 111)").unwrap();
-
-    // A's handle still answers from A's snapshot, byte-identical.
-    let stale = a.execute_prepared(&q, &[Value::Int(1)]).unwrap().rows;
-    assert_eq!(stale, before, "prepared reads must be snapshot-stable");
-
-    // After refresh the same handle recompiles against the new schema.
-    a.refresh().unwrap();
-    let fresh = a.execute_prepared(&q, &[Value::Int(1)]).unwrap().rows;
-    assert_eq!(fresh, vec![vec![Value::Int(11)]]);
-}
-
-/// Satellite regression: an autocommit write re-snapshots the session,
-/// so a handle prepared before the write must be recompiled for the new
-/// fork — its old statement id does not exist there.
-#[test]
-fn prepared_handles_survive_autocommit_resnapshot() {
-    let shared = seeded();
-    let mut s = shared.session();
-    let q = s.prepare("SELECT v FROM kv WHERE k = ?").unwrap();
-    s.execute("INSERT INTO kv VALUES (7, 70)").unwrap();
-    let rows = s.execute_prepared(&q, &[Value::Int(7)]).unwrap().rows;
-    assert_eq!(rows, vec![vec![Value::Int(70)]]);
 }
 
 /// Tentpole acceptance: crash the disk at every write point of a run of
@@ -209,6 +170,150 @@ fn serial_answers(txns: &[Vec<(i64, i64)>]) -> Vec<Vec<Vec<Value>>> {
         out.push(db.execute(QUERY).unwrap().rows);
     }
     out
+}
+
+/// One write statement of the two-writer proptest.
+#[derive(Debug, Clone)]
+enum WriteOp {
+    /// `INSERT INTO kv VALUES (k, v)`.
+    Insert(i64, i64),
+    /// `DELETE FROM kv WHERE k = c`.
+    DeleteKey(i64),
+    /// `DELETE FROM kv WHERE k = c AND v = d`.
+    DeleteRow(i64, i64),
+    /// [`DbSession::insert_rows`] / [`Engine::insert_rows`].
+    Rows(Vec<(i64, i64)>),
+}
+
+/// Where a [`WriteOp`] runs: a session on the shared engine, or the plain
+/// engine of the serial reference.
+trait Writer {
+    fn sql(&mut self, sql: &str);
+    fn rows(&mut self, rows: Vec<Vec<Value>>);
+}
+
+impl Writer for DbSession {
+    fn sql(&mut self, sql: &str) {
+        self.execute(sql).unwrap();
+    }
+    fn rows(&mut self, rows: Vec<Vec<Value>>) {
+        self.insert_rows("kv", rows).unwrap();
+    }
+}
+
+impl Writer for Engine {
+    fn sql(&mut self, sql: &str) {
+        self.execute(sql).unwrap();
+    }
+    fn rows(&mut self, rows: Vec<Vec<Value>>) {
+        self.insert_rows("kv", rows).unwrap();
+    }
+}
+
+impl WriteOp {
+    fn run(&self, w: &mut impl Writer) {
+        match self {
+            WriteOp::Insert(k, v) => w.sql(&format!("INSERT INTO kv VALUES ({k}, {v})")),
+            WriteOp::DeleteKey(k) => w.sql(&format!("DELETE FROM kv WHERE k = {k}")),
+            WriteOp::DeleteRow(k, v) => w.sql(&format!("DELETE FROM kv WHERE k = {k} AND v = {v}")),
+            WriteOp::Rows(rows) => w.rows(
+                rows.iter()
+                    .map(|&(k, v)| vec![Value::Int(k), Value::Int(v)])
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The literal rows the statement inserts — its keys, if it is not a
+    /// delete.
+    fn inserted(&self) -> Vec<(i64, i64)> {
+        match self {
+            WriteOp::Insert(k, v) => vec![(*k, *v)],
+            WriteOp::Rows(rows) => rows.clone(),
+            WriteOp::DeleteKey(_) | WriteOp::DeleteRow(..) => Vec::new(),
+        }
+    }
+
+    fn is_delete(&self) -> bool {
+        matches!(self, WriteOp::DeleteKey(_) | WriteOp::DeleteRow(..))
+    }
+}
+
+fn write_op() -> impl Strategy<Value = WriteOp> {
+    // Few distinct keys and values, so overlaps are common; (1, 10) and
+    // (2, 20) are the seed rows.
+    let row = || (1i64..5, 1i64..4).prop_map(|(k, v)| (k, v * 10));
+    prop_oneof![
+        row().prop_map(|(k, v)| WriteOp::Insert(k, v)),
+        (1i64..5).prop_map(WriteOp::DeleteKey),
+        row().prop_map(|(k, v)| WriteOp::DeleteRow(k, v)),
+        prop::collection::vec(row(), 1..4).prop_map(WriteOp::Rows),
+    ]
+}
+
+/// Whether two transactions' write sets overlap under the validation
+/// contract: every `DELETE` writes its whole table, and inserts overlap
+/// only on an equal row. Every op here writes `kv`.
+fn writes_overlap(a: &[WriteOp], b: &[WriteOp]) -> bool {
+    let keys =
+        |t: &[WriteOp]| -> BTreeSet<(i64, i64)> { t.iter().flat_map(WriteOp::inserted).collect() };
+    a.iter().chain(b).any(WriteOp::is_delete) || !keys(a).is_disjoint(&keys(b))
+}
+
+const ORDERED: &str = "SELECT k, v FROM kv ORDER BY k, v";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Two writers begin on one snapshot and commit in a random order.
+    /// The first committer always lands; the second is rejected with
+    /// `WriteConflict` exactly when its writes overlap the first's, and
+    /// after each commit the engine holds what serial replay of the
+    /// committed transactions, in commit order, produces.
+    #[test]
+    fn two_writers_commit_as_serial_replay(
+        txns in prop::collection::vec(prop::collection::vec(write_op(), 1..5), 2),
+        a_first in any::<bool>(),
+    ) {
+        let shared = seeded();
+        let mut sessions = [shared.session(), shared.session()];
+        for (s, txn) in sessions.iter_mut().zip(&txns) {
+            s.begin().unwrap();
+            for op in txn {
+                op.run(s);
+            }
+        }
+        let order = if a_first { [0, 1] } else { [1, 0] };
+        let mut serial = Engine::new();
+        serial.execute("CREATE TABLE kv (k int, v int)").unwrap();
+        serial.execute("INSERT INTO kv VALUES (1, 10), (2, 20)").unwrap();
+        for (n, &i) in order.iter().enumerate() {
+            match sessions[i].commit() {
+                Ok(()) => {
+                    prop_assert!(
+                        n == 0 || !writes_overlap(&txns[order[0]], &txns[i]),
+                        "overlapping second committer was accepted"
+                    );
+                    for op in &txns[i] {
+                        op.run(&mut serial);
+                    }
+                }
+                Err(DbError::WriteConflict(_)) => {
+                    prop_assert!(n == 1, "the first committer cannot conflict");
+                    prop_assert!(
+                        writes_overlap(&txns[order[0]], &txns[i]),
+                        "disjoint second committer was rejected"
+                    );
+                }
+                Err(e) => panic!("commit failed: {e}"),
+            }
+            prop_assert_eq!(
+                shared.session().execute(ORDERED).unwrap().rows,
+                serial.execute(ORDERED).unwrap().rows,
+                "live state diverged from serial replay after commit {}", n
+            );
+        }
+    }
 }
 
 proptest! {
