@@ -6,6 +6,7 @@ use crate::heap::HeapFile;
 use crate::index::HashIndex;
 use crate::schema::Schema;
 use crate::stats::TableStats;
+use crate::sym::Symbols;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -90,10 +91,13 @@ impl std::error::Error for DbError {}
 ///
 /// Entries are `Arc`-shared so cloning the catalog for an MVCC snapshot
 /// ([`crate::engine::Engine::fork`]) costs O(#tables) pointer copies;
-/// mutating a table on either side copies just that entry on write.
+/// mutating a table on either side copies just that entry on write. The
+/// engine lineage's symbol table rides along: a clone shares it, so every
+/// index directory either side can see files a string under one id.
 #[derive(Default, Clone)]
 pub struct Catalog {
     tables: BTreeMap<String, Arc<Table>>,
+    syms: Arc<Symbols>,
 }
 
 fn norm(name: &str) -> String {
@@ -154,10 +158,25 @@ impl Catalog {
     }
 
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {
-        self.tables
+        self.table_mut_and_syms(name).map(|(t, _)| t)
+    }
+
+    /// [`Catalog::table_mut`], and beside it the symbol table.
+    pub(crate) fn table_mut_and_syms(
+        &mut self,
+        name: &str,
+    ) -> Result<(&mut Table, &Symbols), DbError> {
+        let table = self
+            .tables
             .get_mut(&norm(name))
             .map(Arc::make_mut)
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
+        Ok((table, &self.syms))
+    }
+
+    /// The engine lineage's symbol table.
+    pub(crate) fn syms(&self) -> &Symbols {
+        &self.syms
     }
 
     /// Remove a table entry *without* destroying its heap file. Used by
@@ -200,6 +219,7 @@ impl Catalog {
         if self.find_index(index_name).is_some() {
             return Err(DbError::IndexExists(index_name.to_string()));
         }
+        let syms = Arc::clone(&self.syms);
         let table = self.table_mut(table_name)?;
         let mut key_cols = Vec::with_capacity(columns.len());
         for c in columns {
@@ -210,11 +230,8 @@ impl Catalog {
                     .ok_or_else(|| DbError::NoSuchColumn(c.clone()))?,
             );
         }
-        let mut index = if ordered {
-            HashIndex::new_ordered(index_name.to_ascii_lowercase(), key_cols)
-        } else {
-            HashIndex::new(index_name.to_ascii_lowercase(), key_cols)
-        };
+        let mut index =
+            HashIndex::with_symbols(index_name.to_ascii_lowercase(), key_cols, ordered, syms);
         let mut row = Vec::new();
         table.heap.scan().for_each(disk, pool, |rid, payload| {
             crate::exec::decode_into(table_name, rid, payload, &mut row)?;

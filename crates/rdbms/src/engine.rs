@@ -9,12 +9,12 @@ use crate::buffer::{BufferPool, BufferStats, DEFAULT_POOL_FRAMES};
 use crate::catalog::{Catalog, DbError, Table};
 use crate::disk::{Disk, DiskStats, FaultInjector, RecoveryReport};
 use crate::exec::{
-    decode_into, decode_tuple, execute_plan, ExecCtx, ExecStats, OpProfile, Profiler, SpillMode,
-    DEFAULT_BATCH_ROWS,
+    bind_conds, decode_datums, decode_into, decode_tuple, eval_all, execute_plan, Cond, ExecCtx,
+    ExecStats, OpProfile, Profiler, SpillMode, DEFAULT_BATCH_ROWS,
 };
 use crate::governor::{BudgetKind, ExecLimits, QueryGovernor, GOVERNOR_CHECK_INTERVAL};
 use crate::heap::RecordId;
-use crate::index::PackedKey;
+use crate::index::{Key, TableIndex};
 use crate::page::MAX_PAYLOAD;
 use crate::plan::{output_types, plan_query, ExecCond, PlannedQuery};
 use crate::rewrite::RewriteReport;
@@ -23,6 +23,7 @@ use crate::schema::{serialize_tuple_into, serialized_len, Schema, Tuple};
 use crate::sql::ast::{CmpOp, ColRef, Condition, Query, Scalar, SelectItem, Stmt};
 use crate::sql::parser::{parse_script, parse_stmt, parse_stmt_params};
 use crate::stats::{Reservoir, RESERVOIR_CAP};
+use crate::sym::{encode_row, Datum, Symbols};
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -921,22 +922,29 @@ impl Engine {
         let rows = self.run_planned(planned, params)?;
         Ok(ResultSet {
             columns: planned.columns.clone(),
-            rows: rows.into_rows(),
+            rows: rows.into_rows(self.catalog.syms()),
             affected: 0,
         })
+    }
+
+    /// `params` as the executor takes them: their strings interned.
+    fn bind_params(&self, params: &[Value]) -> Vec<Datum> {
+        let syms = self.catalog.syms();
+        params.iter().map(|v| syms.datum(v)).collect()
     }
 
     /// Run a physical plan with the given parameter bindings.
     fn run_planned(&mut self, planned: &PlannedQuery, params: &[Value]) -> Result<RowBuf, DbError> {
         let t0 = Instant::now();
         let governor = self.governor();
+        let params = self.bind_params(params);
         let rows = {
             let mut ctx = ExecCtx {
                 catalog: &self.catalog,
                 disk: &mut self.disk,
                 pool: &mut self.pool,
                 stats: &mut self.exec_stats,
-                params,
+                params: &params,
                 profiler: None,
                 governor: Some(&governor),
                 spill: self.exec_cfg.spill,
@@ -960,13 +968,14 @@ impl Engine {
     ) -> Result<ResultSet, DbError> {
         let t0 = Instant::now();
         let governor = self.governor();
+        let params = self.bind_params(params);
         let (rows, profile) = {
             let mut ctx = ExecCtx {
                 catalog: &self.catalog,
                 disk: &mut self.disk,
                 pool: &mut self.pool,
                 stats: &mut self.exec_stats,
-                params,
+                params: &params,
                 profiler: Some(Profiler::default()),
                 governor: Some(&governor),
                 spill: self.exec_cfg.spill,
@@ -1035,17 +1044,18 @@ impl Engine {
     /// row touches the heap, so a mid-batch mismatch cannot leave a partial
     /// insert behind.
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Tuple>) -> Result<u64, DbError> {
-        self.insert_slices(table, rows.len(), |i| &rows[i])
+        self.insert_slices(table, rows.len(), |i| rows[i].as_slice())
     }
 
     /// [`Engine::insert_rows`] over `n` rows wherever they lie: `row(i)` is
-    /// the `i`-th. `INSERT … SELECT` loads its row buffer through this
-    /// without ever holding a vector per row.
-    fn insert_slices<'r>(
+    /// the `i`-th — a caller's values, or a row of a row buffer, which is
+    /// how `INSERT … SELECT` loads without ever holding a vector per row.
+    /// The page receives the same bytes either way.
+    fn insert_slices<'r, R: LoadRow + ?Sized + 'r>(
         &mut self,
         table: &str,
         n: usize,
-        row: impl Fn(usize) -> &'r [Value],
+        row: impl Fn(usize) -> &'r R,
     ) -> Result<u64, DbError> {
         // Governor checks happen *before* the first row is written: a
         // budget breach (or a pending cancellation) rejects the whole
@@ -1056,15 +1066,15 @@ impl Engine {
             .check()
             .and_then(|()| governor.charge_rows(n as u64));
         self.note_budget(admitted)?;
-        let t = self.catalog.table_mut(table)?;
+        let (t, syms) = self.catalog.table_mut_and_syms(table)?;
         for row in (0..n).map(&row) {
-            if !t.schema.admits(row) {
+            if !row.admitted_by(&t.schema) {
                 return Err(DbError::TypeMismatch(format!(
                     "row {row:?} does not match schema {} of {}",
                     t.schema, t.name
                 )));
             }
-            let bytes = serialized_len(row);
+            let bytes = row.encoded_len(syms);
             if bytes > MAX_PAYLOAD {
                 return Err(DbError::RowTooLarge {
                     bytes,
@@ -1081,11 +1091,14 @@ impl Engine {
             &mut self.disk,
             &mut self.pool,
             n,
-            |i, buf| serialize_tuple_into(row(i), buf),
+            |i, buf| row(i).encode(syms, buf),
             &mut rids,
         );
         for index in &mut t.indexes {
-            index.insert_batch((0..n).map(&row), &rids);
+            index.reserve(rids.len());
+            for (i, &rid) in rids.iter().enumerate() {
+                row(i).file(index, rid);
+            }
         }
         let n = rids.len() as u64;
         t.stats.note_mods(n);
@@ -1223,38 +1236,44 @@ impl Engine {
 
         let victims: Vec<(RecordId, Tuple)> = if let Some(conds) = direct {
             let t = self.catalog.table(table)?;
+            let syms = self.catalog.syms();
+            let conds = bind_conds(&conds, &[], syms);
             // Probe an index when equality conditions cover its whole key.
-            let probe: Option<(usize, Vec<Value>)> =
+            let probe: Option<(usize, Key)> =
                 t.indexes.iter().enumerate().find_map(|(pos, index)| {
-                    let key: Option<Vec<Value>> = index
+                    let key: Option<Vec<Datum>> = index
                         .key_cols()
                         .iter()
                         .map(|kc| {
                             conds.iter().find_map(|c| match c {
-                                ExecCond::ColCmpLit(col, CmpOp::Eq, v) if col == kc => {
-                                    Some(v.clone())
-                                }
+                                Cond::Const(col, CmpOp::Eq, v) if col == kc => Some(*v),
                                 _ => None,
                             })
                         })
                         .collect();
-                    key.map(|k| (pos, k))
+                    key.map(|k| (pos, Key::from_datums(k.into_iter())))
                 });
+            // A record's values, when it satisfies the conditions.
+            let mut row = Vec::new();
+            let mut matched = |rid: RecordId, payload: &[u8]| -> Result<Option<Tuple>, DbError> {
+                decode_datums(table, rid, payload, &mut row, &mut syms.reader())?;
+                Ok(eval_all(&conds, &row, syms)
+                    .then(|| row.iter().map(|&d| syms.value(d)).collect()))
+            };
             let mut victims = Vec::new();
             if let Some((pos, key)) = probe {
-                let key = PackedKey::from_tuple(key);
                 self.exec_stats.index_probes += 1;
-                for &rid in t.indexes[pos].lookup(&key) {
+                for &rid in t.indexes[pos].lookup_key(&key) {
                     let fetched = t
                         .heap
                         .read(&mut self.disk, &mut self.pool, rid, |payload| {
-                            decode_tuple(table, rid, payload)
+                            matched(rid, payload)
                         })?;
-                    let Some(tuple) = fetched.transpose()? else {
+                    let Some(found) = fetched.transpose()? else {
                         continue;
                     };
                     self.exec_stats.tuples_fetched += 1;
-                    if crate::exec::eval_all(&conds, &tuple, &[]) {
+                    if let Some(tuple) = found {
                         victims.push((rid, tuple));
                     }
                 }
@@ -1268,8 +1287,7 @@ impl Engine {
                         }
                         seen += 1;
                         self.exec_stats.tuples_scanned += 1;
-                        let tuple = decode_tuple(table, rid, payload)?;
-                        if crate::exec::eval_all(&conds, &tuple, &[]) {
+                        if let Some(tuple) = matched(rid, payload)? {
                             victims.push((rid, tuple));
                         }
                         Ok(())
@@ -1565,6 +1583,9 @@ impl Engine {
         r.counter("engine.tables_created", s.tables_created);
         r.counter("engine.tables_dropped", s.tables_dropped);
         r.gauge("engine.prepared_open", self.prepared.len() as f64);
+        let syms = self.catalog.syms();
+        r.gauge("engine.symbols", syms.len() as f64);
+        r.gauge("engine.symbol_bytes", syms.bytes() as f64);
         r.counter("stats.refreshes", self.counters.stats_refreshes);
         r.counter("stats.sampled_rows", self.counters.stats_sampled_rows);
         let rewrites = self.counters.rewrites;
@@ -1807,6 +1828,57 @@ fn explain_result(planned: &PlannedQuery) -> ResultSet {
         columns: vec!["plan".to_string()],
         rows,
         affected: 0,
+    }
+}
+
+/// A row [`Engine::insert_slices`] loads: a caller's values, or a row of
+/// the executor's datums.
+trait LoadRow: std::fmt::Debug {
+    fn admitted_by(&self, schema: &Schema) -> bool;
+    fn encoded_len(&self, syms: &Symbols) -> usize;
+    fn encode(&self, syms: &Symbols, out: &mut Vec<u8>);
+    /// File the row under `rid` in `index`.
+    fn file(&self, index: &mut TableIndex, rid: RecordId);
+}
+
+impl LoadRow for [Value] {
+    fn admitted_by(&self, schema: &Schema) -> bool {
+        schema.admits(self)
+    }
+
+    fn encoded_len(&self, _: &Symbols) -> usize {
+        serialized_len(self)
+    }
+
+    fn encode(&self, _: &Symbols, out: &mut Vec<u8>) {
+        serialize_tuple_into(self, out)
+    }
+
+    /// Interns only the key columns of a hash index, and only strings.
+    fn file(&self, index: &mut TableIndex, rid: RecordId) {
+        index.insert(self, rid)
+    }
+}
+
+impl LoadRow for [Datum] {
+    fn admitted_by(&self, schema: &Schema) -> bool {
+        self.len() == schema.arity()
+            && self
+                .iter()
+                .zip(schema.columns())
+                .all(|(d, c)| d.col_type() == c.ty)
+    }
+
+    fn encoded_len(&self, syms: &Symbols) -> usize {
+        syms.encoded_len(self)
+    }
+
+    fn encode(&self, syms: &Symbols, out: &mut Vec<u8>) {
+        encode_row(self, syms, out)
+    }
+
+    fn file(&self, index: &mut TableIndex, rid: RecordId) {
+        index.insert_row(self, rid)
     }
 }
 

@@ -4,8 +4,9 @@
 //! the parent consumes it. This mirrors how the testbed's generated
 //! embedded-SQL programs behaved (every LFP iteration materialized
 //! temporaries), and keeps join state simple. A result is one flat
-//! `RowBuf`, not a vector per row: a row costs its producer a push and
-//! its consumer a slice, and only `Str` payloads own heap memory of their
+//! `RowBuf` of `Copy` datums, not a vector per row: a row costs its
+//! producer a push and its consumer a slice, and a `char` value is the
+//! 4-byte id of its interned string, so no value owns heap memory of its
 //! own. Logical work is counted in [`ExecStats`] so experiments can report
 //! machine-independent costs.
 
@@ -15,13 +16,13 @@ use crate::disk::Disk;
 use crate::governor::{QueryGovernor, GOVERNOR_CHECK_INTERVAL};
 use crate::hash::{KeyMap, KeySet};
 use crate::heap::RecordId;
-use crate::index::PackedKey;
+use crate::index::{Key, PackedKey};
 use crate::plan::{ExecCond, KeyExpr, PhysPlan, ProjExpr};
 use crate::rowbuf::RowBuf;
-use crate::schema::{deserialize_tuple_into, serialize_tuple_into, Tuple};
-use crate::spill::{
-    decode_seq_tuple, encode_seq_tuple, partition_of, SpillFile, SpillReader, SpillWriter,
-};
+use crate::schema::{deserialize_tuple_into, Tuple};
+use crate::spill::{partition_of, SpillFile, SpillReader, SpillWriter};
+use crate::sql::ast::CmpOp;
+use crate::sym::{decode_row, encode_datum, encode_row, Datum, SymReader, Symbols};
 use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::ops::Range;
@@ -126,9 +127,9 @@ pub struct OpProfile {
     pub est_rows: Option<u64>,
 }
 
-/// Collects the [`OpProfile`] tree during execution. Installed in
-/// [`ExecCtx::profiler`] only by EXPLAIN ANALYZE, so the ordinary
-/// execution path pays a single `Option` test per plan node.
+/// Collects the [`OpProfile`] tree during execution. Installed in the
+/// execution context only by EXPLAIN ANALYZE, so the ordinary execution
+/// path pays a single `Option` test per plan node.
 #[derive(Debug, Default)]
 pub struct Profiler {
     nodes: Vec<OpProfile>,
@@ -165,14 +166,15 @@ impl Profiler {
 }
 
 /// Everything an operator needs at runtime.
-pub struct ExecCtx<'a> {
+pub(crate) struct ExecCtx<'a> {
     pub catalog: &'a Catalog,
     pub disk: &'a mut Disk,
     pub pool: &'a mut BufferPool,
     pub stats: &'a mut ExecStats,
-    /// Bind values for `?` placeholders; empty for unparameterized plans.
-    /// Arity and ordinals are validated by the engine before execution.
-    pub params: &'a [Value],
+    /// Bind values for `?` placeholders, interned; empty for
+    /// unparameterized plans. Arity and ordinals are validated by the
+    /// engine before execution.
+    pub params: &'a [Datum],
     /// When set, `execute_plan` records an [`OpProfile`] per plan node.
     pub profiler: Option<Profiler>,
     /// The statement's execution governor. Checked at operator entry and
@@ -189,7 +191,13 @@ pub struct ExecCtx<'a> {
     pub batch_rows: usize,
 }
 
-impl ExecCtx<'_> {
+impl<'a> ExecCtx<'a> {
+    /// The engine lineage's symbol table.
+    fn syms(&self) -> &'a Symbols {
+        let catalog: &'a Catalog = self.catalog;
+        catalog.syms()
+    }
+
     /// Count an index-fetched tuple.
     #[inline]
     fn count_fetched(&mut self) {
@@ -314,20 +322,22 @@ fn gov_tick(gov: Option<&QueryGovernor>, i: usize) -> Result<(), DbError> {
 /// Approximate heap footprint of one materialized row, for charging
 /// hash-join build sides against the memory budget. Deliberately a
 /// cheap over-estimate (enum discriminant + payload, plus a per-row
-/// header), not an exact allocator measurement.
-fn row_bytes(row: &[Value]) -> u64 {
+/// header), not an exact allocator measurement. A symbol is charged what
+/// its string cost when rows held one (24 bytes plus its length), so
+/// spill decisions and budget breaches fall where they always did.
+fn row_bytes(row: &[Datum], syms: &Symbols) -> u64 {
     row.iter()
-        .map(|v| match v {
-            Value::Int(_) => 16u64,
-            Value::Str(s) => 24 + s.len() as u64,
+        .map(|d| match *d {
+            Datum::Int(_) => 16u64,
+            Datum::Sym(id) => 24 + syms.resolve(id).len() as u64,
         })
         .sum::<u64>()
         + 24
 }
 
 /// [`row_bytes`] over a whole buffer: an operator's materialized state.
-fn state_bytes(rows: &RowBuf) -> u64 {
-    rows.iter().map(row_bytes).sum()
+fn state_bytes(rows: &RowBuf, syms: &Symbols) -> u64 {
+    rows.iter().map(|row| row_bytes(row, syms)).sum()
 }
 
 /// Default rows per operator batch. Matches [`GOVERNOR_CHECK_INTERVAL`]
@@ -386,11 +396,13 @@ fn spill_partition_count(ctx: &ExecCtx<'_>, bytes: u64) -> usize {
 /// Hash-scatter `rows` into `parts` spill streams by FNV of the key
 /// columns (`None` = the whole tuple, for dedup operators). When
 /// `tag_seq` each record carries its input ordinal so downstream
-/// merges can restore exact input order. On error the partially
-/// written streams are dropped before returning.
+/// merges can restore exact input order. Records hold the rows' on-page
+/// bytes, so partitions and `spill_bytes` do not depend on symbol ids. On
+/// error the partially written streams are dropped before returning.
 fn scatter_partitions(
     disk: &mut Disk,
     gov: Option<&QueryGovernor>,
+    syms: &Symbols,
     rows: &RowBuf,
     parts: usize,
     key_cols: Option<&[usize]>,
@@ -404,14 +416,16 @@ fn scatter_partitions(
     let mut failed = None;
     for (seq, row) in rows.iter().enumerate() {
         let step = gov_tick(gov, seq).and_then(|()| {
-            encode_seq_tuple(seq as u64, row, &mut record);
+            record.clear();
+            record.extend_from_slice(&(seq as u64).to_le_bytes());
+            encode_row(row, syms, &mut record);
             let body = &record[8..];
             let part = match key_cols {
                 Some(cols) => {
                     key.clear();
                     key.extend_from_slice(&(cols.len() as u16).to_le_bytes());
                     for &k in cols {
-                        row[k].serialize_into(&mut key);
+                        encode_datum(row[k], syms, &mut key);
                     }
                     partition_of(&key, parts)
                 }
@@ -454,13 +468,14 @@ fn scatter_partitions(
 fn read_spilled_row(
     r: &mut SpillReader,
     disk: &mut Disk,
+    syms: &Symbols,
     payload: &mut Vec<u8>,
-    row: &mut Vec<Value>,
+    row: &mut Vec<Datum>,
 ) -> Result<bool, DbError> {
     if !r.next(disk, payload)? {
         return Ok(false);
     }
-    if !deserialize_tuple_into(payload, row) {
+    if !decode_row(payload, row, &mut syms.reader()) {
         return Err(DbError::Corruption(
             "spilled tuple does not deserialize".into(),
         ));
@@ -468,21 +483,33 @@ fn read_spilled_row(
     Ok(true)
 }
 
-/// Compare two rows on the sort key columns.
-fn cmp_keys(a: &[Value], b: &[Value], keys: &[usize]) -> std::cmp::Ordering {
-    for &k in keys {
-        let ord = a[k].cmp(&b[k]);
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
+/// Decode a record written with its input ordinal (`u64` LE tag, then the
+/// tuple): the tuple into the reused `row`, the ordinal returned.
+fn read_seq_row(buf: &[u8], row: &mut Vec<Datum>, syms: &Symbols) -> Result<u64, DbError> {
+    let tag: [u8; 8] = buf
+        .get(0..8)
+        .and_then(|s| s.try_into().ok())
+        .ok_or_else(|| DbError::Corruption("spill record shorter than its seq tag".into()))?;
+    if !decode_row(&buf[8..], row, &mut syms.reader()) {
+        return Err(DbError::Corruption(
+            "spill record tuple does not deserialize".into(),
+        ));
     }
-    std::cmp::Ordering::Equal
+    Ok(u64::from_le_bytes(tag))
+}
+
+/// Compare two rows on the sort key columns, in [`Value`]'s order.
+fn cmp_keys(a: &[Datum], b: &[Datum], keys: &[usize], syms: &Symbols) -> std::cmp::Ordering {
+    keys.iter()
+        .map(|&k| syms.cmp(a[k], b[k]))
+        .find(|o| o.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
 /// The indexes of `rows[range]` in stable `keys` order.
-fn sort_order(rows: &RowBuf, range: Range<usize>, keys: &[usize]) -> Vec<usize> {
+fn sort_order(rows: &RowBuf, range: Range<usize>, keys: &[usize], syms: &Symbols) -> Vec<usize> {
     let mut order: Vec<usize> = range.collect();
-    order.sort_by(|&a, &b| cmp_keys(rows.row(a), rows.row(b), keys));
+    order.sort_by(|&a, &b| cmp_keys(rows.row(a), rows.row(b), keys, syms));
     order
 }
 
@@ -498,105 +525,137 @@ fn restore_order(rows: RowBuf, seqs: &[u64]) -> RowBuf {
 /// A row the conditions of a plan can be evaluated against: a flat tuple,
 /// or the two sides of a join viewed as one without being copied together.
 trait RowView {
-    fn col(&self, i: usize) -> &Value;
+    fn col(&self, i: usize) -> Datum;
 }
 
-impl RowView for [Value] {
+impl RowView for [Datum] {
     #[inline]
-    fn col(&self, i: usize) -> &Value {
-        &self[i]
+    fn col(&self, i: usize) -> Datum {
+        self[i]
     }
 }
 
 /// A joined row in the combined layout: left columns, then right columns.
-struct Joined<'a>(&'a [Value], &'a [Value]);
+struct Joined<'a>(&'a [Datum], &'a [Datum]);
 
 impl RowView for Joined<'_> {
     #[inline]
-    fn col(&self, i: usize) -> &Value {
+    fn col(&self, i: usize) -> Datum {
         match i.checked_sub(self.0.len()) {
-            None => &self.0[i],
-            Some(r) => &self.1[r],
+            None => self.0[i],
+            Some(r) => self.1[r],
         }
     }
 }
 
-/// Evaluate one resolved condition against a row.
-fn eval_cond<R: RowView + ?Sized>(cond: &ExecCond, row: &R, params: &[Value]) -> bool {
-    match cond {
-        ExecCond::ColCmpCol(a, op, b) => op.eval(row.col(*a).cmp(row.col(*b))),
-        ExecCond::ColCmpLit(a, op, v) => op.eval(row.col(*a).cmp(v)),
-        ExecCond::ColCmpParam(a, op, p) => op.eval(row.col(*a).cmp(&params[*p])),
-        ExecCond::InList(a, vs) => vs.contains(row.col(*a)),
+/// An [`ExecCond`] bound for one execution: its literal interned, its `?`
+/// placeholder replaced by the bound value.
+#[derive(Debug, Clone)]
+pub(crate) enum Cond {
+    Cols(usize, CmpOp, usize),
+    Const(usize, CmpOp, Datum),
+    In(usize, Vec<Datum>),
+}
+
+/// Bind `conds` for one execution against the interned `params`.
+pub(crate) fn bind_conds(conds: &[ExecCond], params: &[Datum], syms: &Symbols) -> Vec<Cond> {
+    conds
+        .iter()
+        .map(|c| match c {
+            ExecCond::ColCmpCol(a, op, b) => Cond::Cols(*a, *op, *b),
+            ExecCond::ColCmpLit(a, op, v) => Cond::Const(*a, *op, syms.datum(v)),
+            ExecCond::ColCmpParam(a, op, p) => Cond::Const(*a, *op, params[*p]),
+            ExecCond::InList(a, vs) => Cond::In(*a, vs.iter().map(|v| syms.datum(v)).collect()),
+        })
+        .collect()
+}
+
+/// `a op b` in [`Value`]'s order. Equality is equality of datums; only an
+/// ordering comparison looks at the strings.
+#[inline]
+fn compare(op: CmpOp, a: Datum, b: Datum, syms: &Symbols) -> bool {
+    match op {
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+        _ => op.eval(syms.cmp(a, b)),
     }
 }
 
-fn eval_row<R: RowView + ?Sized>(conds: &[ExecCond], row: &R, params: &[Value]) -> bool {
-    conds.iter().all(|c| eval_cond(c, row, params))
+/// Evaluate one bound condition against a row.
+fn eval_cond<R: RowView + ?Sized>(cond: &Cond, row: &R, syms: &Symbols) -> bool {
+    match cond {
+        Cond::Cols(a, op, b) => compare(*op, row.col(*a), row.col(*b), syms),
+        Cond::Const(a, op, v) => compare(*op, row.col(*a), *v, syms),
+        Cond::In(a, vs) => vs.contains(&row.col(*a)),
+    }
 }
 
-pub(crate) fn eval_all(conds: &[ExecCond], row: &[Value], params: &[Value]) -> bool {
-    eval_row(conds, row, params)
+fn eval_row<R: RowView + ?Sized>(conds: &[Cond], row: &R, syms: &Symbols) -> bool {
+    conds.iter().all(|c| eval_cond(c, row, syms))
+}
+
+pub(crate) fn eval_all(conds: &[Cond], row: &[Datum], syms: &Symbols) -> bool {
+    eval_row(conds, row, syms)
+}
+
+/// One column of an emitted row: a column of the operator's own row, or a
+/// projected literal bound for this execution.
+#[derive(Clone, Copy)]
+enum OutCol {
+    Col(usize),
+    Lit(Datum),
+}
+
+fn bind_exprs(exprs: &[ProjExpr], syms: &Symbols) -> Vec<OutCol> {
+    exprs
+        .iter()
+        .map(|e| match e {
+            ProjExpr::Col(i) => OutCol::Col(*i),
+            ProjExpr::Lit(v) => OutCol::Lit(syms.datum(v)),
+        })
+        .collect()
 }
 
 /// What the parent wants of each row an operator emits. A `Project` sitting
-/// directly on a row source (a scan or a join) hands its expressions down
+/// directly on a row source (a scan or a join) hands its columns down
 /// here, so the source builds the projected row straight from the page or
 /// from its two inputs; the wide intermediate row is never built.
 #[derive(Clone, Copy)]
 struct Emit<'p> {
     /// `None` emits the operator's natural row.
-    exprs: Option<&'p [ProjExpr]>,
-    /// `exprs` is `Col(0), Col(1), ..`: a decoded row is projected by
-    /// moving its first columns out, which is what `SELECT *` amounts to.
-    prefix: bool,
+    exprs: Option<&'p [OutCol]>,
 }
 
 impl<'p> Emit<'p> {
-    const NATURAL: Emit<'static> = Emit {
-        exprs: None,
-        prefix: false,
-    };
+    const NATURAL: Emit<'static> = Emit { exprs: None };
 
-    fn project(exprs: &'p [ProjExpr]) -> Emit<'p> {
-        let prefix = !exprs.is_empty()
-            && exprs
-                .iter()
-                .enumerate()
-                .all(|(i, e)| matches!(e, ProjExpr::Col(c) if *c == i));
-        Emit {
-            exprs: Some(exprs),
-            prefix,
-        }
+    fn project(exprs: &'p [OutCol]) -> Emit<'p> {
+        Emit { exprs: Some(exprs) }
     }
 
     /// Columns of an emitted row, for an operator whose own rows have
     /// `natural` columns.
     fn arity(&self, natural: usize) -> usize {
-        self.exprs.map_or(natural, <[ProjExpr]>::len)
+        self.exprs.map_or(natural, <[OutCol]>::len)
     }
 
-    fn build<R: RowView + ?Sized>(exprs: &[ProjExpr], row: &R, out: &mut RowBuf) {
-        out.push(exprs.iter().map(|e| match e {
-            ProjExpr::Col(i) => row.col(*i).clone(),
-            ProjExpr::Lit(v) => v.clone(),
+    fn build<R: RowView + ?Sized>(exprs: &[OutCol], row: &R, out: &mut RowBuf) {
+        out.push(exprs.iter().map(|e| match *e {
+            OutCol::Col(i) => row.col(i),
+            OutCol::Lit(d) => d,
         }));
     }
 
-    /// Emit a freshly decoded row, moving its values out of `row` where the
-    /// projection allows.
-    fn row(&self, row: &mut Vec<Value>, out: &mut RowBuf) {
+    /// Emit one of the operator's own rows.
+    fn row(&self, row: &[Datum], out: &mut RowBuf) {
         match self.exprs {
-            None => out.push(row.drain(..)),
-            Some(exprs) if self.prefix && exprs.len() <= row.len() => {
-                out.push(row.drain(..exprs.len()));
-            }
-            Some(exprs) => Self::build(exprs, row.as_slice(), out),
+            None => out.push(row.iter().copied()),
+            Some(exprs) => Self::build(exprs, row, out),
         }
     }
 
     /// Emit the join of `left` and `right`.
-    fn joined(&self, left: &[Value], right: &[Value], out: &mut RowBuf) {
+    fn joined(&self, left: &[Datum], right: &[Datum], out: &mut RowBuf) {
         match self.exprs {
             None => out.push_joined(left, right),
             Some(exprs) => Self::build(exprs, &Joined(left, right), out),
@@ -619,16 +678,13 @@ fn builds_rows(plan: &PhysPlan) -> bool {
     )
 }
 
-/// Materialize an index-lookup key, substituting bind values for params.
-fn resolve_key(key: &[KeyExpr], params: &[Value]) -> PackedKey {
-    PackedKey::from_tuple(
-        key.iter()
-            .map(|k| match k {
-                KeyExpr::Lit(v) => v.clone(),
-                KeyExpr::Param(p) => params[*p].clone(),
-            })
-            .collect(),
-    )
+/// Materialize an index-lookup key, interning its literals and
+/// substituting bind values for params.
+fn resolve_key(key: &[KeyExpr], params: &[Datum], syms: &Symbols) -> Key {
+    Key::from_datums(key.iter().map(|k| match k {
+        KeyExpr::Lit(v) => syms.datum(v),
+        KeyExpr::Param(p) => params[*p],
+    }))
 }
 
 /// Decode a stored payload, surfacing damage as [`DbError::Corruption`]
@@ -649,22 +705,43 @@ pub(crate) fn decode_into(
     if deserialize_tuple_into(payload, row) {
         Ok(())
     } else {
-        Err(DbError::Corruption(format!(
-            "table {table}: stored tuple at {rid:?} does not deserialize"
-        )))
+        Err(undecodable(table, rid))
+    }
+}
+
+fn undecodable(table: &str, rid: RecordId) -> DbError {
+    DbError::Corruption(format!(
+        "table {table}: stored tuple at {rid:?} does not deserialize"
+    ))
+}
+
+/// [`decode_into`] for the executor: the record's strings are looked up
+/// through `rd` instead of copied out of the page.
+pub(crate) fn decode_datums(
+    table: &str,
+    rid: RecordId,
+    payload: &[u8],
+    row: &mut Vec<Datum>,
+    rd: &mut SymReader<'_>,
+) -> Result<(), DbError> {
+    if decode_row(payload, row, rd) {
+        Ok(())
+    } else {
+        Err(undecodable(table, rid))
     }
 }
 
 /// Decode one of `table`'s records for the executor. The flat buffers rows
 /// go into are laid out by the schema's arity, so a record of any other
 /// width is refused here rather than misaligning every row after it.
-fn decode_row(
+fn decode_stored(
     table: &Table,
     rid: RecordId,
     payload: &[u8],
-    row: &mut Vec<Value>,
+    row: &mut Vec<Datum>,
+    rd: &mut SymReader<'_>,
 ) -> Result<(), DbError> {
-    decode_into(&table.name, rid, payload, row)?;
+    decode_datums(&table.name, rid, payload, row, rd)?;
     if row.len() != table.schema.arity() {
         return Err(DbError::Corruption(format!(
             "table {}: stored tuple at {rid:?} has {} columns, schema has {}",
@@ -683,12 +760,13 @@ fn fetch_indexed(
     ctx: &mut ExecCtx<'_>,
     table: &Table,
     rid: RecordId,
-    row: &mut Vec<Value>,
+    row: &mut Vec<Datum>,
 ) -> Result<(), DbError> {
+    let syms = ctx.syms();
     table
         .heap
         .read(ctx.disk, ctx.pool, rid, |payload| {
-            decode_row(table, rid, payload, row)
+            decode_stored(table, rid, payload, row, &mut syms.reader())
         })?
         .unwrap_or_else(|| {
             Err(DbError::Corruption(format!(
@@ -699,18 +777,20 @@ fn fetch_indexed(
 }
 
 /// Scan all of `table`, decoding each live record inside its page latch —
-/// always into the same row, so a scan of integer rows allocates nothing —
-/// and handing that row to `on_row`, which takes what it wants of it and
+/// always into the same row, so a scan allocates nothing per row — and
+/// handing that row to `on_row`, which takes what it wants of it and
 /// reports whether it kept the row (a row not kept counts as dropped by
 /// the scan's filters). Records are gathered `batch_rows` at a time — the
-/// cadence of governor polls and of the `batches` counter — with one
-/// buffer-pool visit per page touched.
+/// cadence of governor polls, of the `batches` counter and of the scan's
+/// hold on the symbol table — with one buffer-pool visit per page touched.
+/// `on_row` runs while that hold is kept, so it must not intern.
 fn scan_rows(
     ctx: &mut ExecCtx<'_>,
     table: &Table,
-    mut on_row: impl FnMut(&mut Vec<Value>) -> bool,
+    mut on_row: impl FnMut(&[Datum]) -> bool,
 ) -> Result<(), DbError> {
     let batch = ctx.batch_rows.max(1);
+    let syms = ctx.syms();
     let mut scan = table.heap.scan();
     let mut row = Vec::with_capacity(table.schema.arity());
     loop {
@@ -718,13 +798,15 @@ fn scan_rows(
             g.check()?;
         }
         let mut dropped = 0;
+        let mut rd = syms.reader();
         let scanned = scan.for_each_batch(ctx.disk, ctx.pool, batch, |rid, payload| {
-            decode_row(table, rid, payload, &mut row)?;
-            if !on_row(&mut row) {
+            decode_stored(table, rid, payload, &mut row, &mut rd)?;
+            if !on_row(&row) {
                 dropped += 1;
             }
             Ok(())
         })?;
+        drop(rd);
         if scanned == 0 {
             return Ok(());
         }
@@ -739,11 +821,11 @@ fn scan_rows(
 
 /// The build side of a hash join: every build row's index, chained per key
 /// in build order. One map entry per distinct key and one link per row —
-/// no per-key vector, and (for integer keys) no per-row allocation.
+/// no per-key vector, and no per-row allocation.
 struct BuildTable<'r> {
     rows: &'r RowBuf,
     /// Key → (first, last) row index of its chain.
-    chains: KeyMap<PackedKey, (usize, usize)>,
+    chains: KeyMap<Key, (usize, usize)>,
     /// `next[i]` is the row after row `i` in its chain; `usize::MAX` ends it.
     next: Vec<usize>,
 }
@@ -754,12 +836,12 @@ impl<'r> BuildTable<'r> {
         key_cols: &[usize],
         gov: Option<&QueryGovernor>,
     ) -> Result<BuildTable<'r>, DbError> {
-        let mut chains: KeyMap<PackedKey, (usize, usize)> =
+        let mut chains: KeyMap<Key, (usize, usize)> =
             KeyMap::with_capacity_and_hasher(rows.len(), Default::default());
         let mut next = vec![usize::MAX; rows.len()];
         for (i, row) in rows.iter().enumerate() {
             gov_tick(gov, i)?;
-            match chains.entry(PackedKey::from_cols(row, key_cols)) {
+            match chains.entry(Key::from_cols(row, key_cols)) {
                 Entry::Occupied(mut e) => {
                     let (_, last) = e.get_mut();
                     next[*last] = i;
@@ -774,7 +856,7 @@ impl<'r> BuildTable<'r> {
     }
 
     /// The build rows filed under `key`, in build order.
-    fn matches<'t>(&'t self, key: &PackedKey) -> impl Iterator<Item = &'r [Value]> + 't {
+    fn matches<'t>(&'t self, key: &Key) -> impl Iterator<Item = &'r [Datum]> + 't {
         let mut at = self.chains.get(key).map_or(usize::MAX, |&(first, _)| first);
         std::iter::from_fn(move || {
             let i = at;
@@ -792,23 +874,23 @@ struct HashProbe<'a> {
     /// The build rows are the join's left side.
     build_left: bool,
     probe_keys: &'a [usize],
-    residual: &'a [ExecCond],
-    params: &'a [Value],
+    residual: &'a [Cond],
+    syms: &'a Symbols,
     emit: Emit<'a>,
 }
 
 impl HashProbe<'_> {
     /// Probe with `prow`, appending the joins that pass the residual to
     /// `out`.
-    fn probe(&self, prow: &[Value], c: &mut RowCounts, out: &mut RowBuf) {
-        let key = PackedKey::from_cols(prow, self.probe_keys);
+    fn probe(&self, prow: &[Datum], c: &mut RowCounts, out: &mut RowBuf) {
+        let key = Key::from_cols(prow, self.probe_keys);
         for brow in self.table.matches(&key) {
             let (lrow, rrow) = if self.build_left {
                 (brow, prow)
             } else {
                 (prow, brow)
             };
-            if eval_row(self.residual, &Joined(lrow, rrow), self.params) {
+            if eval_row(self.residual, &Joined(lrow, rrow), self.syms) {
                 c.join_output += 1;
                 self.emit.joined(lrow, rrow, out);
             } else {
@@ -825,7 +907,7 @@ impl HashProbe<'_> {
 /// (no key is built), then the gaps are closed in place.
 fn keep_first_occurrences(rows: &mut RowBuf, exclude: Option<&RowBuf>) -> Vec<bool> {
     let excluded = exclude.map_or(0, RowBuf::len);
-    let mut seen: KeySet<&[Value]> =
+    let mut seen: KeySet<&[Datum]> =
         KeySet::with_capacity_and_hasher(rows.len() + excluded, Default::default());
     if let Some(exclude) = exclude {
         seen.extend(exclude.iter());
@@ -843,7 +925,8 @@ fn dedup(
     mut rows: RowBuf,
     exclude: Option<RowBuf>,
 ) -> Result<RowBuf, DbError> {
-    let state = state_bytes(&rows) + exclude.as_ref().map_or(0, state_bytes);
+    let syms = ctx.syms();
+    let state = state_bytes(&rows, syms) + exclude.as_ref().map_or(0, |ex| state_bytes(ex, syms));
     if spill_engaged(ctx, state) && !rows.is_empty() {
         return spill_dedup(ctx, rows, exclude, state);
     }
@@ -894,16 +977,17 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
     if let Some(g) = ctx.governor {
         g.check()?;
     }
+    let syms = ctx.syms();
     match plan {
         PhysPlan::SeqScan { table, filters } => {
             // Decode and filter happen inside the page latch, on this
             // thread: the buffer pool is a single-writer resource, and a
             // row leaves its page only as the columns the parent asked for.
             let t = ctx.catalog.table(table)?;
-            let params = ctx.params;
+            let filters = bind_conds(filters, ctx.params, syms);
             let mut out = RowBuf::new(emit.arity(t.schema.arity()));
             scan_rows(ctx, t, |row| {
-                let keep = eval_all(filters, row, params);
+                let keep = eval_all(&filters, row, syms);
                 if keep {
                     emit.row(row, &mut out);
                 }
@@ -918,18 +1002,19 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             residual,
         } => {
             let t = ctx.catalog.table(table)?;
+            let residual = bind_conds(residual, ctx.params, syms);
             let mut out = RowBuf::new(emit.arity(t.schema.arity()));
             let mut row = Vec::new();
             for key in keys {
-                let key = resolve_key(key, ctx.params);
+                let key = resolve_key(key, ctx.params, syms);
                 ctx.count_probe();
-                let rids = t.indexes[*index_pos].lookup(&key);
+                let rids = t.indexes[*index_pos].lookup_key(&key);
                 out.reserve(rids.len());
                 for &rid in rids {
                     fetch_indexed(ctx, t, rid, &mut row)?;
                     ctx.count_fetched();
-                    if eval_all(residual, &row, ctx.params) {
-                        emit.row(&mut row, &mut out);
+                    if eval_all(&residual, &row, syms) {
+                        emit.row(&row, &mut out);
                     } else {
                         ctx.prof_drop();
                     }
@@ -953,13 +1038,14 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                 .range(to_key(lo), to_key(hi))
                 .expect("planner only ranges over ordered indexes");
             ctx.count_probe();
+            let residual = bind_conds(residual, ctx.params, syms);
             let mut out = RowBuf::with_capacity(emit.arity(t.schema.arity()), rids.len());
             let mut row = Vec::new();
             for rid in rids {
                 fetch_indexed(ctx, t, rid, &mut row)?;
                 ctx.count_fetched();
-                if eval_all(residual, &row, ctx.params) {
-                    emit.row(&mut row, &mut out);
+                if eval_all(&residual, &row, syms) {
+                    emit.row(&row, &mut out);
                 } else {
                     ctx.prof_drop();
                 }
@@ -976,6 +1062,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             let left_rows = execute_plan(left, ctx)?;
             let right_rows = execute_plan(right, ctx)?;
             let out_arity = emit.arity(left_rows.arity() + right_rows.arity());
+            let residual = bind_conds(residual, ctx.params, syms);
             // Build the hash table on the smaller side; output rows are
             // always left-columns-then-right-columns regardless.
             let build_left = left_rows.len() <= right_rows.len();
@@ -984,7 +1071,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             } else {
                 (right_rows, right_keys, left_rows, left_keys)
             };
-            let build_bytes = state_bytes(&build);
+            let build_bytes = state_bytes(&build, syms);
             if spill_engaged(ctx, build_bytes) && !build.is_empty() {
                 return grace_hash_join(
                     ctx,
@@ -993,7 +1080,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                     probe,
                     probe_keys,
                     build_left,
-                    residual,
+                    &residual,
                     build_bytes,
                     emit,
                     out_arity,
@@ -1012,8 +1099,8 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                 table: &table,
                 build_left,
                 probe_keys,
-                residual,
-                params: ctx.params,
+                residual: &residual,
+                syms,
                 emit,
             };
             let mut out = RowBuf::new(out_arity);
@@ -1045,7 +1132,8 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             let t = ctx.catalog.table(table)?;
             let index = &t.indexes[*index_pos];
             let batch = ctx.batch_rows.max(1);
-            let params = ctx.params;
+            let inner_filters = bind_conds(inner_filters, ctx.params, syms);
+            let residual = bind_conds(residual, ctx.params, syms);
             let mut out = RowBuf::new(emit.arity(left_rows.arity() + t.schema.arity()));
             // The planner chose probing from its estimates at plan time;
             // whether it still pays is re-checked here against live
@@ -1060,9 +1148,9 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                 ctx.stats.join_adaptive_flips += 1;
                 let mut inner_rows = RowBuf::new(t.schema.arity());
                 scan_rows(ctx, t, |row| {
-                    let keep = eval_all(inner_filters, row, params);
+                    let keep = eval_all(&inner_filters, row, syms);
                     if keep {
-                        inner_rows.push(row.drain(..));
+                        inner_rows.push(row.iter().copied());
                     }
                     keep
                 })?;
@@ -1072,8 +1160,8 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                     table: &inner,
                     build_left: false,
                     probe_keys: left_keys,
-                    residual,
-                    params,
+                    residual: &residual,
+                    syms,
                     emit,
                 };
                 let mut counts = RowCounts::default();
@@ -1093,16 +1181,16 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                     }
                     ctx.count_batch();
                 }
-                let key = PackedKey::from_cols(lrow, left_keys);
+                let key = Key::from_cols(lrow, left_keys);
                 ctx.count_probe();
-                for &rid in index.lookup(&key) {
+                for &rid in index.lookup_key(&key) {
                     fetch_indexed(ctx, t, rid, &mut inner)?;
                     ctx.count_fetched();
-                    if !eval_all(inner_filters, &inner, params) {
+                    if !eval_all(&inner_filters, &inner, syms) {
                         ctx.prof_drop();
                         continue;
                     }
-                    if eval_row(residual, &Joined(lrow, &inner), params) {
+                    if eval_row(&residual, &Joined(lrow, &inner), syms) {
                         ctx.stats.join_output += 1;
                         emit.joined(lrow, &inner, &mut out);
                     } else {
@@ -1141,8 +1229,8 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                 for (ri, row) in rows.iter().enumerate() {
                     gov_tick(ctx.governor, ri)?;
                     ctx.count_probe();
-                    let key = PackedKey::from_cols(row, outer_keys);
-                    keep.push(index.lookup(&key).is_empty());
+                    let key = Key::from_cols(row, outer_keys);
+                    keep.push(index.lookup_key(&key).is_empty());
                 }
                 rows.retain_marked(&keep);
                 return Ok(rows);
@@ -1152,14 +1240,14 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             // above, the (reordered) key pairs still correlate the two
             // sides, and `inner_filters` is empty — the scan fallback is
             // unchanged.
-            let params = ctx.params;
-            let mut keys: KeySet<PackedKey> = KeySet::default();
+            let inner_filters = bind_conds(inner_filters, ctx.params, syms);
+            let mut keys: KeySet<Key> = KeySet::default();
             let mut inner_nonempty = false;
             scan_rows(ctx, t, |row| {
-                if eval_all(inner_filters, row, params) {
+                if eval_all(&inner_filters, row, syms) {
                     inner_nonempty = true;
                     if !inner_keys.is_empty() {
-                        keys.insert(PackedKey::from_cols(row, inner_keys));
+                        keys.insert(Key::from_cols(row, inner_keys));
                     }
                 }
                 true
@@ -1174,7 +1262,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             }
             for (ri, row) in rows.iter().enumerate() {
                 gov_tick(ctx.governor, ri)?;
-                keep.push(!keys.contains(&PackedKey::from_cols(row, outer_keys)));
+                keep.push(!keys.contains(&Key::from_cols(row, outer_keys)));
             }
             rows.retain_marked(&keep);
             Ok(rows)
@@ -1186,13 +1274,14 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
         } => {
             let left_rows = execute_plan(left, ctx)?;
             let right_rows = execute_plan(right, ctx)?;
+            let residual = bind_conds(residual, ctx.params, syms);
             let mut out = RowBuf::new(emit.arity(left_rows.arity() + right_rows.arity()));
             let mut steps = 0usize;
             for lrow in left_rows.iter() {
                 for rrow in right_rows.iter() {
                     gov_tick(ctx.governor, steps)?;
                     steps += 1;
-                    if eval_row(residual, &Joined(lrow, rrow), ctx.params) {
+                    if eval_row(&residual, &Joined(lrow, rrow), syms) {
                         ctx.stats.join_output += 1;
                         emit.joined(lrow, rrow, &mut out);
                     } else {
@@ -1204,6 +1293,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
         }
         PhysPlan::Filter { child, conds } => {
             let mut rows = execute_plan(child, ctx)?;
+            let conds = bind_conds(conds, ctx.params, syms);
             let batch = ctx.batch_rows.max(1);
             let mut keep = Vec::with_capacity(rows.len());
             for (i, r) in rows.iter().enumerate() {
@@ -1213,7 +1303,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                     }
                     ctx.count_batch();
                 }
-                let pass = eval_all(conds, r, ctx.params);
+                let pass = eval_all(&conds, r, syms);
                 if !pass {
                     ctx.prof_drop();
                 }
@@ -1223,17 +1313,23 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             Ok(rows)
         }
         PhysPlan::Project { child, exprs } => {
-            let emit = Emit::project(exprs);
+            let bound = bind_exprs(exprs, syms);
+            let emit = Emit::project(&bound);
             if builds_rows(child) {
                 return execute_emitting(child, ctx, emit);
             }
             let rows = execute_plan(child, ctx)?;
-            if emit.prefix && exprs.len() == rows.arity() {
+            let identity = exprs.len() == rows.arity()
+                && exprs
+                    .iter()
+                    .enumerate()
+                    .all(|(i, e)| matches!(e, ProjExpr::Col(c) if *c == i));
+            if identity {
                 return Ok(rows);
             }
             let mut out = RowBuf::with_capacity(exprs.len(), rows.len());
             for row in rows.iter() {
-                Emit::build(exprs, row, &mut out);
+                Emit::build(&bound, row, &mut out);
             }
             Ok(out)
         }
@@ -1243,11 +1339,11 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
         }
         PhysPlan::Sort { child, keys } => {
             let rows = execute_plan(child, ctx)?;
-            let state = state_bytes(&rows);
+            let state = state_bytes(&rows, syms);
             if spill_engaged(ctx, state) && !rows.is_empty() {
                 return external_sort(ctx, rows, keys, state);
             }
-            let order = sort_order(&rows, 0..rows.len(), keys);
+            let order = sort_order(&rows, 0..rows.len(), keys, syms);
             Ok(rows.reordered(&order))
         }
         PhysPlan::CountStar { child } => {
@@ -1259,16 +1355,16 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                 execute_plan(child, ctx)?
             };
             let mut out = RowBuf::new(1);
-            out.push([Value::Int(rows.len() as i64)]);
+            out.push([Datum::Int(rows.len() as i64)]);
             Ok(out)
         }
         PhysPlan::GroupCount { child, keys } => {
             let rows = execute_plan(child, ctx)?;
             // Insertion-ordered grouping so output is deterministic.
-            let mut groups: Vec<(PackedKey, i64)> = Vec::new();
-            let mut group_of: KeyMap<PackedKey, usize> = KeyMap::default();
+            let mut groups: Vec<(Key, i64)> = Vec::new();
+            let mut group_of: KeyMap<Key, usize> = KeyMap::default();
             for row in rows.iter() {
-                let key = PackedKey::from_cols(row, keys);
+                let key = Key::from_cols(row, keys);
                 match group_of.get(&key) {
                     Some(&g) => groups[g].1 += 1,
                     None => {
@@ -1279,7 +1375,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             }
             let mut out = RowBuf::with_capacity(keys.len() + 1, groups.len());
             for (key, count) in groups {
-                out.push(key.to_values().into_iter().chain([Value::Int(count)]));
+                out.push(key.datums().iter().copied().chain([Datum::Int(count)]));
             }
             Ok(out)
         }
@@ -1316,17 +1412,19 @@ fn grace_hash_join(
     probe: RowBuf,
     probe_keys: &[usize],
     build_left: bool,
-    residual: &[ExecCond],
+    residual: &[Cond],
     build_bytes: u64,
     emit: Emit<'_>,
     out_arity: usize,
 ) -> Result<RowBuf, DbError> {
+    let syms = ctx.syms();
     let parts = spill_partition_count(ctx, build_bytes);
     let build_arity = build.arity();
     ctx.prof_build(build.len() as u64);
     let build_files = scatter_partitions(
         ctx.disk,
         ctx.governor,
+        syms,
         &build,
         parts,
         Some(build_keys),
@@ -1336,6 +1434,7 @@ fn grace_hash_join(
     let probe_files = match scatter_partitions(
         ctx.disk,
         ctx.governor,
+        syms,
         &probe,
         parts,
         Some(probe_keys),
@@ -1370,8 +1469,8 @@ fn grace_hash_join(
             // state become memory-resident, sized by the partition target.
             let mut part_build = RowBuf::with_capacity(build_arity, bf.records() as usize);
             let mut reader = bf.reader();
-            while read_spilled_row(&mut reader, ctx.disk, &mut payload, &mut row)? {
-                part_build.push(row.drain(..));
+            while read_spilled_row(&mut reader, ctx.disk, syms, &mut payload, &mut row)? {
+                part_build.push(row.iter().copied());
                 gov_tick(ctx.governor, part_build.len())?;
             }
             let table = BuildTable::build(&part_build, build_keys, None)?;
@@ -1380,7 +1479,7 @@ fn grace_hash_join(
                 build_left,
                 probe_keys,
                 residual,
-                params: ctx.params,
+                syms,
                 emit,
             };
             counts.batches += 1;
@@ -1389,7 +1488,7 @@ fn grace_hash_join(
             while reader.next(ctx.disk, &mut payload)? {
                 gov_tick(ctx.governor, pi)?;
                 pi += 1;
-                let seq = decode_seq_tuple(&payload, &mut row)?;
+                let seq = read_seq_row(&payload, &mut row, syms)?;
                 join.probe(&row, &mut counts, &mut out);
                 seqs.resize(out.len(), seq);
             }
@@ -1409,13 +1508,18 @@ fn grace_hash_join(
 /// last read.
 struct RunHead {
     reader: SpillReader,
-    row: Vec<Value>,
+    row: Vec<Datum>,
     live: bool,
 }
 
 impl RunHead {
-    fn advance(&mut self, disk: &mut Disk, payload: &mut Vec<u8>) -> Result<(), DbError> {
-        self.live = read_spilled_row(&mut self.reader, disk, payload, &mut self.row)?;
+    fn advance(
+        &mut self,
+        disk: &mut Disk,
+        syms: &Symbols,
+        payload: &mut Vec<u8>,
+    ) -> Result<(), DbError> {
+        self.live = read_spilled_row(&mut self.reader, disk, syms, payload, &mut self.row)?;
         Ok(())
     }
 }
@@ -1431,15 +1535,16 @@ fn external_sort(
     keys: &[usize],
     total_bytes: u64,
 ) -> Result<RowBuf, DbError> {
+    let syms = ctx.syms();
     let (n, arity) = (rows.len(), rows.arity());
     let run_target = spill_partition_bytes(ctx).max(total_bytes.div_ceil(SPILL_MAX_PARTITIONS));
     let mut runs: Vec<SpillFile> = Vec::new();
     let mut payload = Vec::new();
     let mut spill_run = |range: Range<usize>, disk: &mut Disk| -> Result<SpillFile, DbError> {
         let mut w = SpillWriter::new(disk);
-        for i in sort_order(&rows, range, keys) {
+        for i in sort_order(&rows, range, keys, syms) {
             payload.clear();
-            serialize_tuple_into(rows.row(i), &mut payload);
+            encode_row(rows.row(i), syms, &mut payload);
             if let Err(e) = w.push(disk, &payload) {
                 w.abandon(disk);
                 return Err(e);
@@ -1455,7 +1560,7 @@ fn external_sort(
             result = Err(e);
             break;
         }
-        run_bytes += row_bytes(rows.row(i));
+        run_bytes += row_bytes(rows.row(i), syms);
         if run_bytes >= run_target {
             match spill_run(run_start..i + 1, ctx.disk) {
                 Ok(f) => runs.push(f),
@@ -1496,22 +1601,22 @@ fn external_sort(
     let mut out = RowBuf::with_capacity(arity, n);
     let mut merge = || -> Result<(), DbError> {
         for h in &mut heads {
-            h.advance(ctx.disk, &mut payload)?;
+            h.advance(ctx.disk, syms, &mut payload)?;
         }
         loop {
             gov_tick(ctx.governor, out.len())?;
             let mut best: Option<usize> = None;
             for (i, h) in heads.iter().enumerate().filter(|(_, h)| h.live) {
                 let wins = best.is_none_or(|b| {
-                    cmp_keys(&h.row, &heads[b].row, keys) == std::cmp::Ordering::Less
+                    cmp_keys(&h.row, &heads[b].row, keys, syms) == std::cmp::Ordering::Less
                 });
                 if wins {
                     best = Some(i);
                 }
             }
             let Some(b) = best else { break };
-            out.push(heads[b].row.drain(..));
-            heads[b].advance(ctx.disk, &mut payload)?;
+            out.push(heads[b].row.iter().copied());
+            heads[b].advance(ctx.disk, syms, &mut payload)?;
         }
         Ok(())
     };
@@ -1536,21 +1641,24 @@ fn spill_dedup(
     exclude: Option<RowBuf>,
     state_bytes: u64,
 ) -> Result<RowBuf, DbError> {
+    let syms = ctx.syms();
     let arity = rows.arity();
     let parts = spill_partition_count(ctx, state_bytes);
-    let row_files = scatter_partitions(ctx.disk, ctx.governor, &rows, parts, None, true)?;
+    let row_files = scatter_partitions(ctx.disk, ctx.governor, syms, &rows, parts, None, true)?;
     drop(rows);
     let ex_files = match &exclude {
         None => Vec::new(),
-        Some(ex) => match scatter_partitions(ctx.disk, ctx.governor, ex, parts, None, false) {
-            Ok(files) => files,
-            Err(e) => {
-                for f in row_files {
-                    f.destroy(ctx.disk);
+        Some(ex) => {
+            match scatter_partitions(ctx.disk, ctx.governor, syms, ex, parts, None, false) {
+                Ok(files) => files,
+                Err(e) => {
+                    for f in row_files {
+                        f.destroy(ctx.disk);
+                    }
+                    return Err(e);
                 }
-                return Err(e);
             }
-        },
+        }
     };
     drop(exclude);
     let spilled: u64 = row_files
@@ -1569,9 +1677,9 @@ fn spill_dedup(
             let mut part_exclude = RowBuf::new(arity);
             if let Some(ef) = ex_files.get(p) {
                 let mut reader = ef.reader();
-                while read_spilled_row(&mut reader, ctx.disk, &mut payload, &mut row)? {
+                while read_spilled_row(&mut reader, ctx.disk, syms, &mut payload, &mut row)? {
                     gov_tick(ctx.governor, part_exclude.len())?;
-                    part_exclude.push(row.drain(..));
+                    part_exclude.push(row.iter().copied());
                 }
             }
             let mut part = RowBuf::with_capacity(arity, rf.records() as usize);
@@ -1579,8 +1687,8 @@ fn spill_dedup(
             let mut reader = rf.reader();
             while reader.next(ctx.disk, &mut payload)? {
                 gov_tick(ctx.governor, part.len())?;
-                part_seqs.push(decode_seq_tuple(&payload, &mut row)?);
-                part.push(row.drain(..));
+                part_seqs.push(read_seq_row(&payload, &mut row, syms)?);
+                part.push(row.iter().copied());
             }
             let keep = keep_first_occurrences(&mut part, Some(&part_exclude));
             seqs.extend(
@@ -1599,4 +1707,69 @@ fn spill_dedup(
     }
     outcome?;
     Ok(restore_order(out, &seqs))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-column buffer of `vals`, strings interned in the order given.
+    fn column(syms: &Symbols, vals: &[Value]) -> RowBuf {
+        let mut rows = RowBuf::new(1);
+        for v in vals {
+            rows.push([syms.datum(v)]);
+        }
+        rows
+    }
+
+    #[test]
+    fn sort_orders_a_mixed_column_integers_first_then_strings() {
+        let syms = Symbols::default();
+        // "b" is interned before "a": id order and string order disagree.
+        let vals = [
+            Value::from("b"),
+            Value::Int(3),
+            Value::from("a"),
+            Value::Int(-1),
+            Value::from("ab"),
+        ];
+        let rows = column(&syms, &vals);
+        let order = sort_order(&rows, 0..rows.len(), &[0], &syms);
+        let sorted: Vec<Value> = rows
+            .reordered(&order)
+            .into_rows(&syms)
+            .into_iter()
+            .map(|mut r| r.remove(0))
+            .collect();
+        let mut expect = vals.to_vec();
+        expect.sort();
+        assert_eq!(sorted, expect);
+    }
+
+    #[test]
+    fn ordering_conditions_compare_strings_not_ids() {
+        let syms = Symbols::default();
+        let rows = column(&syms, &[Value::from("b"), Value::from("a")]);
+        let below_ab = bind_conds(
+            &[ExecCond::ColCmpLit(0, CmpOp::Lt, Value::from("ab"))],
+            &[],
+            &syms,
+        );
+        let kept: Vec<bool> = rows.iter().map(|r| eval_all(&below_ab, r, &syms)).collect();
+        assert_eq!(kept, [false, true]);
+        // Every integer sorts before every string.
+        let above_ints = bind_conds(
+            &[ExecCond::ColCmpLit(0, CmpOp::Gt, Value::Int(i64::MAX))],
+            &[],
+            &syms,
+        );
+        assert!(rows.iter().all(|r| eval_all(&above_ints, r, &syms)));
+    }
+
+    #[test]
+    fn rows_charge_what_their_strings_cost() {
+        let syms = Symbols::default();
+        let row = [Datum::Int(1), syms.datum(&Value::from("abcd"))];
+        assert_eq!(row_bytes(&row, &syms), 16 + (24 + 4) + 24);
+    }
 }

@@ -82,8 +82,8 @@ impl Hasher for FxHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::PackedKey;
-    use crate::value::Value;
+    use crate::index::Key;
+    use crate::sym::{Datum, Symbols};
     use std::hash::{BuildHasher, Hash};
 
     /// The largest share of `keys` that lands on one value of the table's
@@ -110,13 +110,20 @@ mod tests {
         const N: i64 = 100_000;
         // 2^10 buckets: ~98 keys each, so a 2x skew is far outside noise.
         const BUCKET_BITS: u32 = 10;
-        let int = |i: i64| PackedKey::from_values(&[Value::Int(i)]);
-        let mut shapes: Vec<(String, Vec<PackedKey>)> = vec![
+        let int = |i: i64| Key::One(Datum::Int(i));
+        let syms = Symbols::default();
+        let mut shapes: Vec<(String, Vec<Key>)> = vec![
             ("sequential".into(), (0..N).map(int).collect()),
             (
                 "(i, i+1) pairs".into(),
                 (0..N)
-                    .map(|i| PackedKey::from_values(&[Value::Int(i), Value::Int(i + 1)]))
+                    .map(|i| Key::Two([Datum::Int(i), Datum::Int(i + 1)]))
+                    .collect(),
+            ),
+            (
+                "symbol ids".into(),
+                (0..N)
+                    .map(|i| Key::One(Datum::Sym(syms.intern(&format!("n{i}")))))
                     .collect(),
             ),
         ];

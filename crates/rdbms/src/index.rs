@@ -1,5 +1,4 @@
-//! In-memory indexes over heap files, and the packed key they share with
-//! the executor.
+//! In-memory indexes over heap files, and the keys the executor hashes.
 //!
 //! The paper's experiments hinge on indexes: the flatness of `t_extract`
 //! versus total stored rules (Figure 7) and of `t_read` versus total derived
@@ -14,25 +13,32 @@
 //! Directories live in memory while the indexed records stay on pages;
 //! probe counts are tracked so experiments can report logical index work.
 //!
-//! Every directory, and every hash table the executor keys on *part* of a
-//! row (join build sides, anti-join key sets, `GROUP BY`), is keyed by
-//! [`PackedKey`]: one or two integer columns — the shape of every key the
-//! LFP loop generates — sit inline in the map entry, so building, probing
-//! and maintaining such a table allocates nothing per row. (Whole-row sets
-//! — `DISTINCT`, `EXCEPT`, `UNION` — borrow the row where it already lies
-//! and build no key at all.)
+//! Every hash directory, and every hash table the executor keys on *part*
+//! of a row (join build sides, anti-join key sets, `GROUP BY`), is keyed by
+//! the executor's `Key`: a key of one or two columns sits inline in the map
+//! entry whatever the columns' types — a `char` value is the 4-byte id of
+//! its interned string — so building, probing and maintaining such a table
+//! allocates nothing per row. (Whole-row sets — `DISTINCT`, `EXCEPT`,
+//! `UNION` — borrow the row where it already lies and build no key at
+//! all.) Ids carry no order, so an ordered directory is keyed by
+//! [`PackedKey`], a key over [`Value`]s, which is also what this module's
+//! public lookups take.
 
 use crate::hash::KeyMap;
 use crate::heap::RecordId;
+use crate::sym::{Datum, Symbols};
 use crate::value::Value;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::btree_map::Entry as BTreeEntry;
 use std::collections::hash_map::Entry as HashEntry;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// A key of one or more column values.
+/// A key of one or more column values, in [`Value`]'s order: the key of
+/// ordered directories and of [`TableIndex`]'s public lookups.
 ///
 /// Invariant (what makes the derived `Eq`/`Hash` sound): the representation
 /// is canonical. A key is stored inline exactly when it has one or two
@@ -78,8 +84,8 @@ impl PackedKey {
         PackedKey(Repr::Wide(cols.iter().map(|&c| row[c].clone()).collect()))
     }
 
-    /// The key made of all of `values` (a whole row, for duplicate
-    /// elimination, or an already-extracted lookup key).
+    /// The key made of all of `values` (a whole row, or an
+    /// already-extracted lookup key).
     pub fn from_values(values: &[Value]) -> PackedKey {
         Self::inline(values).unwrap_or_else(|| PackedKey(Repr::Wide(values.into())))
     }
@@ -149,6 +155,60 @@ impl PartialOrd for PackedKey {
     }
 }
 
+/// The executor's key over part of a row. Its representation depends on
+/// the number of columns alone — one or two inline, any other number
+/// boxed — and every key of one table has the same number, so the derived
+/// equality is sound and the hash is the columns' own words.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Key {
+    One(Datum),
+    Two([Datum; 2]),
+    Wide(Box<[Datum]>),
+}
+
+impl Hash for Key {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for d in self.datums() {
+            d.hash(state);
+        }
+    }
+}
+
+impl Key {
+    /// The key made of `row`'s columns at `cols`, in that order.
+    #[inline]
+    pub(crate) fn from_cols(row: &[Datum], cols: &[usize]) -> Key {
+        match *cols {
+            [a] => Key::One(row[a]),
+            [a, b] => Key::Two([row[a], row[b]]),
+            _ => Key::Wide(cols.iter().map(|&c| row[c]).collect()),
+        }
+    }
+
+    /// The key made of `datums`, in order.
+    pub(crate) fn from_datums(mut datums: impl ExactSizeIterator<Item = Datum>) -> Key {
+        const LEN: &str = "an exact-size iterator yields its length";
+        match datums.len() {
+            1 => Key::One(datums.next().expect(LEN)),
+            2 => {
+                let a = datums.next().expect(LEN);
+                Key::Two([a, datums.next().expect(LEN)])
+            }
+            _ => Key::Wide(datums.collect()),
+        }
+    }
+
+    /// The key's columns.
+    pub(crate) fn datums(&self) -> &[Datum] {
+        match self {
+            Key::One(d) => std::slice::from_ref(d),
+            Key::Two(ds) => ds,
+            Key::Wide(ds) => ds,
+        }
+    }
+}
+
 /// The record ids filed under one key. Most keys of the relations the
 /// testbed indexes are unique (the LFP termination index is on the full
 /// tuple), so a single posting sits inline and only a duplicated key pays
@@ -188,8 +248,14 @@ impl Postings {
 
 #[derive(Debug, Clone)]
 enum Directory {
-    Hash(KeyMap<PackedKey, Postings>),
+    Hash(KeyMap<Key, Postings>),
     Ordered(BTreeMap<PackedKey, Postings>),
+}
+
+/// A key made for one kind of directory.
+enum DirKey {
+    Hash(Key),
+    Ordered(PackedKey),
 }
 
 /// A multi-column index: exact-match lookups on a fixed key, and — for
@@ -203,6 +269,9 @@ pub struct TableIndex {
     /// Positions of the key columns within the table schema.
     key_cols: Vec<usize>,
     directory: Directory,
+    /// The symbol table a hash directory's ids come from: the engine
+    /// lineage's, or one of its own for an index made on its own.
+    syms: Arc<Symbols>,
     probes: AtomicU64,
 }
 
@@ -212,6 +281,7 @@ impl Clone for TableIndex {
             name: self.name.clone(),
             key_cols: self.key_cols.clone(),
             directory: self.directory.clone(),
+            syms: Arc::clone(&self.syms),
             probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
         }
     }
@@ -223,22 +293,33 @@ pub type HashIndex = TableIndex;
 impl TableIndex {
     /// A hash index (exact-match only).
     pub fn new(name: impl Into<String>, key_cols: Vec<usize>) -> TableIndex {
-        assert!(!key_cols.is_empty(), "index needs at least one key column");
-        TableIndex {
-            name: name.into(),
-            key_cols,
-            directory: Directory::Hash(KeyMap::default()),
-            probes: AtomicU64::new(0),
-        }
+        TableIndex::with_symbols(name, key_cols, false, Arc::default())
     }
 
     /// An ordered index (exact-match and range scans).
     pub fn new_ordered(name: impl Into<String>, key_cols: Vec<usize>) -> TableIndex {
+        TableIndex::with_symbols(name, key_cols, true, Arc::default())
+    }
+
+    /// An index (ordered or hash) whose hash directory files strings by
+    /// their ids in `syms`.
+    pub(crate) fn with_symbols(
+        name: impl Into<String>,
+        key_cols: Vec<usize>,
+        ordered: bool,
+        syms: Arc<Symbols>,
+    ) -> TableIndex {
         assert!(!key_cols.is_empty(), "index needs at least one key column");
+        let directory = if ordered {
+            Directory::Ordered(BTreeMap::new())
+        } else {
+            Directory::Hash(KeyMap::default())
+        };
         TableIndex {
             name: name.into(),
             key_cols,
-            directory: Directory::Ordered(BTreeMap::new()),
+            directory,
+            syms,
             probes: AtomicU64::new(0),
         }
     }
@@ -260,62 +341,137 @@ impl TableIndex {
         PackedKey::from_cols(tuple, &self.key_cols)
     }
 
-    /// Register `rid` under the key of `tuple`.
-    pub fn insert(&mut self, tuple: &[Value], rid: RecordId) {
-        let key = self.key_of(tuple);
-        match &mut self.directory {
-            Directory::Hash(m) => match m.entry(key) {
+    /// `values[cols]` as a key of this index's directory. A hash directory
+    /// files strings by id: with `intern` a new string gets one; without,
+    /// a string the lineage never interned cannot be filed (`None`).
+    fn value_key(&self, values: &[Value], cols: &[usize], intern: bool) -> Option<DirKey> {
+        if self.is_ordered() {
+            return Some(DirKey::Ordered(PackedKey::from_cols(values, cols)));
+        }
+        let datum = |c: usize| match &values[c] {
+            Value::Int(i) => Some(Datum::Int(*i)),
+            Value::Str(s) if intern => Some(Datum::Sym(self.syms.intern(s))),
+            Value::Str(s) => self.syms.find(s).map(Datum::Sym),
+        };
+        let key = match *cols {
+            [a] => Key::One(datum(a)?),
+            [a, b] => Key::Two([datum(a)?, datum(b)?]),
+            _ => Key::Wide(cols.iter().map(|&c| datum(c)).collect::<Option<_>>()?),
+        };
+        Some(DirKey::Hash(key))
+    }
+
+    /// `key` as a key of this index's directory.
+    fn dir_key(&self, key: Key) -> DirKey {
+        if self.is_ordered() {
+            let values = key.datums().iter().map(|&d| self.syms.value(d)).collect();
+            DirKey::Ordered(PackedKey::from_tuple(values))
+        } else {
+            DirKey::Hash(key)
+        }
+    }
+
+    fn file(&mut self, key: DirKey, rid: RecordId) {
+        match (&mut self.directory, key) {
+            (Directory::Hash(m), DirKey::Hash(k)) => match m.entry(k) {
                 HashEntry::Occupied(mut e) => e.get_mut().push(rid),
                 HashEntry::Vacant(e) => {
                     e.insert(Postings::One(rid));
                 }
             },
-            Directory::Ordered(m) => match m.entry(key) {
+            (Directory::Ordered(m), DirKey::Ordered(k)) => match m.entry(k) {
                 BTreeEntry::Occupied(mut e) => e.get_mut().push(rid),
                 BTreeEntry::Vacant(e) => {
                     e.insert(Postings::One(rid));
                 }
             },
+            _ => unreachable!("a key is made for its index's directory"),
         }
+    }
+
+    fn unfile(&mut self, key: DirKey, rid: RecordId) {
+        match (&mut self.directory, key) {
+            (Directory::Hash(m), DirKey::Hash(k)) => {
+                if m.get_mut(&k).is_some_and(|p| p.remove(rid)) {
+                    m.remove(&k);
+                }
+            }
+            (Directory::Ordered(m), DirKey::Ordered(k)) => {
+                if m.get_mut(&k).is_some_and(|p| p.remove(rid)) {
+                    m.remove(&k);
+                }
+            }
+            _ => unreachable!("a key is made for its index's directory"),
+        }
+    }
+
+    fn filed(&self, key: &DirKey) -> &[RecordId] {
+        let postings = match (&self.directory, key) {
+            (Directory::Hash(m), DirKey::Hash(k)) => m.get(k),
+            (Directory::Ordered(m), DirKey::Ordered(k)) => m.get(k),
+            _ => unreachable!("a key is made for its index's directory"),
+        };
+        postings.map_or(&[], Postings::as_slice)
+    }
+
+    /// Register `rid` under the key of `tuple`; a hash directory interns
+    /// the key's strings.
+    pub fn insert(&mut self, tuple: &[Value], rid: RecordId) {
+        let key = self
+            .value_key(tuple, &self.key_cols, true)
+            .expect("interning gives every string an id");
+        self.file(key, rid);
+    }
+
+    /// [`TableIndex::insert`] for a row of the executor.
+    pub(crate) fn insert_row(&mut self, row: &[Datum], rid: RecordId) {
+        let key = self.dir_key(Key::from_cols(row, &self.key_cols));
+        self.file(key, rid);
     }
 
     /// Register a batch of freshly appended rows: `rids[i]` is where the
     /// `i`-th of `rows` landed. A hash directory grows once for the whole
     /// batch.
     pub fn insert_batch<'r>(&mut self, rows: impl Iterator<Item = &'r [Value]>, rids: &[RecordId]) {
-        if let Directory::Hash(m) = &mut self.directory {
-            m.reserve(rids.len());
-        }
+        self.reserve(rids.len());
         for (row, rid) in rows.zip(rids) {
             self.insert(row, *rid);
         }
     }
 
-    /// Remove `rid` from the posting list of `tuple`'s key.
-    pub fn remove(&mut self, tuple: &[Value], rid: RecordId) {
-        let key = self.key_of(tuple);
-        match &mut self.directory {
-            Directory::Hash(m) => {
-                if m.get_mut(&key).is_some_and(|p| p.remove(rid)) {
-                    m.remove(&key);
-                }
-            }
-            Directory::Ordered(m) => {
-                if m.get_mut(&key).is_some_and(|p| p.remove(rid)) {
-                    m.remove(&key);
-                }
-            }
+    /// Make room for `additional` more keys in a hash directory.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        if let Directory::Hash(m) = &mut self.directory {
+            m.reserve(additional);
         }
     }
 
-    /// All record ids whose key equals `key`.
+    /// Remove `rid` from the posting list of `tuple`'s key.
+    pub fn remove(&mut self, tuple: &[Value], rid: RecordId) {
+        if let Some(key) = self.value_key(tuple, &self.key_cols, false) {
+            self.unfile(key, rid);
+        }
+    }
+
+    /// All record ids whose key equals `key`. A string the engine lineage
+    /// never interned cannot have been filed, so such a probe misses.
     pub fn lookup(&self, key: &PackedKey) -> &[RecordId] {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        match &self.directory {
-            Directory::Hash(m) => m.get(key),
-            Directory::Ordered(m) => m.get(key),
+        let values = key.to_values();
+        let cols: Vec<usize> = (0..values.len()).collect();
+        match self.value_key(&values, &cols, false) {
+            Some(k) => self.filed(&k),
+            None => &[],
         }
-        .map_or(&[], Postings::as_slice)
+    }
+
+    /// [`TableIndex::lookup`] with an executor key.
+    pub(crate) fn lookup_key(&self, key: &Key) -> &[RecordId] {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        match &self.directory {
+            Directory::Hash(m) => m.get(key).map_or(&[], Postings::as_slice),
+            Directory::Ordered(_) => self.filed(&self.dir_key(key.clone())),
+        }
     }
 
     /// Record ids whose key lies in the given bounds, in key order. Only
@@ -468,5 +624,41 @@ mod tests {
         assert!(key(&[Value::Int(i64::MAX)]) < key(&[Value::from("")]));
         assert!(key(&[Value::Int(1)]) < key(&[Value::Int(1), Value::Int(0)]));
         assert!(key(&[Value::Int(2)]) > key(&[Value::Int(1), Value::Int(9)]));
+    }
+
+    #[test]
+    fn executor_keys_file_inline_and_agree_with_value_lookups() {
+        let syms = Arc::new(Symbols::default());
+        let x = syms.datum(&Value::from("x"));
+        let mut idx = TableIndex::with_symbols("h", vec![1, 0], false, Arc::clone(&syms));
+        let row = [Datum::Int(7), x];
+        idx.insert_row(&row, rid(0, 0));
+        let k = Key::from_cols(&row, &[1, 0]);
+        assert_eq!(k, Key::Two([x, Datum::Int(7)]));
+        assert_eq!(idx.lookup_key(&k), &[rid(0, 0)]);
+        assert_eq!(
+            idx.lookup(&key(&[Value::from("x"), Value::Int(7)])),
+            &[rid(0, 0)]
+        );
+        // A string the lineage never interned cannot have been filed.
+        assert!(idx
+            .lookup(&key(&[Value::from("y"), Value::Int(7)]))
+            .is_empty());
+        idx.remove(&[Value::Int(7), Value::from("x")], rid(0, 0));
+        assert_eq!(idx.distinct_keys(), 0);
+    }
+
+    #[test]
+    fn ordered_directories_keep_string_order() {
+        let syms = Arc::new(Symbols::default());
+        let mut idx = TableIndex::with_symbols("o", vec![0], true, Arc::clone(&syms));
+        // Interned "b", "c", "a": ids and strings disagree on the order.
+        for (slot, s) in ["b", "c", "a"].into_iter().enumerate() {
+            idx.insert_row(&[syms.datum(&Value::from(s))], rid(0, slot as u16));
+        }
+        let all = idx.range(Bound::Unbounded, Bound::Unbounded).unwrap();
+        assert_eq!(all, vec![rid(0, 2), rid(0, 0), rid(0, 1)]);
+        let a = Key::One(syms.datum(&Value::from("a")));
+        assert_eq!(idx.lookup_key(&a), &[rid(0, 2)]);
     }
 }

@@ -67,6 +67,7 @@ pub mod snapshot;
 pub mod spill;
 pub mod sql;
 pub mod stats;
+mod sym;
 pub mod value;
 pub mod wal;
 

@@ -1,19 +1,20 @@
 //! The executor's row currency: every row an operator produces, in one
 //! flat allocation.
 
+use crate::sym::{Datum, Symbols};
 use crate::value::Value;
 
-/// `len` rows of `arity` values each, stored back to back. Operators hand
+/// `len` rows of `arity` datums each, stored back to back. Operators hand
 /// these to one another instead of a `Vec` of row vectors, so producing a
 /// row is a push onto the tail, not a heap allocation, and dropping a row
-/// set is one `free` (plus the `Str` payloads).
+/// set is one `free`: a [`Datum`] owns nothing.
 #[derive(Debug)]
 pub(crate) struct RowBuf {
     arity: usize,
     /// Kept beside `vals` because rows may have no columns at all
     /// (`COUNT(*)` asks its source for none).
     len: usize,
-    vals: Vec<Value>,
+    vals: Vec<Datum>,
 }
 
 impl RowBuf {
@@ -46,11 +47,11 @@ impl RowBuf {
     }
 
     #[inline]
-    pub(crate) fn row(&self, i: usize) -> &[Value] {
+    pub(crate) fn row(&self, i: usize) -> &[Datum] {
         &self.vals[i * self.arity..(i + 1) * self.arity]
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[Datum]> + '_ {
         (0..self.len).map(|i| self.row(i))
     }
 
@@ -60,15 +61,15 @@ impl RowBuf {
 
     /// Append the row `vals` yields; it must yield exactly `arity` values.
     #[inline]
-    pub(crate) fn push(&mut self, vals: impl IntoIterator<Item = Value>) {
+    pub(crate) fn push(&mut self, vals: impl IntoIterator<Item = Datum>) {
         self.vals.extend(vals);
         self.len += 1;
         debug_assert_eq!(self.vals.len(), self.len * self.arity);
     }
 
-    /// Append the row `left ++ right`, copied.
+    /// Append the row `left ++ right`.
     #[inline]
-    pub(crate) fn push_joined(&mut self, left: &[Value], right: &[Value]) {
+    pub(crate) fn push_joined(&mut self, left: &[Datum], right: &[Datum]) {
         debug_assert_eq!(left.len() + right.len(), self.arity);
         self.vals.extend_from_slice(left);
         self.vals.extend_from_slice(right);
@@ -90,9 +91,8 @@ impl RowBuf {
         let mut kept = 0;
         for (i, _) in keep.iter().enumerate().filter(|(_, k)| **k) {
             if kept != i {
-                for c in 0..arity {
-                    self.vals.swap(kept * arity + c, i * arity + c);
-                }
+                self.vals
+                    .copy_within(i * arity..(i + 1) * arity, kept * arity);
             }
             kept += 1;
         }
@@ -100,25 +100,23 @@ impl RowBuf {
         self.len = kept;
     }
 
-    /// The rows `order` names, in that order; `order` holds each index at
-    /// most once (a sort permutation, or a selection).
-    pub(crate) fn reordered(mut self, order: &[usize]) -> RowBuf {
+    /// The rows `order` names, in that order (a sort permutation, or a
+    /// selection).
+    pub(crate) fn reordered(&self, order: &[usize]) -> RowBuf {
         let mut out = RowBuf::with_capacity(self.arity, order.len());
         for &i in order {
-            let row = &mut self.vals[i * self.arity..(i + 1) * self.arity];
-            out.vals
-                .extend(row.iter_mut().map(|v| std::mem::replace(v, Value::Int(0))));
+            out.vals.extend_from_slice(self.row(i));
         }
         out.len = order.len();
         out
     }
 
     /// Leave the buffer: one vector per row, the shape of
-    /// [`crate::engine::ResultSet::rows`].
-    pub(crate) fn into_rows(self) -> Vec<Vec<Value>> {
-        let mut vals = self.vals.into_iter();
-        (0..self.len)
-            .map(|_| vals.by_ref().take(self.arity).collect())
+    /// [`crate::engine::ResultSet::rows`], each symbol resolved to its
+    /// string.
+    pub(crate) fn into_rows(self, syms: &Symbols) -> Vec<Vec<Value>> {
+        self.iter()
+            .map(|row| row.iter().map(|&d| syms.value(d)).collect())
             .collect()
     }
 }
@@ -130,13 +128,13 @@ mod tests {
     fn buf(rows: &[[i64; 2]]) -> RowBuf {
         let mut b = RowBuf::new(2);
         for r in rows {
-            b.push(r.iter().map(|&v| Value::Int(v)));
+            b.push(r.iter().map(|&v| Datum::Int(v)));
         }
         b
     }
 
     fn ints(b: RowBuf) -> Vec<Vec<i64>> {
-        b.into_rows()
+        b.into_rows(&Symbols::default())
             .into_iter()
             .map(|r| r.iter().map(|v| v.as_int().unwrap()).collect())
             .collect()
@@ -146,7 +144,7 @@ mod tests {
     fn rows_round_trip_in_order() {
         let b = buf(&[[1, 2], [3, 4], [5, 6]]);
         assert_eq!((b.len(), b.arity()), (3, 2));
-        assert_eq!(b.row(1), &[Value::Int(3), Value::Int(4)]);
+        assert_eq!(b.row(1), &[Datum::Int(3), Datum::Int(4)]);
         assert_eq!(b.iter().count(), 3);
         assert_eq!(ints(b), vec![vec![1, 2], vec![3, 4], vec![5, 6]]);
     }
@@ -157,9 +155,9 @@ mod tests {
         b.push([]);
         b.push_joined(&[], &[]);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.row(1), &[] as &[Value]);
+        assert_eq!(b.row(1), &[] as &[Datum]);
         b.retain_marked(&[false, true]);
-        assert_eq!(b.into_rows(), vec![Vec::<Value>::new()]);
+        assert_eq!(b.into_rows(&Symbols::default()), vec![Vec::<Value>::new()]);
     }
 
     #[test]
@@ -180,6 +178,17 @@ mod tests {
         assert_eq!(
             ints(b.reordered(&[2, 0, 1])),
             vec![vec![3, 3], vec![1, 1], vec![2, 2]]
+        );
+    }
+
+    #[test]
+    fn symbols_leave_as_strings() {
+        let syms = Symbols::default();
+        let mut b = RowBuf::new(2);
+        b.push([syms.datum(&Value::from("x")), Datum::Int(1)]);
+        assert_eq!(
+            b.into_rows(&syms),
+            vec![vec![Value::from("x"), Value::Int(1)]]
         );
     }
 }
