@@ -11,12 +11,12 @@
 //!   tuples feed the next delta.
 //!
 //! Both strategies run as "an application program against the DBMS", in
-//! the paper's embedded-SQL style: one loop ([`eval_clique`]) re-executes
+//! the paper's embedded-SQL style: one loop (`eval_clique`) re-executes
 //! statements compiled once per clique, temporary tables are recycled each
 //! iteration, and the termination check is a set difference — the three
 //! cost categories of the paper's Table 5, which we time and count
 //! separately in [`LfpBreakdown`]. A strategy is the list of SQL texts it
-//! hands that loop ([`naive_plan`], [`seminaive_plan`]).
+//! hands that loop (`naive_plan`, `seminaive_plan`).
 
 use crate::codegen::{all_table, delta_table, new_table, EvalProgram, ProgNode, RuleSql};
 use crate::stored::KmError;

@@ -81,7 +81,7 @@ impl From<hornlog::types::TypeError> for KmError {
 }
 
 /// Handle on the intensional/extensional storage structures. Carries only
-/// configuration; the relations live in the [`Engine`] passed to each call.
+/// configuration; the relations live in the [`rdbms::Engine`] passed to each call.
 #[derive(Debug, Clone)]
 pub struct StoredDkb {
     /// Whether the compiled form (`reachablepreds`) is maintained. Turning

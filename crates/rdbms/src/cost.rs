@@ -14,8 +14,8 @@
 //! that is left of the heuristic planner (DESIGN §18).
 //!
 //! Cost units are abstract "tuple visits": a sequential scan pays 1 per
-//! row, an index fetch pays [`C_FETCH`] (probe + heap fetch + decode), a
-//! hash insert [`C_BUILD`]. The constants only need to rank alternatives,
+//! row, an index fetch pays `C_FETCH` (probe + heap fetch + decode), a
+//! hash insert `C_BUILD`. The constants only need to rank alternatives,
 //! not predict wall time.
 
 use crate::catalog::{Catalog, Table};

@@ -757,7 +757,7 @@ impl Disk {
     }
 
     /// Read a page into `out`. Transient injected faults are retried up
-    /// to [`READ_RETRY_LIMIT`] times before surfacing as an error.
+    /// to `READ_RETRY_LIMIT` times before surfacing as an error.
     pub fn read_page(&mut self, file: FileId, page: PageId, out: &mut [u8]) -> Result<(), DbError> {
         self.check_crashed()?;
         let mut attempts = 0;

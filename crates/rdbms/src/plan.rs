@@ -20,8 +20,8 @@
 //!   no statistics.
 //!
 //! There is one pipeline (DESIGN §18 "Why there is one planner"): bind
-//! ([`rewrite::build_block`]) → predicate pushdown → projection pruning →
-//! [`cost::join_order`] → access path / join method.
+//! (`rewrite::build_block`) → predicate pushdown → projection pruning →
+//! `cost::join_order` → access path / join method.
 
 use crate::catalog::{Catalog, DbError, Table};
 use crate::cost;

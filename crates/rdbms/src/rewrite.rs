@@ -6,17 +6,17 @@
 //! auditable and extensible (the shape SNIPPETS' planner guidelines call
 //! `optimize()` rules):
 //!
-//! * [`rule_predicate_pushdown`] — classify every WHERE conjunct to the
+//! * `rule_predicate_pushdown` — classify every WHERE conjunct to the
 //!   lowest operator that can evaluate it: single-relation conjuncts
 //!   become per-relation local filters (pushed into scans / index
 //!   residuals), two-relation equalities become join keys, and the rest
 //!   stay cross-relation residuals attached once both sides are joined.
-//! * [`rule_projection_pruning`] — compute, per relation, the set of
+//! * `rule_projection_pruning` — compute, per relation, the set of
 //!   columns actually consumed above its scan (projection, GROUP BY, join
 //!   keys, cross residuals). The physical planner narrows join inputs to
 //!   those columns, shrinking intermediate tuples.
 //!
-//! The output is a [`QueryBlock`]: bindings plus classified conditions
+//! The output is a `QueryBlock`: bindings plus classified conditions
 //! plus pruning sets, consumed by `plan::plan_select`. A
 //! [`RewriteReport`] counts rule applications; the engine surfaces the
 //! totals as `plan.rewrite_*` metrics.

@@ -62,16 +62,19 @@ impl Datum {
 /// once allocated and resolving an id takes no lock.
 const SEGMENTS: usize = 32;
 
+/// One segment of the id → string directory; a slot is set once, when its id
+/// is handed out.
+type Segment = Box<[OnceLock<Arc<str>>]>;
+
 const POISONED: &str = "no thread panics while holding the symbol table lock";
 
 /// The string ↔ id table of one engine lineage.
 #[derive(Default)]
 pub(crate) struct Symbols {
     by_str: RwLock<ByStr>,
-    by_id: [OnceLock<Box<[OnceLock<Arc<str>>]>>; SEGMENTS],
+    by_id: [OnceLock<Segment>; SEGMENTS],
 }
 
-#[derive(Default)]
 struct ByStr {
     ids: KeyMap<SymStr, SymId>,
     /// Bytes of every interned string.
@@ -81,6 +84,18 @@ struct ByStr {
 /// An interned string, looked up by its bytes so that a decoder can probe
 /// with the slice it finds on the page.
 struct SymStr(Arc<str>);
+
+impl Default for ByStr {
+    /// Room for a few thousand strings up front: the first rows a fresh
+    /// engine loads intern every string they carry, and growing the map
+    /// one doubling at a time from empty re-hashes each string again.
+    fn default() -> ByStr {
+        ByStr {
+            ids: KeyMap::with_capacity_and_hasher(4096, Default::default()),
+            bytes: 0,
+        }
+    }
+}
 
 impl Borrow<[u8]> for SymStr {
     fn borrow(&self) -> &[u8] {
