@@ -9,12 +9,12 @@ use crate::buffer::{BufferPool, BufferStats, DEFAULT_POOL_FRAMES};
 use crate::catalog::{Catalog, DbError, Table};
 use crate::disk::{Disk, DiskStats, FaultInjector, RecoveryReport};
 use crate::exec::{
-    bind_conds, decode_datums, decode_into, decode_tuple, eval_all, execute_plan, Cond, ExecCtx,
+    bind_conds, decode_datums, decode_into, decode_tuple, eval_all, execute_plan, ExecCtx,
     ExecStats, OpProfile, Profiler, SpillMode, DEFAULT_BATCH_ROWS,
 };
 use crate::governor::{BudgetKind, ExecLimits, QueryGovernor, GOVERNOR_CHECK_INTERVAL};
 use crate::heap::RecordId;
-use crate::index::{Key, TableIndex};
+use crate::index::TableIndex;
 use crate::page::MAX_PAYLOAD;
 use crate::plan::{output_types, plan_query, ExecCond, PlannedQuery};
 use crate::rewrite::RewriteReport;
@@ -23,7 +23,7 @@ use crate::schema::{serialize_tuple_into, serialized_len, Schema, Tuple};
 use crate::sql::ast::{CmpOp, ColRef, Condition, Query, Scalar, SelectItem, Stmt};
 use crate::sql::parser::{parse_script, parse_stmt, parse_stmt_params};
 use crate::stats::{Reservoir, RESERVOIR_CAP};
-use crate::sym::{encode_row, Datum, Symbols};
+use crate::sym::{encode_row, Datum, Interner, Symbols};
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -927,24 +927,17 @@ impl Engine {
         })
     }
 
-    /// `params` as the executor takes them: their strings interned.
-    fn bind_params(&self, params: &[Value]) -> Vec<Datum> {
-        let syms = self.catalog.syms();
-        params.iter().map(|v| syms.datum(v)).collect()
-    }
-
     /// Run a physical plan with the given parameter bindings.
     fn run_planned(&mut self, planned: &PlannedQuery, params: &[Value]) -> Result<RowBuf, DbError> {
         let t0 = Instant::now();
         let governor = self.governor();
-        let params = self.bind_params(params);
         let rows = {
             let mut ctx = ExecCtx {
                 catalog: &self.catalog,
                 disk: &mut self.disk,
                 pool: &mut self.pool,
                 stats: &mut self.exec_stats,
-                params: &params,
+                params,
                 profiler: None,
                 governor: Some(&governor),
                 spill: self.exec_cfg.spill,
@@ -968,14 +961,13 @@ impl Engine {
     ) -> Result<ResultSet, DbError> {
         let t0 = Instant::now();
         let governor = self.governor();
-        let params = self.bind_params(params);
         let (rows, profile) = {
             let mut ctx = ExecCtx {
                 catalog: &self.catalog,
                 disk: &mut self.disk,
                 pool: &mut self.pool,
                 stats: &mut self.exec_stats,
-                params: &params,
+                params,
                 profiler: Some(Profiler::default()),
                 governor: Some(&governor),
                 spill: self.exec_cfg.spill,
@@ -1096,8 +1088,9 @@ impl Engine {
         );
         for index in &mut t.indexes {
             index.reserve(rids.len());
+            let mut names = syms.interner();
             for (i, &rid) in rids.iter().enumerate() {
-                row(i).file(index, rid);
+                row(i).file(index, rid, &mut names);
             }
         }
         let n = rids.len() as u64;
@@ -1237,22 +1230,24 @@ impl Engine {
         let victims: Vec<(RecordId, Tuple)> = if let Some(conds) = direct {
             let t = self.catalog.table(table)?;
             let syms = self.catalog.syms();
-            let conds = bind_conds(&conds, &[], syms);
             // Probe an index when equality conditions cover its whole key.
-            let probe: Option<(usize, Key)> =
+            let probe: Option<(usize, Vec<Value>)> =
                 t.indexes.iter().enumerate().find_map(|(pos, index)| {
-                    let key: Option<Vec<Datum>> = index
+                    let key: Option<Vec<Value>> = index
                         .key_cols()
                         .iter()
                         .map(|kc| {
                             conds.iter().find_map(|c| match c {
-                                Cond::Const(col, CmpOp::Eq, v) if col == kc => Some(*v),
+                                ExecCond::ColCmpLit(col, CmpOp::Eq, v) if col == kc => {
+                                    Some(v.clone())
+                                }
                                 _ => None,
                             })
                         })
                         .collect();
-                    key.map(|k| (pos, Key::from_datums(k.into_iter())))
+                    key.map(|k| (pos, k))
                 });
+            let conds = bind_conds(&conds, &[], syms);
             // A record's values, when it satisfies the conditions.
             let mut row = Vec::new();
             let mut matched = |rid: RecordId, payload: &[u8]| -> Result<Option<Tuple>, DbError> {
@@ -1263,7 +1258,7 @@ impl Engine {
             let mut victims = Vec::new();
             if let Some((pos, key)) = probe {
                 self.exec_stats.index_probes += 1;
-                for &rid in t.indexes[pos].lookup_key(&key) {
+                for &rid in t.indexes[pos].lookup_values(&key) {
                     let fetched = t
                         .heap
                         .read(&mut self.disk, &mut self.pool, rid, |payload| {
@@ -1837,8 +1832,8 @@ trait LoadRow: std::fmt::Debug {
     fn admitted_by(&self, schema: &Schema) -> bool;
     fn encoded_len(&self, syms: &Symbols) -> usize;
     fn encode(&self, syms: &Symbols, out: &mut Vec<u8>);
-    /// File the row under `rid` in `index`.
-    fn file(&self, index: &mut TableIndex, rid: RecordId);
+    /// File the row under `rid` in `index`, interning through `names`.
+    fn file(&self, index: &mut TableIndex, rid: RecordId, names: &mut Interner<'_>);
 }
 
 impl LoadRow for [Value] {
@@ -1855,8 +1850,8 @@ impl LoadRow for [Value] {
     }
 
     /// Interns only the key columns of a hash index, and only strings.
-    fn file(&self, index: &mut TableIndex, rid: RecordId) {
-        index.insert(self, rid)
+    fn file(&self, index: &mut TableIndex, rid: RecordId, names: &mut Interner<'_>) {
+        index.insert_with(self, rid, names)
     }
 }
 
@@ -1877,7 +1872,7 @@ impl LoadRow for [Datum] {
         encode_row(self, syms, out)
     }
 
-    fn file(&self, index: &mut TableIndex, rid: RecordId) {
+    fn file(&self, index: &mut TableIndex, rid: RecordId, _: &mut Interner<'_>) {
         index.insert_row(self, rid)
     }
 }

@@ -171,10 +171,9 @@ pub(crate) struct ExecCtx<'a> {
     pub disk: &'a mut Disk,
     pub pool: &'a mut BufferPool,
     pub stats: &'a mut ExecStats,
-    /// Bind values for `?` placeholders, interned; empty for
-    /// unparameterized plans. Arity and ordinals are validated by the
-    /// engine before execution.
-    pub params: &'a [Datum],
+    /// Bind values for `?` placeholders; empty for unparameterized plans.
+    /// Arity and ordinals are validated by the engine before execution.
+    pub params: &'a [Value],
     /// When set, `execute_plan` records an [`OpProfile`] per plan node.
     pub profiler: Option<Profiler>,
     /// The statement's execution governor. Checked at operator entry and
@@ -548,24 +547,49 @@ impl RowView for Joined<'_> {
     }
 }
 
-/// An [`ExecCond`] bound for one execution: its literal interned, its `?`
-/// placeholder replaced by the bound value.
+/// An [`ExecCond`] bound for one execution: its literal, or the value
+/// bound to its `?` placeholder, as a datum — or, for a string the lineage
+/// has not interned, as the string itself. Binding never interns: a
+/// string on a page is interned only when a scan decodes it, so a string
+/// not interned yet may still match, and one that never does must not
+/// grow the table.
 #[derive(Debug, Clone)]
 pub(crate) enum Cond {
     Cols(usize, CmpOp, usize),
     Const(usize, CmpOp, Datum),
-    In(usize, Vec<Datum>),
+    Str(usize, CmpOp, Box<str>),
+    /// The list's interned values, and the strings not interned.
+    In(usize, Vec<Datum>, Vec<Box<str>>),
 }
 
-/// Bind `conds` for one execution against the interned `params`.
-pub(crate) fn bind_conds(conds: &[ExecCond], params: &[Datum], syms: &Symbols) -> Vec<Cond> {
+/// Bind `conds` for one execution against `params`.
+pub(crate) fn bind_conds(conds: &[ExecCond], params: &[Value], syms: &Symbols) -> Vec<Cond> {
+    let operand = |a: usize, op: CmpOp, v: &Value| match v {
+        Value::Int(i) => Cond::Const(a, op, Datum::Int(*i)),
+        Value::Str(s) => match syms.find(s) {
+            Some(id) => Cond::Const(a, op, Datum::Sym(id)),
+            None => Cond::Str(a, op, s.as_str().into()),
+        },
+    };
     conds
         .iter()
         .map(|c| match c {
             ExecCond::ColCmpCol(a, op, b) => Cond::Cols(*a, *op, *b),
-            ExecCond::ColCmpLit(a, op, v) => Cond::Const(*a, *op, syms.datum(v)),
-            ExecCond::ColCmpParam(a, op, p) => Cond::Const(*a, *op, params[*p]),
-            ExecCond::InList(a, vs) => Cond::In(*a, vs.iter().map(|v| syms.datum(v)).collect()),
+            ExecCond::ColCmpLit(a, op, v) => operand(*a, *op, v),
+            ExecCond::ColCmpParam(a, op, p) => operand(*a, *op, &params[*p]),
+            ExecCond::InList(a, vs) => {
+                let (mut known, mut strs) = (Vec::with_capacity(vs.len()), Vec::new());
+                for v in vs {
+                    match v {
+                        Value::Int(i) => known.push(Datum::Int(*i)),
+                        Value::Str(s) => match syms.find(s) {
+                            Some(id) => known.push(Datum::Sym(id)),
+                            None => strs.push(s.as_str().into()),
+                        },
+                    }
+                }
+                Cond::In(*a, known, strs)
+            }
         })
         .collect()
 }
@@ -581,12 +605,24 @@ fn compare(op: CmpOp, a: Datum, b: Datum, syms: &Symbols) -> bool {
     }
 }
 
+/// `a op s` in [`Value`]'s order, for a string `s` that is not interned.
+fn compare_str(op: CmpOp, a: Datum, s: &str, syms: &Symbols) -> bool {
+    op.eval(match a {
+        Datum::Int(_) => std::cmp::Ordering::Less,
+        Datum::Sym(id) => syms.resolve(id).cmp(s),
+    })
+}
+
 /// Evaluate one bound condition against a row.
 fn eval_cond<R: RowView + ?Sized>(cond: &Cond, row: &R, syms: &Symbols) -> bool {
     match cond {
         Cond::Cols(a, op, b) => compare(*op, row.col(*a), row.col(*b), syms),
         Cond::Const(a, op, v) => compare(*op, row.col(*a), *v, syms),
-        Cond::In(a, vs) => vs.contains(&row.col(*a)),
+        Cond::Str(a, op, s) => compare_str(*op, row.col(*a), s, syms),
+        Cond::In(a, known, strs) => {
+            let d = row.col(*a);
+            known.contains(&d) || strs.iter().any(|s| compare_str(CmpOp::Eq, d, s, syms))
+        }
     }
 }
 
@@ -678,13 +714,14 @@ fn builds_rows(plan: &PhysPlan) -> bool {
     )
 }
 
-/// Materialize an index-lookup key, interning its literals and
-/// substituting bind values for params.
-fn resolve_key(key: &[KeyExpr], params: &[Datum], syms: &Symbols) -> Key {
-    Key::from_datums(key.iter().map(|k| match k {
-        KeyExpr::Lit(v) => syms.datum(v),
-        KeyExpr::Param(p) => params[*p],
-    }))
+/// Materialize an index-lookup key, substituting bind values for params.
+fn resolve_key(key: &[KeyExpr], params: &[Value]) -> Vec<Value> {
+    key.iter()
+        .map(|k| match k {
+            KeyExpr::Lit(v) => v.clone(),
+            KeyExpr::Param(p) => params[*p].clone(),
+        })
+        .collect()
 }
 
 /// Decode a stored payload, surfacing damage as [`DbError::Corruption`]
@@ -776,14 +813,17 @@ fn fetch_indexed(
         })
 }
 
-/// Scan all of `table`, decoding each live record inside its page latch —
-/// always into the same row, so a scan allocates nothing per row — and
-/// handing that row to `on_row`, which takes what it wants of it and
-/// reports whether it kept the row (a row not kept counts as dropped by
-/// the scan's filters). Records are gathered `batch_rows` at a time — the
-/// cadence of governor polls, of the `batches` counter and of the scan's
-/// hold on the symbol table — with one buffer-pool visit per page touched.
-/// `on_row` runs while that hold is kept, so it must not intern.
+/// Scan all of `table`, handing each live record's row to `on_row`, which
+/// takes what it wants of it and reports whether it kept the row (a row
+/// not kept counts as dropped by the scan's filters). Records are gathered
+/// `batch_rows` at a time — the cadence of governor polls and of the
+/// `batches` counter — with one buffer-pool visit per page touched.
+///
+/// A page's records are decoded inside its latch into one reused buffer,
+/// so a scan allocates nothing per row; the symbol table's read lock is
+/// held for that decoding alone. `on_row` runs after both are released,
+/// so it may intern, and an intern on another session waits for one page
+/// at most.
 fn scan_rows(
     ctx: &mut ExecCtx<'_>,
     table: &Table,
@@ -793,20 +833,32 @@ fn scan_rows(
     let syms = ctx.syms();
     let mut scan = table.heap.scan();
     let mut row = Vec::with_capacity(table.schema.arity());
+    let mut page_rows = RowBuf::new(table.schema.arity());
     loop {
         if let Some(g) = ctx.governor {
             g.check()?;
         }
-        let mut dropped = 0;
-        let mut rd = syms.reader();
-        let scanned = scan.for_each_batch(ctx.disk, ctx.pool, batch, |rid, payload| {
-            decode_stored(table, rid, payload, &mut row, &mut rd)?;
-            if !on_row(&row) {
-                dropped += 1;
+        let (mut scanned, mut dropped) = (0, 0);
+        while scanned < batch {
+            page_rows.clear();
+            let mut rd = syms.reader();
+            let visited =
+                scan.for_each_on_page(ctx.disk, ctx.pool, batch - scanned, |rid, payload| {
+                    decode_stored(table, rid, payload, &mut row, &mut rd)?;
+                    page_rows.push(row.iter().copied());
+                    Ok(())
+                })?;
+            drop(rd);
+            let Some(visited) = visited else {
+                break;
+            };
+            scanned += visited;
+            for r in page_rows.iter() {
+                if !on_row(r) {
+                    dropped += 1;
+                }
             }
-            Ok(())
-        })?;
-        drop(rd);
+        }
         if scanned == 0 {
             return Ok(());
         }
@@ -1006,9 +1058,9 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             let mut out = RowBuf::new(emit.arity(t.schema.arity()));
             let mut row = Vec::new();
             for key in keys {
-                let key = resolve_key(key, ctx.params, syms);
+                let key = resolve_key(key, ctx.params);
                 ctx.count_probe();
-                let rids = t.indexes[*index_pos].lookup_key(&key);
+                let rids = t.indexes[*index_pos].lookup_values(&key);
                 out.reserve(rids.len());
                 for &rid in rids {
                     fetch_indexed(ctx, t, rid, &mut row)?;
@@ -1375,7 +1427,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             }
             let mut out = RowBuf::with_capacity(keys.len() + 1, groups.len());
             for (key, count) in groups {
-                out.push(key.datums().iter().copied().chain([Datum::Int(count)]));
+                out.push(key.datums().chain([Datum::Int(count)]));
             }
             Ok(out)
         }
@@ -1747,16 +1799,66 @@ mod tests {
     }
 
     #[test]
+    fn a_spilled_sort_merges_its_runs_in_value_order() {
+        let catalog = Catalog::default();
+        let syms = catalog.syms();
+        const N: u32 = 20_000;
+        // Strings interned in reverse lexical order, every fifth value an
+        // integer; the rows arrive scrambled, enough of them for several
+        // sorted runs that the merge has to interleave.
+        for i in (0..N).rev() {
+            syms.intern(&format!("s{i:05}"));
+        }
+        let vals: Vec<Value> = (0..N)
+            .map(|i| i * 7919 % N)
+            .map(|i| {
+                if i % 5 == 0 {
+                    Value::Int(i64::from(i))
+                } else {
+                    Value::from(format!("s{i:05}"))
+                }
+            })
+            .collect();
+        let rows = column(syms, &vals);
+        let (mut disk, mut pool, mut stats) =
+            (Disk::new(), BufferPool::new(8), ExecStats::default());
+        let mut ctx = ExecCtx {
+            catalog: &catalog,
+            disk: &mut disk,
+            pool: &mut pool,
+            stats: &mut stats,
+            params: &[],
+            profiler: None,
+            governor: None,
+            spill: SpillMode::Forced,
+            batch_rows: DEFAULT_BATCH_ROWS,
+        };
+        let total = state_bytes(&rows, syms);
+        let sorted = external_sort(&mut ctx, rows, &[0], total).unwrap();
+        assert!(stats.sort_runs > 1, "{} run(s)", stats.sort_runs);
+        let mut expect: Vec<Vec<Value>> = vals.into_iter().map(|v| vec![v]).collect();
+        expect.sort();
+        assert_eq!(sorted.into_rows(syms), expect);
+    }
+
+    #[test]
     fn ordering_conditions_compare_strings_not_ids() {
         let syms = Symbols::default();
-        let rows = column(&syms, &[Value::from("b"), Value::from("a")]);
-        let below_ab = bind_conds(
-            &[ExecCond::ColCmpLit(0, CmpOp::Lt, Value::from("ab"))],
-            &[],
+        let rows = column(
             &syms,
+            &[Value::from("b"), Value::from("a"), Value::from("ab")],
         );
-        let kept: Vec<bool> = rows.iter().map(|r| eval_all(&below_ab, r, &syms)).collect();
-        assert_eq!(kept, [false, true]);
+        // "ab" is interned (bound as an id), "aa" is not (bound as itself).
+        for (bound, expect) in [("ab", [false, true, false]), ("aa", [false, true, false])] {
+            let below = bind_conds(
+                &[ExecCond::ColCmpLit(0, CmpOp::Lt, Value::from(bound))],
+                &[],
+                &syms,
+            );
+            let kept: Vec<bool> = rows.iter().map(|r| eval_all(&below, r, &syms)).collect();
+            assert_eq!(kept, expect, "< '{bound}'");
+        }
+        assert_eq!(syms.find("aa"), None, "binding interns nothing");
         // Every integer sorts before every string.
         let above_ints = bind_conds(
             &[ExecCond::ColCmpLit(0, CmpOp::Gt, Value::Int(i64::MAX))],

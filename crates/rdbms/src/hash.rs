@@ -117,7 +117,7 @@ mod tests {
             (
                 "(i, i+1) pairs".into(),
                 (0..N)
-                    .map(|i| Key::Two([Datum::Int(i), Datum::Int(i + 1)]))
+                    .map(|i| Key::from_cols(&[Datum::Int(i), Datum::Int(i + 1)], &[0, 1]))
                     .collect(),
             ),
             (

@@ -247,37 +247,53 @@ impl HeapScan {
     ) -> Result<usize, DbError> {
         let mut seen = 0;
         while seen < max {
-            if self.page >= disk.page_count(self.file) {
-                break;
-            }
-            let pid = PageId(self.page);
-            let start_slot = self.slot;
-            let room = max - seen;
-            let (taken, next_slot, exhausted) =
-                pool.with_page_cold(disk, self.file, pid, false, |buf| {
-                    let page = SlottedPage::new(buf);
-                    let count = page.slot_count();
-                    let mut taken = 0;
-                    let mut s = start_slot;
-                    while s < count && taken < room {
-                        if let Some(payload) = page.get(s) {
-                            f(RecordId { page: pid, slot: s }, payload)?;
-                            taken += 1;
-                        }
-                        s += 1;
-                    }
-                    Ok::<_, DbError>((taken, s, s >= count))
-                })??;
-            seen += taken;
-            if exhausted {
-                self.page += 1;
-                self.slot = 0;
-            } else {
-                // Stopped mid-page because the batch filled.
-                self.slot = next_slot;
+            match self.for_each_on_page(disk, pool, max - seen, &mut f)? {
+                Some(taken) => seen += taken,
+                None => break,
             }
         }
         Ok(seen)
+    }
+
+    /// [`HeapScan::for_each_batch`] within the cursor's current page: up
+    /// to `max` of its remaining live records, in one buffer-pool visit.
+    /// Returns how many were visited (possibly 0), or `None` at end of
+    /// file.
+    pub fn for_each_on_page(
+        &mut self,
+        disk: &mut Disk,
+        pool: &mut BufferPool,
+        max: usize,
+        mut f: impl FnMut(RecordId, &[u8]) -> Result<(), DbError>,
+    ) -> Result<Option<usize>, DbError> {
+        if self.page >= disk.page_count(self.file) {
+            return Ok(None);
+        }
+        let pid = PageId(self.page);
+        let start_slot = self.slot;
+        let (taken, next_slot, exhausted) =
+            pool.with_page_cold(disk, self.file, pid, false, |buf| {
+                let page = SlottedPage::new(buf);
+                let count = page.slot_count();
+                let mut taken = 0;
+                let mut s = start_slot;
+                while s < count && taken < max {
+                    if let Some(payload) = page.get(s) {
+                        f(RecordId { page: pid, slot: s }, payload)?;
+                        taken += 1;
+                    }
+                    s += 1;
+                }
+                Ok::<_, DbError>((taken, s, s >= count))
+            })??;
+        if exhausted {
+            self.page += 1;
+            self.slot = 0;
+        } else {
+            // Stopped mid-page because `max` was reached.
+            self.slot = next_slot;
+        }
+        Ok(Some(taken))
     }
 
     /// Visit every remaining live record: [`HeapScan::for_each_batch`]

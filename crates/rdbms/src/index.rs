@@ -26,7 +26,7 @@
 
 use crate::hash::KeyMap;
 use crate::heap::RecordId;
-use crate::sym::{Datum, Symbols};
+use crate::sym::{Datum, Interner, SymId, Symbols};
 use crate::value::Value;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::btree_map::Entry as BTreeEntry;
@@ -155,22 +155,39 @@ impl PartialOrd for PackedKey {
     }
 }
 
-/// The executor's key over part of a row. Its representation depends on
-/// the number of columns alone — one or two inline, any other number
-/// boxed — and every key of one table has the same number, so the derived
-/// equality is sound and the hash is the columns' own words.
+/// The executor's key over part of a row. A key of one or two columns is
+/// inline whatever their types — two columns as two words and which of
+/// them are ids, so a key is no wider (24 bytes) than the integer-only
+/// `PackedKey` it replaced in every hash table — and any other number of
+/// columns is boxed. The representation depends on the number of columns
+/// and their types alone, so the derived equality is sound; the hash is
+/// the columns' own words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Key {
     One(Datum),
-    Two([Datum; 2]),
+    Two(u64, u64, Ids),
     Wide(Box<[Datum]>),
+}
+
+/// Which words of a two-column [`Key`] are symbol ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ids {
+    Neither,
+    First,
+    Second,
+    Both,
 }
 
 impl Hash for Key {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for d in self.datums() {
-            d.hash(state);
+        match self {
+            Key::One(d) => d.hash(state),
+            Key::Two(a, b, _) => {
+                state.write_u64(*a);
+                state.write_u64(*b);
+            }
+            Key::Wide(ds) => ds.iter().for_each(|d| d.hash(state)),
         }
     }
 }
@@ -181,31 +198,46 @@ impl Key {
     pub(crate) fn from_cols(row: &[Datum], cols: &[usize]) -> Key {
         match *cols {
             [a] => Key::One(row[a]),
-            [a, b] => Key::Two([row[a], row[b]]),
+            [a, b] => Key::two(row[a], row[b]),
             _ => Key::Wide(cols.iter().map(|&c| row[c]).collect()),
         }
     }
 
-    /// The key made of `datums`, in order.
-    pub(crate) fn from_datums(mut datums: impl ExactSizeIterator<Item = Datum>) -> Key {
-        const LEN: &str = "an exact-size iterator yields its length";
-        match datums.len() {
-            1 => Key::One(datums.next().expect(LEN)),
-            2 => {
-                let a = datums.next().expect(LEN);
-                Key::Two([a, datums.next().expect(LEN)])
-            }
-            _ => Key::Wide(datums.collect()),
+    #[inline]
+    fn two(a: Datum, b: Datum) -> Key {
+        let ids = match (a, b) {
+            (Datum::Int(_), Datum::Int(_)) => Ids::Neither,
+            (Datum::Sym(_), Datum::Int(_)) => Ids::First,
+            (Datum::Int(_), Datum::Sym(_)) => Ids::Second,
+            (Datum::Sym(_), Datum::Sym(_)) => Ids::Both,
+        };
+        Key::Two(a.word(), b.word(), ids)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Key::One(_) => 1,
+            Key::Two(..) => 2,
+            Key::Wide(ds) => ds.len(),
         }
     }
 
-    /// The key's columns.
-    pub(crate) fn datums(&self) -> &[Datum] {
-        match self {
-            Key::One(d) => std::slice::from_ref(d),
-            Key::Two(ds) => ds,
-            Key::Wide(ds) => ds,
+    /// The key's `i`-th column.
+    fn datum(&self, i: usize) -> Datum {
+        match (self, i) {
+            (Key::One(d), 0) => *d,
+            (Key::Two(a, _, ids), 0) => Datum::from_word(*a, matches!(ids, Ids::First | Ids::Both)),
+            (Key::Two(_, b, ids), 1) => {
+                Datum::from_word(*b, matches!(ids, Ids::Second | Ids::Both))
+            }
+            (Key::Wide(ds), _) => ds[i],
+            _ => unreachable!("key column {i} out of range"),
         }
+    }
+
+    /// The key's columns, in order.
+    pub(crate) fn datums(&self) -> impl Iterator<Item = Datum> + '_ {
+        (0..self.len()).map(|i| self.datum(i))
     }
 }
 
@@ -342,20 +374,24 @@ impl TableIndex {
     }
 
     /// `values[cols]` as a key of this index's directory. A hash directory
-    /// files strings by id: with `intern` a new string gets one; without,
-    /// a string the lineage never interned cannot be filed (`None`).
-    fn value_key(&self, values: &[Value], cols: &[usize], intern: bool) -> Option<DirKey> {
+    /// files strings by the id `id_of` gives them; `None` when it gives a
+    /// string none (one the lineage never interned cannot be filed).
+    fn value_key(
+        &self,
+        values: &[Value],
+        cols: &[usize],
+        mut id_of: impl FnMut(&str) -> Option<SymId>,
+    ) -> Option<DirKey> {
         if self.is_ordered() {
             return Some(DirKey::Ordered(PackedKey::from_cols(values, cols)));
         }
-        let datum = |c: usize| match &values[c] {
+        let mut datum = |c: usize| match &values[c] {
             Value::Int(i) => Some(Datum::Int(*i)),
-            Value::Str(s) if intern => Some(Datum::Sym(self.syms.intern(s))),
-            Value::Str(s) => self.syms.find(s).map(Datum::Sym),
+            Value::Str(s) => id_of(s).map(Datum::Sym),
         };
         let key = match *cols {
             [a] => Key::One(datum(a)?),
-            [a, b] => Key::Two([datum(a)?, datum(b)?]),
+            [a, b] => Key::two(datum(a)?, datum(b)?),
             _ => Key::Wide(cols.iter().map(|&c| datum(c)).collect::<Option<_>>()?),
         };
         Some(DirKey::Hash(key))
@@ -364,7 +400,7 @@ impl TableIndex {
     /// `key` as a key of this index's directory.
     fn dir_key(&self, key: Key) -> DirKey {
         if self.is_ordered() {
-            let values = key.datums().iter().map(|&d| self.syms.value(d)).collect();
+            let values = key.datums().map(|d| self.syms.value(d)).collect();
             DirKey::Ordered(PackedKey::from_tuple(values))
         } else {
             DirKey::Hash(key)
@@ -417,8 +453,17 @@ impl TableIndex {
     /// Register `rid` under the key of `tuple`; a hash directory interns
     /// the key's strings.
     pub fn insert(&mut self, tuple: &[Value], rid: RecordId) {
+        let syms = Arc::clone(&self.syms);
+        self.insert_with(tuple, rid, &mut syms.interner());
+    }
+
+    /// [`TableIndex::insert`] interning through `names`, a hold on this
+    /// index's symbol table that a caller filing many rows keeps for all
+    /// of them.
+    pub(crate) fn insert_with(&mut self, tuple: &[Value], rid: RecordId, names: &mut Interner<'_>) {
+        debug_assert!(names.holds(&self.syms), "an interner of the index's table");
         let key = self
-            .value_key(tuple, &self.key_cols, true)
+            .value_key(tuple, &self.key_cols, |s| Some(names.intern(s)))
             .expect("interning gives every string an id");
         self.file(key, rid);
     }
@@ -427,16 +472,6 @@ impl TableIndex {
     pub(crate) fn insert_row(&mut self, row: &[Datum], rid: RecordId) {
         let key = self.dir_key(Key::from_cols(row, &self.key_cols));
         self.file(key, rid);
-    }
-
-    /// Register a batch of freshly appended rows: `rids[i]` is where the
-    /// `i`-th of `rows` landed. A hash directory grows once for the whole
-    /// batch.
-    pub fn insert_batch<'r>(&mut self, rows: impl Iterator<Item = &'r [Value]>, rids: &[RecordId]) {
-        self.reserve(rids.len());
-        for (row, rid) in rows.zip(rids) {
-            self.insert(row, *rid);
-        }
     }
 
     /// Make room for `additional` more keys in a hash directory.
@@ -448,7 +483,7 @@ impl TableIndex {
 
     /// Remove `rid` from the posting list of `tuple`'s key.
     pub fn remove(&mut self, tuple: &[Value], rid: RecordId) {
-        if let Some(key) = self.value_key(tuple, &self.key_cols, false) {
+        if let Some(key) = self.value_key(tuple, &self.key_cols, |s| self.syms.find(s)) {
             self.unfile(key, rid);
         }
     }
@@ -456,10 +491,15 @@ impl TableIndex {
     /// All record ids whose key equals `key`. A string the engine lineage
     /// never interned cannot have been filed, so such a probe misses.
     pub fn lookup(&self, key: &PackedKey) -> &[RecordId] {
+        self.lookup_values(&key.to_values())
+    }
+
+    /// [`TableIndex::lookup`] with the key's values. Its strings are looked
+    /// up, never interned.
+    pub(crate) fn lookup_values(&self, key: &[Value]) -> &[RecordId] {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        let values = key.to_values();
-        let cols: Vec<usize> = (0..values.len()).collect();
-        match self.value_key(&values, &cols, false) {
+        let cols: Vec<usize> = (0..key.len()).collect();
+        match self.value_key(key, &cols, |s| self.syms.find(s)) {
             Some(k) => self.filed(&k),
             None => &[],
         }
@@ -634,7 +674,8 @@ mod tests {
         let row = [Datum::Int(7), x];
         idx.insert_row(&row, rid(0, 0));
         let k = Key::from_cols(&row, &[1, 0]);
-        assert_eq!(k, Key::Two([x, Datum::Int(7)]));
+        assert_eq!(k.datums().collect::<Vec<_>>(), [x, Datum::Int(7)]);
+        assert_eq!(std::mem::size_of::<Key>(), 24, "as wide as an integer pair");
         assert_eq!(idx.lookup_key(&k), &[rid(0, 0)]);
         assert_eq!(
             idx.lookup(&key(&[Value::from("x"), Value::Int(7)])),

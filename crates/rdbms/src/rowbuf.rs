@@ -55,6 +55,12 @@ impl RowBuf {
         (0..self.len).map(|i| self.row(i))
     }
 
+    /// Drop every row, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.vals.clear();
+        self.len = 0;
+    }
+
     pub(crate) fn reserve(&mut self, rows: usize) {
         self.vals.reserve(rows * self.arity);
     }

@@ -16,13 +16,12 @@
 //! order — `ORDER BY`, `<` / `>` / `BETWEEN`, ordered indexes — the strings
 //! are compared, never the ids ([`Symbols::cmp`]).
 
-use crate::hash::KeyMap;
+use crate::hash::FxHasher;
 use crate::value::{ColType, Value};
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
+use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The id of an interned string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,6 +54,26 @@ impl Datum {
             Datum::Sym(_) => ColType::Str,
         }
     }
+
+    /// The integer, or the id, as one word; which of the two it was must
+    /// be kept beside it.
+    #[inline]
+    pub(crate) fn word(self) -> u64 {
+        match self {
+            Datum::Int(i) => i as u64,
+            Datum::Sym(SymId(id)) => u64::from(id),
+        }
+    }
+
+    /// The datum [`Datum::word`] gave `word` for.
+    #[inline]
+    pub(crate) fn from_word(word: u64, is_sym: bool) -> Datum {
+        if is_sym {
+            Datum::Sym(SymId(word as u32))
+        } else {
+            Datum::Int(word as i64)
+        }
+    }
 }
 
 /// Segments of the id → string directory: id `i` lives in segment
@@ -64,7 +83,7 @@ const SEGMENTS: usize = 32;
 
 /// One segment of the id → string directory; a slot is set once, when its id
 /// is handed out.
-type Segment = Box<[OnceLock<Arc<str>>]>;
+type Segment = Box<[OnceLock<Box<str>>]>;
 
 const POISONED: &str = "no thread panics while holding the symbol table lock";
 
@@ -75,48 +94,84 @@ pub(crate) struct Symbols {
     by_id: [OnceLock<Segment>; SEGMENTS],
 }
 
+/// The string → id direction: an open-addressed table of ids, probed
+/// linearly from a string's hash. A string's bytes live in the id
+/// directory alone, so a lookup compares against [`Symbols::resolve`], and
+/// interning a string hashes it once and copies it once.
 struct ByStr {
-    ids: KeyMap<SymStr, SymId>,
+    /// A power of two in length, at most half full.
+    slots: Vec<Slot>,
+    len: usize,
     /// Bytes of every interned string.
     bytes: u64,
 }
 
-/// An interned string, looked up by its bytes so that a decoder can probe
-/// with the slice it finds on the page.
-struct SymStr(Arc<str>);
+/// One slot of [`ByStr`]: an id, or [`EMPTY`], and its string's hash.
+#[derive(Clone, Copy)]
+struct Slot {
+    id: u32,
+    hash: u32,
+}
+
+const EMPTY: Slot = Slot {
+    id: u32::MAX,
+    hash: 0,
+};
 
 impl Default for ByStr {
     /// Room for a few thousand strings up front: the first rows a fresh
-    /// engine loads intern every string they carry, and growing the map
-    /// one doubling at a time from empty re-hashes each string again.
+    /// engine loads intern every string they carry.
     fn default() -> ByStr {
         ByStr {
-            ids: KeyMap::with_capacity_and_hasher(4096, Default::default()),
+            slots: vec![EMPTY; 8192],
+            len: 0,
             bytes: 0,
         }
     }
 }
 
-impl Borrow<[u8]> for SymStr {
-    fn borrow(&self) -> &[u8] {
-        self.0.as_bytes()
-    }
+fn hash_of(bytes: &[u8]) -> u32 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish() as u32
 }
 
-impl Hash for SymStr {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Exactly `[u8]`'s hash, as `Borrow<[u8]>` requires.
-        self.0.as_bytes().hash(state);
+impl ByStr {
+    /// The id of the string `bytes` (whose hash is `hash`), or the empty
+    /// slot where it would go.
+    fn probe(&self, syms: &Symbols, bytes: &[u8], hash: u32) -> Result<SymId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.id == EMPTY.id {
+                return Err(i);
+            }
+            if slot.hash == hash && syms.resolve(SymId(slot.id)).as_bytes() == bytes {
+                return Ok(SymId(slot.id));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn get(&self, syms: &Symbols, bytes: &[u8]) -> Option<SymId> {
+        self.probe(syms, bytes, hash_of(bytes)).ok()
+    }
+
+    /// Double the slots, re-placing every id by its stored hash.
+    fn grow(&mut self) {
+        let doubled = vec![EMPTY; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|s| s.id != EMPTY.id) {
+            let mut i = slot.hash as usize & mask;
+            while self.slots[i].id != EMPTY.id {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
     }
 }
-
-impl PartialEq for SymStr {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.as_bytes() == other.0.as_bytes()
-    }
-}
-
-impl Eq for SymStr {}
 
 impl fmt::Debug for Symbols {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -137,40 +192,49 @@ impl Symbols {
 
     /// The id of `s`, interning it first if it is new.
     pub(crate) fn intern(&self, s: &str) -> SymId {
-        if let Some(&id) = self.by_str().ids.get(s.as_bytes()) {
-            return id;
+        match self.find(s) {
+            Some(id) => id,
+            None => self.insert(s),
         }
-        self.insert(s)
     }
 
     /// The id of `s` if it was ever interned. A string that was not cannot
     /// be in any row, key or directory of the lineage.
     pub(crate) fn find(&self, s: &str) -> Option<SymId> {
-        self.by_str().ids.get(s.as_bytes()).copied()
+        self.by_str().get(self, s.as_bytes())
     }
 
     /// Intern `s` under the write lock; another thread may have got there
     /// first.
     fn insert(&self, s: &str) -> SymId {
-        let mut by_str = self.by_str.write().expect(POISONED);
-        if let Some(&id) = by_str.ids.get(s.as_bytes()) {
-            return id;
-        }
-        let id = u32::try_from(by_str.ids.len())
+        self.insert_locked(&mut self.by_str.write().expect(POISONED), s)
+    }
+
+    /// [`Symbols::insert`] with the write lock held.
+    fn insert_locked(&self, by_str: &mut ByStr, s: &str) -> SymId {
+        let hash = hash_of(s.as_bytes());
+        let at = match by_str.probe(self, s.as_bytes(), hash) {
+            Ok(id) => return id,
+            Err(at) => at,
+        };
+        let id = u32::try_from(by_str.len)
             .ok()
-            .filter(|&n| n < u32::MAX)
+            .filter(|&n| n < EMPTY.id)
             .map(SymId)
             .expect("fewer than 2^32 - 1 symbols");
         let (seg, off) = slot_of(id);
-        let s: Arc<str> = Arc::from(s);
         let segment =
             self.by_id[seg].get_or_init(|| (0..1usize << seg).map(|_| OnceLock::new()).collect());
         assert!(
-            segment[off].set(Arc::clone(&s)).is_ok(),
+            segment[off].set(Box::from(s)).is_ok(),
             "symbol id {id:?} handed out twice"
         );
+        by_str.slots[at] = Slot { id: id.0, hash };
+        by_str.len += 1;
         by_str.bytes += s.len() as u64;
-        by_str.ids.insert(SymStr(s), id);
+        if by_str.len * 2 > by_str.slots.len() {
+            by_str.grow();
+        }
         id
     }
 
@@ -185,7 +249,7 @@ impl Symbols {
 
     /// Number of interned strings.
     pub(crate) fn len(&self) -> usize {
-        self.by_str().ids.len()
+        self.by_str().len
     }
 
     /// Bytes of all interned strings.
@@ -198,6 +262,15 @@ impl Symbols {
         SymReader {
             syms: self,
             by_str: None,
+        }
+    }
+
+    /// A loader's hold on the table (see [`Interner`]).
+    pub(crate) fn interner(&self) -> Interner<'_> {
+        Interner {
+            syms: self,
+            by_str: None,
+            last: None,
         }
     }
 
@@ -242,10 +315,11 @@ impl Symbols {
 }
 
 /// A decoder's hold on the table: the read lock is taken at the first
-/// string it looks up and kept until the reader is dropped, so a scan takes
-/// it once per batch of page visits rather than once per value. While a
-/// reader is alive its thread must not intern or look up through
-/// [`Symbols`] itself — only resolve ids, which takes no lock.
+/// string it looks up and kept until the reader is dropped, so decoding a
+/// page takes it once rather than once per value. A reader lives for one
+/// page visit or one record and nothing but decoding runs under it; a
+/// thread holding one must not intern or look up through [`Symbols`]
+/// itself (resolving ids takes no lock).
 pub(crate) struct SymReader<'a> {
     syms: &'a Symbols,
     by_str: Option<RwLockReadGuard<'a, ByStr>>,
@@ -257,13 +331,48 @@ impl SymReader<'_> {
     pub(crate) fn id(&mut self, bytes: &[u8]) -> Option<SymId> {
         let syms = self.syms;
         let by_str = self.by_str.get_or_insert_with(|| syms.by_str());
-        if let Some(&id) = by_str.ids.get(bytes) {
+        if let Some(id) = by_str.get(syms, bytes) {
             return Some(id);
         }
         let s = std::str::from_utf8(bytes).ok()?;
         // The write lock must not wait on this thread's own read lock.
         self.by_str = None;
         Some(syms.insert(s))
+    }
+}
+
+/// A loader's hold on the table: the write lock is taken at the first
+/// string it interns and kept until the interner is dropped, so filing a
+/// batch of loaded rows in an index takes it once rather than once per
+/// string. An interner lives for one batch and nothing but interning runs
+/// under it.
+pub(crate) struct Interner<'a> {
+    syms: &'a Symbols,
+    by_str: Option<RwLockWriteGuard<'a, ByStr>>,
+    /// The id it gave last: consecutive rows of a load often share a key
+    /// (the children of one parent, facts sorted on their first column),
+    /// and comparing with one string is cheaper than a lookup.
+    last: Option<SymId>,
+}
+
+impl Interner<'_> {
+    /// The id of `s`, interning it if it is new.
+    pub(crate) fn intern(&mut self, s: &str) -> SymId {
+        let syms = self.syms;
+        if let Some(id) = self.last.filter(|&id| syms.resolve(id) == s) {
+            return id;
+        }
+        let by_str = self
+            .by_str
+            .get_or_insert_with(|| syms.by_str.write().expect(POISONED));
+        let id = syms.insert_locked(by_str, s);
+        self.last = Some(id);
+        id
+    }
+
+    /// Whether this interner is a hold on `syms`.
+    pub(crate) fn holds(&self, syms: &Symbols) -> bool {
+        std::ptr::eq(self.syms, syms)
     }
 }
 
@@ -355,13 +464,28 @@ mod tests {
     #[test]
     fn ids_cross_segment_boundaries() {
         let syms = Symbols::default();
-        let ids: Vec<SymId> = (0..1000).map(|i| syms.intern(&format!("s{i}"))).collect();
+        // Past the slots a fresh table starts with, so they grow too.
+        let ids: Vec<SymId> = (0..10_000).map(|i| syms.intern(&format!("s{i}"))).collect();
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(syms.resolve(*id), format!("s{i}"));
+            assert_eq!(syms.find(&format!("s{i}")), Some(*id));
         }
+        assert_eq!(syms.len(), 10_000);
         assert_eq!(slot_of(SymId(0)), (0, 0));
         assert_eq!(slot_of(SymId(2)), (1, 1));
         assert_eq!(slot_of(SymId(u32::MAX - 1)), (31, (1 << 31) - 1));
+    }
+
+    #[test]
+    fn a_batch_interns_under_one_hold() {
+        let syms = Symbols::default();
+        let a = syms.intern("a");
+        let mut names = syms.interner();
+        let b = names.intern("b");
+        assert_eq!(names.intern("b"), b);
+        assert_eq!(names.intern("a"), a);
+        drop(names);
+        assert_eq!((syms.len(), syms.find("b")), (2, Some(b)));
     }
 
     #[test]

@@ -3,6 +3,12 @@
 //! vector per row; here each operator's output is held, row for row and in
 //! order, against the obvious `Vec<Vec<Value>>` program — with the
 //! operators in memory and with every one of them forced to spill.
+//!
+//! Inside the engine a string is the id it was interned under, in the
+//! order the engine first read it. Every engine here first reads each
+//! string the fixtures can hold in *reverse* lexical order, so any place
+//! that ordered strings by their ids instead of their bytes — a sort, a
+//! range filter, a spilled merge — would reverse them and fail.
 
 use proptest::prelude::*;
 use rdbms::{ColType, Engine, SpillMode, Value};
@@ -55,9 +61,30 @@ fn arb_fixture() -> impl Strategy<Value = Fixture> {
     )
 }
 
+/// Every string `"[ab]{0,3}"` matches, in reverse lexical order.
+fn strings_backwards() -> Vec<Vec<Value>> {
+    let mut all = vec![String::new()];
+    for len in 1..=3 {
+        let mut words = vec![String::new()];
+        for _ in 0..len {
+            words = words
+                .iter()
+                .flat_map(|w| [format!("{w}a"), format!("{w}b")])
+                .collect();
+        }
+        all.extend(words);
+    }
+    all.sort_unstable_by(|a, b| b.cmp(a));
+    all.into_iter().map(|s| vec![Value::Str(s)]).collect()
+}
+
 fn load(f: &Fixture, spill: SpillMode) -> Engine {
     let mut e = Engine::new();
     e.set_spill_mode(spill);
+    // Reading the strings interns them: "bbb" first, "" last.
+    e.execute("CREATE TABLE seen (s char)").unwrap();
+    e.insert_rows("seen", strings_backwards()).unwrap();
+    assert_eq!(e.execute("SELECT * FROM seen").unwrap().rows.len(), 15);
     let cols: Vec<String> = f
         .types
         .iter()
@@ -96,6 +123,11 @@ proptest! {
     fn row_set_operators_match_the_vector_reference(
         f in arb_fixture(),
         picks in prop::collection::vec(0usize..4, 1..3),
+        // Range bounds: strings the engine has read and ("c…") strings it
+        // has never seen; and integers.
+        lo in "[abc]{0,2}",
+        hi in "[abc]{0,3}",
+        int_bound in -3i64..4,
     ) {
         let arity = f.types.len();
         // Columns to project / sort on, possibly repeated or reordered.
@@ -122,6 +154,36 @@ proptest! {
                 cols.iter().map(|&c| a[c].cmp(&b[c])).find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
             });
             prop_assert_eq!(run(&format!("SELECT * FROM l ORDER BY {col_list}")), sorted, "{:?}", spill);
+
+            // Range filters order strings as strings, whether or not the
+            // engine has read the bound.
+            let filtered = |keep: &dyn Fn(&Value) -> bool, c: usize| -> Vec<Vec<Value>> {
+                f.left.iter().filter(|r| keep(&r[c])).cloned().collect()
+            };
+            let (lo_v, hi_v) = (Value::from(lo.as_str()), Value::from(hi.as_str()));
+            for (c, ty) in f.types.iter().enumerate() {
+                let (lit, v) = match ty {
+                    ColType::Str => (format!("'{lo}'"), lo_v.clone()),
+                    ColType::Int => (format!("{int_bound}"), Value::Int(int_bound)),
+                };
+                prop_assert_eq!(
+                    run(&format!("SELECT * FROM l WHERE c{c} < {lit}")),
+                    filtered(&|x| x < &v, c),
+                    "{:?}: c{} < {}", spill, c, lit
+                );
+                prop_assert_eq!(
+                    run(&format!("SELECT * FROM l WHERE c{c} >= {lit}")),
+                    filtered(&|x| x >= &v, c),
+                    "{:?}: c{} >= {}", spill, c, lit
+                );
+                if *ty == ColType::Str {
+                    prop_assert_eq!(
+                        run(&format!("SELECT * FROM l WHERE c{c} BETWEEN '{lo}' AND '{hi}'")),
+                        filtered(&|x| &lo_v <= x && x <= &hi_v, c),
+                        "{:?}: c{} BETWEEN {} AND {}", spill, c, lo, hi
+                    );
+                }
+            }
 
             // DISTINCT / UNION / EXCEPT: first occurrences, in input order.
             prop_assert_eq!(

@@ -9,13 +9,15 @@
 //! buffers, keys its hash tables with inline packed keys or the buffered
 //! row itself, and bulk-appends through one buffer: an integer row costs no
 //! allocation of its own anywhere in the engine. These tests pin that, and
-//! the price symbol rows still pay, so neither can silently rot.
-//! `cargo test --release --test alloc_budget -- --nocapture` prints both
-//! measured values.
+//! the price symbol rows still pay, so neither can silently rot — and pin
+//! the load path by count too, so that a copy or conversion per loaded row
+//! fails here instead of showing up as set-up time noise.
+//! `cargo test --release --test alloc_budget -- --nocapture` prints every
+//! measured value.
 
 use hornlog::types::AttrType;
 use km::session::{Session, SessionConfig};
-use rdbms::SpillMode;
+use rdbms::{SpillMode, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -72,7 +74,7 @@ fn allocations_per_tuple(s: &mut Session, what: &str) -> (f64, km::session::Quer
 
 const EDGES: usize = 5_000;
 
-/// Integer rows. Measured: 0.58 (22.9 before the row path decoded in the
+/// Integer rows. Measured: 0.59 (22.9 before the row path decoded in the
 /// page, 4.4 while the answer was still copied through a table of its own,
 /// 3.41 while every operator handed on a vector per row). Half an
 /// allocation per tuple is the answer itself — a `Vec<Vec<Value>>`, the
@@ -108,7 +110,7 @@ const TREE_DEPTH: u32 = 10;
 /// table, so a scan, join output, key or page write of a tuple allocates
 /// nothing for its strings; what is left is mostly the answer itself, a
 /// `Vec<Vec<Value>>` holding a `String` per value (1.5 per derived tuple).
-/// Measured: 1.76 (11.69 while every `Str` was a heap string of its own,
+/// Measured: 1.78 (11.69 while every `Str` was a heap string of its own,
 /// 18.76 with a vector per row); the ceiling is that plus a quarter.
 const STR_CEILING_PER_TUPLE: f64 = 2.2;
 
@@ -132,5 +134,79 @@ fn tree_closure_stays_within_its_allocation_budget() {
     assert!(
         per_tuple <= STR_CEILING_PER_TUPLE,
         "{per_tuple:.2} allocations per derived tuple, over the ceiling of {STR_CEILING_PER_TUPLE}"
+    );
+}
+
+/// This thread's allocations per loaded row while `define_base` creates
+/// `name` with `types`, `index` (a `CREATE INDEX`, if any) indexes it and
+/// `load_facts` loads `chunks` one after the other. The rows themselves
+/// are built before counting starts.
+fn allocations_per_loaded_row(
+    what: &str,
+    name: &str,
+    types: &[AttrType],
+    index: Option<&str>,
+    chunks: Vec<Vec<Vec<Value>>>,
+) -> f64 {
+    let mut s = Session::new(SessionConfig::default()).unwrap();
+    let rows: usize = chunks.iter().map(Vec::len).sum();
+    let before = ALLOCS.with(Cell::get);
+    s.define_base(name, types).unwrap();
+    if let Some(sql) = index {
+        s.db_execute(sql).unwrap();
+    }
+    for chunk in chunks {
+        s.load_facts(name, chunk).unwrap();
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let per_row = allocs as f64 / rows as f64;
+    println!(
+        "alloc_budget: {what}: {allocs} allocations / {rows} loaded rows = {per_row:.3} per row"
+    );
+    per_row
+}
+
+/// Loading `lfp_scale`'s 50 000 integer edges in 10 000-row chunks.
+/// Measured: 0.164 per row, the same before and after `char` values
+/// became symbol ids — pages and the heap's growth, no allocation of a
+/// row's own. The ceiling is that plus a tenth.
+const INT_LOAD_CEILING_PER_ROW: f64 = 0.18;
+
+/// Loading the depth-11 symbol tree of `lfp_tree` into a table with a hash
+/// index on its first column. Measured: 3.735 per row while each filed key
+/// was a boxed copy of its string; 2.238 now that a key string is copied
+/// once, when it is first interned, and every row files an inline id. The
+/// ceiling is the former plus a tenth.
+const STR_LOAD_CEILING_PER_ROW: f64 = 4.1;
+
+#[test]
+fn loading_stays_within_its_allocation_budget() {
+    let edges = workload::scaled_chains(50_000);
+    let chunks = edges
+        .chunks(10_000)
+        .map(workload::int_edges_to_rows)
+        .collect();
+    let int = allocations_per_loaded_row(
+        "integer edges, loaded",
+        "edge",
+        &[AttrType::Int, AttrType::Int],
+        None,
+        chunks,
+    );
+    let tree = workload::edges_to_rows(&workload::full_binary_tree(11));
+    let sym = allocations_per_loaded_row(
+        "Str tree, loaded with its index",
+        "parent",
+        &km::session::binary_sym(),
+        Some("CREATE INDEX parent_c0 ON parent (c0)"),
+        vec![tree],
+    );
+    assert!(
+        int <= INT_LOAD_CEILING_PER_ROW,
+        "{int:.3} allocations per loaded integer row, over the ceiling of {INT_LOAD_CEILING_PER_ROW}"
+    );
+    assert!(
+        sym <= STR_LOAD_CEILING_PER_ROW,
+        "{sym:.3} allocations per loaded symbol row, over the ceiling of {STR_LOAD_CEILING_PER_ROW}"
     );
 }
