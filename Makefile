@@ -1,14 +1,11 @@
 # Developer entry points for the dkbms testbed.
 
-.PHONY: all test bench bench-compare experiments examples doc clippy clean
+.PHONY: all test bench-compare experiments examples doc clippy clean
 
 all: test
 
 test:
 	cargo test --workspace
-
-bench:
-	cargo bench --workspace
 
 # Hold this checkout against another one with the fixed benchmark
 # (benchmark/README.md): five runs of every workload on each side, each

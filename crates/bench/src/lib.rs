@@ -2,8 +2,7 @@
 //!
 //! Shared scaffolding for regenerating every table and figure of the
 //! paper's evaluation section (§5). Each experiment lives in
-//! [`experiments`] and is driven by the `experiments` binary; Criterion
-//! micro-benchmarks live under `benches/`.
+//! [`experiments`] and is driven by the `experiments` binary.
 
 pub mod experiments;
 

@@ -30,6 +30,7 @@
 
 use crate::stored::KmError;
 use rdbms::{DbError, DbSession, Engine, ResultSet, Schema, SharedEngine, Value};
+use std::time::{Duration, Instant};
 
 /// The durable-statement channel every stored-D/KB operation goes
 /// through. Implemented by the raw [`Engine`] (the private backend, and
@@ -241,13 +242,16 @@ impl Storage for ExecBackend {
 /// only — each retry re-runs `f` on the fresh snapshot the failed commit
 /// left behind). Without `transactional` the body runs bare, preserving
 /// the private backend's non-durable fast path byte-for-byte.
+///
+/// Returns `f`'s output and the time the committed attempt spent in
+/// `begin` and `commit` (zero without `transactional`).
 pub fn with_txn<T>(
     backend: &mut ExecBackend,
     transactional: bool,
     mut f: impl FnMut(&mut ExecBackend) -> Result<T, KmError>,
-) -> Result<T, KmError> {
+) -> Result<(T, Duration), KmError> {
     if !transactional {
-        return f(backend);
+        return Ok((f(backend)?, Duration::ZERO));
     }
     // First-committer-wins guarantees global progress: every conflict
     // means some other session committed. The cap only guards against a
@@ -255,7 +259,9 @@ pub fn with_txn<T>(
     const MAX_RETRIES: usize = 64;
     let mut last = None;
     for _ in 0..MAX_RETRIES {
+        let t = Instant::now();
         backend.begin()?;
+        let t_begin = t.elapsed();
         let out = match f(backend) {
             Ok(out) => out,
             Err(e) => {
@@ -263,8 +269,9 @@ pub fn with_txn<T>(
                 return Err(e);
             }
         };
+        let t = Instant::now();
         match backend.commit() {
-            Ok(()) => return Ok(out),
+            Ok(()) => return Ok((out, t_begin + t.elapsed())),
             Err(DbError::WriteConflict(m)) if backend.is_shared() => {
                 last = Some(DbError::WriteConflict(m));
                 continue;

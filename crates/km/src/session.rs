@@ -330,6 +330,7 @@ impl Session {
         with_txn(&mut self.backend, shared, |b| {
             stored.create_base_relation(b, name, types)
         })
+        .map(|(out, _)| out)
     }
 
     /// Bulk-load tuples into a base relation. On a shared backend this is
@@ -354,13 +355,7 @@ impl Session {
     /// commit can simply be retried. If the error was an injected crash,
     /// call [`Session::recover`] first.
     pub fn commit_workspace(&mut self) -> Result<UpdateTimings, KmError> {
-        let referenced: BTreeSet<String> = self
-            .workspace
-            .rules()
-            .clauses
-            .iter()
-            .flat_map(|c| c.body.iter().map(|a| a.predicate.clone()))
-            .collect();
+        let start = Instant::now();
         // Transactional: when durable (one WAL transaction on the private
         // engine) and always on the shared backend, where the update must
         // be one validated unit — including its dictionary *reads*, so a
@@ -370,10 +365,10 @@ impl Session {
         let transactional = self.config.durability || self.backend.is_shared();
         let stored = &self.stored;
         let workspace = &self.workspace;
-        let timings = with_txn(&mut self.backend, transactional, |b| {
-            let base_types = stored.read_edb_dictionary(b, &referenced)?;
-            update_stored(b, stored, workspace, &base_types)
+        let (mut timings, t_commit) = with_txn(&mut self.backend, transactional, |b| {
+            update_stored(b, stored, workspace)
         })?;
+        timings.t_commit = t_commit;
 
         // Facts that became stored base relations leave the workspace —
         // they would otherwise shadow the base relation on the next query.
@@ -407,6 +402,7 @@ impl Session {
                 entry.valid = false;
             }
         }
+        timings.total = start.elapsed();
         Ok(timings)
     }
 

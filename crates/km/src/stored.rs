@@ -15,9 +15,10 @@
 //! The extensional dictionary (`edb_relname`, `edb_column`) describes base
 //! relations, which are stored as ordinary tables.
 //!
-//! All access goes through SQL, exactly as in the testbed. `rulesource` and
-//! `reachablepreds` are indexed on their lookup columns; the experiments of
-//! Figures 7–10 measure the effect.
+//! All access goes through SQL, exactly as in the testbed. `rulesource` is
+//! indexed on its head and `reachablepreds` on both columns: forward for
+//! extraction, reverse for the update's ancestor lookup. The experiments of
+//! Figures 7–10 and 15 measure the effect.
 
 use crate::backend::Storage;
 use crate::util::{attr_to_coltype, sql_in_list, sql_quote};
@@ -120,7 +121,8 @@ impl StoredDkb {
         if self.compiled_storage {
             db.execute_script(
                 "CREATE TABLE reachablepreds (frompredname char, topredname char);\
-                 CREATE INDEX reachablepreds_from ON reachablepreds (frompredname);",
+                 CREATE INDEX reachablepreds_from ON reachablepreds (frompredname);\
+                 CREATE INDEX reachablepreds_to ON reachablepreds (topredname);",
             )?;
         }
         Ok(())
@@ -426,7 +428,7 @@ impl StoredDkb {
 
     /// Predicates recorded as reaching any of `preds`, as `(from, to)`
     /// pairs with `to` in `preds` — the reverse lookup over the compiled
-    /// form (a scan: the index covers the forward direction only). The
+    /// form, one probe of `reachablepreds_to` per predicate. The
     /// incremental closure update uses this to extend the rows of
     /// predicates that already reached an updated rule head.
     pub fn reaching_to(

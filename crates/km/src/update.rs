@@ -34,6 +34,15 @@ pub struct UpdateTimings {
     /// the paper's t_u breakdown, which §4.3 limits to intensional
     /// structures).
     pub t_facts: Duration,
+    /// Beginning and committing the transaction around the update, set by
+    /// [`crate::Session::commit_workspace`]: the buffer-pool flush and WAL
+    /// commit record on a durable session; validation, replay and the
+    /// group-commit wait on a shared one. Zero when the commit runs
+    /// outside a transaction.
+    pub t_commit: Duration,
+    /// The whole update. [`update_stored`] measures its own span;
+    /// [`crate::Session::commit_workspace`] widens it to the whole call,
+    /// transaction included.
     pub total: Duration,
     /// Workspace rules newly stored.
     pub rules_stored: usize,
@@ -47,14 +56,13 @@ pub struct UpdateTimings {
     pub fact_predicates: BTreeSet<String>,
 }
 
-/// Update the Stored D/KB with the workspace rules. `base_types` supplies
-/// extensional dictionary types for the type check (pass the EDB dictionary
-/// contents). Only intensional structures are written, as in the testbed.
+/// Update the Stored D/KB with the workspace rules. The type check reads
+/// both dictionaries once, for every predicate the commit touches. Only
+/// intensional structures are written, as in the testbed.
 pub fn update_stored(
     db: &mut impl Storage,
     stored: &StoredDkb,
     workspace: &Workspace,
-    base_types: &TypeMap,
 ) -> Result<UpdateTimings, KmError> {
     let start = Instant::now();
     let mut timings = UpdateTimings::default();
@@ -94,7 +102,6 @@ pub fn update_stored(
     for fact in workspace.facts().clauses.iter() {
         check_program.push(fact.clone());
     }
-    let mut dict = base_types.clone();
     let referenced: BTreeSet<String> = composite
         .clauses
         .iter()
@@ -113,15 +120,19 @@ pub fn update_stored(
                 .map(|c| c.head.predicate.clone()),
         )
         .collect();
-    for (pred, types) in stored.read_edb_dictionary(db, &referenced)? {
-        dict.entry(pred).or_insert(types);
-    }
+    // Each dictionary is read once per commit: the facts phase below
+    // reuses both maps.
+    let edb = stored.read_edb_dictionary(db, &referenced)?;
     // Previously registered derived predicates type-check through the
     // intensional dictionary (essential in source-only mode, where no
     // stored rules are extracted to define them).
-    for (pred, types) in stored.read_idb_dictionary(db, &referenced)? {
-        dict.entry(pred).or_insert(types);
-    }
+    let idb = stored.read_idb_dictionary(db, &referenced)?;
+    // Where both dictionaries name a predicate, the extensional entry wins.
+    let dict: TypeMap = idb
+        .iter()
+        .chain(&edb)
+        .map(|(pred, types)| (pred.clone(), types.clone()))
+        .collect();
     let info = semantics::check(&check_program, &dict)?;
     timings.t_tc = t.elapsed();
 
@@ -201,40 +212,33 @@ pub fn update_stored(
         .iter()
         .map(|c| c.head.predicate.clone())
         .collect();
-    fact_preds.retain(|p| !derived.contains(p.as_str()));
-    if !fact_preds.is_empty() {
-        let already_derived = stored.read_idb_dictionary(db, &fact_preds)?;
-        fact_preds.retain(|p| !already_derived.contains_key(p));
-    }
-    if !fact_preds.is_empty() {
-        let existing_base = stored.base_relations(db)?;
-        for pred in &fact_preds {
-            let rows: Vec<Vec<rdbms::Value>> = workspace
-                .facts()
-                .clauses
-                .iter()
-                .filter(|c| &c.head.predicate == pred)
-                .map(|c| crate::util::fact_row(&c.head))
-                .collect();
-            if !existing_base.contains(pred) {
-                stored.create_base_relation(db, pred, &info.types[pred])?;
-            }
-            // Deduplicate against the rows already stored; the common
-            // first-commit case (empty relation) skips the scan entirely.
-            let fresh: Vec<Vec<rdbms::Value>> = if db.table_len(pred)? == 0 {
-                let mut seen = BTreeSet::new();
-                rows.into_iter()
-                    .filter(|r| seen.insert(r.clone()))
-                    .collect()
-            } else {
-                let mut seen: BTreeSet<Vec<rdbms::Value>> =
-                    db.scan_all(pred)?.into_iter().collect();
-                rows.into_iter()
-                    .filter(|r| seen.insert(r.clone()))
-                    .collect()
-            };
-            timings.facts_stored += stored.load_facts(db, pred, fresh)?;
+    // Step 4 read both dictionaries for every workspace fact predicate.
+    fact_preds.retain(|p| !derived.contains(p.as_str()) && !idb.contains_key(p));
+    for pred in &fact_preds {
+        let rows: Vec<Vec<rdbms::Value>> = workspace
+            .facts()
+            .clauses
+            .iter()
+            .filter(|c| &c.head.predicate == pred)
+            .map(|c| crate::util::fact_row(&c.head))
+            .collect();
+        if !edb.contains_key(pred) {
+            stored.create_base_relation(db, pred, &info.types[pred])?;
         }
+        // Deduplicate against the rows already stored; the common
+        // first-commit case (empty relation) skips the scan entirely.
+        let fresh: Vec<Vec<rdbms::Value>> = if db.table_len(pred)? == 0 {
+            let mut seen = BTreeSet::new();
+            rows.into_iter()
+                .filter(|r| seen.insert(r.clone()))
+                .collect()
+        } else {
+            let mut seen: BTreeSet<Vec<rdbms::Value>> = db.scan_all(pred)?.into_iter().collect();
+            rows.into_iter()
+                .filter(|r| seen.insert(r.clone()))
+                .collect()
+        };
+        timings.facts_stored += stored.load_facts(db, pred, fresh)?;
     }
     timings.t_facts = t.elapsed();
     // Report which predicates were materialized so the caller can drain
@@ -261,10 +265,6 @@ mod tests {
         (db, stored)
     }
 
-    fn base_types() -> TypeMap {
-        [("parent".to_string(), vec![AttrType::Sym, AttrType::Sym])].into()
-    }
-
     #[test]
     fn first_update_stores_rules_and_closure() {
         let (mut db, stored) = setup(true);
@@ -274,7 +274,7 @@ mod tests {
              anc(X, Y) :- parent(X, Z), anc(Z, Y).\n",
         )
         .unwrap();
-        let t = update_stored(&mut db, &stored, &ws, &base_types()).unwrap();
+        let t = update_stored(&mut db, &stored, &ws).unwrap();
         assert_eq!(t.rules_stored, 2);
         assert_eq!(stored.rule_count(&mut db).unwrap(), 2);
         // anc reaches parent and anc (self-recursive): 2 edges.
@@ -287,8 +287,8 @@ mod tests {
         let (mut db, stored) = setup(true);
         let mut ws = Workspace::new();
         ws.load("anc(X, Y) :- parent(X, Y).\n").unwrap();
-        update_stored(&mut db, &stored, &ws, &base_types()).unwrap();
-        let t2 = update_stored(&mut db, &stored, &ws, &base_types()).unwrap();
+        update_stored(&mut db, &stored, &ws).unwrap();
+        let t2 = update_stored(&mut db, &stored, &ws).unwrap();
         assert_eq!(t2.rules_stored, 0);
         assert_eq!(t2.reachable_added, 0);
         assert_eq!(stored.rule_count(&mut db).unwrap(), 1);
@@ -300,12 +300,12 @@ mod tests {
         // First commit: b depends on parent.
         let mut ws = Workspace::new();
         ws.load("b(X, Y) :- parent(X, Y).\n").unwrap();
-        update_stored(&mut db, &stored, &ws, &base_types()).unwrap();
+        update_stored(&mut db, &stored, &ws).unwrap();
         // Second commit: a depends on b — the closure must record
         // a -> b, a -> parent through the extracted stored rule.
         let mut ws2 = Workspace::new();
         ws2.load("a(X, Y) :- b(X, Y).\n").unwrap();
-        update_stored(&mut db, &stored, &ws2, &base_types()).unwrap();
+        update_stored(&mut db, &stored, &ws2).unwrap();
         let reach = stored
             .reachable_from(&mut db, &["a".to_string()].into())
             .unwrap();
@@ -324,15 +324,15 @@ mod tests {
             .unwrap();
         let mut ws = Workspace::new();
         ws.load("b(X, Y) :- parent(X, Y).\n").unwrap();
-        update_stored(&mut db, &stored, &ws, &base_types()).unwrap();
+        update_stored(&mut db, &stored, &ws).unwrap();
         let mut ws2 = Workspace::new();
         ws2.load("a(X, Y) :- b(X, Y).\n").unwrap();
-        update_stored(&mut db, &stored, &ws2, &base_types()).unwrap();
+        update_stored(&mut db, &stored, &ws2).unwrap();
         // Third commit adds a rule to the *existing* head b. a already
         // reached b, so a must now also reach b's new target.
         let mut ws3 = Workspace::new();
         ws3.load("b(X, Y) :- other(X, Y).\n").unwrap();
-        update_stored(&mut db, &stored, &ws3, &base_types()).unwrap();
+        update_stored(&mut db, &stored, &ws3).unwrap();
         let reach = stored
             .reachable_from(&mut db, &["a".to_string()].into())
             .unwrap();
@@ -345,7 +345,7 @@ mod tests {
         let (mut db, stored) = setup(false);
         let mut ws = Workspace::new();
         ws.load("anc(X, Y) :- parent(X, Y).\n").unwrap();
-        let t = update_stored(&mut db, &stored, &ws, &base_types()).unwrap();
+        let t = update_stored(&mut db, &stored, &ws).unwrap();
         assert_eq!(t.rules_stored, 1);
         assert_eq!(t.reachable_added, 0);
         assert!(!db.has_table("reachablepreds"));
@@ -357,7 +357,7 @@ mod tests {
         let mut ws = Workspace::new();
         // parent columns are char; 42 is integer.
         ws.load("bad(X) :- parent(X, 42).\n").unwrap();
-        assert!(update_stored(&mut db, &stored, &ws, &base_types()).is_err());
+        assert!(update_stored(&mut db, &stored, &ws).is_err());
         assert_eq!(stored.rule_count(&mut db).unwrap(), 0, "nothing stored");
     }
 
@@ -366,7 +366,7 @@ mod tests {
         let (mut db, stored) = setup(true);
         let mut ws = Workspace::new();
         ws.load("bad(X) :- nosuch(X).\n").unwrap();
-        assert!(update_stored(&mut db, &stored, &ws, &base_types()).is_err());
+        assert!(update_stored(&mut db, &stored, &ws).is_err());
     }
 
     #[test]
@@ -378,7 +378,7 @@ mod tests {
              knows(ann, bob).\n",
         )
         .unwrap();
-        let t = update_stored(&mut db, &stored, &ws, &base_types()).unwrap();
+        let t = update_stored(&mut db, &stored, &ws).unwrap();
         assert_eq!(t.rules_stored, 1);
     }
 }

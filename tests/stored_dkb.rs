@@ -4,7 +4,9 @@
 
 use km::session::{binary_sym, Session, SessionConfig};
 use km::{KmError, LfpStrategy};
+use proptest::prelude::*;
 use rdbms::Value;
+use std::collections::BTreeSet;
 
 use workload::chain_facts as chain_rows;
 
@@ -159,6 +161,34 @@ fn update_timings_report_phases() {
     assert!(t.total >= t.t_source_store);
 }
 
+/// Table 8 accounts for the whole commit: on a durable session the five
+/// update phases and the transaction's begin + commit cover the call.
+#[test]
+fn update_phases_cover_the_durable_commit() {
+    let mut s = Session::new(SessionConfig {
+        durability: true,
+        ..SessionConfig::default()
+    })
+    .unwrap();
+    s.define_base("base", &binary_sym()).unwrap();
+    for clause in &workload::chain_rule_base(10, 20, "base").clauses {
+        s.workspace_mut().add_clause(clause.clone());
+    }
+    s.load_rules("ledger(a, b).\nledger(b, c).\n").unwrap();
+    let t = s.commit_workspace().unwrap();
+    assert_eq!(t.rules_stored, 200);
+    assert_eq!(t.facts_stored, 2);
+    assert!(t.t_commit > std::time::Duration::ZERO, "{t:?}");
+    let phases =
+        t.t_extract + t.t_tc + t.t_compiled_store + t.t_source_store + t.t_facts + t.t_commit;
+    assert!(phases <= t.total, "{t:?}");
+    assert!(
+        phases.as_secs_f64() >= 0.95 * t.total.as_secs_f64(),
+        "phases {phases:?} of {:?}: {t:?}",
+        t.total
+    );
+}
+
 #[test]
 fn naive_strategy_works_against_stored_rules() {
     let mut s = base_session(SessionConfig {
@@ -256,4 +286,162 @@ fn compile_reads_are_flat_in_the_stored_rule_count() {
     let small = reads_at(20);
     assert_eq!(small, reads_at(100), "R_s = 400 vs 2 000");
     assert!(small[2] > 0, "extraction goes through the indexes");
+}
+
+/// A session whose Stored D/KB holds `chains` 20-rule chains over `base`,
+/// plus an empty base relation `other` for commits to hang rules on.
+fn chain_store(chains: usize) -> Session {
+    let mut s = Session::new(SessionConfig {
+        durability: true,
+        ..SessionConfig::default()
+    })
+    .unwrap();
+    s.define_base("base", &binary_sym()).unwrap();
+    s.define_base("other", &binary_sym()).unwrap();
+    for clause in &workload::chain_rule_base(chains, 20, "base").clauses {
+        s.workspace_mut().add_clause(clause.clone());
+    }
+    s.commit_workspace().unwrap();
+    s.workspace_mut().clear();
+    s
+}
+
+/// Figure 15's claim as a count: what one single-rule commit reads from
+/// the Stored D/KB does not depend on how many rules are stored (R_s). The
+/// incremental closure looks the new rule's ancestors up through
+/// `reachablepreds (topredname)`, as extraction looks its descendants up
+/// through `reachablepreds (frompredname)`.
+#[test]
+fn update_reads_are_flat_in_the_stored_rule_count() {
+    // (rule, `reachablepreds` rows it adds): a new head over a stored
+    // chain (the benchmark's `dkb_update` op), and a rule added to a
+    // stored head whose ten stored ancestors must be extended.
+    let shapes = [
+        ("u0(X, Y) :- g1_p5(X, Y).\n", 16),
+        ("g1_p10(X, Y) :- other(X, Y).\n", 11),
+    ];
+    let reads_at = |chains: usize, rule: &str, added: u64| -> [u64; 4] {
+        let mut s = chain_store(chains);
+        s.load_rules(rule).unwrap();
+        let before = s.engine().stats();
+        let t = s.commit_workspace().unwrap();
+        let after = s.engine().stats();
+        assert_eq!((t.rules_stored, t.reachable_added), (1, added), "{rule}");
+        s.verify_integrity().unwrap();
+        [
+            after.exec.tuples_scanned - before.exec.tuples_scanned,
+            after.exec.tuples_fetched - before.exec.tuples_fetched,
+            after.exec.index_probes - before.exec.index_probes,
+            after.statements - before.statements,
+        ]
+    };
+    for (rule, added) in shapes {
+        let small = reads_at(20, rule, added);
+        assert_eq!(
+            small,
+            reads_at(100, rule, added),
+            "R_s = 400 vs 2 000: {rule}"
+        );
+    }
+
+    // The ancestor lookup is an index probe, not a scan. This is the
+    // statement `StoredDkb::reaching_to` issues.
+    let mut s = chain_store(20);
+    let plan = s
+        .db_execute("EXPLAIN SELECT frompredname, topredname FROM reachablepreds WHERE topredname IN ('g1_p10')")
+        .unwrap();
+    let plan: Vec<String> = plan.rows.iter().map(|r| format!("{}", r[0])).collect();
+    assert_eq!(
+        plan,
+        [
+            "Project [2 col(s)]",
+            "  IndexLookup reachablepreds key=(g1_p10)"
+        ],
+        "{plan:?}"
+    );
+}
+
+/// A binary rule `head :- body...` over the predicates `p0..p7` and the
+/// base relation `e`.
+fn rule_text(head: u8, body: &[String]) -> String {
+    let atoms: Vec<String> = match body {
+        [one] => vec![format!("{one}(X, Y)")],
+        [a, b] => vec![format!("{a}(X, Z)"), format!("{b}(Z, Y)")],
+        _ => unreachable!("one or two body atoms"),
+    };
+    format!("p{head}(X, Y) :- {}.\n", atoms.join(", "))
+}
+
+/// The stored closure, as `(from, to)` pairs.
+fn reachable_pairs(s: &mut Session) -> BTreeSet<(String, String)> {
+    s.db_execute("SELECT frompredname, topredname FROM reachablepreds")
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| (r[0].to_string(), r[1].to_string()))
+        .collect()
+}
+
+fn closure_session() -> Session {
+    let mut s = Session::with_defaults().unwrap();
+    s.define_base("e", &binary_sym()).unwrap();
+    s
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The incremental closure update (§4.3) against a from-scratch one:
+    /// committing rules batch by batch — adding rules to heads that
+    /// already have stored ancestors, closing cycles — stores the same
+    /// `reachablepreds` as one commit of every rule.
+    #[test]
+    fn batched_commits_store_the_closure_of_one_commit(
+        batches in prop::collection::vec(
+            prop::collection::vec((0u8..8, 0u8..16, 0u8..16, any::<bool>()), 1..5),
+            2..6,
+        ),
+    ) {
+        let mut s = closure_session();
+        let mut all = String::new();
+        let mut typed: BTreeSet<String> = ["e".to_string()].into();
+        for batch in &batches {
+            // A body atom names the base relation or a predicate defined
+            // by the end of this batch, so every commit's rules are safe;
+            // a head's first rule uses only already typed predicates, so
+            // every predicate's type can be inferred.
+            let defined: Vec<String> = typed
+                .iter()
+                .cloned()
+                .chain(batch.iter().map(|(h, ..)| format!("p{h}")))
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let mut text = String::new();
+            for &(head, a, b, two) in batch {
+                let head_pred = format!("p{head}");
+                let typed_list: Vec<String> = typed.iter().cloned().collect();
+                let pool = if typed.contains(&head_pred) {
+                    &defined
+                } else {
+                    &typed_list
+                };
+                let mut body = vec![pool[a as usize % pool.len()].clone()];
+                if two {
+                    body.push(pool[b as usize % pool.len()].clone());
+                }
+                text.push_str(&rule_text(head, &body));
+                typed.insert(head_pred);
+            }
+            s.load_rules(&text).unwrap();
+            s.commit_workspace().unwrap();
+            s.workspace_mut().clear();
+            prop_assert!(s.verify_integrity().is_ok(), "{:?}", s.verify_integrity());
+            all.push_str(&text);
+        }
+        let mut fresh = closure_session();
+        fresh.load_rules(&all).unwrap();
+        fresh.commit_workspace().unwrap();
+        prop_assert_eq!(reachable_pairs(&mut s), reachable_pairs(&mut fresh), "{}", all);
+    }
 }
