@@ -1,6 +1,6 @@
 # Developer entry points for the dkbms testbed.
 
-.PHONY: all test bench-compare experiments examples doc clippy clean
+.PHONY: all test bench-compare experiments examples doc clippy lint clean
 
 all: test
 
@@ -30,11 +30,17 @@ examples:
 	cargo run --release --example bill_of_materials
 	cargo run --release --example corporate_policy
 
+# Broken intra-doc links fail the build, as in CI's rustdoc step.
 doc:
-	cargo doc --workspace --no-deps
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# CI's `lint` job: formatting, then clippy and rustdoc with warnings as errors.
+lint:
+	cargo fmt --all --check
+	$(MAKE) clippy doc
 
 clean:
 	cargo clean

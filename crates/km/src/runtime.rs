@@ -1434,21 +1434,6 @@ mod tests {
         }
     }
 
-    /// The loop's temporaries are volatile: filling `d_anc`, `new_anc` and
-    /// `delta_anc` far past the auto-analyze floor samples nothing, so no
-    /// statistics version moves under the cached plans.
-    #[test]
-    fn lfp_temp_tables_are_never_auto_analyzed() {
-        let mut s = fig11_session(8, crate::session::SessionConfig::default());
-        let refreshes =
-            |s: &crate::session::Session| s.engine().metrics().counter_value("stats.refreshes");
-        let before = refreshes(&s);
-        let (_, r) = s.query("?- anc(n1, W).").unwrap();
-        assert_eq!(r.rows.len(), 254);
-        assert!(r.outcome.breakdown.tuples_produced > 1_000);
-        assert_eq!(refreshes(&s), before);
-    }
-
     #[test]
     fn lfp_recycles_temp_tables() {
         let mut db = chain_engine(6);

@@ -5,7 +5,6 @@ use crate::disk::Disk;
 use crate::heap::HeapFile;
 use crate::index::HashIndex;
 use crate::schema::Schema;
-use crate::stats::TableStats;
 use crate::sym::Symbols;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,9 +20,6 @@ pub struct Table {
     /// per-iteration deltas); they are listed separately in stats and
     /// dropped wholesale by `drop_temp_tables`.
     pub is_temp: bool,
-    /// Planner statistics. Stored inside the `Arc<Table>` entry, so an
-    /// MVCC fork snapshots them together with the data they describe.
-    pub stats: TableStats,
 }
 
 /// Errors surfaced by catalog operations (and re-used by the SQL layer).
@@ -129,7 +125,6 @@ impl Catalog {
                 heap,
                 indexes: Vec::new(),
                 is_temp,
-                stats: TableStats::default(),
             }),
         );
         Ok(())

@@ -873,6 +873,33 @@ mod tests {
         assert_eq!(dump(&mut reader).len(), 3, "refresh picks up the commit");
     }
 
+    /// A session plans and reads from its fork: a concurrent session's
+    /// 2 048-row batch changes neither the live row count the reader's
+    /// planner sees nor an indexed point query's answer until it
+    /// refreshes.
+    #[test]
+    fn snapshot_row_counts_hold_until_refresh() {
+        let mut e = Engine::new();
+        e.execute("CREATE TABLE t (k int, v int)").unwrap();
+        e.execute("CREATE INDEX t_k ON t (k)").unwrap();
+        let rows = (0..64).map(|i| vec![Value::Int(i % 8), Value::Int(i)]);
+        e.insert_rows("t", rows.collect()).unwrap();
+        let shared = SharedEngine::new(e);
+        let mut reader = shared.session();
+        let mut writer = shared.session();
+        let bulk = (0..2048).map(|i| vec![Value::Int(i % 512), Value::Int(1000 + i)]);
+        writer.insert_rows("t", bulk.collect()).unwrap();
+        let live_rows = shared.with_live(|live| live.table_len("t").unwrap());
+        assert_eq!(live_rows, 64 + 2048);
+
+        assert_eq!(reader.table_len("t").unwrap(), 64);
+        let rs = reader.execute("SELECT v FROM t WHERE k = 3").unwrap();
+        assert_eq!(rs.rows.len(), 8, "snapshot answers ignore the commit");
+
+        reader.refresh().unwrap();
+        assert_eq!(reader.table_len("t").unwrap(), 64 + 2048);
+    }
+
     #[test]
     fn first_committer_wins_on_the_same_table() {
         // A state-dependent write (every DELETE is coarse) races a

@@ -1,17 +1,15 @@
-//! The cost model: selectivity estimation from live statistics, cost-based
-//! join ordering, and access-path / join-method choice.
+//! The cost model: selectivity estimation from exact live counts,
+//! cost-based join ordering, and access-path / join-method choice.
 //!
-//! Cardinalities come from three sources, most exact first:
+//! Cardinalities come from two sources, both exact:
 //!
-//! 1. live heap `tuple_count` — exact, maintained on every mutation;
+//! 1. live heap `tuple_count` — maintained on every mutation;
 //! 2. live `distinct_keys()` of a single-column index on the column —
-//!    exact, free (the index already maintains the directory);
-//! 3. sampled [`TableStats`](crate::stats::TableStats) — distinct-count
-//!    and histogram estimates refreshed by reservoir sampling.
+//!    free (the index already maintains the directory).
 //!
-//! When none apply, estimators fall back to flat constants (`1/20` per
-//! equality, `1/3` per range side) — the no-statistics fallback, and all
-//! that is left of the heuristic planner (DESIGN §18).
+//! Where neither applies, estimators fall back to flat constants (`1/20`
+//! per equality, `1/3` per range side) — all that is left of the heuristic
+//! planner. Nothing is sampled (DESIGN §18 records why).
 //!
 //! Cost units are abstract "tuple visits": a sequential scan pays 1 per
 //! row, an index fetch pays `C_FETCH` (probe + heap fetch + decode), a
@@ -22,8 +20,6 @@ use crate::catalog::{Catalog, Table};
 use crate::plan::{ExecCond, PhysPlan, ProjExpr};
 use crate::rewrite::{Binding, Resolved};
 use crate::sql::ast::CmpOp;
-use crate::value::Value;
-use std::ops::Bound;
 
 /// Cost of reading one row in a sequential scan.
 pub(crate) const C_SCAN: f64 = 1.0;
@@ -45,7 +41,7 @@ pub(crate) const DEFAULT_RANGE_SEL: f64 = 1.0 / 3.0;
 const EST_FLOOR: f64 = 0.05;
 
 /// Distinct-value count for a column: exact from a single-column index
-/// directory when one exists and is non-empty, else the sampled estimate.
+/// directory when one exists and is non-empty, else unknown.
 pub(crate) fn col_distinct(t: &Table, col: usize) -> Option<u64> {
     for ix in &t.indexes {
         if ix.key_cols() == [col] {
@@ -55,7 +51,7 @@ pub(crate) fn col_distinct(t: &Table, col: usize) -> Option<u64> {
             }
         }
     }
-    t.stats.column(col).map(|c| c.n_distinct.max(1))
+    None
 }
 
 /// Selectivity of one table-local condition (positions are local to the
@@ -69,8 +65,7 @@ pub(crate) fn local_selectivity(t: &Table, c: &ExecCond) -> f64 {
         }
         // `!=` rarely filters much.
         ExecCond::ColCmpLit(_, CmpOp::Ne, _) | ExecCond::ColCmpParam(_, CmpOp::Ne, _) => 1.0,
-        ExecCond::ColCmpLit(col, op, v) => range_selectivity_one(t, *col, *op, Some(v)),
-        ExecCond::ColCmpParam(col, op, _) => range_selectivity_one(t, *col, *op, None),
+        ExecCond::ColCmpLit(..) | ExecCond::ColCmpParam(..) => DEFAULT_RANGE_SEL,
         ExecCond::InList(col, vs) => {
             let per = col_distinct(t, *col)
                 .map(|d| 1.0 / d as f64)
@@ -86,23 +81,6 @@ pub(crate) fn local_selectivity(t: &Table, c: &ExecCond) -> f64 {
             _ => DEFAULT_RANGE_SEL,
         },
     }
-}
-
-/// Selectivity of `col <op> v` for an inequality operator, histogram-driven
-/// when the column has been analyzed (a `None` value is a `?` parameter —
-/// unknown at plan time, flat fallback).
-fn range_selectivity_one(t: &Table, col: usize, op: CmpOp, v: Option<&Value>) -> f64 {
-    if let (Some(cs), Some(v)) = (t.stats.column(col), v) {
-        let (lo, hi) = match op {
-            CmpOp::Gt => (Bound::Excluded(v), Bound::Unbounded),
-            CmpOp::Ge => (Bound::Included(v), Bound::Unbounded),
-            CmpOp::Lt => (Bound::Unbounded, Bound::Excluded(v)),
-            CmpOp::Le => (Bound::Unbounded, Bound::Included(v)),
-            _ => return 1.0,
-        };
-        return cs.range_selectivity(lo, hi).clamp(0.0005, 1.0);
-    }
-    DEFAULT_RANGE_SEL
 }
 
 /// Estimated row count of one relation after its pushed-down local
@@ -269,10 +247,8 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 /// Whether probing `index_pos` on `t` per outer row beats materializing
 /// the inner side into a hash table. `outer_rows` is the estimated size of
 /// the already-built side, `inner_est` the inner side after its local
-/// filters. This is the plan-time half of the adaptivity template; the
-/// executor re-checks against live cardinalities at run time (see the
-/// hash fallback in `exec.rs`), because a cached plan's estimates go
-/// stale inside an LFP loop.
+/// filters. A cached plan whose row counts have since drifted is
+/// re-planned before it runs (`stats_stale` in `engine.rs`).
 pub(crate) fn prefer_index_nl(
     t: &Table,
     index_pos: usize,
@@ -285,34 +261,6 @@ pub(crate) fn prefer_index_nl(
     let nl = outer_rows * (C_PROBE + matches * C_FETCH);
     let hash = inner_rows * C_SCAN + inner_est.max(0.0) * C_BUILD + outer_rows * C_PROBE;
     nl <= hash
-}
-
-/// Whether an ordered-index range scan beats a sequential scan for the
-/// given bounds: fetching `sel * N` rows through the index (random I/O,
-/// [`C_FETCH`] each) must undercut scanning all `N` sequentially.
-pub(crate) fn range_scan_pays(t: &Table, col: usize, lo: &Bound<Value>, hi: &Bound<Value>) -> f64 {
-    let sel = if let Some(cs) = t.stats.column(col) {
-        cs.range_selectivity(bound_ref(lo), bound_ref(hi))
-            .clamp(0.0005, 1.0)
-    } else {
-        let mut s = 1.0;
-        if !matches!(lo, Bound::Unbounded) {
-            s *= DEFAULT_RANGE_SEL;
-        }
-        if !matches!(hi, Bound::Unbounded) {
-            s *= DEFAULT_RANGE_SEL;
-        }
-        s
-    };
-    sel
-}
-
-fn bound_ref(b: &Bound<Value>) -> Bound<&Value> {
-    match b {
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-        Bound::Unbounded => Bound::Unbounded,
-    }
 }
 
 /// Per-operator row estimates for a physical plan, in pre-order (the
@@ -335,19 +283,13 @@ fn table_origins(t: &Table) -> Origins {
 }
 
 /// Selectivity of a condition over a combined layout, using each slot's
-/// provenance to reach per-column statistics.
+/// provenance to reach per-column distinct counts.
 fn origin_selectivity(catalog: &Catalog, origins: &Origins, c: &ExecCond) -> f64 {
     let distinct = |pos: usize| -> Option<u64> {
         origins
             .get(pos)
             .and_then(|o| o.as_ref())
             .and_then(|(t, col)| catalog.table(t).ok().and_then(|t| col_distinct(t, *col)))
-    };
-    let table_of = |pos: usize| -> Option<&Table> {
-        origins
-            .get(pos)
-            .and_then(|o| o.as_ref())
-            .and_then(|(t, _)| catalog.table(t).ok())
     };
     match c {
         ExecCond::ColCmpLit(col, CmpOp::Eq, _) | ExecCond::ColCmpParam(col, CmpOp::Eq, _) => {
@@ -356,13 +298,7 @@ fn origin_selectivity(catalog: &Catalog, origins: &Origins, c: &ExecCond) -> f64
                 .unwrap_or(DEFAULT_EQ_SEL)
         }
         ExecCond::ColCmpLit(_, CmpOp::Ne, _) | ExecCond::ColCmpParam(_, CmpOp::Ne, _) => 1.0,
-        ExecCond::ColCmpLit(col, op, v) => {
-            match (table_of(*col), origins.get(*col).and_then(|o| o.as_ref())) {
-                (Some(t), Some((_, local))) => range_selectivity_one(t, *local, *op, Some(v)),
-                _ => DEFAULT_RANGE_SEL,
-            }
-        }
-        ExecCond::ColCmpParam(..) => DEFAULT_RANGE_SEL,
+        ExecCond::ColCmpLit(..) | ExecCond::ColCmpParam(..) => DEFAULT_RANGE_SEL,
         ExecCond::InList(col, vs) => {
             let per = distinct(*col)
                 .map(|d| 1.0 / d as f64)

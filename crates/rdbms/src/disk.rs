@@ -65,9 +65,6 @@ pub struct DiskStats {
     pub wal_bytes: u64,
     /// Checkpoints (whole-log truncations) taken by the WAL.
     pub wal_checkpoints: u64,
-    /// Checkpoints forced by the size threshold while per-commit
-    /// checkpointing was off (a subset of `wal_checkpoints`).
-    pub wal_auto_checkpoints: u64,
     /// Peak WAL size in bytes ever reached between checkpoints.
     pub wal_high_water_bytes: u64,
     /// Reads that hit a transient fault and were retried.
@@ -280,26 +277,16 @@ pub struct Disk {
     /// session layer's commit leader calls [`Disk::fsync_wal`] once per
     /// drained batch instead.
     defer_fsync: bool,
-    /// Clearing the WAL at commit (checkpointing) is the default; tests
-    /// exercising the redo path disable it to keep committed records
-    /// around for replay.
+    /// Clearing the WAL at commit (checkpointing) is what every engine
+    /// does; this module's redo test turns it off to keep committed
+    /// records around for replay.
     checkpoint_on_commit: bool,
-    /// With `checkpoint_on_commit` off, a commit still checkpoints once
-    /// the log exceeds this many bytes, so redo-retaining mode cannot
-    /// grow the log without bound. `None` disables the backstop.
-    wal_autockpt_bytes: Option<u64>,
 }
-
-/// Default WAL auto-checkpoint threshold: large enough that redo tests
-/// retaining a handful of commits never trip it, small enough that a
-/// long-lived redo-retaining session is bounded.
-pub const DEFAULT_WAL_AUTOCKPT_BYTES: u64 = 4 << 20;
 
 impl Disk {
     pub fn new() -> Disk {
         Disk {
             checkpoint_on_commit: true,
-            wal_autockpt_bytes: Some(DEFAULT_WAL_AUTOCKPT_BYTES),
             ..Disk::default()
         }
     }
@@ -362,18 +349,6 @@ impl Disk {
     /// Whether a previously injected fault has "powered off" the disk.
     pub fn crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// Keep committed WAL records instead of checkpointing at commit.
-    pub fn set_checkpoint_on_commit(&mut self, on: bool) {
-        self.checkpoint_on_commit = on;
-    }
-
-    /// Set (or disable, with `None`) the size threshold above which a
-    /// commit checkpoints the log even when `checkpoint_on_commit` is
-    /// off.
-    pub fn set_wal_autocheckpoint_bytes(&mut self, threshold: Option<u64>) {
-        self.wal_autockpt_bytes = threshold;
     }
 
     /// Defer per-commit durability flushes to an explicit
@@ -479,18 +454,6 @@ impl Disk {
         if self.checkpoint_on_commit {
             if let Some(wal) = self.wal.as_mut() {
                 wal.clear();
-            }
-        } else if let Some(limit) = self.wal_autockpt_bytes {
-            // Redo-retaining mode keeps committed records for replay, but
-            // not without bound: the commit just made every page durable,
-            // so once the log outgrows the threshold it is safe to
-            // checkpoint here — exactly the state a per-commit checkpoint
-            // would have produced.
-            if let Some(wal) = self.wal.as_mut() {
-                if wal.byte_len() as u64 > limit {
-                    wal.clear();
-                    self.stats.wal_auto_checkpoints += 1;
-                }
             }
         }
         Ok(())
@@ -966,7 +929,7 @@ mod tests {
     fn redo_replays_committed_work_after_losing_data_writes() {
         let mut disk = Disk::new();
         disk.enable_wal();
-        disk.set_checkpoint_on_commit(false);
+        disk.checkpoint_on_commit = false;
         let f = disk.create_file();
         let p = disk.allocate_page(f).unwrap();
         disk.begin_txn().unwrap();
@@ -1086,33 +1049,6 @@ mod tests {
         disk.commit_txn().unwrap();
         assert!(matches!(disk.commit_txn(), Err(DbError::Txn(_))));
         assert!(matches!(disk.rollback_txn(), Err(DbError::Txn(_))));
-    }
-
-    #[test]
-    fn wal_auto_checkpoints_when_threshold_exceeded() {
-        let mut disk = Disk::new();
-        disk.enable_wal();
-        disk.set_checkpoint_on_commit(false);
-        disk.set_wal_autocheckpoint_bytes(Some(PAGE_SIZE as u64));
-        let f = disk.create_file();
-        let p = disk.allocate_page(f).unwrap();
-        // Each committed write logs two page images (> PAGE_SIZE), so the
-        // commit-time backstop fires every round and the log never
-        // accumulates more than one transaction.
-        for fill in 1..=5u8 {
-            disk.begin_txn().unwrap();
-            disk.write_page(f, p, &page_of(fill)).unwrap();
-            disk.commit_txn().unwrap();
-            assert!(disk.wal().unwrap().is_empty(), "backstop checkpointed");
-        }
-        assert_eq!(disk.stats().wal_auto_checkpoints, 5);
-        // Raising the threshold stops the backstop from firing.
-        disk.set_wal_autocheckpoint_bytes(Some(64 << 20));
-        disk.begin_txn().unwrap();
-        disk.write_page(f, p, &page_of(9)).unwrap();
-        disk.commit_txn().unwrap();
-        assert!(!disk.wal().unwrap().is_empty(), "records retained for redo");
-        assert_eq!(disk.stats().wal_auto_checkpoints, 5);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::rowbuf::RowBuf;
 use crate::schema::{serialize_tuple_into, serialized_len, Schema, Tuple};
 use crate::sql::ast::{CmpOp, ColRef, Condition, Query, Scalar, SelectItem, Stmt};
 use crate::sql::parser::{parse_script, parse_stmt, parse_stmt_params};
-use crate::stats::{Reservoir, RESERVOIR_CAP};
 use crate::sym::{encode_row, Datum, Interner, Symbols};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -163,9 +162,6 @@ struct Counters {
     gov_deadline: u64,
     gov_rows: u64,
     gov_memory: u64,
-    /// Statistics refreshes (analyze scans) run, and rows sampled by them.
-    stats_refreshes: u64,
-    stats_sampled_rows: u64,
     /// Rewrite-rule activity accumulated at plan time.
     rewrites: RewriteReport,
 }
@@ -704,7 +700,7 @@ impl Engine {
     }
 
     /// Fetch the plan cached for `id` if it was built under the current
-    /// catalog epoch and the statistics it was costed from are still
+    /// catalog epoch and the row counts it was costed from are still
     /// current; otherwise (re-)plan, type-check an INSERT SELECT target if
     /// given, and cache the result under the current epoch.
     fn cached_plan(
@@ -720,9 +716,8 @@ impl Engine {
         {
             if *cached_epoch == epoch {
                 // The epoch only tracks schema changes; join orders and
-                // join methods were costed from the statistics at plan
-                // time. Re-plan when any base table's statistics version
-                // moved (analyze or truncate) or its live row count
+                // join methods were costed from the row counts at plan
+                // time. Re-plan when any base table's live row count
                 // diverged past the drift threshold — the cached plan may
                 // be inverted relative to what the planner picks today.
                 if !stats_stale(&self.catalog, planned) {
@@ -1093,70 +1088,8 @@ impl Engine {
                 row(i).file(index, rid, &mut names);
             }
         }
-        let n = rids.len() as u64;
-        t.stats.note_mods(n);
         appended?;
-        self.maybe_analyze(table)?;
-        Ok(n)
-    }
-
-    /// Re-sample `table`'s column statistics if its modification counter
-    /// has crossed the churn threshold since the last analyze. `TEMP`
-    /// tables are never due: they are scratch space that is truncated and
-    /// refilled, so a sample describes rows that are gone before the next
-    /// plan is made, and installing it would re-plan every cached
-    /// statement over the table. Plans over a temp table follow its live
-    /// row count instead (the drift check in `stats_stale`); an explicit
-    /// [`Engine::analyze_table`] still works.
-    fn maybe_analyze(&mut self, table: &str) -> Result<(), DbError> {
-        let t = self.catalog.table(table)?;
-        if !t.is_temp && t.stats.is_stale(t.heap.tuple_count()) {
-            self.analyze_table(table)?;
-        }
-        Ok(())
-    }
-
-    /// Rebuild `table`'s column statistics from a deterministic reservoir
-    /// sample of its live rows. Runs ungoverned — an analyze scan is engine
-    /// maintenance charged to no statement's budget — and bumps the stats
-    /// version so cached plans costed from the old estimates re-plan.
-    pub fn analyze_table(&mut self, table: &str) -> Result<(), DbError> {
-        let t = self.catalog.table(table)?;
-        let live = t.heap.tuple_count();
-        let arity = t.schema.arity();
-        // Seed from the table name and stats version: deterministic for a
-        // replayed statement sequence, yet different across re-analyzes so
-        // a pathological sample is not sticky.
-        let seed = t
-            .name
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-            })
-            .wrapping_add(t.stats.version);
-        // Every live record is offered, in scan order, but only the ones
-        // the reservoir takes are decoded.
-        let mut reservoir = Reservoir::new(RESERVOIR_CAP, seed);
-        t.heap
-            .scan()
-            .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
-                reservoir.offer_with(|| decode_tuple(table, rid, payload))
-            })?;
-        let sampled = reservoir.rows().len() as u64;
-        // An empty table has no distribution to describe: install no column
-        // estimates (rather than degenerate zero-distinct ones) so the
-        // first insert makes the table stale and triggers a real analyze.
-        let columns = if live == 0 {
-            Vec::new()
-        } else {
-            reservoir.column_stats(arity)
-        };
-        let epoch = self.catalog_epoch;
-        let t = self.catalog.table_mut(table)?;
-        t.stats.install(columns, live, epoch);
-        self.counters.stats_refreshes += 1;
-        self.counters.stats_sampled_rows += sampled;
-        Ok(())
+        Ok(rids.len() as u64)
     }
 
     /// Empty `table` in one step, keeping its schema and (emptied) indexes —
@@ -1182,9 +1115,6 @@ impl Engine {
         for index in &mut t.indexes {
             index.clear();
         }
-        // Column estimates describe rows that no longer exist; dropping
-        // them also bumps the stats version so cached plans re-cost.
-        t.stats.on_truncate();
         Ok(prior)
     }
 
@@ -1328,8 +1258,6 @@ impl Engine {
                 index.remove(&tuple, rid);
             }
         }
-        t.stats.note_mods(n);
-        self.maybe_analyze(table)?;
         Ok(n)
     }
 
@@ -1455,12 +1383,6 @@ impl Engine {
         Ok(self.catalog.table(table)?.heap.tuple_count())
     }
 
-    /// The optimizer statistics currently installed for `table`: row
-    /// bookkeeping plus any analyzed per-column estimates.
-    pub fn table_stats(&self, table: &str) -> Result<&crate::stats::TableStats, DbError> {
-        Ok(&self.catalog.table(table)?.stats)
-    }
-
     pub fn has_table(&self, table: &str) -> bool {
         self.catalog.has_table(table)
     }
@@ -1544,7 +1466,6 @@ impl Engine {
         r.counter("wal.records", s.disk.wal_records);
         r.counter("wal.bytes", s.disk.wal_bytes);
         r.counter("wal.checkpoints", s.disk.wal_checkpoints);
-        r.counter("wal.auto_checkpoints", s.disk.wal_auto_checkpoints);
         r.counter("wal.fsyncs", s.disk.fsyncs);
         r.counter("wal.group_commits", s.disk.group_commits);
         r.counter("wal.group_committed_txns", s.disk.group_committed_txns);
@@ -1558,7 +1479,6 @@ impl Engine {
         r.counter("exec.tuples_fetched", s.exec.tuples_fetched);
         r.counter("exec.index_probes", s.exec.index_probes);
         r.counter("exec.join_output", s.exec.join_output);
-        r.counter("exec.join_adaptive_flips", s.exec.join_adaptive_flips);
         r.counter("exec.rows_output", s.exec.rows_output);
         r.counter("exec.plan_cache_hits", s.exec.plan_cache_hits);
         r.counter("exec.plan_cache_misses", s.exec.plan_cache_misses);
@@ -1581,8 +1501,6 @@ impl Engine {
         let syms = self.catalog.syms();
         r.gauge("engine.symbols", syms.len() as f64);
         r.gauge("engine.symbol_bytes", syms.bytes() as f64);
-        r.counter("stats.refreshes", self.counters.stats_refreshes);
-        r.counter("stats.sampled_rows", self.counters.stats_sampled_rows);
         let rewrites = self.counters.rewrites;
         r.counter("plan.predicates_pushed", rewrites.predicates_pushed);
         r.counter("plan.projections_pruned", rewrites.projections_pruned);
@@ -1740,21 +1658,16 @@ const REPLAN_DRIFT_FACTOR: u64 = 2;
 /// — re-costing there would forfeit plan-cache reuse for nothing.
 const REPLAN_DRIFT_FLOOR: u64 = 256;
 
-/// Whether any base-table statistics recorded in a cached plan have moved:
-/// a statistics version bump (analyze or truncate) or a live row count a
-/// factor of [`REPLAN_DRIFT_FACTOR`] away from the snapshot the plan was
-/// costed from (once either side of the comparison clears
-/// [`REPLAN_DRIFT_FLOOR`]). Counts clamp to 1 so growth from an empty
-/// table still registers. A table dropped since plan time is the epoch's
-/// business, not drift's.
+/// Whether a live row count recorded in a cached plan has moved a factor
+/// of [`REPLAN_DRIFT_FACTOR`] away from the snapshot the plan was costed
+/// from (once either side of the comparison clears [`REPLAN_DRIFT_FLOOR`]).
+/// Counts clamp to 1 so growth from an empty table still registers. A
+/// table dropped since plan time is the epoch's business, not drift's.
 fn stats_stale(catalog: &Catalog, planned: &PlannedQuery) -> bool {
     planned.stat_deps.iter().any(|dep| {
         let Ok(t) = catalog.table(&dep.table) else {
             return false;
         };
-        if t.stats.version != dep.stats_version {
-            return true;
-        }
         let live = t.heap.tuple_count().max(1);
         let at_plan = dep.rows.max(1);
         if live.max(at_plan) < REPLAN_DRIFT_FLOOR {
@@ -2434,6 +2347,51 @@ mod tests {
         );
     }
 
+    /// DESIGN §18's skewed three-way join: `big.flag = 7` keeps all 8 000
+    /// rows, but no index covers `flag`, so the filter is costed at the
+    /// flat 1/20 and the filtered scan of `big` drives index probes into
+    /// `mid` and then `small`.
+    #[test]
+    fn explain_skewed_three_way_join() {
+        let mut e = Engine::new();
+        e.execute("CREATE TABLE big (a int, b int, flag int)")
+            .unwrap();
+        e.execute("CREATE TABLE mid (b int, c int)").unwrap();
+        e.execute("CREATE TABLE small (c int, d int)").unwrap();
+        for ddl in [
+            "CREATE INDEX big_b ON big (b)",
+            "CREATE INDEX mid_b ON mid (b)",
+            "CREATE INDEX mid_c ON mid (c)",
+            "CREATE INDEX small_c ON small (c)",
+        ] {
+            e.execute(ddl).unwrap();
+        }
+        let ints = |n: i64, row: fn(i64) -> Vec<i64>| -> Vec<Vec<Value>> {
+            (0..n)
+                .map(|i| row(i).into_iter().map(Value::Int).collect())
+                .collect()
+        };
+        e.insert_rows("big", ints(8000, |i| vec![i, i, 7])).unwrap();
+        e.insert_rows("mid", ints(2000, |i| vec![i, i % 600]))
+            .unwrap();
+        e.insert_rows("small", ints(600, |i| vec![i, i])).unwrap();
+        let sql = "SELECT big.a FROM big, mid, small \
+                   WHERE big.flag = 7 AND big.b = mid.b AND mid.c = small.c";
+        let rs = e.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let text: Vec<&str> = rs.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+        assert_eq!(
+            text,
+            [
+                "Project [1 col(s)]",
+                "  IndexNlJoin probe small keys=[3]",
+                "    IndexNlJoin probe mid keys=[1]",
+                "      Project [2 col(s)]",
+                "        SeqScan big [1 cond(s)]",
+            ]
+        );
+        assert_eq!(e.execute(sql).unwrap().rows.len(), 2000);
+    }
+
     #[test]
     fn transitive_closure_operator() {
         let mut e = Engine::new();
@@ -2758,10 +2716,10 @@ mod tests {
         let rows = e.execute_prepared(id, &[Value::from("p")]).unwrap().rows;
         assert_eq!(rows, vec![vec![Value::from("p"), Value::from("q")]]);
         let s = e.stats().exec;
-        // TRUNCATE keeps the catalog epoch and the statistics version
-        // (schema and indexes survive, estimates are merely dropped), so
-        // the LFP runtime's truncate-and-refill temp-table recycling reuses
-        // its cached plans: no replan, no cold miss.
+        // TRUNCATE keeps the catalog epoch (schema and indexes survive),
+        // and a refill below the drift floor does not replan, so the LFP
+        // runtime's truncate-and-refill temp-table recycling reuses its
+        // cached plans: no replan, no cold miss.
         assert_eq!(s.plan_cache_misses, 1, "only the first execution is cold");
         assert_eq!(s.plan_replans, 0, "recycling keeps the cached plan");
         assert_eq!(s.plan_cache_hits, 1);
@@ -3078,7 +3036,6 @@ mod tests {
         )));
         assert!(corrupt(e.execute("DELETE FROM t WHERE b = 2")));
         assert!(matches!(e.scan_all("t"), Err(DbError::Corruption(_))));
-        assert!(matches!(e.analyze_table("t"), Err(DbError::Corruption(_))));
         // The engine keeps serving what is intact.
         assert_eq!(e.execute("SELECT * FROM u").unwrap().rows.len(), 1);
         assert_eq!(
@@ -3200,7 +3157,6 @@ mod tests {
              WHERE a.child = b.par AND a.par = 'adam'",
         )
         .unwrap();
-        e.analyze_table("parent").unwrap();
         e.execute("DELETE FROM parent WHERE child = 'eve'").unwrap();
         e.execute("CREATE TEMP TABLE scratch (n integer)").unwrap();
         e.drop_temp_tables();
@@ -3211,7 +3167,6 @@ mod tests {
         for name in [
             "engine.statements",
             "engine.tables_dropped",
-            "stats.refreshes",
             "plan.predicates_pushed",
             "governor.row_budget_breaches",
             "exec.index_probes",

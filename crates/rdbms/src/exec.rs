@@ -55,9 +55,6 @@ pub struct ExecStats {
     pub index_probes: u64,
     /// Tuples emitted by join operators.
     pub join_output: u64,
-    /// Index nested-loop joins that flipped to a hash build at runtime
-    /// because the outer side outgrew the planner's estimate.
-    pub join_adaptive_flips: u64,
     /// Rows returned to the caller.
     pub rows_output: u64,
     /// Prepared-statement executions that reused a cached physical plan.
@@ -1187,43 +1184,6 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             let inner_filters = bind_conds(inner_filters, ctx.params, syms);
             let residual = bind_conds(residual, ctx.params, syms);
             let mut out = RowBuf::new(emit.arity(left_rows.arity() + t.schema.arity()));
-            // The planner chose probing from its estimates at plan time;
-            // whether it still pays is re-checked here against live
-            // cardinalities. When the outer side has grown to the size of
-            // the inner relation — a cached plan iterations stale inside
-            // an LFP loop — one inner scan into a hash table beats
-            // hammering the index once per outer row. Output order is the
-            // probing order either way.
-            let probe_pays =
-                (left_rows.len() as u64) < t.heap.tuple_count().max(ANTI_JOIN_PROBE_FLOOR);
-            if !probe_pays {
-                ctx.stats.join_adaptive_flips += 1;
-                let mut inner_rows = RowBuf::new(t.schema.arity());
-                scan_rows(ctx, t, |row| {
-                    let keep = eval_all(&inner_filters, row, syms);
-                    if keep {
-                        inner_rows.push(row.iter().copied());
-                    }
-                    keep
-                })?;
-                let inner = BuildTable::build(&inner_rows, index.key_cols(), None)?;
-                ctx.prof_build(inner_rows.len() as u64);
-                let join = HashProbe {
-                    table: &inner,
-                    build_left: false,
-                    probe_keys: left_keys,
-                    residual: &residual,
-                    syms,
-                    emit,
-                };
-                let mut counts = RowCounts::default();
-                for (li, lrow) in left_rows.iter().enumerate() {
-                    gov_tick(ctx.governor, li)?;
-                    join.probe(lrow, &mut counts, &mut out);
-                }
-                ctx.absorb(counts);
-                return Ok(out);
-            }
             // Every fetched inner record decodes into this one row.
             let mut inner = Vec::new();
             for (li, lrow) in left_rows.iter().enumerate() {

@@ -17,8 +17,6 @@
 //! * [`wal`] — checksummed page-image write-ahead log for crash safety;
 //! * [`catalog`] — table/index metadata, temp-table lifecycle;
 //! * [`sql`] — lexer, parser and AST for the SQL subset;
-//! * [`stats`] — live table/column statistics (distinct counts,
-//!   equi-width histograms) refreshed by reservoir sampling;
 //! * [`rewrite`] — logical rewrite rules (predicate/projection pushdown)
 //!   run over the bound query block before physical planning;
 //! * [`cost`] — the cost model: selectivity estimation and join-order /
@@ -66,7 +64,6 @@ pub mod schema;
 pub mod snapshot;
 pub mod spill;
 pub mod sql;
-pub mod stats;
 mod sym;
 pub mod value;
 pub mod wal;
@@ -80,5 +77,4 @@ pub use governor::{BudgetBreach, BudgetKind, ExecLimits, QueryGovernor};
 pub use metrics::{Metric, Registry};
 pub use rewrite::RewriteReport;
 pub use schema::{Column, Schema, Tuple};
-pub use stats::{ColumnStats, Histogram, TableStats};
 pub use value::{ColType, Value};

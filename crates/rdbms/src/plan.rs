@@ -15,9 +15,9 @@
 //!   using live cardinality estimates (Figure 8's join-selectivity
 //!   sensitivity; Figure 12's accumulated-relation joins).
 //! * **Cost-based join ordering** — exhaustive for 2–3 way joins, greedy
-//!   beyond, driven by per-column statistics; the flat `1/20` / `1/3`
-//!   selectivities survive only as `cost.rs`'s fallback for a column with
-//!   no statistics.
+//!   beyond, driven by live row counts and index directories' distinct
+//!   counts; the flat `1/20` / `1/3` selectivities survive only as
+//!   `cost.rs`'s fallback for a column no index covers.
 //!
 //! There is one pipeline (DESIGN §18 "Why there is one planner"): bind
 //! (`rewrite::build_block`) → predicate pushdown → projection pruning →
@@ -313,16 +313,14 @@ impl PhysPlan {
     }
 }
 
-/// One statistics dependency of a plan: what the planner believed about a
-/// referenced table when it made its decisions.
+/// One statistics dependency of a plan: the live row count of a
+/// referenced table when the planner made its decisions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatDep {
     /// Canonical table name.
     pub table: String,
     /// Live tuple count at plan time.
     pub rows: u64,
-    /// [`crate::stats::TableStats::version`] at plan time.
-    pub stats_version: u64,
 }
 
 /// A planned query: the operator tree plus output column names, the
@@ -335,9 +333,8 @@ pub struct PlannedQuery {
     /// One entry per referenced table (FROM relations and `NOT EXISTS`
     /// inner tables, deduplicated), snapshotted at plan time. The engine
     /// compares these against live state before reusing a cached plan and
-    /// re-plans when the tuple count drifts ≥2× in either direction or the
-    /// table's statistics version changed — the fix for join orders frozen
-    /// while LFP temporaries were still empty.
+    /// re-plans when the tuple count drifts ≥2× in either direction — the
+    /// fix for join orders frozen while LFP temporaries were still empty.
     pub stat_deps: Vec<StatDep>,
     /// Estimated output rows per operator in pre-order — the order
     /// [`PhysPlan::explain`] lists operators and the EXPLAIN ANALYZE
@@ -691,7 +688,6 @@ fn push_stat_dep(catalog: &Catalog, deps: &mut Vec<StatDep>, table: &str) -> Res
     deps.push(StatDep {
         table: t.name.clone(),
         rows: t.heap.tuple_count(),
-        stats_version: t.stats.version,
     });
     Ok(())
 }
@@ -947,14 +943,9 @@ fn access_path(catalog: &Catalog, b: &Binding, local: &[LocalCond]) -> Result<Ph
                 }
             }
         }
+        // With no value distribution known, a bounded range is costed at
+        // the flat 1/3 per side, below a full scan, so the index is taken.
         if used == 0 {
-            continue;
-        }
-        // A wide range fetches most of the table through the index — each
-        // hit a random access — where a sequential scan is cheaper. With
-        // histogram statistics the estimated fraction gates the choice;
-        // without them the flat fallback (≤1/3) always takes the index.
-        if cost::range_scan_pays(table, *key_col, &lo, &hi) >= 0.5 {
             continue;
         }
         // Everything stays as a residual check (bounds may overlap several
