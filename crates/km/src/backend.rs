@@ -237,14 +237,23 @@ impl Storage for ExecBackend {
     }
 }
 
+/// Attempts [`with_txn`] makes at a transaction whose commit keeps losing
+/// validation before it gives up with [`KmError::RetriesExhausted`].
+pub const MAX_TXN_ATTEMPTS: usize = 64;
+
 /// Run `f` as one transaction on the backend when `transactional`,
-/// retrying the whole body on [`DbError::WriteConflict`] (shared backend
-/// only — each retry re-runs `f` on the fresh snapshot the failed commit
-/// left behind). Without `transactional` the body runs bare, preserving
-/// the private backend's non-durable fast path byte-for-byte.
+/// retrying the whole body when its commit fails validation with
+/// [`DbError::WriteConflict`] (shared backend only — each retry re-runs
+/// `f` on the fresh snapshot the failed commit left behind). Without
+/// `transactional` the body runs bare, preserving the private backend's
+/// non-durable fast path byte-for-byte.
 ///
 /// Returns `f`'s output and the time the committed attempt spent in
-/// `begin` and `commit` (zero without `transactional`).
+/// `begin` and `commit` (zero without `transactional`). After
+/// [`MAX_TXN_ATTEMPTS`] lost commits the error is
+/// [`KmError::RetriesExhausted`], carrying the last conflict; an error of
+/// the body itself — a `WriteConflict` included — is returned as it is,
+/// after one rollback and no retry.
 pub fn with_txn<T>(
     backend: &mut ExecBackend,
     transactional: bool,
@@ -256,9 +265,8 @@ pub fn with_txn<T>(
     // First-committer-wins guarantees global progress: every conflict
     // means some other session committed. The cap only guards against a
     // pathological livelock of this one session.
-    const MAX_RETRIES: usize = 64;
     let mut last = None;
-    for _ in 0..MAX_RETRIES {
+    for _ in 0..MAX_TXN_ATTEMPTS {
         let t = Instant::now();
         backend.begin()?;
         let t_begin = t.elapsed();
@@ -272,8 +280,8 @@ pub fn with_txn<T>(
         let t = Instant::now();
         match backend.commit() {
             Ok(()) => return Ok((out, t_begin + t.elapsed())),
-            Err(DbError::WriteConflict(m)) if backend.is_shared() => {
-                last = Some(DbError::WriteConflict(m));
+            Err(conflict @ DbError::WriteConflict(_)) if backend.is_shared() => {
+                last = Some(conflict);
                 continue;
             }
             Err(e) => {
@@ -284,5 +292,68 @@ pub fn with_txn<T>(
             }
         }
     }
-    Err(last.expect("loop ran at least once").into())
+    Err(KmError::RetriesExhausted {
+        attempts: MAX_TXN_ATTEMPTS,
+        last: last.expect("every attempt ended in a conflict"),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::{binary_sym, Session, SessionConfig};
+
+    /// A shared session with base relation `t`, and a second session on
+    /// the same engine.
+    fn two_sessions() -> (Session, DbSession) {
+        let shared = SharedEngine::new(Engine::new());
+        let mut s = Session::attach(&shared, SessionConfig::default()).unwrap();
+        s.define_base("t", &binary_sym()).unwrap();
+        (s, shared.session())
+    }
+
+    #[test]
+    fn a_commit_that_always_loses_gives_up_typed_after_64_attempts() {
+        let (mut s, mut rival) = two_sessions();
+        let mut attempts = 0;
+        let err = with_txn(s.backend_mut(), true, |b| {
+            attempts += 1;
+            // A DELETE writes the whole table; the rival's insert, which
+            // commits first, makes this attempt's commit lose.
+            b.execute("DELETE FROM t WHERE c0 = 'nobody'")?;
+            rival.execute(&format!("INSERT INTO t VALUES ('r{attempts}', 'x')"))?;
+            Ok(())
+        })
+        .unwrap_err();
+        assert_eq!(attempts, MAX_TXN_ATTEMPTS);
+        match &err {
+            KmError::RetriesExhausted {
+                attempts: 64,
+                last: DbError::WriteConflict(m),
+            } => assert!(m.contains("table 't'"), "{m}"),
+            other => panic!("expected retry exhaustion, got {other:?}"),
+        }
+        assert!(err.to_string().contains("64 attempts"), "{err}");
+        // Every attempt was rolled back (a transaction left open would make
+        // the next `begin` fail); the session commits as usual.
+        s.load_rules("r(X, Y) :- t(X, Y).").unwrap();
+        s.commit_workspace().unwrap();
+        assert_eq!(s.db_execute("SELECT * FROM t").unwrap().rows.len(), 64);
+    }
+
+    #[test]
+    fn a_conflict_raised_by_the_body_is_returned_as_it_is() {
+        let (mut s, _) = two_sessions();
+        let mut attempts = 0;
+        let err = with_txn(s.backend_mut(), true, |_| -> Result<(), KmError> {
+            attempts += 1;
+            Err(DbError::WriteConflict("raised inside the body".into()).into())
+        })
+        .unwrap_err();
+        assert_eq!(attempts, 1, "a body error is not retried");
+        assert!(
+            matches!(&err, KmError::Db(DbError::WriteConflict(m)) if m == "raised inside the body"),
+            "{err:?}"
+        );
+    }
 }

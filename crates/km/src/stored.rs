@@ -45,6 +45,13 @@ pub enum KmError {
     /// progress attached (see [`crate::runtime::EvalError`]). Boxed: the
     /// partial traces make it much larger than the other variants.
     Eval(Box<crate::runtime::EvalError>),
+    /// Every attempt [`crate::backend::with_txn`] made at a transaction
+    /// lost commit validation to a concurrent commit; `last` is the final
+    /// attempt's conflict. Every attempt was rolled back.
+    RetriesExhausted {
+        attempts: usize,
+        last: DbError,
+    },
 }
 
 impl std::fmt::Display for KmError {
@@ -57,6 +64,10 @@ impl std::fmt::Display for KmError {
             KmError::Internal(m) => write!(f, "internal error: {m}"),
             KmError::Integrity(m) => write!(f, "integrity violation: {m}"),
             KmError::Eval(e) => write!(f, "evaluation aborted: {e}"),
+            KmError::RetriesExhausted { attempts, last } => write!(
+                f,
+                "gave up after {attempts} attempts, each commit lost to a concurrent one; last: {last}"
+            ),
         }
     }
 }

@@ -1,11 +1,13 @@
 //! Table and index catalog.
 
 use crate::buffer::BufferPool;
-use crate::disk::Disk;
-use crate::heap::HeapFile;
+use crate::disk::{Disk, PageId};
+use crate::exec::{decode_datums, decode_tuple};
+use crate::heap::{HeapFile, RecordId};
 use crate::index::HashIndex;
-use crate::schema::Schema;
-use crate::sym::Symbols;
+use crate::rowbuf::RowBuf;
+use crate::schema::{Schema, Tuple};
+use crate::sym::{Datum, Symbols};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -14,12 +16,101 @@ use std::sync::Arc;
 pub struct Table {
     pub name: String,
     pub schema: Schema,
-    pub heap: HeapFile,
+    pub(crate) rows: Rows,
     pub indexes: Vec<HashIndex>,
-    /// Temporary tables are runtime scratch relations (the LFP loop's
-    /// per-iteration deltas); they are listed separately in stats and
-    /// dropped wholesale by `drop_temp_tables`.
-    pub is_temp: bool,
+}
+
+/// Where a table's rows live.
+#[derive(Debug, Clone)]
+pub(crate) enum Rows {
+    /// A base or dictionary relation: slotted pages behind the buffer pool,
+    /// logged by the WAL, saved by snapshots.
+    Heap(HeapFile),
+    /// A temporary — runtime scratch such as the LFP loop's per-iteration
+    /// deltas, listed separately in stats and dropped wholesale by
+    /// `drop_temp_tables` — holds its rows as the executor produced them,
+    /// in insertion order. Nothing of it is encoded, paged or logged.
+    Relation(RowBuf),
+}
+
+/// The address of row `i` of a relation: the row number split as a heap
+/// splits page and slot, so one directory type files both kinds of table.
+pub(crate) fn relation_rid(i: usize) -> RecordId {
+    RecordId {
+        page: PageId((i >> 16) as u32),
+        slot: i as u16,
+    }
+}
+
+/// The row number [`relation_rid`] gave `rid`.
+pub(crate) fn relation_row(rid: RecordId) -> usize {
+    ((rid.page.0 as usize) << 16) | usize::from(rid.slot)
+}
+
+impl Table {
+    /// Whether this is a `TEMP` table.
+    pub fn is_temp(&self) -> bool {
+        matches!(self.rows, Rows::Relation(_))
+    }
+
+    /// Number of live rows.
+    pub(crate) fn len(&self) -> u64 {
+        match &self.rows {
+            Rows::Heap(heap) => heap.tuple_count(),
+            Rows::Relation(rel) => rel.len() as u64,
+        }
+    }
+
+    /// Visit every live row in storage order, as the executor's datums.
+    /// A heap record is decoded into one reused row; a relation hands out
+    /// its own rows.
+    pub(crate) fn for_each_row(
+        &self,
+        disk: &mut Disk,
+        pool: &mut BufferPool,
+        syms: &Symbols,
+        mut f: impl FnMut(RecordId, &[Datum]) -> Result<(), DbError>,
+    ) -> Result<(), DbError> {
+        match &self.rows {
+            Rows::Heap(heap) => {
+                let mut row = Vec::new();
+                heap.scan().for_each(disk, pool, |rid, payload| {
+                    decode_datums(&self.name, rid, payload, &mut row, &mut syms.reader())?;
+                    f(rid, &row)
+                })?;
+                Ok(())
+            }
+            Rows::Relation(rel) => rel
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, row)| f(relation_rid(i), row)),
+        }
+    }
+
+    /// [`Table::for_each_row`] as a caller's values: a heap record is
+    /// decoded straight to values, a relation row's symbols are resolved.
+    pub(crate) fn for_each_tuple(
+        &self,
+        disk: &mut Disk,
+        pool: &mut BufferPool,
+        syms: &Symbols,
+        mut f: impl FnMut(RecordId, Tuple) -> Result<(), DbError>,
+    ) -> Result<(), DbError> {
+        match &self.rows {
+            Rows::Heap(heap) => {
+                heap.scan().for_each(disk, pool, |rid, payload| {
+                    f(rid, decode_tuple(&self.name, rid, payload)?)
+                })?;
+                Ok(())
+            }
+            Rows::Relation(rel) => rel.iter().enumerate().try_for_each(|(i, row)| {
+                f(
+                    relation_rid(i),
+                    row.iter().map(|&d| syms.value(d)).collect(),
+                )
+            }),
+        }
+    }
 }
 
 /// Errors surfaced by catalog operations (and re-used by the SQL layer).
@@ -116,15 +207,18 @@ impl Catalog {
         if self.tables.contains_key(&key) {
             return Err(DbError::TableExists(name.to_string()));
         }
-        let heap = HeapFile::create(disk);
+        let rows = if is_temp {
+            Rows::Relation(RowBuf::new(schema.arity()))
+        } else {
+            Rows::Heap(HeapFile::create(disk))
+        };
         self.tables.insert(
             key,
             Arc::new(Table {
                 name: name.to_string(),
                 schema,
-                heap,
+                rows,
                 indexes: Vec::new(),
-                is_temp,
             }),
         );
         Ok(())
@@ -138,7 +232,9 @@ impl Catalog {
     ) -> Result<(), DbError> {
         match self.tables.remove(&norm(name)) {
             Some(table) => {
-                table.heap.clone().destroy(disk, pool);
+                if let Rows::Heap(heap) = &table.rows {
+                    heap.clone().destroy(disk, pool);
+                }
                 Ok(())
             }
             None => Err(DbError::NoSuchTable(name.to_string())),
@@ -189,10 +285,13 @@ impl Catalog {
         self.tables.insert(norm(&table.name), Arc::new(table));
     }
 
-    /// Mutable iteration over all tables (used to rebuild volatile state
-    /// after recovery).
-    pub fn tables_mut(&mut self) -> impl Iterator<Item = &mut Table> {
-        self.tables.values_mut().map(Arc::make_mut)
+    /// Mutable iteration over the tables kept in heap files (used to
+    /// rebuild volatile state after recovery).
+    pub(crate) fn heap_tables_mut(&mut self) -> impl Iterator<Item = &mut Table> {
+        self.tables
+            .values_mut()
+            .filter(|t| !t.is_temp())
+            .map(Arc::make_mut)
     }
 
     pub fn has_table(&self, name: &str) -> bool {
@@ -227,12 +326,22 @@ impl Catalog {
         }
         let mut index =
             HashIndex::with_symbols(index_name.to_ascii_lowercase(), key_cols, ordered, syms);
-        let mut row = Vec::new();
-        table.heap.scan().for_each(disk, pool, |rid, payload| {
-            crate::exec::decode_into(table_name, rid, payload, &mut row)?;
-            index.insert(&row, rid);
-            Ok(())
-        })?;
+        match &table.rows {
+            Rows::Heap(heap) => {
+                let mut row = Vec::new();
+                heap.scan().for_each(disk, pool, |rid, payload| {
+                    crate::exec::decode_into(table_name, rid, payload, &mut row)?;
+                    index.insert(&row, rid);
+                    Ok(())
+                })?;
+            }
+            Rows::Relation(rel) => {
+                index.reserve(rel.len());
+                for (i, row) in rel.iter().enumerate() {
+                    index.insert_row(row, relation_rid(i));
+                }
+            }
+        }
         table.indexes.push(index);
         Ok(())
     }
@@ -263,17 +372,28 @@ impl Catalog {
     }
 
     /// Drop every temp table, returning how many were dropped.
-    pub fn drop_temp_tables(&mut self, disk: &mut Disk, pool: &mut BufferPool) -> usize {
-        let names: Vec<String> = self
-            .tables
+    pub fn drop_temp_tables(&mut self) -> usize {
+        let before = self.tables.len();
+        self.tables.retain(|_, t| !t.is_temp());
+        before - self.tables.len()
+    }
+
+    /// The temp tables, shared: what a transaction hands back to the
+    /// catalog if it is rolled back ([`Catalog::restore_temp_tables`]).
+    pub(crate) fn temp_tables(&self) -> Vec<Arc<Table>> {
+        self.tables
             .values()
-            .filter(|t| t.is_temp)
-            .map(|t| t.name.clone())
-            .collect();
-        for name in &names {
-            let _ = self.drop_table(disk, pool, name);
+            .filter(|t| t.is_temp())
+            .cloned()
+            .collect()
+    }
+
+    /// Put back temp tables saved by [`Catalog::temp_tables`], each
+    /// replacing whatever now has its name.
+    pub(crate) fn restore_temp_tables(&mut self, temps: Vec<Arc<Table>>) {
+        for t in temps {
+            self.tables.insert(norm(&t.name), t);
         }
-        names.len()
     }
 }
 
@@ -325,6 +445,9 @@ mod tests {
             .unwrap();
         {
             let t = cat.table_mut("t").unwrap();
+            let Rows::Heap(heap) = &mut t.rows else {
+                unreachable!("a base table is a heap")
+            };
             let rows = [
                 vec![Value::Int(1), Value::from("x")],
                 vec![Value::Int(1), Value::from("y")],
@@ -332,7 +455,7 @@ mod tests {
             ];
             for row in &rows {
                 let payload = serialize_tuple(row);
-                t.heap.insert(&mut disk, &mut pool, &payload).unwrap();
+                heap.insert(&mut disk, &mut pool, &payload).unwrap();
             }
         }
         cat.create_index(&mut disk, &mut pool, "t_a", "t", &["a".to_string()], false)
@@ -376,14 +499,14 @@ mod tests {
 
     #[test]
     fn drop_temp_tables_only_touches_temps() {
-        let (mut disk, mut pool, mut cat) = setup();
+        let (mut disk, _pool, mut cat) = setup();
         cat.create_table(&mut disk, "base", two_col_schema(), false)
             .unwrap();
         cat.create_table(&mut disk, "tmp1", two_col_schema(), true)
             .unwrap();
         cat.create_table(&mut disk, "tmp2", two_col_schema(), true)
             .unwrap();
-        assert_eq!(cat.drop_temp_tables(&mut disk, &mut pool), 2);
+        assert_eq!(cat.drop_temp_tables(), 2);
         assert!(cat.has_table("base"));
         assert!(!cat.has_table("tmp1"));
     }

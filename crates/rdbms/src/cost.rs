@@ -89,7 +89,7 @@ pub(crate) fn est_table_rows(catalog: &Catalog, table: &str, conds: &[ExecCond])
     let Ok(t) = catalog.table(table) else {
         return 0.0;
     };
-    let mut e = t.heap.tuple_count() as f64;
+    let mut e = t.len() as f64;
     for c in conds {
         e *= local_selectivity(t, c);
     }
@@ -255,7 +255,7 @@ pub(crate) fn prefer_index_nl(
     outer_rows: f64,
     inner_est: f64,
 ) -> bool {
-    let inner_rows = t.heap.tuple_count() as f64;
+    let inner_rows = t.len() as f64;
     let d = t.indexes[index_pos].distinct_keys().max(1) as f64;
     let matches = inner_rows / d;
     let nl = outer_rows * (C_PROBE + matches * C_FETCH);
@@ -339,8 +339,7 @@ fn est_walk(catalog: &Catalog, plan: &PhysPlan, out: &mut Vec<u64>) -> EstOut {
     let est = match plan {
         PhysPlan::SeqScan { table, filters } => match catalog.table(table) {
             Ok(t) => EstOut {
-                rows: t.heap.tuple_count() as f64
-                    * conds_selectivity(catalog, &table_origins(t), filters),
+                rows: t.len() as f64 * conds_selectivity(catalog, &table_origins(t), filters),
                 origins: table_origins(t),
             },
             Err(_) => EstOut {
@@ -356,7 +355,7 @@ fn est_walk(catalog: &Catalog, plan: &PhysPlan, out: &mut Vec<u64>) -> EstOut {
         } => match catalog.table(table) {
             Ok(t) => {
                 let origins = table_origins(t);
-                let n = t.heap.tuple_count() as f64;
+                let n = t.len() as f64;
                 let key_sel: f64 = t.indexes[*index_pos]
                     .key_cols()
                     .iter()
@@ -387,8 +386,7 @@ fn est_walk(catalog: &Catalog, plan: &PhysPlan, out: &mut Vec<u64>) -> EstOut {
                 // The residual repeats the range bounds, so estimating from
                 // the residual alone avoids double-counting them.
                 EstOut {
-                    rows: t.heap.tuple_count() as f64
-                        * conds_selectivity(catalog, &origins, residual),
+                    rows: t.len() as f64 * conds_selectivity(catalog, &origins, residual),
                     origins,
                 }
             }
@@ -427,7 +425,7 @@ fn est_walk(catalog: &Catalog, plan: &PhysPlan, out: &mut Vec<u64>) -> EstOut {
             match catalog.table(table) {
                 Ok(t) => {
                     let inner_origins = table_origins(t);
-                    let n = t.heap.tuple_count() as f64;
+                    let n = t.len() as f64;
                     let d = t.indexes[*index_pos].distinct_keys().max(1) as f64;
                     let matches = n / d;
                     let inner_sel = conds_selectivity(catalog, &inner_origins, inner_filters);

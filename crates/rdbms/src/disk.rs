@@ -256,10 +256,9 @@ pub struct RecoveryReport {
 }
 
 /// An in-memory paged "disk". Files are append-only collections of pages;
-/// dropping a file releases its pages immediately (the engine uses this for
-/// the temp-table churn the paper identifies as a major LFP overhead) —
-/// except during a transaction, where drops are deferred to commit so
-/// rollback can resurrect the file.
+/// dropping a file releases its pages immediately — except during a
+/// transaction, where drops are deferred to commit so rollback can
+/// resurrect the file.
 #[derive(Default)]
 pub struct Disk {
     files: Vec<Option<Vec<PageBuf>>>,

@@ -6,11 +6,11 @@
 //! bulk-loading fast paths used by workload generators.
 
 use crate::buffer::{BufferPool, BufferStats, DEFAULT_POOL_FRAMES};
-use crate::catalog::{Catalog, DbError, Table};
+use crate::catalog::{relation_rid, relation_row, Catalog, DbError, Rows, Table};
 use crate::disk::{Disk, DiskStats, FaultInjector, RecoveryReport};
 use crate::exec::{
-    bind_conds, decode_datums, decode_into, decode_tuple, eval_all, execute_plan, ExecCtx,
-    ExecStats, OpProfile, Profiler, SpillMode, DEFAULT_BATCH_ROWS,
+    bind_conds, decode_datums, decode_into, eval_all, execute_plan, ExecCtx, ExecStats, OpProfile,
+    Profiler, SpillMode, DEFAULT_BATCH_ROWS,
 };
 use crate::governor::{BudgetKind, ExecLimits, QueryGovernor, GOVERNOR_CHECK_INTERVAL};
 use crate::heap::RecordId;
@@ -93,9 +93,12 @@ enum TxnOp {
 }
 
 /// Catalog bookkeeping for the active engine-level transaction.
-#[derive(Default)]
 struct TxnState {
     ops: Vec<TxnOp>,
+    /// The temp tables as `begin` found them. A temporary is not logged:
+    /// rollback puts these back, and the first write to one of them inside
+    /// the transaction copies it rather than changing what is kept here.
+    temps: Vec<Arc<Table>>,
 }
 
 /// Handle to a statement compiled with [`Engine::prepare`]. The paper's Run
@@ -488,7 +491,10 @@ impl Engine {
         }
         self.pool.flush_all(&mut self.disk)?;
         self.disk.begin_txn()?;
-        self.txn = Some(TxnState::default());
+        self.txn = Some(TxnState {
+            ops: Vec::new(),
+            temps: self.catalog.temp_tables(),
+        });
         Ok(())
     }
 
@@ -547,39 +553,45 @@ impl Engine {
         Ok(report)
     }
 
-    /// Reverse the catalog-level actions of a transaction, newest first.
+    /// Reverse the catalog-level actions of a transaction, newest first,
+    /// then put its temp tables back as `begin` found them.
     fn undo_catalog(&mut self, state: TxnState) {
         self.catalog_epoch += 1;
         for op in state.ops.into_iter().rev() {
             match op {
                 TxnOp::Created(name) => {
-                    // The heap file itself is removed by the WAL undo.
+                    // A heap file itself is removed by the WAL undo.
                     let _ = self.catalog.take_table(&name);
                 }
                 TxnOp::Dropped(table) => self.catalog.restore_table(table),
             }
         }
+        self.catalog.restore_temp_tables(state.temps);
     }
 
     /// Rebuild everything that lives only in memory from on-disk pages:
-    /// heap tuple counts / insert hints, and index directories.
+    /// heap tuple counts / insert hints, and index directories. A temp
+    /// table has no pages; it and its directories are already whole.
     fn rebuild_volatile_state(&mut self) -> Result<(), DbError> {
         let disk = &mut self.disk;
         let pool = &mut self.pool;
-        for table in self.catalog.tables_mut() {
-            table.heap.rebuild_stats(disk, pool)?;
-            if table.indexes.is_empty() {
-                continue;
-            }
-            for index in &mut table.indexes {
-                index.clear();
-            }
+        for table in self.catalog.heap_tables_mut() {
             let Table {
                 name,
-                heap,
+                rows: Rows::Heap(heap),
                 indexes,
                 ..
-            } = table;
+            } = table
+            else {
+                unreachable!("only heap tables are listed");
+            };
+            heap.rebuild_stats(disk, pool)?;
+            if indexes.is_empty() {
+                continue;
+            }
+            for index in indexes.iter_mut() {
+                index.clear();
+            }
             let mut row = Vec::new();
             heap.scan().for_each(disk, pool, |rid, payload| {
                 decode_into(name, rid, payload, &mut row)?;
@@ -888,11 +900,19 @@ impl Engine {
     /// can resurrect it; the disk defers the file drop to commit. Cached
     /// frames are discarded, which is safe because `begin` flushed all
     /// pre-transaction state and in-transaction changes to a doomed table
-    /// are dead either way (dropped at commit, undone at rollback).
+    /// are dead either way (dropped at commit, undone at rollback). A temp
+    /// table just goes: `begin` kept it as it was.
     fn drop_table_in_txn(&mut self, name: &str) -> Result<(), DbError> {
+        if self.catalog.table(name)?.is_temp() {
+            return self
+                .catalog
+                .drop_table(&mut self.disk, &mut self.pool, name);
+        }
         let table = self.catalog.take_table(name)?;
-        self.pool.discard_file(table.heap.file_id());
-        self.disk.drop_file(table.heap.file_id());
+        if let Rows::Heap(heap) = &table.rows {
+            self.pool.discard_file(heap.file_id());
+            self.disk.drop_file(heap.file_id());
+        }
         self.txn
             .as_mut()
             .expect("checked by caller")
@@ -1037,7 +1057,9 @@ impl Engine {
     /// [`Engine::insert_rows`] over `n` rows wherever they lie: `row(i)` is
     /// the `i`-th — a caller's values, or a row of a row buffer, which is
     /// how `INSERT … SELECT` loads without ever holding a vector per row.
-    /// The page receives the same bytes either way.
+    /// A heap page receives the same bytes either way; a temp table's
+    /// relation receives the rows' datums as they are, a caller's strings
+    /// interned.
     fn insert_slices<'r, R: LoadRow + ?Sized + 'r>(
         &mut self,
         table: &str,
@@ -1069,12 +1091,32 @@ impl Engine {
                 });
             }
         }
+        let heap = match &mut t.rows {
+            Rows::Heap(heap) => heap,
+            Rows::Relation(rel) => {
+                // Appended whole, then filed under their row numbers.
+                let first = rel.len();
+                rel.reserve(n);
+                let mut names = syms.interner();
+                for i in 0..n {
+                    row(i).push_onto(rel, &mut names);
+                }
+                drop(names);
+                for index in &mut t.indexes {
+                    index.reserve(n);
+                    for i in first..rel.len() {
+                        index.insert_row(rel.row(i), relation_rid(i));
+                    }
+                }
+                return Ok(n as u64);
+            }
+        };
         // One pass over the heap (every row serialized into the same
         // buffer, each page filled under one visit), then one pass per
         // index. If the disk fails part-way, the rows already placed are
         // still indexed and counted before the error is returned.
         let mut rids = Vec::with_capacity(n);
-        let appended = t.heap.append(
+        let appended = heap.append(
             &mut self.disk,
             &mut self.pool,
             n,
@@ -1095,23 +1137,27 @@ impl Engine {
     /// Empty `table` in one step, keeping its schema and (emptied) indexes —
     /// the TRUNCATE fast path that lets the LFP runtime recycle its
     /// per-iteration candidate/delta tables instead of dropping and
-    /// recreating them. Returns the number of rows discarded. Truncation is
-    /// not WAL-logged, so inside a transaction this falls back to the
-    /// logged per-row delete path.
+    /// recreating them. Returns the number of rows discarded. Truncating a
+    /// heap is not WAL-logged, so inside a transaction a base table falls
+    /// back to the logged per-row delete path.
     pub fn clear_table(&mut self, table: &str) -> Result<u64, DbError> {
-        if self.txn.is_some() {
+        if self.txn.is_some() && !self.catalog.table(table)?.is_temp() {
             return self.delete_where(table, &[]);
         }
         self.truncate_now(table)
     }
 
-    /// Non-transactional truncate: discard every heap page and clear the
-    /// in-memory indexes. The catalog epoch is untouched — schemas and
-    /// index definitions survive, so cached plans stay valid.
+    /// Unlogged truncate: discard every heap page, or every relation row
+    /// (its allocation kept for the next fill), and clear the in-memory
+    /// indexes. The catalog epoch is untouched — schemas and index
+    /// definitions survive, so cached plans stay valid.
     fn truncate_now(&mut self, table: &str) -> Result<u64, DbError> {
         let t = self.catalog.table_mut(table)?;
-        let prior = t.heap.tuple_count();
-        t.heap.clear(&mut self.disk, &mut self.pool)?;
+        let prior = t.len();
+        match &mut t.rows {
+            Rows::Heap(heap) => heap.clear(&mut self.disk, &mut self.pool)?,
+            Rows::Relation(rel) => rel.clear(),
+        }
         for index in &mut t.indexes {
             index.clear();
         }
@@ -1121,14 +1167,15 @@ impl Engine {
     /// Delete rows matching a conjunction of conditions over one table.
     ///
     /// Three paths, cheapest first: an empty predicate outside a
-    /// transaction truncates; a conjunction of simple per-column conditions
-    /// is evaluated directly against the heap (via an index probe when an
-    /// index key is fully covered by equality conditions, else one
-    /// sequential scan); anything else — NOT EXISTS, type errors worth
-    /// reporting — goes through the ordinary query pipeline, whose matching
-    /// row *values* then drive a victim scan that is deliberately not
-    /// counted as a second logical scan. Deletion removes every duplicate
-    /// of a matched row, exactly as predicate semantics demand.
+    /// transaction, or on a temp table, truncates; a conjunction of simple
+    /// per-column conditions is evaluated directly against the stored rows
+    /// (via an index probe when an index key is fully covered by equality
+    /// conditions, else one sequential scan); anything else — NOT EXISTS,
+    /// type errors worth reporting — goes through the ordinary query
+    /// pipeline, whose matching row *values* then drive a victim scan that
+    /// is deliberately not counted as a second logical scan. Deletion
+    /// removes every duplicate of a matched row, exactly as predicate
+    /// semantics demand.
     fn delete_where(&mut self, table: &str, predicate: &[Condition]) -> Result<u64, DbError> {
         let governor = self.governor();
         let r = self.delete_where_governed(table, predicate, &governor);
@@ -1147,7 +1194,7 @@ impl Engine {
         governor: &QueryGovernor,
     ) -> Result<u64, DbError> {
         governor.check()?;
-        if predicate.is_empty() && self.txn.is_none() {
+        if predicate.is_empty() && (self.txn.is_none() || self.catalog.table(table)?.is_temp()) {
             return self.truncate_now(table);
         }
 
@@ -1178,23 +1225,25 @@ impl Engine {
                     key.map(|k| (pos, k))
                 });
             let conds = bind_conds(&conds, &[], syms);
-            // A record's values, when it satisfies the conditions.
-            let mut row = Vec::new();
-            let mut matched = |rid: RecordId, payload: &[u8]| -> Result<Option<Tuple>, DbError> {
-                decode_datums(table, rid, payload, &mut row, &mut syms.reader())?;
-                Ok(eval_all(&conds, &row, syms)
-                    .then(|| row.iter().map(|&d| syms.value(d)).collect()))
+            // A row's values, when it satisfies the conditions.
+            let matched = |row: &[Datum]| -> Option<Tuple> {
+                eval_all(&conds, row, syms).then(|| row.iter().map(|&d| syms.value(d)).collect())
             };
             let mut victims = Vec::new();
             if let Some((pos, key)) = probe {
                 self.exec_stats.index_probes += 1;
+                let mut row = Vec::new();
                 for &rid in t.indexes[pos].lookup_values(&key) {
-                    let fetched = t
-                        .heap
-                        .read(&mut self.disk, &mut self.pool, rid, |payload| {
-                            matched(rid, payload)
-                        })?;
-                    let Some(found) = fetched.transpose()? else {
+                    let fetched = match &t.rows {
+                        Rows::Heap(heap) => heap
+                            .read(&mut self.disk, &mut self.pool, rid, |payload| {
+                                decode_datums(table, rid, payload, &mut row, &mut syms.reader())
+                                    .map(|()| matched(&row))
+                            })?
+                            .transpose()?,
+                        Rows::Relation(rel) => Some(matched(rel.row(relation_row(rid)))),
+                    };
+                    let Some(found) = fetched else {
                         continue;
                     };
                     self.exec_stats.tuples_fetched += 1;
@@ -1204,19 +1253,17 @@ impl Engine {
                 }
             } else {
                 let mut seen = 0usize;
-                t.heap
-                    .scan()
-                    .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
-                        if seen.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
-                            governor.check()?;
-                        }
-                        seen += 1;
-                        self.exec_stats.tuples_scanned += 1;
-                        if let Some(tuple) = matched(rid, payload)? {
-                            victims.push((rid, tuple));
-                        }
-                        Ok(())
-                    })?;
+                t.for_each_row(&mut self.disk, &mut self.pool, syms, |rid, row| {
+                    if seen.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
+                        governor.check()?;
+                    }
+                    seen += 1;
+                    self.exec_stats.tuples_scanned += 1;
+                    if let Some(tuple) = matched(row) {
+                        victims.push((rid, tuple));
+                    }
+                    Ok(())
+                })?;
             }
             victims
         } else {
@@ -1238,24 +1285,45 @@ impl Engine {
                 self.run_query(&query)?.rows.into_iter().collect();
             let t = self.catalog.table(table)?;
             let mut victims = Vec::new();
-            t.heap
-                .scan()
-                .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
-                    let tuple = decode_tuple(table, rid, payload)?;
+            t.for_each_tuple(
+                &mut self.disk,
+                &mut self.pool,
+                self.catalog.syms(),
+                |rid, tuple| {
                     if matching.contains(&tuple) {
                         victims.push((rid, tuple));
                     }
                     Ok(())
-                })?;
+                },
+            )?;
             victims
         };
 
         let t = self.catalog.table_mut(table)?;
         let n = victims.len() as u64;
-        for (rid, tuple) in victims {
-            t.heap.delete(&mut self.disk, &mut self.pool, rid)?;
-            for index in &mut t.indexes {
-                index.remove(&tuple, rid);
+        match &mut t.rows {
+            Rows::Heap(heap) => {
+                for (rid, tuple) in victims {
+                    heap.delete(&mut self.disk, &mut self.pool, rid)?;
+                    for index in &mut t.indexes {
+                        index.remove(&tuple, rid);
+                    }
+                }
+            }
+            Rows::Relation(rel) => {
+                let mut keep = vec![true; rel.len()];
+                for (rid, _) in &victims {
+                    keep[relation_row(*rid)] = false;
+                }
+                rel.retain_marked(&keep);
+                // The rows after a deleted one moved up: file every row
+                // under its new address.
+                for index in &mut t.indexes {
+                    index.clear();
+                    for (i, row) in rel.iter().enumerate() {
+                        index.insert_row(row, relation_rid(i));
+                    }
+                }
             }
         }
         Ok(n)
@@ -1310,22 +1378,20 @@ impl Engine {
         }
 
         // One scan of the source builds the adjacency map.
+        let syms = self.catalog.syms();
         let mut adjacency: HashMap<Value, Vec<Value>> = HashMap::new();
         let mut seen_rows = 0usize;
-        src.heap
-            .scan()
-            .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
-                if seen_rows.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
-                    governor.check()?;
-                }
-                seen_rows += 1;
-                self.exec_stats.tuples_scanned += 1;
-                let mut tuple = decode_tuple(source, rid, payload)?;
-                let b = tuple.pop().expect("binary");
-                let a = tuple.pop().expect("binary");
-                adjacency.entry(a).or_default().push(b);
-                Ok(())
-            })?;
+        src.for_each_tuple(&mut self.disk, &mut self.pool, syms, |_, mut tuple| {
+            if seen_rows.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
+                governor.check()?;
+            }
+            seen_rows += 1;
+            self.exec_stats.tuples_scanned += 1;
+            let b = tuple.pop().expect("binary");
+            let a = tuple.pop().expect("binary");
+            adjacency.entry(a).or_default().push(b);
+            Ok(())
+        })?;
 
         // Per-source BFS: closed[a] = everything reachable from a. The
         // iteration works on pointers into the adjacency map — the "buffer
@@ -1353,20 +1419,17 @@ impl Engine {
             let tgt = self.catalog.table(target)?;
             let mut out = HashSet::new();
             let mut seen_rows = 0usize;
-            tgt.heap
-                .scan()
-                .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
-                    if seen_rows.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
-                        governor.check()?;
-                    }
-                    seen_rows += 1;
-                    self.exec_stats.tuples_scanned += 1;
-                    let mut tuple = decode_tuple(target, rid, payload)?;
-                    let b = tuple.pop().expect("binary");
-                    let a = tuple.pop().expect("binary");
-                    out.insert((a, b));
-                    Ok(())
-                })?;
+            tgt.for_each_tuple(&mut self.disk, &mut self.pool, syms, |_, mut tuple| {
+                if seen_rows.is_multiple_of(GOVERNOR_CHECK_INTERVAL) {
+                    governor.check()?;
+                }
+                seen_rows += 1;
+                self.exec_stats.tuples_scanned += 1;
+                let b = tuple.pop().expect("binary");
+                let a = tuple.pop().expect("binary");
+                out.insert((a, b));
+                Ok(())
+            })?;
             out
         };
         let mut fresh: Vec<Tuple> = closure
@@ -1380,7 +1443,7 @@ impl Engine {
 
     /// Number of live rows in `table`.
     pub fn table_len(&self, table: &str) -> Result<u64, DbError> {
-        Ok(self.catalog.table(table)?.heap.tuple_count())
+        Ok(self.catalog.table(table)?.len())
     }
 
     pub fn has_table(&self, table: &str) -> bool {
@@ -1410,28 +1473,29 @@ impl Engine {
             .iter()
             .map(|i| (i.name().to_string(), i.key_cols().to_vec(), i.is_ordered()))
             .collect();
-        Ok((t.schema.clone(), t.is_temp, indexes))
+        Ok((t.schema.clone(), t.is_temp(), indexes))
     }
 
     /// Materialize every live row of `table` (used by snapshots; prefer
     /// SQL for queries).
     pub fn scan_all(&mut self, table: &str) -> Result<Vec<Tuple>, DbError> {
         let t = self.catalog.table(table)?;
-        let mut out = Vec::with_capacity(t.heap.tuple_count() as usize);
-        t.heap
-            .scan()
-            .for_each(&mut self.disk, &mut self.pool, |rid, payload| {
-                out.push(decode_tuple(table, rid, payload)?);
+        let mut out = Vec::with_capacity(t.len() as usize);
+        t.for_each_tuple(
+            &mut self.disk,
+            &mut self.pool,
+            self.catalog.syms(),
+            |_, tuple| {
+                out.push(tuple);
                 Ok(())
-            })?;
+            },
+        )?;
         Ok(out)
     }
 
     /// Drop all temporary tables, returning how many were dropped.
     pub fn drop_temp_tables(&mut self) -> usize {
-        let n = self
-            .catalog
-            .drop_temp_tables(&mut self.disk, &mut self.pool);
+        let n = self.catalog.drop_temp_tables();
         self.counters.tables_dropped += n as u64;
         if n > 0 {
             self.catalog_epoch += 1;
@@ -1668,7 +1732,7 @@ fn stats_stale(catalog: &Catalog, planned: &PlannedQuery) -> bool {
         let Ok(t) = catalog.table(&dep.table) else {
             return false;
         };
-        let live = t.heap.tuple_count().max(1);
+        let live = t.len().max(1);
         let at_plan = dep.rows.max(1);
         if live.max(at_plan) < REPLAN_DRIFT_FLOOR {
             return false;
@@ -1747,6 +1811,9 @@ trait LoadRow: std::fmt::Debug {
     fn encode(&self, syms: &Symbols, out: &mut Vec<u8>);
     /// File the row under `rid` in `index`, interning through `names`.
     fn file(&self, index: &mut TableIndex, rid: RecordId, names: &mut Interner<'_>);
+    /// Append the row to a temp table's relation, interning through
+    /// `names`.
+    fn push_onto(&self, rel: &mut RowBuf, names: &mut Interner<'_>);
 }
 
 impl LoadRow for [Value] {
@@ -1765,6 +1832,13 @@ impl LoadRow for [Value] {
     /// Interns only the key columns of a hash index, and only strings.
     fn file(&self, index: &mut TableIndex, rid: RecordId, names: &mut Interner<'_>) {
         index.insert_with(self, rid, names)
+    }
+
+    fn push_onto(&self, rel: &mut RowBuf, names: &mut Interner<'_>) {
+        rel.push(self.iter().map(|v| match v {
+            Value::Int(i) => Datum::Int(*i),
+            Value::Str(s) => Datum::Sym(names.intern(s)),
+        }))
     }
 }
 
@@ -1787,6 +1861,10 @@ impl LoadRow for [Datum] {
 
     fn file(&self, index: &mut TableIndex, rid: RecordId, _: &mut Interner<'_>) {
         index.insert_row(self, rid)
+    }
+
+    fn push_onto(&self, rel: &mut RowBuf, _: &mut Interner<'_>) {
+        rel.push(self.iter().copied())
     }
 }
 
@@ -3016,8 +3094,10 @@ mod tests {
         // A record whose column count promises more bytes than it has,
         // reachable both by scan and (filed under key 9) through the index.
         let t = e.catalog.table_mut("t").unwrap();
-        let rid = t
-            .heap
+        let Rows::Heap(heap) = &mut t.rows else {
+            unreachable!("a base table is a heap")
+        };
+        let rid = heap
             .insert(&mut e.disk, &mut e.pool, &[2, 0, 0, 9, 9, 9])
             .unwrap();
         t.indexes[0].insert(&[Value::Int(9), Value::Int(9)], rid);

@@ -3,15 +3,15 @@
 //! A materializing executor: each operator produces its full result before
 //! the parent consumes it. This mirrors how the testbed's generated
 //! embedded-SQL programs behaved (every LFP iteration materialized
-//! temporaries), and keeps join state simple. A result is one flat
-//! `RowBuf` of `Copy` datums, not a vector per row: a row costs its
-//! producer a push and its consumer a slice, and a `char` value is the
-//! 4-byte id of its interned string, so no value owns heap memory of its
-//! own. Logical work is counted in [`ExecStats`] so experiments can report
+//! temporaries, which here hold such results as they are), and keeps join
+//! state simple. A result is one flat `RowBuf` of `Copy` datums, not a
+//! vector per row: a row costs its producer a push and its consumer a
+//! slice, and a `char` value is the 4-byte id of its interned string, so no
+//! value owns heap memory of its own. Logical work is counted in [`ExecStats`] so experiments can report
 //! machine-independent costs.
 
 use crate::buffer::BufferPool;
-use crate::catalog::{Catalog, DbError, Table};
+use crate::catalog::{relation_row, Catalog, DbError, Rows, Table};
 use crate::disk::Disk;
 use crate::governor::{QueryGovernor, GOVERNOR_CHECK_INTERVAL};
 use crate::hash::{KeyMap, KeySet};
@@ -787,27 +787,38 @@ fn decode_stored(
     Ok(())
 }
 
-/// Decode the record an index entry points at into `row`, inside its page;
-/// a dangling entry means the index and heap have diverged, which is
-/// corruption, not a logic bug.
-fn fetch_indexed(
+/// The row an index entry points at: a temp table's own row, or a heap
+/// record decoded into `buf` inside its page. A dangling entry means the
+/// index and the rows have diverged, which is corruption, not a logic bug.
+fn fetch_indexed<'r>(
     ctx: &mut ExecCtx<'_>,
-    table: &Table,
+    table: &'r Table,
     rid: RecordId,
-    row: &mut Vec<Datum>,
-) -> Result<(), DbError> {
+    buf: &'r mut Vec<Datum>,
+) -> Result<&'r [Datum], DbError> {
+    let missing = || {
+        DbError::Corruption(format!(
+            "table {}: index entry points at missing record {rid:?}",
+            table.name
+        ))
+    };
+    let heap = match &table.rows {
+        Rows::Heap(heap) => heap,
+        Rows::Relation(rel) => {
+            let i = relation_row(rid);
+            return if i < rel.len() {
+                Ok(rel.row(i))
+            } else {
+                Err(missing())
+            };
+        }
+    };
     let syms = ctx.syms();
-    table
-        .heap
-        .read(ctx.disk, ctx.pool, rid, |payload| {
-            decode_stored(table, rid, payload, row, &mut syms.reader())
-        })?
-        .unwrap_or_else(|| {
-            Err(DbError::Corruption(format!(
-                "table {}: index entry points at missing record {rid:?}",
-                table.name
-            )))
-        })
+    heap.read(ctx.disk, ctx.pool, rid, |payload| {
+        decode_stored(table, rid, payload, buf, &mut syms.reader())
+    })?
+    .unwrap_or_else(|| Err(missing()))?;
+    Ok(buf)
 }
 
 /// Scan all of `table`, handing each live record's row to `on_row`, which
@@ -820,15 +831,34 @@ fn fetch_indexed(
 /// so a scan allocates nothing per row; the symbol table's read lock is
 /// held for that decoding alone. `on_row` runs after both are released,
 /// so it may intern, and an intern on another session waits for one page
-/// at most.
+/// at most. A temp table's rows are handed out where they lie.
 fn scan_rows(
     ctx: &mut ExecCtx<'_>,
     table: &Table,
     mut on_row: impl FnMut(&[Datum]) -> bool,
 ) -> Result<(), DbError> {
     let batch = ctx.batch_rows.max(1);
+    let heap = match &table.rows {
+        Rows::Heap(heap) => heap,
+        Rows::Relation(rel) => {
+            for start in (0..rel.len()).step_by(batch) {
+                if let Some(g) = ctx.governor {
+                    g.check()?;
+                }
+                let end = rel.len().min(start + batch);
+                let dropped = (start..end).filter(|&i| !on_row(rel.row(i))).count();
+                ctx.absorb(RowCounts {
+                    scanned: (end - start) as u64,
+                    dropped: dropped as u64,
+                    batches: 1,
+                    ..RowCounts::default()
+                });
+            }
+            return Ok(());
+        }
+    };
     let syms = ctx.syms();
-    let mut scan = table.heap.scan();
+    let mut scan = heap.scan();
     let mut row = Vec::with_capacity(table.schema.arity());
     let mut page_rows = RowBuf::new(table.schema.arity());
     loop {
@@ -1053,17 +1083,17 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             let t = ctx.catalog.table(table)?;
             let residual = bind_conds(residual, ctx.params, syms);
             let mut out = RowBuf::new(emit.arity(t.schema.arity()));
-            let mut row = Vec::new();
+            let mut buf = Vec::new();
             for key in keys {
                 let key = resolve_key(key, ctx.params);
                 ctx.count_probe();
                 let rids = t.indexes[*index_pos].lookup_values(&key);
                 out.reserve(rids.len());
                 for &rid in rids {
-                    fetch_indexed(ctx, t, rid, &mut row)?;
+                    let row = fetch_indexed(ctx, t, rid, &mut buf)?;
                     ctx.count_fetched();
-                    if eval_all(&residual, &row, syms) {
-                        emit.row(&row, &mut out);
+                    if eval_all(&residual, row, syms) {
+                        emit.row(row, &mut out);
                     } else {
                         ctx.prof_drop();
                     }
@@ -1089,12 +1119,12 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             ctx.count_probe();
             let residual = bind_conds(residual, ctx.params, syms);
             let mut out = RowBuf::with_capacity(emit.arity(t.schema.arity()), rids.len());
-            let mut row = Vec::new();
+            let mut buf = Vec::new();
             for rid in rids {
-                fetch_indexed(ctx, t, rid, &mut row)?;
+                let row = fetch_indexed(ctx, t, rid, &mut buf)?;
                 ctx.count_fetched();
-                if eval_all(&residual, &row, syms) {
-                    emit.row(&row, &mut out);
+                if eval_all(&residual, row, syms) {
+                    emit.row(row, &mut out);
                 } else {
                     ctx.prof_drop();
                 }
@@ -1184,8 +1214,8 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             let inner_filters = bind_conds(inner_filters, ctx.params, syms);
             let residual = bind_conds(residual, ctx.params, syms);
             let mut out = RowBuf::new(emit.arity(left_rows.arity() + t.schema.arity()));
-            // Every fetched inner record decodes into this one row.
-            let mut inner = Vec::new();
+            // Every fetched heap record decodes into this one row.
+            let mut buf = Vec::new();
             for (li, lrow) in left_rows.iter().enumerate() {
                 if li % batch == 0 {
                     if let Some(g) = ctx.governor {
@@ -1196,15 +1226,15 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                 let key = Key::from_cols(lrow, left_keys);
                 ctx.count_probe();
                 for &rid in index.lookup_key(&key) {
-                    fetch_indexed(ctx, t, rid, &mut inner)?;
+                    let inner = fetch_indexed(ctx, t, rid, &mut buf)?;
                     ctx.count_fetched();
-                    if !eval_all(&inner_filters, &inner, syms) {
+                    if !eval_all(&inner_filters, inner, syms) {
                         ctx.prof_drop();
                         continue;
                     }
-                    if eval_row(&residual, &Joined(lrow, &inner), syms) {
+                    if eval_row(&residual, &Joined(lrow, inner), syms) {
                         ctx.stats.join_output += 1;
-                        emit.joined(lrow, &inner, &mut out);
+                        emit.joined(lrow, inner, &mut out);
                     } else {
                         ctx.prof_drop();
                     }
@@ -1231,7 +1261,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             // the size of the accumulated relation itself — every naive
             // LFP termination check — one inner scan into a fresh hash
             // set is cheaper than hammering the persistent index.
-            let probe_pays = (rows.len() as u64) < t.heap.tuple_count().max(ANTI_JOIN_PROBE_FLOOR);
+            let probe_pays = (rows.len() as u64) < t.len().max(ANTI_JOIN_PROBE_FLOOR);
             let mut keep = Vec::with_capacity(rows.len());
             if let (Some(pos), true) = (*index_pos, probe_pays) {
                 // The correlation keys are exactly the index key: a row of

@@ -1,6 +1,7 @@
 //! Heap files: unordered collections of variable-length records built from
-//! slotted pages, the storage representation of every base relation,
-//! dictionary relation and runtime temporary in the testbed.
+//! slotted pages, the storage representation of every base relation and
+//! dictionary relation in the testbed. (A runtime temporary keeps its rows
+//! in memory: see [`crate::catalog::Table`].)
 
 use crate::buffer::BufferPool;
 use crate::catalog::DbError;

@@ -113,8 +113,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Tombstone `slot`. Returns whether the slot was live. The payload
     /// bytes are not reclaimed (no compaction); heap files reclaim space by
-    /// dropping whole files, which is what the testbed's temp-table churn
-    /// exercises.
+    /// dropping or truncating whole files.
     pub fn delete(&mut self, slot: u16) -> bool {
         if slot >= self.slot_count() {
             return false;

@@ -687,7 +687,7 @@ fn push_stat_dep(catalog: &Catalog, deps: &mut Vec<StatDep>, table: &str) -> Res
     let t = catalog.table(table)?;
     deps.push(StatDep {
         table: t.name.clone(),
-        rows: t.heap.tuple_count(),
+        rows: t.len(),
     });
     Ok(())
 }

@@ -8,7 +8,7 @@ use crate::value::Value;
 /// these to one another instead of a `Vec` of row vectors, so producing a
 /// row is a push onto the tail, not a heap allocation, and dropping a row
 /// set is one `free`: a [`Datum`] owns nothing.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct RowBuf {
     arity: usize,
     /// Kept beside `vals` because rows may have no columns at all

@@ -74,13 +74,15 @@ fn allocations_per_tuple(s: &mut Session, what: &str) -> (f64, km::session::Quer
 
 const EDGES: usize = 5_000;
 
-/// Integer rows. Measured: 0.59 (22.9 before the row path decoded in the
+/// Integer rows. Measured: 0.56 (22.9 before the row path decoded in the
 /// page, 4.4 while the answer was still copied through a table of its own,
-/// 3.41 while every operator handed on a vector per row). Half an
-/// allocation per tuple is the answer itself — a `Vec<Vec<Value>>`, the
-/// public result type, holds 15 000 of the 30 000 tuples — and the rest is
-/// buffers and hash tables growing, a cost per doubling, not per row.
-const INT_CEILING_PER_TUPLE: f64 = 1.0;
+/// 3.41 while every operator handed on a vector per row, 0.59 while the
+/// loop's temporaries were paged). Half an allocation per tuple is the
+/// answer itself — a `Vec<Vec<Value>>`, the public result type, holds
+/// 15 000 of the 30 000 tuples — and the rest is buffers and hash tables
+/// growing, a cost per doubling, not per row. The ceiling is that plus a
+/// tenth.
+const INT_CEILING_PER_TUPLE: f64 = 0.62;
 
 #[test]
 fn chain_closure_stays_within_its_allocation_budget() {
@@ -110,9 +112,10 @@ const TREE_DEPTH: u32 = 10;
 /// table, so a scan, join output, key or page write of a tuple allocates
 /// nothing for its strings; what is left is mostly the answer itself, a
 /// `Vec<Vec<Value>>` holding a `String` per value (1.5 per derived tuple).
-/// Measured: 1.78 (11.69 while every `Str` was a heap string of its own,
-/// 18.76 with a vector per row); the ceiling is that plus a quarter.
-const STR_CEILING_PER_TUPLE: f64 = 2.2;
+/// Measured: 1.61 (11.69 while every `Str` was a heap string of its own,
+/// 18.76 with a vector per row, 1.78 while the loop's temporaries were
+/// paged); the ceiling is that plus a tenth.
+const STR_CEILING_PER_TUPLE: f64 = 1.78;
 
 #[test]
 fn tree_closure_stays_within_its_allocation_budget() {
@@ -167,17 +170,17 @@ fn allocations_per_loaded_row(
 }
 
 /// Loading `lfp_scale`'s 50 000 integer edges in 10 000-row chunks.
-/// Measured: 0.164 per row, the same before and after `char` values
-/// became symbol ids — pages and the heap's growth, no allocation of a
-/// row's own. The ceiling is that plus a tenth.
-const INT_LOAD_CEILING_PER_ROW: f64 = 0.18;
+/// Measured: 0.015 per row — pages and the heap's growth, no allocation of
+/// a row's own (0.164 when the first ceiling was set). The ceiling is that
+/// plus a tenth.
+const INT_LOAD_CEILING_PER_ROW: f64 = 0.017;
 
 /// Loading the depth-11 symbol tree of `lfp_tree` into a table with a hash
-/// index on its first column. Measured: 3.735 per row while each filed key
-/// was a boxed copy of its string; 2.238 now that a key string is copied
-/// once, when it is first interned, and every row files an inline id. The
-/// ceiling is the former plus a tenth.
-const STR_LOAD_CEILING_PER_ROW: f64 = 4.1;
+/// index on its first column. Measured: 1.092 per row (3.735 while each
+/// filed key was a boxed copy of its string, 2.238 when the first ceiling
+/// was set): a key string is copied once, when it is first interned, and
+/// every row files an inline id. The ceiling is that plus a tenth.
+const STR_LOAD_CEILING_PER_ROW: f64 = 1.21;
 
 #[test]
 fn loading_stays_within_its_allocation_budget() {

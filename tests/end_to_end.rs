@@ -311,3 +311,47 @@ fn magic_ancestor_reads_only_the_subtree() {
     assert_eq!(result.rows.len(), 6, "two children, four grandchildren");
     assert!(scanned <= 100, "execute scanned {scanned} tuples");
 }
+
+/// The LFP loop's `new_` / `delta_` / `d_` temporaries are in-memory
+/// relations: evaluating a closure allocates and writes no disk page. The
+/// logical work is pinned beside it — rows scanned, statements issued,
+/// tuples derived — so storing temporaries differently cannot change
+/// what the loop does.
+#[test]
+fn lfp_temporaries_touch_no_pages() {
+    use hornlog::types::AttrType;
+    const EDGES: usize = 5_000;
+    let mut s = Session::new(SessionConfig::default()).unwrap();
+    s.engine_mut().set_spill_mode(rdbms::SpillMode::Enabled);
+    s.define_base("edge", &[AttrType::Int, AttrType::Int])
+        .unwrap();
+    s.load_facts(
+        "edge",
+        workload::int_edges_to_rows(&workload::scaled_chains(EDGES)),
+    )
+    .unwrap();
+    s.load_rules(&workload::ancestor_program("edge")).unwrap();
+    let compiled = s.compile("?- anc(X, Y).").unwrap();
+    s.engine_mut().flush().unwrap();
+    for _ in 0..2 {
+        let before = s.engine().stats();
+        let result = s.execute(&compiled).unwrap();
+        let after = s.engine().stats();
+        assert_eq!(result.rows.len(), 3 * EDGES, "closure of 5-edge chains");
+        let pages = (
+            after.disk.pages_allocated - before.disk.pages_allocated,
+            after.disk.pages_written - before.disk.pages_written,
+        );
+        assert_eq!(pages, (0, 0), "pages allocated, written");
+        let work = (
+            after.exec.tuples_scanned - before.exec.tuples_scanned,
+            after.statements - before.statements,
+            result.outcome.breakdown.tuples_produced,
+        );
+        assert_eq!(
+            work,
+            (85_000, 37, 30_000),
+            "tuples scanned, statements, tuples produced"
+        );
+    }
+}
