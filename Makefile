@@ -24,11 +24,13 @@ bench-compare:
 experiments:
 	cargo run --release -p dkbms-bench --bin experiments
 
+# Run every non-interactive example; an error at run time fails the target.
 examples:
 	cargo run --release --example quickstart
 	cargo run --release --example genealogy
 	cargo run --release --example bill_of_materials
 	cargo run --release --example corporate_policy
+	cargo run --release --example access_control
 
 # Broken intra-doc links fail the build, as in CI's rustdoc step.
 doc:

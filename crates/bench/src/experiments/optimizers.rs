@@ -1,26 +1,17 @@
-//! Extra experiment (beyond the paper): plain vs generalized magic sets vs
-//! supplementary magic sets (§2.5 names all three) on the two classic
-//! recursive programs. At these body lengths the supplementary variant's
-//! extra materialized tables cost slightly more than the shared prefix
-//! join saves — the same flavor of tradeoff the paper reports for magic
-//! sets themselves (Figure 13's crossover).
-//!
-//! A second table is the ablation of the paper's conclusion #8: the
-//! in-engine transitive-closure operator against the generic semi-naive
-//! SQL loop on the same ancestor query and tree.
+//! Extra experiment (beyond the paper): plain evaluation vs generalized
+//! magic sets on the two classic recursive programs, queried at three
+//! levels of the same tree.
 
 use crate::experiments::min_of;
-use crate::{edges_to_rows, f3, ms, print_table, tree_session};
+use crate::{edges_to_rows, f3, ms, print_table};
 use km::session::{binary_sym, Session, SessionConfig};
-use km::LfpStrategy;
 use rdbms::Value;
 use std::time::Duration;
 use workload::graphs::{full_binary_tree, tree_node_at_level};
 
-fn sg_session(depth: u32, optimize: bool, supplementary: bool) -> Session {
+fn sg_session(depth: u32, optimize: bool) -> Session {
     let mut s = Session::new(SessionConfig {
         optimize,
-        supplementary,
         ..SessionConfig::default()
     })
     .expect("session");
@@ -43,10 +34,9 @@ fn sg_session(depth: u32, optimize: bool, supplementary: bool) -> Session {
     s
 }
 
-fn anc_session(depth: u32, optimize: bool, supplementary: bool) -> Session {
+fn anc_session(depth: u32, optimize: bool) -> Session {
     let mut s = Session::new(SessionConfig {
         optimize,
-        supplementary,
         ..SessionConfig::default()
     })
     .expect("session");
@@ -72,62 +62,24 @@ pub fn run() {
         let anc_q = format!("?- anc({node}, W).");
         rows.push(vec![
             format!("sg({node})"),
-            f3(ms(t_e(&mut sg_session(depth, false, false), &sg_q))),
-            f3(ms(t_e(&mut sg_session(depth, true, false), &sg_q))),
-            f3(ms(t_e(&mut sg_session(depth, true, true), &sg_q))),
+            f3(ms(t_e(&mut sg_session(depth, false), &sg_q))),
+            f3(ms(t_e(&mut sg_session(depth, true), &sg_q))),
         ]);
         rows.push(vec![
             format!("anc({node})"),
-            f3(ms(t_e(&mut anc_session(depth, false, false), &anc_q))),
-            f3(ms(t_e(&mut anc_session(depth, true, false), &anc_q))),
-            f3(ms(t_e(&mut anc_session(depth, true, true), &anc_q))),
+            f3(ms(t_e(&mut anc_session(depth, false), &anc_q))),
+            f3(ms(t_e(&mut anc_session(depth, true), &anc_q))),
         ]);
     }
     print_table(
         &format!("Extra: optimizer strategies, t_e (ms), depth-{depth} tree"),
-        &["query", "plain", "magic", "supplementary"],
+        &["query", "plain", "magic"],
         &rows,
     );
     println!(
-        "Beyond the paper: §2.5 lists supplementary magic next to magic sets. \
-         Both restrict evaluation identically; at these rule-body lengths the \
-         supplementary tables' materialization overhead slightly exceeds the \
-         prefix-sharing benefit — an optimization tradeoff of the same flavor \
-         as Figure 13's magic-sets crossover."
-    );
-
-    let mut rows = Vec::new();
-    for depth in [8u32, 9] {
-        let timed = |special_tc: bool| {
-            let mut s = tree_session(depth, false, LfpStrategy::SemiNaive).expect("session");
-            s.config.special_tc = special_tc;
-            let compiled = s.compile("?- anc(n1, W).").expect("compile");
-            min_of(3, || {
-                let r = s.execute(&compiled).expect("run");
-                // The operator closes the clique in one iteration.
-                assert_eq!(r.outcome.breakdown.iterations == 1, special_tc);
-                r.t_execute
-            })
-        };
-        let (generic, operator) = (timed(false), timed(true));
-        rows.push(vec![
-            depth.to_string(),
-            f3(ms(generic)),
-            f3(ms(operator)),
-            format!(
-                "{:.1}x",
-                generic.as_secs_f64() / operator.as_secs_f64().max(1e-9)
-            ),
-        ]);
-    }
-    print_table(
-        "Extra: specialized TC operator vs the generic semi-naive loop, anc(n1) t_e (ms)",
-        &["depth", "generic loop", "TC operator", "speedup"],
-        &rows,
-    );
-    println!(
-        "Paper conclusion #8: a specialized transitive-closure operator beats \
-         the generic LFP loop by skipping per-iteration temporaries, copies \
-         and set-difference termination checks."
+        "Beyond the paper: magic sets restrict evaluation to the bindings \
+         the query constants reach. Both programs gain at every level: anc \
+         more as the queried subtree shrinks, sg less as the queried \
+         generation widens."
     );
 }

@@ -64,11 +64,6 @@ pub enum ProgNode {
         preds: Vec<String>,
         exit_rules: Vec<RuleSql>,
         recursive_rules: Vec<RuleSql>,
-        /// When the clique is a plain transitive closure of one binary
-        /// relation, the source table — so the runtime can use the
-        /// engine's specialized TC operator (paper conclusion #8) instead
-        /// of the generic SQL loop.
-        tc_of: Option<String>,
     },
 }
 
@@ -319,67 +314,6 @@ fn rule_sql(
     Ok(sql)
 }
 
-/// Recognize the transitive-closure clique shape: a single binary
-/// predicate `p`, one exit rule `p(X, Y) :- b(X, Y)` copying a binary
-/// relation, and one recursive rule composing `b`/`p` linearly or `p`
-/// non-linearly (`p(X, Y) :- q(X, Z), r(Z, Y)` with `q`, `r` ∈ {b, p}).
-/// Returns the source table to close over.
-fn detect_transitive_closure(clique: &hornlog::Clique, env: &CodegenEnv<'_>) -> Option<String> {
-    use hornlog::Term;
-
-    if clique.predicates.len() != 1
-        || clique.exit_rules.len() != 1
-        || clique.recursive_rules.len() != 1
-    {
-        return None;
-    }
-    let p = clique.predicates.iter().next().expect("one predicate");
-
-    // Exit rule: p(X, Y) :- b(X, Y) with distinct variables.
-    let exit = &clique.exit_rules[0];
-    if exit.has_negation() || exit.body.len() != 1 || exit.head.arity() != 2 {
-        return None;
-    }
-    let [Term::Var(x), Term::Var(y)] = exit.head.args.as_slice() else {
-        return None;
-    };
-    if x == y || exit.body[0].args != exit.head.args {
-        return None;
-    }
-    let base = &exit.body[0].predicate;
-    if base == p {
-        return None;
-    }
-
-    // Recursive rule: p(Hx, Hy) :- q(Hx, Z), r(Z, Hy), q/r ∈ {b, p}.
-    let rec = &clique.recursive_rules[0];
-    if rec.has_negation() || rec.body.len() != 2 || rec.head.arity() != 2 {
-        return None;
-    }
-    let [Term::Var(hx), Term::Var(hy)] = rec.head.args.as_slice() else {
-        return None;
-    };
-    if hx == hy {
-        return None;
-    }
-    let (first, second) = (&rec.body[0], &rec.body[1]);
-    for atom in [first, second] {
-        if atom.predicate != *base && atom.predicate != *p {
-            return None;
-        }
-    }
-    let [Term::Var(fx), Term::Var(fz)] = first.args.as_slice() else {
-        return None;
-    };
-    let [Term::Var(sz), Term::Var(sy)] = second.args.as_slice() else {
-        return None;
-    };
-    if fx != hx || sy != hy || fz != sz || fz == hx || fz == hy {
-        return None;
-    }
-    Some(env.table_of(base))
-}
-
 /// Compile one rule into [`RuleSql`], generating delta variants for each
 /// occurrence of a predicate in `clique_preds`. A rule of the result node
 /// (`answers`) is read by the caller, which sorts and de-duplicates the
@@ -489,7 +423,6 @@ pub fn generate(
                     preds: clique.predicates.iter().cloned().collect(),
                     exit_rules: exit?,
                     recursive_rules: rec?,
-                    tc_of: detect_transitive_closure(clique, env),
                 });
             }
         }

@@ -70,13 +70,12 @@ fn magic_atom(atom: &Atom, adornment: &Adornment) -> Atom {
     Atom::new(magic_name(&atom.predicate), args)
 }
 
-/// Emit the magic rules a rule body's derived occurrences induce under the
-/// plain strategy (`m_Bi(bound) :- [head magic,] B1 .. B_{i-1}`), plus the
-/// plainly-guarded modified rule. Shared by both rewrites (the
-/// supplementary rewrite falls back here per rule) and by the query body
-/// (passed as a rule with no head magic whose modified output is skipped).
+/// Emit the magic rules a rule body's derived occurrences induce
+/// (`m_Bi(bound) :- [head magic,] B1 .. B_{i-1}`), plus the guarded
+/// modified rule. Shared by the rules and the query body (passed as a rule
+/// with no head magic whose modified output is skipped).
 #[allow(clippy::too_many_arguments)]
-fn emit_plain_rule(
+fn emit_rule(
     body: &[Atom],
     head: Option<&Atom>,
     head_magic: Option<&Atom>,
@@ -142,7 +141,7 @@ pub fn magic_rewrite(
     // Magic rules from the query body: m_q(bound args) :- B1 .. B_{i-1}.
     // For the first derived atom the prefix is empty and the magic rule
     // degenerates to the seed fact m_q(constants).
-    emit_plain_rule(
+    emit_rule(
         &adorned.query.body,
         None,
         None,
@@ -166,7 +165,7 @@ pub fn magic_rewrite(
             magic_preds.insert(m.predicate.clone());
             Some(m)
         };
-        emit_plain_rule(
+        emit_rule(
             &rule.body,
             Some(&rule.head),
             head_magic.as_ref(),
@@ -185,209 +184,6 @@ pub fn magic_rewrite(
         magic_preds,
         magic_rule_count,
     }
-}
-
-/// Name of the i-th supplementary predicate of rule `rule_idx` defining
-/// `adorned`.
-pub fn sup_name(adorned: &str, rule_idx: usize, i: usize) -> String {
-    format!("sup{rule_idx}_{i}_{adorned}")
-}
-
-/// The *supplementary* magic-sets rewrite (§2.5 lists it next to plain
-/// magic sets): each rule's body prefix joins are materialized once in
-/// supplementary predicates and shared between the magic rules and the
-/// modified rule, instead of being recomputed per magic rule.
-///
-/// For an adorned rule `p(t̄) :- B1, ..., Bn` with magic guard `m_p`:
-///
-/// ```text
-/// sup_0(V0)   :- m_p(bound t̄).          V0 = bound head variables
-/// sup_i(Vi)   :- sup_{i-1}(V{i-1}), Bi.  Vi = variables still needed later
-/// m_Bi(..)    :- sup_{i-1}(V{i-1}).      for each derived guarded Bi
-/// p(t̄)       :- sup_{n-1}(V{n-1}), Bn.
-/// ```
-///
-/// Rules where supplementaries would be nullary (no bound head variables,
-/// or an empty carry set mid-body) and single-atom bodies fall back to the
-/// plain rewrite for that rule; answers are identical either way.
-pub fn supplementary_magic_rewrite(
-    program: &Program,
-    query: &Clause,
-    derived: &BTreeSet<String>,
-) -> MagicRewrite {
-    let adorned = adorn_program(program, query, derived);
-    let mut rewritten = Program::default();
-    let mut magic_preds = BTreeSet::new();
-    let mut magic_rule_count = 0;
-
-    let adornment_of = |atom: &Atom| -> Option<Adornment> {
-        adorned.origin.get(&atom.predicate).map(|(_, a)| a.clone())
-    };
-
-    // Query-body magic rules: identical to the plain rewrite (the query is
-    // evaluated once; there is no shared prefix to save).
-    emit_plain_rule(
-        &adorned.query.body,
-        None,
-        None,
-        &[],
-        &adornment_of,
-        &mut rewritten,
-        &mut magic_preds,
-        &mut magic_rule_count,
-    );
-
-    for (rule_idx, rule) in adorned.rules.iter().enumerate() {
-        let head_adornment = adorned
-            .origin
-            .get(&rule.head.predicate)
-            .map(|(_, a)| a.clone())
-            .expect("adorned rules have adorned heads");
-        let head_magic = if head_adornment.is_all_free() {
-            None
-        } else {
-            let m = magic_atom(&rule.head, &head_adornment);
-            magic_preds.insert(m.predicate.clone());
-            Some(m)
-        };
-
-        if let Some(plan) = head_magic
-            .as_ref()
-            .and_then(|m| plan_supplementaries(rule, m, rule_idx))
-        {
-            // Emit sup chain + magic rules + modified rule.
-            for clause in plan.sup_rules {
-                rewritten.push(clause);
-            }
-            for (i, atom) in rule.body.iter().enumerate() {
-                let Some(adn) = adornment_of(atom) else {
-                    continue;
-                };
-                if adn.is_all_free() {
-                    continue;
-                }
-                let head = magic_atom(atom, &adn);
-                magic_preds.insert(head.predicate.clone());
-                rewritten.push(Clause {
-                    head,
-                    body: vec![plan.sup_atoms[i].clone()],
-                    negative_body: Vec::new(),
-                });
-                magic_rule_count += 1;
-            }
-            rewritten.push(Clause {
-                head: rule.head.clone(),
-                body: vec![
-                    plan.sup_atoms[rule.body.len() - 1].clone(),
-                    rule.body[rule.body.len() - 1].clone(),
-                ],
-                negative_body: rule.negative_body.clone(),
-            });
-            continue;
-        }
-
-        // Fallback: plain rewrite for this rule.
-        emit_plain_rule(
-            &rule.body,
-            Some(&rule.head),
-            head_magic.as_ref(),
-            &rule.negative_body,
-            &adornment_of,
-            &mut rewritten,
-            &mut magic_preds,
-            &mut magic_rule_count,
-        );
-    }
-
-    MagicRewrite {
-        program: rewritten,
-        query: adorned.query,
-        origin: adorned.origin,
-        magic_preds,
-        magic_rule_count,
-    }
-}
-
-/// The supplementary chain for one rule: `sup_atoms[i]` is the atom
-/// `sup_i(Vi)` available *before* evaluating body atom `i`.
-struct SupPlan {
-    sup_rules: Vec<Clause>,
-    sup_atoms: Vec<Atom>,
-}
-
-fn plan_supplementaries(rule: &Clause, head_magic: &Atom, rule_idx: usize) -> Option<SupPlan> {
-    use hornlog::Term;
-    let n = rule.body.len();
-    if n < 2 || rule.has_negation() {
-        return None;
-    }
-    // Variables needed at or after position i (body suffix + head).
-    let mut needed_after: Vec<BTreeSet<&str>> = vec![BTreeSet::new(); n + 1];
-    needed_after[n] = rule.head.variables().into_iter().collect();
-    for i in (0..n).rev() {
-        let mut set = needed_after[i + 1].clone();
-        set.extend(rule.body[i].variables());
-        needed_after[i] = set;
-    }
-
-    // V0: bound head variables in first-occurrence order.
-    let mut carry: Vec<&str> = Vec::new();
-    for v in head_magic.variables() {
-        if !carry.contains(&v) {
-            carry.push(v);
-        }
-    }
-    if carry.is_empty() {
-        return None;
-    }
-
-    let adorned_head = &rule.head.predicate;
-    let mut sup_rules = Vec::with_capacity(n);
-    let mut sup_atoms = Vec::with_capacity(n);
-
-    // sup_0(V0) :- m_p(bound head args).
-    let sup0 = Atom::new(
-        sup_name(adorned_head, rule_idx, 0),
-        carry.iter().map(|v| Term::var(*v)).collect(),
-    );
-    sup_rules.push(Clause {
-        head: sup0.clone(),
-        body: vec![head_magic.clone()],
-        negative_body: Vec::new(),
-    });
-    sup_atoms.push(sup0);
-
-    // sup_i(Vi) :- sup_{i-1}(V{i-1}), Bi.   for i = 1..n-1
-    for i in 1..n {
-        let mut avail: Vec<&str> = carry.clone();
-        for v in rule.body[i - 1].variables() {
-            if !avail.contains(&v) {
-                avail.push(v);
-            }
-        }
-        let next_carry: Vec<&str> = avail
-            .into_iter()
-            .filter(|v| needed_after[i].contains(v))
-            .collect();
-        if next_carry.is_empty() {
-            return None;
-        }
-        let sup_i = Atom::new(
-            sup_name(adorned_head, rule_idx, i),
-            next_carry.iter().map(|v| Term::var(*v)).collect(),
-        );
-        sup_rules.push(Clause {
-            head: sup_i.clone(),
-            body: vec![sup_atoms[i - 1].clone(), rule.body[i - 1].clone()],
-            negative_body: Vec::new(),
-        });
-        sup_atoms.push(sup_i);
-        carry = next_carry;
-    }
-    Some(SupPlan {
-        sup_rules,
-        sup_atoms,
-    })
 }
 
 #[cfg(test)]

@@ -449,9 +449,6 @@ struct NodeOut {
     elapsed: Duration,
     /// The query answer, if this was the result node (empty otherwise).
     answer: Vec<Vec<Value>>,
-    /// The specialized TC operator ran: `elapsed` is the single
-    /// statement's time and the clique trace gets zero setup.
-    tc: bool,
 }
 
 /// Evaluate one node of the evaluation order.
@@ -460,7 +457,6 @@ fn eval_node(
     prog: &EvalProgram,
     node: &ProgNode,
     strategy: LfpStrategy,
-    special_tc: bool,
     ctl: &EvalCtl,
 ) -> Result<NodeOut, KmError> {
     let node_start = Instant::now();
@@ -476,24 +472,13 @@ fn eval_node(
                 iterations: Vec::new(),
                 elapsed: node_start.elapsed(),
                 answer,
-                tc: false,
             })
         }
         ProgNode::Clique {
             preds,
             exit_rules,
             recursive_rules,
-            tc_of,
         } => {
-            // The specialized operator applies only when nothing was
-            // seeded into the clique predicate (seeds would extend the
-            // LFP beyond the plain closure).
-            let seeded = prog.seeds.iter().any(|(p, _)| preds.contains(p));
-            if special_tc && !seeded {
-                if let Some(src) = tc_of {
-                    return eval_tc(db, &prog.ns, &preds[0], src, ctl);
-                }
-            }
             let types: BTreeMap<&str, &[AttrType]> = preds
                 .iter()
                 .map(|p| (p.as_str(), prog.tables[p].as_slice()))
@@ -510,56 +495,9 @@ fn eval_node(
                 iterations,
                 elapsed: node_start.elapsed(),
                 answer: Vec::new(),
-                tc: false,
             })
         }
     }
-}
-
-/// Evaluate a clique the code generator recognized as the plain transitive
-/// closure of `src` with the engine's specialized operator: one statement,
-/// reported as a single iteration.
-fn eval_tc(
-    db: &mut Engine,
-    ns: &str,
-    pred: &str,
-    src: &str,
-    ctl: &EvalCtl,
-) -> Result<NodeOut, KmError> {
-    let preds = [pred.to_string()];
-    let mut b = LfpBreakdown::default();
-    let mut traces = Vec::new();
-    ctl.check_deadline()
-        .map_err(|br| budget_err(br, clique_partial(&preds, &b, &mut traces)))?;
-    let snap = StatSnap::take(db);
-    let t = Instant::now();
-    let rs = db.execute(&format!(
-        "INSERT INTO {} TRANSITIVE CLOSURE OF {src}",
-        all_table(ns, pred)
-    ))?;
-    let elapsed = t.elapsed();
-    b.t_eval_rhs = elapsed;
-    b.n_eval_stmts = 1;
-    b.iterations = 1;
-    b.tuples_produced = rs.affected;
-    let mut iter = snap.finish(db);
-    iter.iteration = 1;
-    iter.delta_cards = vec![(pred.to_string(), rs.affected)];
-    iter.t_eval = elapsed;
-    iter.t_total = elapsed;
-    traces.push(iter);
-    // The operator runs as one statement, so the fact budget is enforced
-    // on its affected count after the fact — the engine-level row budget
-    // is the in-flight bound for this path.
-    ctl.charge_facts(rs.affected)
-        .map_err(|br| budget_err(br, clique_partial(&preds, &b, &mut traces)))?;
-    Ok(NodeOut {
-        breakdown: b,
-        iterations: traces,
-        elapsed,
-        answer: Vec::new(),
-        tc: true,
-    })
 }
 
 /// Fold one node's result into the outcome accumulators.
@@ -579,11 +517,7 @@ fn record_node(
             predicates: predicates.clone(),
             is_magic,
             total: out.elapsed,
-            t_setup: if out.tc {
-                Duration::ZERO
-            } else {
-                out.elapsed.saturating_sub(iter_total)
-            },
+            t_setup: out.elapsed.saturating_sub(iter_total),
             iterations: out.iterations,
         });
     }
@@ -597,21 +531,18 @@ fn record_node(
 }
 
 /// Run a generated program to completion and read the answer, with no
-/// resource limits and the generic SQL LFP loop for every clique.
+/// resource limits.
 pub fn run_program(
     db: &mut Engine,
     prog: &EvalProgram,
     strategy: LfpStrategy,
 ) -> Result<EvalOutcome, KmError> {
-    run_program_governed(db, prog, strategy, false, &EvalLimits::default())
+    run_program_governed(db, prog, strategy, &EvalLimits::default())
 }
 
 /// Run a generated program under an evaluation governor: a wall-clock
 /// deadline (armed on the engine too, so individual statements observe
 /// it), a per-clique iteration cap, and a cumulative derived-fact budget.
-/// With `special_tc`, cliques the code generator recognized as plain TC
-/// evaluate with one `INSERT ... TRANSITIVE CLOSURE OF ...` statement
-/// instead of the generic SQL LFP loop (paper conclusion #8).
 ///
 /// A breach — or an engine-level budget/cancellation breach surfacing from
 /// a statement — aborts the run with [`EvalError::Budget`], carrying the
@@ -623,13 +554,12 @@ pub fn run_program_governed(
     db: &mut Engine,
     prog: &EvalProgram,
     strategy: LfpStrategy,
-    special_tc: bool,
     limits: &EvalLimits,
 ) -> Result<EvalOutcome, KmError> {
     let deadline = limits.deadline.map(|d| Instant::now() + d);
     let ctl = EvalCtl::new(limits, deadline);
     db.set_eval_deadline(deadline);
-    let r = run_program_inner(db, prog, strategy, special_tc, &ctl);
+    let r = run_program_inner(db, prog, strategy, &ctl);
     db.set_eval_deadline(None);
     match r {
         Ok(out) => Ok(out),
@@ -663,7 +593,6 @@ fn run_program_inner(
     db: &mut Engine,
     prog: &EvalProgram,
     strategy: LfpStrategy,
-    special_tc: bool,
     ctl: &EvalCtl,
 ) -> Result<EvalOutcome, KmError> {
     let start = Instant::now();
@@ -696,7 +625,7 @@ fn run_program_inner(
     let mut clique_traces = Vec::new();
     let mut rows = Vec::new();
     for node in &prog.nodes {
-        match eval_node(db, prog, node, strategy, special_tc, ctl) {
+        match eval_node(db, prog, node, strategy, ctl) {
             Ok(mut out) => {
                 rows.append(&mut out.answer);
                 record_node(
@@ -1480,7 +1409,7 @@ mod tests {
                 max_iterations: Some(2),
                 ..EvalLimits::default()
             };
-            let err = run_program_governed(&mut db, &prog, strategy, false, &limits).unwrap_err();
+            let err = run_program_governed(&mut db, &prog, strategy, &limits).unwrap_err();
             let (resource, limit, used, partial) = budget_parts(err);
             assert_eq!(resource, EvalResource::Iterations, "{strategy:?}");
             assert_eq!(limit, 2);
@@ -1512,7 +1441,7 @@ mod tests {
                 max_derived_facts: Some(12),
                 ..EvalLimits::default()
             };
-            let err = run_program_governed(&mut db, &prog, strategy, false, &limits).unwrap_err();
+            let err = run_program_governed(&mut db, &prog, strategy, &limits).unwrap_err();
             let (resource, limit, used, partial) = budget_parts(err);
             assert_eq!(resource, EvalResource::DerivedFacts);
             assert_eq!(limit, 12);
@@ -1537,7 +1466,7 @@ mod tests {
                 max_derived_facts: Some(60),
                 ..EvalLimits::default()
             };
-            let err = run_program_governed(&mut db, &prog, strategy, false, &limits).unwrap_err();
+            let err = run_program_governed(&mut db, &prog, strategy, &limits).unwrap_err();
             let (resource, limit, used, partial) = budget_parts(err);
             assert_eq!(resource, EvalResource::DerivedFacts, "{strategy:?}");
             assert_eq!((limit, used), (60, 90));
@@ -1564,8 +1493,8 @@ mod tests {
             deadline: Some(Duration::ZERO),
             ..EvalLimits::default()
         };
-        let err = run_program_governed(&mut db, &prog, LfpStrategy::SemiNaive, false, &limits)
-            .unwrap_err();
+        let err =
+            run_program_governed(&mut db, &prog, LfpStrategy::SemiNaive, &limits).unwrap_err();
         let (resource, _, _, _) = budget_parts(err);
         assert_eq!(resource, EvalResource::Deadline);
         // The eval deadline is cleared on exit: the engine serves again.
@@ -1583,7 +1512,6 @@ mod tests {
             &mut db2,
             &prog,
             LfpStrategy::SemiNaive,
-            false,
             &EvalLimits::default(),
         )
         .unwrap();
@@ -1600,8 +1528,8 @@ mod tests {
             let (program, _) = ancestor_program("?- anc(A, B).");
             let prog = compile(&program, &db);
             db.cancel();
-            let err = run_program_governed(&mut db, &prog, strategy, false, &EvalLimits::default())
-                .unwrap_err();
+            let err =
+                run_program_governed(&mut db, &prog, strategy, &EvalLimits::default()).unwrap_err();
             let (resource, _, _, _) = budget_parts(err);
             assert_eq!(resource, EvalResource::Canceled);
             assert_eq!(prepared_open(&db), 0.0, "{strategy:?}: handles released");

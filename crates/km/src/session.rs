@@ -28,13 +28,6 @@ pub struct SessionConfig {
     pub strategy: LfpStrategy,
     /// Maintain the compiled rule storage form (`reachablepreds`).
     pub compiled_storage: bool,
-    /// Use the engine's specialized transitive-closure operator for
-    /// cliques that match the TC pattern (paper conclusion #8).
-    pub special_tc: bool,
-    /// When `optimize` is set, use the *supplementary* magic-sets variant
-    /// (§2.5): prefix joins are materialized once in supplementary
-    /// predicates and shared between magic and modified rules.
-    pub supplementary: bool,
     /// Run every [`Session::commit_workspace`] as one write-ahead-logged
     /// engine transaction, so a crash mid-update leaves the Stored D/KB
     /// either fully pre- or fully post-update. Off by default: without it
@@ -63,8 +56,6 @@ impl Default for SessionConfig {
             optimize: false,
             strategy: LfpStrategy::SemiNaive,
             compiled_storage: true,
-            special_tc: false,
-            supplementary: false,
             durability: false,
             deadline: None,
             max_iterations: None,
@@ -542,7 +533,6 @@ impl Session {
             self.backend.eval_engine(),
             &entry.compiled.program,
             self.config.strategy,
-            self.config.special_tc,
             &limits,
         )?;
         let rows = std::mem::take(&mut outcome.rows);
@@ -705,11 +695,7 @@ impl Session {
             query.has_negation() || relevant.clauses.iter().any(Clause::has_negation);
         let optimized = self.config.optimize && !uses_negation;
         let (rules_for_eval, eval_query, extra_seeds) = if optimized {
-            let rw = if self.config.supplementary {
-                crate::magic::supplementary_magic_rewrite(&relevant, &query, &derived_set)
-            } else {
-                magic_rewrite(&relevant, &query, &derived_set)
-            };
+            let rw = magic_rewrite(&relevant, &query, &derived_set);
             types = rw.rewritten_types(&types);
             let mut rules = Program::default();
             let mut seeds = Vec::new();
@@ -720,9 +706,6 @@ impl Session {
                     rules.push(clause);
                 }
             }
-            // A second inference pass types any predicates the rewrite
-            // introduced beyond adorned/magic (the supplementary chain).
-            types = hornlog::types::infer_types(&rules, &types)?;
             (rules, rw.query, seeds)
         } else {
             (relevant.clone(), query.clone(), Vec::new())
@@ -789,7 +772,6 @@ impl Session {
             self.backend.eval_engine(),
             &compiled.program,
             self.config.strategy,
-            self.config.special_tc,
             &limits,
         )?;
         let rows = std::mem::take(&mut outcome.rows);
@@ -832,12 +814,8 @@ impl Session {
                     preds,
                     exit_rules,
                     recursive_rules,
-                    tc_of,
                 } => {
                     out.push(format!("[{i}] clique {{{}}}", preds.join(", ")));
-                    if let Some(src) = tc_of {
-                        out.push(format!("      (transitive closure of {src})"));
-                    }
                     for r in exit_rules {
                         out.push(format!("      exit: {}", r.full_sql));
                     }

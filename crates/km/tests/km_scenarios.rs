@@ -91,27 +91,6 @@ fn explain_lists_sql_and_delta_variants() {
 }
 
 #[test]
-fn explain_marks_tc_cliques() {
-    let mut s = Session::new(SessionConfig {
-        special_tc: true,
-        ..SessionConfig::default()
-    })
-    .unwrap();
-    s.define_base("parent", &binary_sym()).unwrap();
-    s.load_rules(
-        "anc(X, Y) :- parent(X, Y).\n\
-         anc(X, Y) :- parent(X, Z), anc(Z, Y).\n",
-    )
-    .unwrap();
-    let listing = s.explain("?- anc(V, W).").unwrap();
-    let text = listing.join("\n");
-    assert!(
-        text.contains("transitive closure of parent"),
-        "TC detection surfaced:\n{text}"
-    );
-}
-
-#[test]
 fn magic_program_visible_in_explain() {
     let mut s = Session::new(SessionConfig {
         optimize: true,

@@ -1,24 +1,18 @@
-//! Access control: a policy engine exercising every extension at once —
-//! stratified negation (deny rules), the specialized transitive-closure
-//! operator (role hierarchies), and precompiled queries with update
-//! invalidation (the hot access-check path).
+//! Access control: a policy engine exercising the extensions together —
+//! stratified negation (deny rules), a recursive role hierarchy, and
+//! precompiled queries with update invalidation (the hot access-check
+//! path).
 //!
 //! ```text
 //! cargo run --example access_control
 //! ```
 
 use km::session::{binary_sym, Session, SessionConfig};
-use km::LfpStrategy;
 use rdbms::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut s = Session::new(SessionConfig {
         optimize: false, // negation rules: the optimizer would decline anyway
-        strategy: LfpStrategy::SemiNaive,
-        compiled_storage: true,
-        special_tc: true, // role-hierarchy closure uses the TC operator
-        supplementary: false,
-        durability: false,
         ..SessionConfig::default()
     })?;
 
@@ -64,9 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vec![vec![Value::from("bob"), Value::from("repo")]],
     )?;
 
-    // Policy: role inheritance is transitive (a TC clique — the engine's
-    // specialized operator evaluates it); access = membership + inherited
-    // grant, minus explicit denials (stratified negation).
+    // Policy: role inheritance is transitive (a recursive clique);
+    // access = membership + inherited grant, minus explicit denials
+    // (stratified negation).
     s.load_rules(
         "inherits(R, P) :- subrole(R, P).\n\
          inherits(R, P) :- subrole(R, Q), inherits(Q, P).\n\

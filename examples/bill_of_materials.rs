@@ -13,18 +13,12 @@
 //! ```
 
 use km::session::{binary_sym, Session, SessionConfig};
-use km::LfpStrategy;
 use rdbms::Value;
 use workload::graphs::layered_dag;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut s = Session::new(SessionConfig {
         optimize: true,
-        strategy: LfpStrategy::SemiNaive,
-        compiled_storage: true,
-        special_tc: false,
-        supplementary: false,
-        durability: false,
         ..SessionConfig::default()
     })?;
 

@@ -10,18 +10,12 @@
 //! ```
 
 use km::session::{binary_sym, Session, SessionConfig};
-use km::LfpStrategy;
 use rdbms::Value;
 use workload::graphs::{full_binary_tree, subtree_edges, tree_node_at_level};
 
 fn build_session(optimize: bool) -> Result<Session, Box<dyn std::error::Error>> {
     let mut s = Session::new(SessionConfig {
         optimize,
-        strategy: LfpStrategy::SemiNaive,
-        compiled_storage: true,
-        special_tc: false,
-        supplementary: false,
-        durability: false,
         ..SessionConfig::default()
     })?;
     s.define_base("parent", &binary_sym())?;

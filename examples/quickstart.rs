@@ -6,18 +6,12 @@
 //! ```
 
 use km::session::{binary_sym, Session, SessionConfig};
-use km::LfpStrategy;
 use rdbms::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A session = relational engine + stored D/KB + workspace.
     let mut session = Session::new(SessionConfig {
         optimize: true, // generalized magic sets
-        strategy: LfpStrategy::SemiNaive,
-        compiled_storage: true,
-        special_tc: false,
-        supplementary: false,
-        durability: false,
         ..SessionConfig::default()
     })?;
 

@@ -24,7 +24,7 @@ or a query starting with '?-'. Commands:
   :list            show workspace rules and facts
   :commit          commit workspace rules to the stored D/KB
   :clear           clear the workspace
-  :magic on|off|supp    toggle the optimizer (supp = supplementary variant)
+  :magic on|off    toggle the optimizer (generalized magic sets)
   :strategy naive|seminaive   choose the LFP strategy
   :explain <query> show the compiled program for a query
   :save <path>     snapshot the stored D/KB to a file
@@ -135,13 +135,7 @@ fn handle_command(session: &mut Session, cmd: &str) -> Result<bool, Box<dyn std:
         }
         ("magic", Some("off")) => {
             session.config.optimize = false;
-            session.config.supplementary = false;
             println!("magic sets: off");
-        }
-        ("magic", Some("supp")) => {
-            session.config.optimize = true;
-            session.config.supplementary = true;
-            println!("magic sets: on (supplementary)");
         }
         ("strategy", Some("naive")) => {
             session.config.strategy = LfpStrategy::Naive;

@@ -111,22 +111,32 @@ fn all_free_query_computes_full_closure() {
 
 #[test]
 fn second_argument_bound() {
-    let edges = graphs::full_binary_tree(5);
-    // Who are the ancestors of leaf n31? Exactly the nodes on the path to
-    // the root: n15, n7, n3, n1.
+    // Who are the ancestors of a node? Exactly the nodes on its path to
+    // the root (fb, whose magic rules bind the inner occurrence bb).
+    for (depth, query, path) in [
+        (5, "?- anc(W, n31).", ["n1", "n3", "n7", "n15"].as_slice()),
+        (
+            6,
+            "?- anc(W, n33).",
+            ["n1", "n2", "n4", "n8", "n16"].as_slice(),
+        ),
+    ] {
+        let edges = graphs::full_binary_tree(depth);
+        for config in all_configs() {
+            let mut s = session_with_edges(config, &edges);
+            let (_, result) = s.query(query).unwrap();
+            let got: BTreeSet<&str> = result.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+            assert_eq!(got, path.iter().copied().collect(), "{query}");
+        }
+    }
+    // bb: the root reaches a leaf, a sibling subtree's node does not.
+    let edges = graphs::full_binary_tree(6);
     for config in all_configs() {
         let mut s = session_with_edges(config, &edges);
-        let (_, result) = s.query("?- anc(W, n31).").unwrap();
-        let got: BTreeSet<String> = result
-            .rows
-            .iter()
-            .map(|r| r[0].as_str().unwrap().to_string())
-            .collect();
-        let expected: BTreeSet<String> = ["n1", "n3", "n7", "n15"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(got, expected);
+        let (_, yes) = s.query("?- anc(n1, n63).").unwrap();
+        assert_eq!(yes.rows, [[Value::from("true")]]);
+        let (_, no) = s.query("?- anc(n2, n63).").unwrap();
+        assert!(no.rows.is_empty());
     }
 }
 
@@ -173,45 +183,59 @@ fn boolean_and_base_relation_queries() {
 fn nonlinear_ancestor_agrees_with_linear() {
     let edges = graphs::layered_dag(4, 4, 2, 5);
     let mut linear = session_with_edges(SessionConfig::default(), &edges);
-    let mut s = Session::with_defaults().unwrap();
-    s.define_base("edge", &binary_sym()).unwrap();
-    s.load_facts("edge", rows(&edges)).unwrap();
-    s.load_rules(&workload::rules::ancestor_nonlinear("edge"))
-        .unwrap();
     let (_, r1) = linear.query("?- anc(d0_0, W).").unwrap();
-    let (_, r2) = s.query("?- anc(d0_0, W).").unwrap();
-    assert_eq!(r1.rows, r2.rows);
+    for rules in [
+        workload::rules::ancestor_nonlinear("edge"),
+        workload::rules::ancestor_right_linear("edge"),
+    ] {
+        let mut s = Session::with_defaults().unwrap();
+        s.define_base("edge", &binary_sym()).unwrap();
+        s.load_facts("edge", rows(&edges)).unwrap();
+        s.load_rules(&rules).unwrap();
+        let (_, r2) = s.query("?- anc(d0_0, W).").unwrap();
+        assert_eq!(r1.rows, r2.rows, "{rules}");
+    }
 }
 
 #[test]
 fn same_generation_on_tree() {
-    let edges = graphs::full_binary_tree(5);
-    let mut s = Session::new(SessionConfig {
-        optimize: true,
-        ..SessionConfig::default()
-    })
-    .unwrap();
-    // up = child-to-parent, down = parent-to-child, flat = sibling base.
-    s.define_base("up", &binary_sym()).unwrap();
-    s.define_base("down", &binary_sym()).unwrap();
-    s.define_base("flat", &binary_sym()).unwrap();
-    s.load_facts(
-        "up",
-        edges
-            .iter()
-            .map(|(p, c)| vec![Value::from(c.as_str()), Value::from(p.as_str())])
-            .collect(),
-    )
-    .unwrap();
-    s.load_facts("down", rows(&edges)).unwrap();
-    // flat: each node is in the same generation as itself at the root.
-    s.load_facts("flat", vec![vec![Value::from("n1"), Value::from("n1")]])
-        .unwrap();
-    s.load_rules(workload::same_generation()).unwrap();
-    let (_, result) = s.query("?- sg(n16, W).").unwrap();
-    // n16 is on level 5 (16 nodes); all level-5 nodes are same-generation.
-    assert_eq!(result.rows.len(), 16);
-    assert!(result.rows.contains(&vec![Value::from("n31")]));
+    // sg(n16) on a depth-5 tree and sg(n32) on a depth-6 one: every node of
+    // the queried level is same-generation, with magic sets off and on.
+    for (depth, node, last) in [(5, "n16", "n31"), (6, "n32", "n63")] {
+        let edges = graphs::full_binary_tree(depth);
+        let answers: Vec<Vec<Vec<Value>>> = [false, true]
+            .into_iter()
+            .map(|optimize| {
+                let mut s = Session::new(SessionConfig {
+                    optimize,
+                    ..SessionConfig::default()
+                })
+                .unwrap();
+                // up = child-to-parent, down = parent-to-child.
+                s.define_base("up", &binary_sym()).unwrap();
+                s.define_base("down", &binary_sym()).unwrap();
+                s.define_base("flat", &binary_sym()).unwrap();
+                s.load_facts(
+                    "up",
+                    edges
+                        .iter()
+                        .map(|(p, c)| vec![Value::from(c.as_str()), Value::from(p.as_str())])
+                        .collect(),
+                )
+                .unwrap();
+                s.load_facts("down", rows(&edges)).unwrap();
+                // flat: the root is in its own generation.
+                s.load_facts("flat", vec![vec![Value::from("n1"), Value::from("n1")]])
+                    .unwrap();
+                s.load_rules(workload::same_generation()).unwrap();
+                s.query(&format!("?- sg({node}, W).")).unwrap().1.rows
+            })
+            .collect();
+        assert_eq!(answers[0], answers[1], "sg({node}): magic off vs on");
+        // The queried node's level holds 2^(depth-1) nodes.
+        assert_eq!(answers[0].len(), 1 << (depth - 1));
+        assert!(answers[0].contains(&vec![Value::from(last)]));
+    }
 }
 
 #[test]

@@ -1,139 +1,34 @@
-//! Tests of the specialized transitive-closure operator (paper conclusion
-//! #8): correctness against the generic LFP loop, pattern-detection
-//! boundaries, and the cost reduction it delivers.
+//! The engine's transitive-closure operator (paper conclusion #8) as the
+//! reference answer for the ancestor variants the Knowledge Manager
+//! evaluates with its generic LFP loop.
 
-use km::session::{binary_sym, Session, SessionConfig};
-use rdbms::Value;
+use km::session::{binary_sym, Session};
+use rdbms::{Engine, Value};
+use workload::edges_to_rows as rows;
 use workload::graphs;
-
-fn session(edges: &[(String, String)], special_tc: bool, rules: &str) -> Session {
-    let mut s = Session::new(SessionConfig {
-        special_tc,
-        ..SessionConfig::default()
-    })
-    .unwrap();
-    s.define_base("edge", &binary_sym()).unwrap();
-    s.load_facts(
-        "edge",
-        edges
-            .iter()
-            .map(|(a, b)| vec![Value::from(a.as_str()), Value::from(b.as_str())])
-            .collect(),
-    )
-    .unwrap();
-    s.load_rules(rules).unwrap();
-    s
-}
-
-#[test]
-fn tc_operator_matches_generic_loop_on_all_graph_families() {
-    let rules = workload::ancestor_program("edge");
-    for edges in [
-        graphs::lists(2, 6),
-        graphs::full_binary_tree(6),
-        graphs::layered_dag(4, 5, 2, 3),
-        graphs::cyclic_digraph(2, 4, 3, 8),
-    ] {
-        let mut generic = session(&edges, false, &rules);
-        let mut special = session(&edges, true, &rules);
-        let (_, r1) = generic.query("?- anc(V, W).").unwrap();
-        let (_, r2) = special.query("?- anc(V, W).").unwrap();
-        assert_eq!(r1.rows, r2.rows);
-        // The fast path really engaged: one eval statement, one iteration.
-        assert_eq!(r2.outcome.breakdown.iterations, 1);
-        assert!(
-            r2.outcome.breakdown.n_eval_stmts < r1.outcome.breakdown.n_eval_stmts,
-            "TC operator issues fewer statements"
-        );
-    }
-}
 
 #[test]
 fn tc_operator_applies_to_right_linear_and_nonlinear_variants() {
     let edges = graphs::lists(1, 8);
+    let mut e = Engine::new();
+    e.execute("CREATE TABLE g (s char, t char)").unwrap();
+    e.execute("CREATE TABLE tc (s char, t char)").unwrap();
+    e.insert_rows("g", rows(&edges)).unwrap();
+    e.execute("INSERT INTO tc TRANSITIVE CLOSURE OF g").unwrap();
+    let closure = e.execute("SELECT s, t FROM tc ORDER BY s, t").unwrap().rows;
+    assert_eq!(closure.len(), 7 * 8 / 2, "C(8,2) chain pairs");
     for rules in [
         workload::rules::ancestor_right_linear("edge"),
         workload::rules::ancestor_nonlinear("edge"),
     ] {
-        let mut special = session(&edges, true, &rules);
-        let (_, r) = special.query("?- anc(V, W).").unwrap();
-        assert_eq!(r.rows.len(), 7 * 8 / 2, "C(8,2) chain pairs");
-        assert_eq!(r.outcome.breakdown.iterations, 1, "fast path used");
+        let mut s = Session::with_defaults().unwrap();
+        s.define_base("edge", &binary_sym()).unwrap();
+        s.load_facts("edge", rows(&edges)).unwrap();
+        s.load_rules(&rules).unwrap();
+        let (_, r) = s.query("?- anc(V, W).").unwrap();
+        let mut got: Vec<Vec<Value>> = r.rows;
+        got.sort();
+        assert_eq!(got, closure, "{rules}");
+        assert!(r.outcome.breakdown.iterations > 1, "generic LFP loop ran");
     }
-}
-
-#[test]
-fn non_tc_cliques_fall_back_to_the_generic_loop() {
-    // Same-generation is recursive but not a transitive closure.
-    let mut s = Session::new(SessionConfig {
-        special_tc: true,
-        ..SessionConfig::default()
-    })
-    .unwrap();
-    s.define_base("up", &binary_sym()).unwrap();
-    s.define_base("down", &binary_sym()).unwrap();
-    s.define_base("flat", &binary_sym()).unwrap();
-    let tree = graphs::full_binary_tree(4);
-    s.load_facts(
-        "up",
-        tree.iter()
-            .map(|(p, c)| vec![Value::from(c.as_str()), Value::from(p.as_str())])
-            .collect(),
-    )
-    .unwrap();
-    s.load_facts(
-        "down",
-        tree.iter()
-            .map(|(p, c)| vec![Value::from(p.as_str()), Value::from(c.as_str())])
-            .collect(),
-    )
-    .unwrap();
-    s.load_facts("flat", vec![vec![Value::from("n1"), Value::from("n1")]])
-        .unwrap();
-    s.load_rules(workload::same_generation()).unwrap();
-    let (_, r) = s.query("?- sg(n8, W).").unwrap();
-    assert_eq!(r.rows.len(), 8, "level-4 nodes share a generation");
-    assert!(r.outcome.breakdown.iterations > 1, "generic LFP loop ran");
-}
-
-#[test]
-fn seeded_clique_predicates_disable_the_fast_path() {
-    let edges = graphs::lists(1, 5);
-    let mut s = session(&edges, true, &workload::ancestor_program("edge"));
-    // A workspace fact seeds anc directly: plain TC would miss tuples
-    // derived through the seed, so the runtime must fall back.
-    s.load_rules("anc(extra, \"L0_0\").\n").unwrap();
-    let (_, r) = s.query("?- anc(extra, W).").unwrap();
-    assert_eq!(r.rows, vec![vec![Value::from("L0_0")]]);
-    assert!(r.outcome.breakdown.iterations > 1, "fell back to the loop");
-}
-
-#[test]
-fn tc_operator_respects_bound_queries() {
-    // The fast path computes the full closure; the query node then
-    // restricts — answers must match the generic configuration.
-    let edges = graphs::full_binary_tree(5);
-    let rules = workload::ancestor_program("edge");
-    let mut generic = session(&edges, false, &rules);
-    let mut special = session(&edges, true, &rules);
-    for q in ["?- anc(n2, W).", "?- anc(W, n9).", "?- anc(n1, n31)."] {
-        let (_, r1) = generic.query(q).unwrap();
-        let (_, r2) = special.query(q).unwrap();
-        assert_eq!(r1.rows, r2.rows, "query {q}");
-    }
-}
-
-#[test]
-fn tc_operator_with_extra_filters_in_rules_falls_back() {
-    // A constant in the recursive rule breaks the pure-TC pattern.
-    let edges = graphs::lists(1, 5);
-    let rules = "anc(X, Y) :- edge(X, Y).\n\
-                 anc(X, Y) :- edge(X, Z), anc(Z, Y), edge(Z, Y).\n";
-    let mut s = session(&edges, true, rules);
-    let (_, r) = s.query("?- anc(V, W).").unwrap();
-    // Body has three atoms: not the TC shape; must still terminate and be
-    // correct. The recursive rule requires edge(Z, Y), so it only adds
-    // distance-2 pairs: 4 edges + 3 two-hop pairs on the 5-node chain.
-    assert_eq!(r.rows.len(), 7);
-    assert!(r.outcome.breakdown.iterations >= 1);
 }

@@ -4,6 +4,8 @@
 
 use proptest::prelude::*;
 use rdbms::{DbError, Engine, Value};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use workload::graphs;
 
 // ---------------------------------------------------------------------
 // Scenario tests
@@ -226,6 +228,47 @@ fn index_maintenance_under_churn() {
     assert_eq!(rs.scalar_int(), Some(5));
     let rs = e.execute("SELECT COUNT(*) FROM t WHERE k = 75").unwrap();
     assert_eq!(rs.scalar_int(), Some(0));
+}
+
+#[test]
+fn transitive_closure_operator_matches_bfs_on_all_graph_families() {
+    // Chains, a tree, a DAG and cyclic graphs: the statement's rows and its
+    // affected count equal a BFS closure from every source node.
+    for edges in [
+        graphs::lists(2, 6),
+        graphs::full_binary_tree(6),
+        graphs::layered_dag(4, 5, 2, 3),
+        graphs::cyclic_digraph(2, 4, 3, 8),
+    ] {
+        let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+        for (a, b) in &edges {
+            adj.entry(a).or_default().push(b);
+        }
+        let mut expected = Vec::new();
+        for &start in adj.keys() {
+            let mut seen = BTreeSet::new();
+            let mut queue = VecDeque::from([start]);
+            while let Some(n) = queue.pop_front() {
+                for &next in adj.get(n).into_iter().flatten() {
+                    if seen.insert(next) {
+                        queue.push_back(next);
+                    }
+                }
+            }
+            expected.extend(
+                seen.into_iter()
+                    .map(|t| vec![Value::from(start), Value::from(t)]),
+            );
+        }
+        let mut e = Engine::new();
+        e.execute("CREATE TABLE g (s char, t char)").unwrap();
+        e.execute("CREATE TABLE tc (s char, t char)").unwrap();
+        e.insert_rows("g", workload::edges_to_rows(&edges)).unwrap();
+        let rs = e.execute("INSERT INTO tc TRANSITIVE CLOSURE OF g").unwrap();
+        assert_eq!(rs.affected, expected.len() as u64);
+        let rs = e.execute("SELECT s, t FROM tc ORDER BY s, t").unwrap();
+        assert_eq!(rs.rows, expected);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -288,6 +288,57 @@ fn compile_reads_are_flat_in_the_stored_rule_count() {
     assert!(small[2] > 0, "extraction goes through the indexes");
 }
 
+/// Figure 8's claim as a count, on the source-only form (no
+/// `reachablepreds`): extraction walks `rulesource` one level at a time
+/// through its head-predicate index, so what one `compile` reads grows
+/// linearly with the relevant rules R_rs and not with the stored rules R_s.
+#[test]
+fn source_only_compile_reads_grow_with_relevant_rules_only() {
+    let store = |chains: usize| -> Session {
+        let mut s = Session::new(SessionConfig {
+            compiled_storage: false,
+            ..SessionConfig::default()
+        })
+        .unwrap();
+        s.define_base("base", &binary_sym()).unwrap();
+        for clause in &workload::chain_rule_base(chains, 20, "base").clauses {
+            s.workspace_mut().add_clause(clause.clone());
+        }
+        s.commit_workspace().unwrap();
+        s.workspace_mut().clear();
+        s
+    };
+    // Tuples read (scanned + fetched) by one compile of a query whose
+    // predicate heads the last `r_rs` rules of chain 0.
+    let reads = |s: &mut Session, r_rs: usize| -> u64 {
+        let query = workload::rules::chain_query(0, 20 - r_rs, "a");
+        // Once to warm up, once measured.
+        s.compile(&query).unwrap();
+        let before = s.engine().stats().exec;
+        let compiled = s.compile(&query).unwrap();
+        let after = s.engine().stats().exec;
+        assert_eq!(compiled.relevant_rules, r_rs);
+        (after.tuples_scanned - before.tuples_scanned)
+            + (after.tuples_fetched - before.tuples_fetched)
+    };
+    let mut small = store(20);
+    let by_stored = [
+        reads(&mut small, 7),
+        reads(&mut store(60), 7),
+        reads(&mut store(100), 7),
+    ];
+    assert_eq!(
+        by_stored, [46; 3],
+        "R_rs = 7 at R_s = 400 / 1 200 / 2 000: 1 scanned + 45 fetched each"
+    );
+    let by_relevant = [5, 10, 15].map(|r_rs| reads(&mut small, r_rs));
+    assert!(
+        by_relevant[0] < by_relevant[1]
+            && by_relevant[1] - by_relevant[0] == by_relevant[2] - by_relevant[1],
+        "R_rs = 5 / 10 / 15 at R_s = 400 read 34 / 64 / 94 (4 + 6 R_rs): {by_relevant:?}"
+    );
+}
+
 /// A session whose Stored D/KB holds `chains` 20-rule chains over `base`,
 /// plus an empty base relation `other` for commits to hang rules on.
 fn chain_store(chains: usize) -> Session {

@@ -1,102 +1,36 @@
-//! Tests of the supplementary magic-sets variant: rewrite structure,
-//! agreement with plain magic sets and unoptimized evaluation, and the
-//! shared-prefix saving it exists for.
+//! Agreement of the optimizer configurations on the §2.5 workloads:
+//! unoptimized evaluation, magic sets with semi-naive LFP, and magic sets
+//! with naive LFP must return the same answers.
 
-use hornlog::parser::{parse_program, parse_query};
-use km::magic::{magic_rewrite, supplementary_magic_rewrite};
 use km::session::{binary_sym, Session, SessionConfig};
+use km::LfpStrategy;
 use rdbms::Value;
-use std::collections::BTreeSet;
+use workload::edges_to_rows as rows;
 use workload::graphs;
 
-fn derived(names: &[&str]) -> BTreeSet<String> {
-    names.iter().map(|s| s.to_string()).collect()
-}
-
-#[test]
-fn same_generation_gets_supplementaries() {
-    // sg's recursive rule has a 3-atom body: the classic case where the
-    // supplementary chain shares the up-join between the magic rule and
-    // the modified rule.
-    let p = parse_program(
-        "sg(X, Y) :- flat(X, Y).\n\
-         sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\n",
-    )
-    .unwrap();
-    let q = parse_query("?- sg(john, W).").unwrap();
-    let rw = supplementary_magic_rewrite(&p, &q, &derived(&["sg"]));
-    let texts: Vec<String> = rw.program.clauses.iter().map(|c| c.to_string()).collect();
-    // sup_0 from the magic guard, sup chain through the prefix.
-    assert!(
-        texts
-            .iter()
-            .any(|t| t.starts_with("sup1_0_sg__bf(X) :- m_sg__bf(X).")),
-        "sup_0 present: {texts:#?}"
-    );
-    assert!(
-        texts
-            .iter()
-            .any(|t| t.contains("sup1_1_sg__bf") && t.contains("up(X, U)")),
-        "sup_1 joins the prefix: {texts:#?}"
-    );
-    // The magic rule reads the supplementary, not the raw prefix. (sup_1
-    // carries X too — the head still needs it downstream.)
-    assert!(
-        texts.contains(&"m_sg__bf(U) :- sup1_1_sg__bf(X, U).".to_string()),
-        "magic rule over sup: {texts:#?}"
-    );
-    // The modified rule reads the last supplementary plus the final atom.
-    assert!(
-        texts
-            .iter()
-            .any(|t| t.starts_with("sg__bf(X, Y) :- sup1_2_sg__bf(") && t.contains("down(V, Y)")),
-        "modified rule over sup: {texts:#?}"
-    );
-}
-
-#[test]
-fn single_atom_bodies_fall_back_to_plain_magic() {
-    let p = parse_program("anc(X, Y) :- parent(X, Y).\nanc(X, Y) :- parent(X, Z), anc(Z, Y).\n")
-        .unwrap();
-    let q = parse_query("?- anc(adam, W).").unwrap();
-    let plain = magic_rewrite(&p, &q, &derived(&["anc"]));
-    let sup = supplementary_magic_rewrite(&p, &q, &derived(&["anc"]));
-    // The exit rule (1 body atom) must be identical in both rewrites.
-    let plain_texts: BTreeSet<String> = plain
-        .program
-        .clauses
-        .iter()
-        .map(|c| c.to_string())
-        .collect();
-    assert!(plain_texts.contains("anc__bf(X, Y) :- m_anc__bf(X), parent(X, Y)."));
-    let sup_texts: BTreeSet<String> = sup.program.clauses.iter().map(|c| c.to_string()).collect();
-    assert!(sup_texts.contains("anc__bf(X, Y) :- m_anc__bf(X), parent(X, Y)."));
-}
+/// (optimize, strategy) of the three configurations compared.
+const CONFIGS: [(bool, LfpStrategy); 3] = [
+    (false, LfpStrategy::SemiNaive),
+    (true, LfpStrategy::SemiNaive),
+    (true, LfpStrategy::Naive),
+];
 
 fn run_config(
     edges: &[(String, String)],
     rules: &str,
     query: &str,
-    optimize: bool,
-    supplementary: bool,
+    (optimize, strategy): (bool, LfpStrategy),
 ) -> Vec<Vec<Value>> {
     let mut s = Session::new(SessionConfig {
         optimize,
-        supplementary,
+        strategy,
         ..SessionConfig::default()
     })
     .unwrap();
     for rel in ["up", "down", "flat", "edge"] {
         s.define_base(rel, &binary_sym()).unwrap();
     }
-    s.load_facts(
-        "edge",
-        edges
-            .iter()
-            .map(|(a, b)| vec![Value::from(a.as_str()), Value::from(b.as_str())])
-            .collect(),
-    )
-    .unwrap();
+    s.load_facts("edge", rows(edges)).unwrap();
     // up = reversed edges, down = edges, flat = self-pairs at roots.
     s.load_facts(
         "up",
@@ -106,14 +40,7 @@ fn run_config(
             .collect(),
     )
     .unwrap();
-    s.load_facts(
-        "down",
-        edges
-            .iter()
-            .map(|(a, b)| vec![Value::from(a.as_str()), Value::from(b.as_str())])
-            .collect(),
-    )
-    .unwrap();
+    s.load_facts("down", rows(edges)).unwrap();
     s.load_facts("flat", vec![vec![Value::from("n1"), Value::from("n1")]])
         .unwrap();
     s.load_rules(rules).unwrap();
@@ -126,11 +53,9 @@ fn three_optimizer_configs_agree_on_same_generation() {
     let edges = graphs::full_binary_tree(6);
     let rules = workload::same_generation();
     let query = "?- sg(n32, W).";
-    let plain = run_config(&edges, rules, query, false, false);
-    let magic = run_config(&edges, rules, query, true, false);
-    let supp = run_config(&edges, rules, query, true, true);
+    let [plain, magic, naive] = CONFIGS.map(|c| run_config(&edges, rules, query, c));
     assert_eq!(plain, magic);
-    assert_eq!(plain, supp);
+    assert_eq!(plain, naive);
     // n32 is on level 6: 32 same-generation members.
     assert_eq!(plain.len(), 32);
 }
@@ -140,65 +65,8 @@ fn three_optimizer_configs_agree_on_ancestor() {
     let edges = graphs::full_binary_tree(6);
     let rules = workload::ancestor_program("edge");
     for query in ["?- anc(n2, W).", "?- anc(V, n33).", "?- anc(n1, n63)."] {
-        let plain = run_config(&edges, &rules, query, false, false);
-        let magic = run_config(&edges, &rules, query, true, false);
-        let supp = run_config(&edges, &rules, query, true, true);
+        let [plain, magic, naive] = CONFIGS.map(|c| run_config(&edges, &rules, query, c));
         assert_eq!(plain, magic, "{query}");
-        assert_eq!(plain, supp, "{query}");
+        assert_eq!(plain, naive, "{query}");
     }
-}
-
-#[test]
-fn supplementary_reduces_tuple_work_on_wide_bodies() {
-    // A rule with a long prefix reused by two recursive occurrences: the
-    // supplementary variant evaluates the prefix once.
-    let edges = graphs::full_binary_tree(7);
-    let rules = "sg(X, Y) :- flat(X, Y).\n\
-                 sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\n";
-    let query = "?- sg(n64, W).";
-    let mut magic_s = Session::new(SessionConfig {
-        optimize: true,
-        ..SessionConfig::default()
-    })
-    .unwrap();
-    let mut supp_s = Session::new(SessionConfig {
-        optimize: true,
-        supplementary: true,
-        ..SessionConfig::default()
-    })
-    .unwrap();
-    for s in [&mut magic_s, &mut supp_s] {
-        for rel in ["up", "down", "flat"] {
-            s.define_base(rel, &binary_sym()).unwrap();
-        }
-        s.load_facts(
-            "up",
-            edges
-                .iter()
-                .map(|(a, b)| vec![Value::from(b.as_str()), Value::from(a.as_str())])
-                .collect(),
-        )
-        .unwrap();
-        s.load_facts(
-            "down",
-            edges
-                .iter()
-                .map(|(a, b)| vec![Value::from(a.as_str()), Value::from(b.as_str())])
-                .collect(),
-        )
-        .unwrap();
-        s.load_facts("flat", vec![vec![Value::from("n1"), Value::from("n1")]])
-            .unwrap();
-        s.load_rules(rules).unwrap();
-    }
-    let (_, r1) = magic_s.query(query).unwrap();
-    let (_, r2) = supp_s.query(query).unwrap();
-    assert_eq!(r1.rows, r2.rows);
-    // Both are correct; the structural claim is that the supplementary
-    // program materializes the prefix once (visible as sup tables).
-    let listing = supp_s.explain(query).unwrap().join("\n");
-    assert!(
-        listing.contains("sup1_1_sg__bf"),
-        "sup chain in program:\n{listing}"
-    );
 }
