@@ -1,4 +1,5 @@
-//! What a `TEMP` table promises across transactions, forks and recovery.
+//! What a `TEMP` table promises across transactions, forks and recovery,
+//! and that its indexes answer what a scan of its rows would.
 //!
 //! A temporary is session scratch: it never reaches a snapshot file and
 //! never outlives its engine. Inside a transaction it still behaves like
@@ -6,7 +7,8 @@
 //! keeps it — a fork sees its own copy, and crash recovery puts it back
 //! where the interrupted transaction found it (DESIGN §8).
 
-use rdbms::{Engine, FaultInjector, Value};
+use rdbms::{Engine, FaultInjector, ResultSet, Value};
+use std::collections::BTreeSet;
 
 fn rows(e: &mut Engine, table: &str) -> Vec<i64> {
     e.execute(&format!("SELECT x FROM {table} ORDER BY x"))
@@ -147,4 +149,211 @@ fn recovery_returns_temporaries_to_where_the_transaction_found_them() {
     // Still a working table.
     e.execute("INSERT INTO t VALUES (9)").unwrap();
     assert_eq!(rows(&mut e, "t"), [1, 2, 3, 9]);
+}
+
+/// Every row of `table`, in storage order.
+fn scan(e: &mut Engine, table: &str) -> Vec<Vec<Value>> {
+    e.execute(&format!("SELECT * FROM {table}")).unwrap().rows
+}
+
+/// `sql` with `{T}` naming `table`, run on `e`.
+fn run_on(e: &mut Engine, sql: &str, table: &str) -> ResultSet {
+    e.execute(&sql.replace("{T}", table)).unwrap()
+}
+
+fn plan_of(e: &mut Engine, sql: &str) -> String {
+    e.execute(&format!("EXPLAIN {}", sql.replace("{T}", "t")))
+        .unwrap()
+        .rows
+        .iter()
+        .flatten()
+        .map(|v| v.to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// `sql` run against `t` (indexed) and `r` (the same rows, unindexed):
+/// both must answer the same rows in the same order. Returns `t`'s plan.
+fn same_on_both(e: &mut Engine, sql: &str) -> String {
+    let indexed = run_on(e, sql, "t").rows;
+    let plain = run_on(e, sql, "r").rows;
+    assert_eq!(indexed, plain, "{sql}");
+    plan_of(e, sql)
+}
+
+/// Apply one write, which must touch some rows, to `t` and to `r` alike.
+fn write_both(e: &mut Engine, sql: &str) {
+    let a = run_on(e, sql, "t").affected;
+    let b = run_on(e, sql, "r").affected;
+    assert_eq!(a, b, "{sql}");
+    assert!(a > 0, "{sql}");
+}
+
+/// The strings `src` holds, in the order the engine first meets them:
+/// reverse lexical, so symbol ids and string order disagree.
+fn names() -> Vec<String> {
+    (0..40).rev().map(|i| format!("w{i:02}")).collect()
+}
+
+/// Temp table `t (k, s)` with a non-unique index on `s`; `r` the same
+/// shape, unindexed; `src`, 3 000 rows to load both from; `probe`, a few
+/// keys, some filed and some not. The full-key index on `t (k, s)` comes
+/// later, so that it is backfilled.
+fn indexed_pair() -> Engine {
+    let mut e = Engine::new();
+    e.enable_wal();
+    e.execute("CREATE TABLE src (k integer, s char)").unwrap();
+    let names = names();
+    // Intern the names in `names()` order before any row uses them.
+    let first: Vec<Vec<Value>> = names
+        .iter()
+        .map(|n| vec![Value::Int(-1), Value::from(n.as_str())])
+        .collect();
+    e.insert_rows("src", first).unwrap();
+    e.execute("DELETE FROM src").unwrap();
+    let rows: Vec<Vec<Value>> = (0..3_000i64)
+        .map(|i| {
+            vec![
+                Value::Int(i * 7_919 % 211),
+                Value::from(names[(i * 31 % 40) as usize].as_str()),
+            ]
+        })
+        .collect();
+    e.insert_rows("src", rows).unwrap();
+    e.execute_script(
+        "CREATE TABLE probe (k integer, s char);
+         INSERT INTO probe VALUES (3, 'w05'), (150, 'w31'), (3, 'w06'),
+           (7, 'zz'), (210, 'w00'), (42, 'w39'), (3, 'w05');
+         CREATE TEMP TABLE t (k integer, s char);
+         CREATE INDEX t_s ON t (s);
+         CREATE TEMP TABLE r (k integer, s char);",
+    )
+    .unwrap();
+    e
+}
+
+/// Every read the indexes serve, on `t` and on `r`, plus the directories'
+/// counts, which must be exact: the planner's distinct counts read them
+/// (`cost::col_distinct`).
+fn check(e: &mut Engine) {
+    for s in ["w05", "w00", "w39", "zz", "never-interned"] {
+        let plan = same_on_both(e, &format!("SELECT * FROM {{T}} WHERE s = '{s}'"));
+        assert!(plan.contains("IndexLookup t"), "{plan}");
+    }
+    let stored = scan(e, "r");
+    // A multi-key lookup answers key by key, each key's rows in filing
+    // order, which is the unindexed copy's storage order.
+    let list = ["w31", "w06", "w05"];
+    let in_list = "SELECT * FROM t WHERE s IN ('w31', 'w06', 'w05')";
+    let expect: Vec<Vec<Value>> = list
+        .iter()
+        .flat_map(|s| stored.iter().filter(move |x| x[1] == Value::from(*s)))
+        .cloned()
+        .collect();
+    assert_eq!(e.execute(in_list).unwrap().rows, expect);
+    for (k, s) in [(3, "w05"), (150, "w31"), (7, "zz"), (3, "w39")] {
+        same_on_both(
+            e,
+            &format!("SELECT * FROM {{T}} WHERE k = {k} AND s = '{s}'"),
+        );
+    }
+    // Anti-join: the probe rows with no row of the table under their key.
+    let plan = same_on_both(
+        e,
+        "SELECT * FROM probe p WHERE NOT EXISTS \
+         (SELECT * FROM {T} x WHERE x.k = p.k AND x.s = p.s)",
+    );
+    let full_key = e.catalog().table("t").unwrap().indexes.len() == 2;
+    if full_key {
+        assert!(plan.contains("probe index"), "{plan}");
+    }
+    // Index nested-loop join: per probe row, the matches in filing order,
+    // which is the unindexed copy's storage order.
+    let join = "SELECT p.k, x.k, x.s FROM probe p, {T} x WHERE p.s = x.s";
+    if !stored.is_empty() {
+        let plan = plan_of(e, join);
+        assert!(plan.contains("IndexNlJoin probe t"), "{plan}");
+    }
+    let expect: Vec<Vec<Value>> = scan(e, "probe")
+        .iter()
+        .flat_map(|p| {
+            stored
+                .iter()
+                .filter(move |x| x[1] == p[1])
+                .map(move |x| vec![p[0].clone(), x[0].clone(), x[1].clone()])
+        })
+        .collect();
+    assert_eq!(run_on(e, join, "t").rows, expect);
+    let mut hashed = run_on(e, join, "r").rows;
+    let mut sorted = expect;
+    hashed.sort();
+    sorted.sort();
+    assert_eq!(hashed, sorted);
+    // Counts.
+    let singles: BTreeSet<Value> = stored.iter().map(|x| x[1].clone()).collect();
+    let pairs: BTreeSet<&Vec<Value>> = stored.iter().collect();
+    let t = e.catalog().table("t").unwrap();
+    for ix in &t.indexes {
+        let distinct = if ix.key_cols() == [1] {
+            singles.len()
+        } else {
+            pairs.len()
+        };
+        assert_eq!(ix.distinct_keys(), distinct, "{}", ix.name());
+        assert_eq!(ix.entry_count(), stored.len(), "{}", ix.name());
+    }
+}
+
+/// Relation indexes answer every lookup, index nested-loop join and
+/// anti-join with the rows, and the order, that the same statement gets
+/// from an unindexed copy — across directory growth, `CREATE INDEX`
+/// backfill, `DELETE` (every row re-filed), `TRUNCATE`, rollback and a
+/// fork — and keep their distinct and entry counts exact.
+#[test]
+fn relation_indexes_answer_as_an_unindexed_copy_does() {
+    let mut e = indexed_pair();
+    check(&mut e);
+    write_both(&mut e, "INSERT INTO {T} SELECT * FROM src WHERE k < 20");
+    check(&mut e);
+    e.execute("CREATE INDEX t_ks ON t (k, s)").unwrap();
+    check(&mut e);
+    // Overlapping batches file duplicate keys, in both directories.
+    write_both(
+        &mut e,
+        "INSERT INTO {T} SELECT * FROM src WHERE k >= 10 AND k < 120",
+    );
+    write_both(&mut e, "INSERT INTO {T} SELECT * FROM src");
+    check(&mut e);
+    // Deletes through the index probe, by scan, and by subquery.
+    write_both(&mut e, "DELETE FROM {T} WHERE s = 'w07'");
+    write_both(&mut e, "DELETE FROM {T} WHERE k = 15");
+    write_both(
+        &mut e,
+        "DELETE FROM {T} WHERE k > 200 AND NOT EXISTS \
+         (SELECT * FROM probe p WHERE p.k = {T}.k)",
+    );
+    check(&mut e);
+
+    let before = scan(&mut e, "t");
+    e.begin().unwrap();
+    write_both(&mut e, "INSERT INTO {T} SELECT * FROM src WHERE k < 30");
+    write_both(&mut e, "DELETE FROM {T} WHERE s = 'w11'");
+    check(&mut e);
+    e.rollback().unwrap();
+    assert_eq!(scan(&mut e, "t"), before);
+    check(&mut e);
+
+    let mut child = e.fork().unwrap();
+    write_both(&mut child, "DELETE FROM {T} WHERE s = 'w05'");
+    write_both(&mut child, "INSERT INTO {T} SELECT * FROM src WHERE k = 3");
+    check(&mut child);
+    assert_eq!(scan(&mut e, "t"), before);
+    check(&mut e);
+
+    write_both(&mut e, "TRUNCATE TABLE {T}");
+    check(&mut e);
+    write_both(&mut e, "INSERT INTO {T} SELECT * FROM src WHERE k > 100");
+    write_both(&mut e, "INSERT INTO {T} SELECT * FROM src WHERE k > 190");
+    check(&mut e);
+    check(&mut child);
 }
