@@ -248,8 +248,9 @@ pub const MAX_TXN_ATTEMPTS: usize = 64;
 /// `transactional` the body runs bare, preserving the private backend's
 /// non-durable fast path byte-for-byte.
 ///
-/// Returns `f`'s output and the time the committed attempt spent in
-/// `begin` and `commit` (zero without `transactional`). After
+/// Returns `f`'s output and all the time spent here outside the committed
+/// attempt's `f`: its `begin` and `commit`, and every earlier attempt
+/// that lost validation (zero without `transactional`). After
 /// [`MAX_TXN_ATTEMPTS`] lost commits the error is
 /// [`KmError::RetriesExhausted`], carrying the last conflict; an error of
 /// the body itself — a `WriteConflict` included — is returned as it is,
@@ -265,11 +266,11 @@ pub fn with_txn<T>(
     // First-committer-wins guarantees global progress: every conflict
     // means some other session committed. The cap only guards against a
     // pathological livelock of this one session.
+    let entered = Instant::now();
     let mut last = None;
     for _ in 0..MAX_TXN_ATTEMPTS {
-        let t = Instant::now();
         backend.begin()?;
-        let t_begin = t.elapsed();
+        let t = Instant::now();
         let out = match f(backend) {
             Ok(out) => out,
             Err(e) => {
@@ -277,9 +278,9 @@ pub fn with_txn<T>(
                 return Err(e);
             }
         };
-        let t = Instant::now();
+        let in_body = t.elapsed();
         match backend.commit() {
-            Ok(()) => return Ok((out, t_begin + t.elapsed())),
+            Ok(()) => return Ok((out, entered.elapsed() - in_body)),
             Err(conflict @ DbError::WriteConflict(_)) if backend.is_shared() => {
                 last = Some(conflict);
                 continue;

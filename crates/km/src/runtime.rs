@@ -99,6 +99,12 @@ pub struct IterationTrace {
     pub plan_replans: u64,
     /// SQL statements executed during this iteration.
     pub statements: u64,
+    /// Tuples the evaluation statements scanned this iteration: the rules'
+    /// join input, which Figure 12 sets against the delta (semi-naive) or
+    /// the accumulated relation (naive).
+    pub eval_scanned: u64,
+    /// Rows the evaluation statements' joins produced this iteration.
+    pub eval_join_output: u64,
 }
 
 /// Per-clique LFP trace: setup cost plus one [`IterationTrace`] per round.
@@ -958,7 +964,9 @@ fn eval_clique(
             let mut d_temp = Duration::ZERO;
             let mut d_eval = Duration::ZERO;
             timed(&mut d_temp, || run_prepared(db, &recycle_eval))?;
+            let before = db.stats().exec;
             timed(&mut d_eval, || run_prepared(db, &eval))?;
+            let after = db.stats().exec;
             timed(&mut d_temp, || run_prepared(db, &recycle_term))?;
 
             let t = Instant::now();
@@ -986,6 +994,8 @@ fn eval_clique(
             let mut iter = snap.finish(db);
             iter.iteration = b.iterations;
             iter.delta_cards = delta_cards;
+            iter.eval_scanned = after.tuples_scanned - before.tuples_scanned;
+            iter.eval_join_output = after.join_output - before.join_output;
             iter.t_temp = d_temp;
             iter.t_eval = d_eval;
             iter.t_term = d_term;

@@ -356,11 +356,19 @@ impl Session {
         let transactional = self.config.durability || self.backend.is_shared();
         let stored = &self.stored;
         let workspace = &self.workspace;
-        let (mut timings, t_commit) = with_txn(&mut self.backend, transactional, |b| {
+        let (mut timings, t_txn) = with_txn(&mut self.backend, transactional, |b| {
             update_stored(b, stored, workspace)
         })?;
-        timings.t_commit = t_commit;
+        let after = Instant::now();
+        self.after_update(&timings);
+        timings.t_commit = t_txn + after.elapsed();
+        timings.total = start.elapsed();
+        Ok(timings)
+    }
 
+    /// What a stored-D/KB update leaves the session to do once it has
+    /// committed.
+    fn after_update(&mut self, timings: &UpdateTimings) {
         // Facts that became stored base relations leave the workspace —
         // they would otherwise shadow the base relation on the next query.
         if !timings.fact_predicates.is_empty() {
@@ -393,8 +401,6 @@ impl Session {
                 entry.valid = false;
             }
         }
-        timings.total = start.elapsed();
-        Ok(timings)
     }
 
     /// Recover the engine after an injected crash: replay committed

@@ -34,15 +34,17 @@ pub struct UpdateTimings {
     /// the paper's t_u breakdown, which §4.3 limits to intensional
     /// structures).
     pub t_facts: Duration,
-    /// Beginning and committing the transaction around the update, set by
-    /// [`crate::Session::commit_workspace`]: the buffer-pool flush and WAL
-    /// commit record on a durable session; validation, replay and the
-    /// group-commit wait on a shared one. Zero when the commit runs
-    /// outside a transaction.
+    /// Everything [`crate::Session::commit_workspace`] spends around the
+    /// update: beginning and committing its transaction (the buffer-pool
+    /// flush and WAL commit record on a durable session; validation,
+    /// replay, the group-commit wait and any attempt that lost validation
+    /// on a shared one), then draining materialized facts from the
+    /// workspace and invalidating the cached queries the update touched.
     pub t_commit: Duration,
     /// The whole update. [`update_stored`] measures its own span;
     /// [`crate::Session::commit_workspace`] widens it to the whole call,
-    /// transaction included.
+    /// transaction included. The phases tile it: each starts where the one
+    /// before it ended, and whatever a phase built is dropped inside it.
     pub total: Duration,
     /// Workspace rules newly stored.
     pub rules_stored: usize,
@@ -65,12 +67,12 @@ pub fn update_stored(
     workspace: &Workspace,
 ) -> Result<UpdateTimings, KmError> {
     let start = Instant::now();
+    let mut laps = Laps(start);
     let mut timings = UpdateTimings::default();
 
     // Step 1: extract the stored rules relevant to the workspace rules.
     // In the source-only configuration the paper stores just the source
     // form — no extraction and no closure maintenance happen at all.
-    let t = Instant::now();
     let mut mentioned: BTreeSet<String> = BTreeSet::new();
     for rule in workspace.rules().rules() {
         mentioned.insert(rule.head.predicate.clone());
@@ -83,10 +85,10 @@ pub fn update_stored(
     } else {
         Program::default()
     };
-    timings.t_extract = t.elapsed();
+    drop(mentioned);
+    timings.t_extract = laps.lap();
 
     // Step 2/3: composite PCG and its transitive closure.
-    let t = Instant::now();
     let mut composite = Program::new(workspace.rules().clauses.to_vec());
     composite.extend(extracted);
     let closure = if stored.compiled_storage {
@@ -134,21 +136,27 @@ pub fn update_stored(
         .map(|(pred, types)| (pred.clone(), types.clone()))
         .collect();
     let info = semantics::check(&check_program, &dict)?;
-    timings.t_tc = t.elapsed();
+    drop((check_program, referenced, dict));
+    timings.t_tc = laps.lap();
 
     // Steps 5-6: update the dictionary and compiled structures.
-    let t = Instant::now();
-    let derived: BTreeSet<&str> = composite.derived_predicates();
+    let derived: BTreeSet<String> = composite
+        .derived_predicates()
+        .into_iter()
+        .map(str::to_string)
+        .collect();
+    drop(composite);
     let entries: Vec<(String, Vec<hornlog::types::AttrType>)> = derived
         .iter()
-        .map(|p| (p.to_string(), info.types[*p].clone()))
+        .map(|p| (p.clone(), info.types[p].clone()))
         .collect();
     stored.register_derived_bulk(db, &entries)?;
+    drop(entries);
     // Only closure edges rooted at a derived predicate are stored (base
     // predicates reach nothing).
     let mut pairs: Vec<(String, String)> = closure
         .into_iter()
-        .filter(|(from, _)| derived.contains(from.as_str()))
+        .filter(|(from, _)| derived.contains(from))
         .collect();
     // The composite closure covers everything reachable *from* the
     // workspace rules, but extraction only looks down from them: a stored
@@ -184,10 +192,10 @@ pub fn update_stored(
         }
     }
     timings.reachable_added = stored.insert_reachable(db, &pairs)?;
-    timings.t_compiled_store = t.elapsed();
+    drop(pairs);
+    timings.t_compiled_store = laps.lap();
 
     // Step 7: store the source form of the new rules.
-    let t = Instant::now();
     let heads: BTreeSet<String> = workspace
         .rules()
         .rules()
@@ -200,12 +208,12 @@ pub fn update_stored(
             timings.rules_stored += 1;
         }
     }
-    timings.t_source_store = t.elapsed();
+    drop((heads, already));
+    timings.t_source_store = laps.lap();
 
     // Extensional phase (§3.1): facts for *pure* fact predicates — not
     // defined by any rule here or in the stored dictionary — become rows
     // of stored base relations, created on first commit.
-    let t = Instant::now();
     let mut fact_preds: BTreeSet<String> = workspace
         .facts()
         .clauses
@@ -213,7 +221,7 @@ pub fn update_stored(
         .map(|c| c.head.predicate.clone())
         .collect();
     // Step 4 read both dictionaries for every workspace fact predicate.
-    fact_preds.retain(|p| !derived.contains(p.as_str()) && !idb.contains_key(p));
+    fact_preds.retain(|p| !derived.contains(p) && !idb.contains_key(p));
     for pred in &fact_preds {
         let rows: Vec<Vec<rdbms::Value>> = workspace
             .facts()
@@ -240,13 +248,28 @@ pub fn update_stored(
         };
         timings.facts_stored += stored.load_facts(db, pred, fresh)?;
     }
-    timings.t_facts = t.elapsed();
     // Report which predicates were materialized so the caller can drain
     // them from the workspace.
     timings.fact_predicates = fact_preds;
+    drop((edb, idb, info, derived));
+    timings.t_facts = laps.lap();
 
     timings.total = start.elapsed();
     Ok(timings)
+}
+
+/// One span cut into back-to-back phases: each [`Laps::lap`] ends the
+/// phase running since the previous one and starts the next, so no time
+/// falls between two phases.
+struct Laps(Instant);
+
+impl Laps {
+    fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let phase = now - self.0;
+        self.0 = now;
+        phase
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use crate::buffer::BufferPool;
 use crate::disk::{Disk, PageId};
 use crate::exec::{decode_datums, decode_tuple};
 use crate::heap::{HeapFile, RecordId};
-use crate::index::HashIndex;
+use crate::index::TableIndex;
 use crate::rowbuf::RowBuf;
 use crate::schema::{Schema, Tuple};
 use crate::sym::{Datum, Symbols};
@@ -17,7 +17,7 @@ pub struct Table {
     pub name: String,
     pub schema: Schema,
     pub(crate) rows: Rows,
-    pub indexes: Vec<HashIndex>,
+    pub indexes: Vec<TableIndex>,
 }
 
 /// Where a table's rows live.
@@ -48,6 +48,14 @@ pub(crate) fn relation_row(rid: RecordId) -> usize {
 }
 
 impl Table {
+    /// A temporary's rows: what its hash indexes' lookups read keys from.
+    pub(crate) fn relation(&self) -> Option<&RowBuf> {
+        match &self.rows {
+            Rows::Heap(_) => None,
+            Rows::Relation(rel) => Some(rel),
+        }
+    }
+
     /// Whether this is a `TEMP` table.
     pub fn is_temp(&self) -> bool {
         matches!(self.rows, Rows::Relation(_))
@@ -324,24 +332,20 @@ impl Catalog {
                     .ok_or_else(|| DbError::NoSuchColumn(c.clone()))?,
             );
         }
-        let mut index =
-            HashIndex::with_symbols(index_name.to_ascii_lowercase(), key_cols, ordered, syms);
-        match &table.rows {
+        let name = index_name.to_ascii_lowercase();
+        let index = match &table.rows {
             Rows::Heap(heap) => {
+                let mut index = TableIndex::with_symbols(name, key_cols, ordered, syms);
                 let mut row = Vec::new();
                 heap.scan().for_each(disk, pool, |rid, payload| {
                     crate::exec::decode_into(table_name, rid, payload, &mut row)?;
                     index.insert(&row, rid);
                     Ok(())
                 })?;
+                index
             }
-            Rows::Relation(rel) => {
-                index.reserve(rel.len());
-                for (i, row) in rel.iter().enumerate() {
-                    index.insert_row(row, relation_rid(i));
-                }
-            }
-        }
+            Rows::Relation(rel) => TableIndex::over_relation(name, key_cols, ordered, syms, rel),
+        };
         table.indexes.push(index);
         Ok(())
     }

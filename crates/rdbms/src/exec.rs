@@ -1087,9 +1087,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
             for key in keys {
                 let key = resolve_key(key, ctx.params);
                 ctx.count_probe();
-                let rids = t.indexes[*index_pos].lookup_values(&key);
-                out.reserve(rids.len());
-                for &rid in rids {
+                for rid in t.indexes[*index_pos].lookup_values(&key, t.relation()) {
                     let row = fetch_indexed(ctx, t, rid, &mut buf)?;
                     ctx.count_fetched();
                     if eval_all(&residual, row, syms) {
@@ -1225,7 +1223,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                 }
                 let key = Key::from_cols(lrow, left_keys);
                 ctx.count_probe();
-                for &rid in index.lookup_key(&key) {
+                for rid in index.lookup_key(&key, t.relation()) {
                     let inner = fetch_indexed(ctx, t, rid, &mut buf)?;
                     ctx.count_fetched();
                     if !eval_all(&inner_filters, inner, syms) {
@@ -1272,7 +1270,7 @@ fn run_plan(plan: &PhysPlan, ctx: &mut ExecCtx<'_>, emit: Emit<'_>) -> Result<Ro
                     gov_tick(ctx.governor, ri)?;
                     ctx.count_probe();
                     let key = Key::from_cols(row, outer_keys);
-                    keep.push(index.lookup_key(&key).is_empty());
+                    keep.push(index.lookup_key(&key, t.relation()).next().is_none());
                 }
                 rows.retain_marked(&keep);
                 return Ok(rows);

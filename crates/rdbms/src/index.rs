@@ -1,4 +1,5 @@
-//! In-memory indexes over heap files, and the keys the executor hashes.
+//! In-memory indexes over heap files and relations, and the keys the
+//! executor hashes.
 //!
 //! The paper's experiments hinge on indexes: the flatness of `t_extract`
 //! versus total stored rules (Figure 7) and of `t_read` versus total derived
@@ -10,22 +11,27 @@
 //! * **ordered** — a B-tree-style ordered directory that additionally
 //!   serves range predicates (`WHERE a < 5`).
 //!
-//! Directories live in memory while the indexed records stay on pages;
-//! probe counts are tracked so experiments can report logical index work.
+//! Directories live in memory while the indexed records stay on pages (a
+//! heap table) or in the table's own row buffer (a temporary); probe
+//! counts are tracked so experiments can report logical index work.
 //!
-//! Every hash directory, and every hash table the executor keys on *part*
-//! of a row (join build sides, anti-join key sets, `GROUP BY`), is keyed by
-//! the executor's `Key`: a key of one or two columns sits inline in the map
-//! entry whatever the columns' types — a `char` value is the 4-byte id of
-//! its interned string — so building, probing and maintaining such a table
-//! allocates nothing per row. (Whole-row sets — `DISTINCT`, `EXCEPT`,
-//! `UNION` — borrow the row where it already lies and build no key at
-//! all.) Ids carry no order, so an ordered directory is keyed by
-//! [`PackedKey`], a key over [`Value`]s, which is also what this module's
-//! public lookups take.
+//! A hash directory over a heap table, and every hash table the executor
+//! keys on *part* of a row (join build sides, anti-join key sets, `GROUP
+//! BY`), is keyed by the executor's `Key`: a key of one or two columns sits
+//! inline in the map entry whatever the columns' types — a `char` value is
+//! the 4-byte id of its interned string — so building, probing and
+//! maintaining such a table allocates nothing per row. A hash directory
+//! over a temporary stores no key at all: it files row numbers, and reads
+//! a key from the row it names when it has to compare one (`RowDirectory`).
+//! (Whole-row sets — `DISTINCT`, `EXCEPT`, `UNION` — borrow the row where
+//! it already lies and build no key either.) Ids carry no order, so an
+//! ordered directory is keyed by [`PackedKey`], a key over [`Value`]s,
+//! which is also what this module's public lookups take.
 
-use crate::hash::KeyMap;
+use crate::catalog::relation_rid;
+use crate::hash::{FxHasher, KeyMap};
 use crate::heap::RecordId;
+use crate::rowbuf::RowBuf;
 use crate::sym::{Datum, Interner, SymId, Symbols};
 use crate::value::Value;
 use std::cmp::Ordering as CmpOrdering;
@@ -278,9 +284,188 @@ impl Postings {
     }
 }
 
+/// A hash directory over a relation's own rows: an open-addressed,
+/// linearly probed table of 8-byte slots, each a row number and 32 bits of
+/// that row's key hash. The key itself stays in the row; equality reads it
+/// there, and only after the hash bits matched, so a probe that misses
+/// reads the directory alone. Rows filed under one key form a ring through
+/// `next`, so a duplicate costs one link and no vector, and growing the
+/// table re-places slots by their stored hash bits without reading a key.
+///
+/// Every row of the relation is filed, in row order: `next` has one link
+/// per row. Nothing is ever removed: a relation's `DELETE` re-files all of
+/// its rows, and `TRUNCATE` clears the directory.
+#[derive(Debug, Clone, Default)]
+struct RowDirectory {
+    /// Empty, or a power of two long and at most three quarters occupied.
+    slots: Vec<Slot>,
+    /// `next[r]` is the row filed after row `r` under the same key; the
+    /// key's last row links back to its first.
+    next: Vec<u32>,
+    /// Occupied slots: one per distinct key.
+    keys: usize,
+}
+
+/// One key of a [`RowDirectory`]: the last row filed under it, and the low
+/// 32 bits of its hash. The slot's index is those bits modulo the table's
+/// length, moved on past occupied slots.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    row: u32,
+    hash: u32,
+}
+
+/// The `row` of a slot no key holds.
+const VACANT: u32 = u32::MAX;
+
+const VACANT_SLOT: Slot = Slot {
+    row: VACANT,
+    hash: 0,
+};
+
+/// The low 32 bits of the engine hasher's hash of a key's columns — the
+/// hash a heap directory's `Key` gets, one word per column.
+#[inline]
+fn key_hash(cols: impl Iterator<Item = Datum>) -> u32 {
+    let mut h = FxHasher::default();
+    cols.for_each(|d| h.write_u64(d.word()));
+    h.finish() as u32
+}
+
+impl RowDirectory {
+    /// File row `r` of `rows`, the row after the last one filed.
+    fn file(&mut self, rows: &RowBuf, key_cols: &[usize], r: usize) {
+        debug_assert_eq!(r, self.next.len(), "rows are filed in order");
+        let row = rows.row(r);
+        let r = u32::try_from(r).ok().filter(|&r| r != VACANT);
+        let r = r.expect("a relation holds fewer than 2^32 - 1 rows");
+        self.reserve(1);
+        let hash = key_hash(key_cols.iter().map(|&c| row[c]));
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.row == VACANT {
+                *slot = Slot { row: r, hash };
+                self.next.push(r);
+                self.keys += 1;
+                return;
+            }
+            if slot.hash == hash {
+                let last = slot.row as usize;
+                let held = rows.row(last);
+                if key_cols.iter().all(|&c| held[c] == row[c]) {
+                    // Insert `r` after the last row: it becomes the last,
+                    // and links back to the first.
+                    self.next.push(self.next[last]);
+                    self.next[last] = r;
+                    slot.row = r;
+                    return;
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Make room for `additional` more keys: if they would fill more than
+    /// three quarters of the table, move to the smallest power of two (8 at
+    /// least) they fill no more of, re-placing every key by its stored
+    /// hash bits.
+    fn reserve(&mut self, additional: usize) {
+        let keys = self.keys + additional;
+        if keys * 4 <= self.slots.len() * 3 {
+            return;
+        }
+        let len = (keys * 4).div_ceil(3).next_power_of_two().max(8);
+        let old = std::mem::replace(&mut self.slots, vec![VACANT_SLOT; len]);
+        let mask = len - 1;
+        for slot in old.into_iter().filter(|s| s.row != VACANT) {
+            let mut i = slot.hash as usize & mask;
+            while self.slots[i].row != VACANT {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    /// The rows of `rows` filed under the key whose `i`-th column is
+    /// `key(i)`, in filing order.
+    fn find(&self, rows: &RowBuf, key_cols: &[usize], key: impl Fn(usize) -> Datum) -> Hits<'_> {
+        if self.keys == 0 {
+            return Hits::of(None);
+        }
+        let hash = key_hash((0..key_cols.len()).map(&key));
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.row == VACANT {
+                return Hits::of(None);
+            }
+            if slot.hash == hash {
+                let held = rows.row(slot.row as usize);
+                if key_cols.iter().enumerate().all(|(k, &c)| held[c] == key(k)) {
+                    return Hits::Ring {
+                        next: &self.next,
+                        last: slot.row,
+                        at: Some(self.next[slot.row as usize]),
+                    };
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Forget every row, keeping the table's allocation.
+    fn clear(&mut self) {
+        self.slots.fill(VACANT_SLOT);
+        self.next.clear();
+        self.keys = 0;
+    }
+}
+
+/// The record ids a probe found, in filing order.
+pub(crate) enum Hits<'a> {
+    /// A posting list of a key-holding directory.
+    Filed(std::slice::Iter<'a, RecordId>),
+    /// A key's ring in a [`RowDirectory`]: from the row after `last` (the
+    /// first filed) round to `last`.
+    Ring {
+        next: &'a [u32],
+        last: u32,
+        at: Option<u32>,
+    },
+}
+
+impl<'a> Hits<'a> {
+    /// A key-holding directory's postings for a key, if it has any.
+    fn of(postings: Option<&'a Postings>) -> Hits<'a> {
+        Hits::Filed(postings.map_or(&[][..], Postings::as_slice).iter())
+    }
+}
+
+impl Iterator for Hits<'_> {
+    type Item = RecordId;
+
+    #[inline]
+    fn next(&mut self) -> Option<RecordId> {
+        match self {
+            Hits::Filed(rids) => rids.next().copied(),
+            Hits::Ring { next, last, at } => {
+                let r = (*at)?;
+                *at = (r != *last).then(|| next[r as usize]);
+                Some(relation_rid(r as usize))
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Directory {
+    /// A heap table's hash index.
     Hash(KeyMap<Key, Postings>),
+    /// A temporary's hash index.
+    Rows(RowDirectory),
     Ordered(BTreeMap<PackedKey, Postings>),
 }
 
@@ -319,9 +504,6 @@ impl Clone for TableIndex {
     }
 }
 
-/// Backwards-compatible alias: the original index type was hash-only.
-pub type HashIndex = TableIndex;
-
 impl TableIndex {
     /// A hash index (exact-match only).
     pub fn new(name: impl Into<String>, key_cols: Vec<usize>) -> TableIndex {
@@ -333,8 +515,8 @@ impl TableIndex {
         TableIndex::with_symbols(name, key_cols, true, Arc::default())
     }
 
-    /// An index (ordered or hash) whose hash directory files strings by
-    /// their ids in `syms`.
+    /// An index (ordered or hash) of a heap table, whose hash directory
+    /// files strings by their ids in `syms`.
     pub(crate) fn with_symbols(
         name: impl Into<String>,
         key_cols: Vec<usize>,
@@ -354,6 +536,25 @@ impl TableIndex {
             syms,
             probes: AtomicU64::new(0),
         }
+    }
+
+    /// An index of a temporary, filed from every row of its relation
+    /// `rel`. A hash index files row numbers ([`RowDirectory`]), so its
+    /// lookups need `rel` back; an ordered one keys its directory as a
+    /// heap table's does.
+    pub(crate) fn over_relation(
+        name: impl Into<String>,
+        key_cols: Vec<usize>,
+        ordered: bool,
+        syms: Arc<Symbols>,
+        rel: &RowBuf,
+    ) -> TableIndex {
+        let mut index = TableIndex::with_symbols(name, key_cols, ordered, syms);
+        if !ordered {
+            index.directory = Directory::Rows(RowDirectory::default());
+        }
+        index.file_rows(rel, 0);
+        index
     }
 
     pub fn name(&self) -> &str {
@@ -421,7 +622,7 @@ impl TableIndex {
                     e.insert(Postings::One(rid));
                 }
             },
-            _ => unreachable!("a key is made for its index's directory"),
+            _ => unreachable!("a row directory is filed with file_rows"),
         }
     }
 
@@ -437,21 +638,27 @@ impl TableIndex {
                     m.remove(&k);
                 }
             }
-            _ => unreachable!("a key is made for its index's directory"),
+            _ => unreachable!("a relation's DELETE re-files its rows"),
         }
     }
 
-    fn filed(&self, key: &DirKey) -> &[RecordId] {
+    /// What `key` finds; `rel` is the table's relation when this is a row
+    /// directory.
+    fn filed(&self, key: &DirKey, rel: Option<&RowBuf>) -> Hits<'_> {
         let postings = match (&self.directory, key) {
             (Directory::Hash(m), DirKey::Hash(k)) => m.get(k),
             (Directory::Ordered(m), DirKey::Ordered(k)) => m.get(k),
+            (Directory::Rows(d), DirKey::Hash(k)) => {
+                let rel = rel.expect("a row directory is probed with its relation");
+                return d.find(rel, &self.key_cols, |i| k.datum(i));
+            }
             _ => unreachable!("a key is made for its index's directory"),
         };
-        postings.map_or(&[], Postings::as_slice)
+        Hits::of(postings)
     }
 
     /// Register `rid` under the key of `tuple`; a hash directory interns
-    /// the key's strings.
+    /// the key's strings. For a heap table's index, or one made on its own.
     pub fn insert(&mut self, tuple: &[Value], rid: RecordId) {
         let syms = Arc::clone(&self.syms);
         self.insert_with(tuple, rid, &mut syms.interner());
@@ -474,14 +681,34 @@ impl TableIndex {
         self.file(key, rid);
     }
 
-    /// Make room for `additional` more keys in a hash directory.
+    /// File rows `from..` of a temporary's relation `rel`, every row
+    /// before them being filed already.
+    pub(crate) fn file_rows(&mut self, rel: &RowBuf, from: usize) {
+        if let Directory::Rows(d) = &mut self.directory {
+            // As if every row brought a key of its own: exact for a
+            // full-key index on a set, the LFP loop's accumulated tables.
+            d.reserve(rel.len() - from);
+            d.next.reserve(rel.len() - from);
+            for r in from..rel.len() {
+                d.file(rel, &self.key_cols, r);
+            }
+        } else {
+            for r in from..rel.len() {
+                self.insert_row(rel.row(r), relation_rid(r));
+            }
+        }
+    }
+
+    /// Make room for `additional` more keys in a heap table's hash
+    /// directory.
     pub(crate) fn reserve(&mut self, additional: usize) {
         if let Directory::Hash(m) = &mut self.directory {
             m.reserve(additional);
         }
     }
 
-    /// Remove `rid` from the posting list of `tuple`'s key.
+    /// Remove `rid` from the posting list of `tuple`'s key. For a heap
+    /// table's index: a temporary's `DELETE` re-files its rows instead.
     pub fn remove(&mut self, tuple: &[Value], rid: RecordId) {
         if let Some(key) = self.value_key(tuple, &self.key_cols, |s| self.syms.find(s)) {
             self.unfile(key, rid);
@@ -490,27 +717,39 @@ impl TableIndex {
 
     /// All record ids whose key equals `key`. A string the engine lineage
     /// never interned cannot have been filed, so such a probe misses.
+    ///
+    /// # Panics
+    ///
+    /// On a temporary's hash index, whose directory holds row numbers that
+    /// only its table resolves (the executor's lookups pass the rows).
     pub fn lookup(&self, key: &PackedKey) -> &[RecordId] {
-        self.lookup_values(&key.to_values())
-    }
-
-    /// [`TableIndex::lookup`] with the key's values. Its strings are looked
-    /// up, never interned.
-    pub(crate) fn lookup_values(&self, key: &[Value]) -> &[RecordId] {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let cols: Vec<usize> = (0..key.len()).collect();
-        match self.value_key(key, &cols, |s| self.syms.find(s)) {
-            Some(k) => self.filed(&k),
-            None => &[],
+        match self.lookup_values(&key.to_values(), None) {
+            Hits::Filed(rids) => rids.as_slice(),
+            Hits::Ring { .. } => unreachable!("a row directory needs its relation"),
         }
     }
 
-    /// [`TableIndex::lookup`] with an executor key.
-    pub(crate) fn lookup_key(&self, key: &Key) -> &[RecordId] {
+    /// [`TableIndex::lookup`] with the key's values. Its strings are looked
+    /// up, never interned. `rel` is the table's relation, for a temporary.
+    pub(crate) fn lookup_values(&self, key: &[Value], rel: Option<&RowBuf>) -> Hits<'_> {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        let cols: Vec<usize> = (0..key.len()).collect();
+        match self.value_key(key, &cols, |s| self.syms.find(s)) {
+            Some(k) => self.filed(&k, rel),
+            None => Hits::of(None),
+        }
+    }
+
+    /// [`TableIndex::lookup_values`] with an executor key.
+    pub(crate) fn lookup_key(&self, key: &Key, rel: Option<&RowBuf>) -> Hits<'_> {
         self.probes.fetch_add(1, Ordering::Relaxed);
         match &self.directory {
-            Directory::Hash(m) => m.get(key).map_or(&[], Postings::as_slice),
-            Directory::Ordered(_) => self.filed(&self.dir_key(key.clone())),
+            Directory::Hash(m) => Hits::of(m.get(key)),
+            Directory::Rows(d) => {
+                let rel = rel.expect("a row directory is probed with its relation");
+                d.find(rel, &self.key_cols, |i| key.datum(i))
+            }
+            Directory::Ordered(_) => self.filed(&self.dir_key(key.clone()), rel),
         }
     }
 
@@ -543,6 +782,7 @@ impl TableIndex {
     pub fn distinct_keys(&self) -> usize {
         match &self.directory {
             Directory::Hash(m) => m.len(),
+            Directory::Rows(d) => d.keys,
             Directory::Ordered(m) => m.len(),
         }
     }
@@ -551,6 +791,7 @@ impl TableIndex {
     pub fn entry_count(&self) -> usize {
         match &self.directory {
             Directory::Hash(m) => m.values().map(|p| p.as_slice().len()).sum(),
+            Directory::Rows(d) => d.next.len(),
             Directory::Ordered(m) => m.values().map(|p| p.as_slice().len()).sum(),
         }
     }
@@ -563,6 +804,7 @@ impl TableIndex {
     pub fn clear(&mut self) {
         match &mut self.directory {
             Directory::Hash(m) => m.clear(),
+            Directory::Rows(d) => d.clear(),
             Directory::Ordered(m) => m.clear(),
         }
     }
@@ -586,7 +828,7 @@ mod tests {
 
     #[test]
     fn insert_lookup_single_column() {
-        let mut idx = HashIndex::new("i1", vec![0]);
+        let mut idx = TableIndex::new("i1", vec![0]);
         idx.insert(&[Value::Int(1), Value::from("a")], rid(0, 0));
         idx.insert(&[Value::Int(1), Value::from("b")], rid(0, 1));
         idx.insert(&[Value::Int(2), Value::from("c")], rid(0, 2));
@@ -600,7 +842,7 @@ mod tests {
 
     #[test]
     fn multi_column_key_uses_all_parts() {
-        let mut idx = HashIndex::new("i2", vec![0, 1]);
+        let mut idx = TableIndex::new("i2", vec![0, 1]);
         idx.insert(&[Value::Int(1), Value::from("a")], rid(0, 0));
         assert_eq!(
             idx.lookup(&key(&[Value::Int(1), Value::from("a")])).len(),
@@ -613,7 +855,7 @@ mod tests {
 
     #[test]
     fn key_can_skip_and_reorder_columns() {
-        let mut idx = HashIndex::new("i3", vec![2, 0]);
+        let mut idx = TableIndex::new("i3", vec![2, 0]);
         let tuple = [Value::Int(10), Value::from("mid"), Value::Int(30)];
         idx.insert(&tuple, rid(1, 1));
         assert_eq!(
@@ -625,7 +867,7 @@ mod tests {
 
     #[test]
     fn remove_shrinks_posting_list() {
-        let mut idx = HashIndex::new("i4", vec![0]);
+        let mut idx = TableIndex::new("i4", vec![0]);
         let t = [Value::Int(1)];
         idx.insert(&t, rid(0, 0));
         idx.insert(&t, rid(0, 1));
@@ -641,7 +883,7 @@ mod tests {
 
     #[test]
     fn clear_empties_index() {
-        let mut idx = HashIndex::new("i5", vec![0]);
+        let mut idx = TableIndex::new("i5", vec![0]);
         idx.insert(&[Value::Int(1)], rid(0, 0));
         idx.clear();
         assert_eq!(idx.entry_count(), 0);
@@ -676,7 +918,7 @@ mod tests {
         let k = Key::from_cols(&row, &[1, 0]);
         assert_eq!(k.datums().collect::<Vec<_>>(), [x, Datum::Int(7)]);
         assert_eq!(std::mem::size_of::<Key>(), 24, "as wide as an integer pair");
-        assert_eq!(idx.lookup_key(&k), &[rid(0, 0)]);
+        assert_eq!(idx.lookup_key(&k, None).collect::<Vec<_>>(), [rid(0, 0)]);
         assert_eq!(
             idx.lookup(&key(&[Value::from("x"), Value::Int(7)])),
             &[rid(0, 0)]
@@ -700,6 +942,59 @@ mod tests {
         let all = idx.range(Bound::Unbounded, Bound::Unbounded).unwrap();
         assert_eq!(all, vec![rid(0, 2), rid(0, 0), rid(0, 1)]);
         let a = Key::One(syms.datum(&Value::from("a")));
-        assert_eq!(idx.lookup_key(&a), &[rid(0, 2)]);
+        assert_eq!(idx.lookup_key(&a, None).collect::<Vec<_>>(), [rid(0, 2)]);
+    }
+
+    #[test]
+    fn row_directories_file_row_numbers_in_filing_order() {
+        let syms = Arc::new(Symbols::default());
+        let [a, b] = ["b", "a"].map(|s| syms.datum(&Value::from(s)));
+        // Row i is (i % 7, a or b): 7 x 2 keys, each filed many times.
+        let mut rel = RowBuf::new(2);
+        let row = |i: i64| [Datum::Int(i % 7), if i % 3 == 0 { a } else { b }];
+        for i in 0..20 {
+            rel.push(row(i));
+        }
+        let mut idx = TableIndex::over_relation("r", vec![0, 1], false, Arc::clone(&syms), &rel);
+        for i in 20..1_000 {
+            rel.push(row(i));
+        }
+        idx.file_rows(&rel, 20);
+        assert_eq!((idx.distinct_keys(), idx.entry_count()), (14, 1_000));
+        for key in [[Datum::Int(3), a], [Datum::Int(3), b], [Datum::Int(0), a]] {
+            let expect: Vec<RecordId> = (0..1_000)
+                .filter(|&i| row(i as i64) == key)
+                .map(relation_rid)
+                .collect();
+            let k = Key::from_cols(&key, &[0, 1]);
+            let found: Vec<RecordId> = idx.lookup_key(&k, Some(&rel)).collect();
+            assert_eq!(found, expect);
+        }
+        // "a" was interned second, as `b`.
+        let values = [Value::Int(6), Value::from("a")];
+        let expect = (0..1_000).filter(|&i| row(i) == [Datum::Int(6), b]).count();
+        assert_eq!(idx.lookup_values(&values, Some(&rel)).count(), expect);
+        // Misses: an unfiled key, an id nothing filed, an uninterned string.
+        let c = syms.datum(&Value::from("c"));
+        for key in [[Datum::Int(7), a], [Datum::Int(1), c]] {
+            let k = Key::from_cols(&key, &[0, 1]);
+            assert_eq!(idx.lookup_key(&k, Some(&rel)).count(), 0);
+        }
+        let unknown = [Value::Int(1), Value::from("d")];
+        assert_eq!(idx.lookup_values(&unknown, Some(&rel)).count(), 0);
+        // Unique keys grow the table past its first sizes.
+        let mut unique = RowBuf::new(1);
+        for i in 0..10_000 {
+            unique.push([Datum::Int(i << 20)]);
+        }
+        let idx = TableIndex::over_relation("u", vec![0], false, syms, &unique);
+        assert_eq!(idx.distinct_keys(), 10_000);
+        let hit = Key::One(Datum::Int(4_321 << 20));
+        let found: Vec<RecordId> = idx.lookup_key(&hit, Some(&unique)).collect();
+        assert_eq!(found, [relation_rid(4_321)]);
+        let mut idx = idx;
+        idx.clear();
+        assert_eq!((idx.distinct_keys(), idx.entry_count()), (0, 0));
+        assert_eq!(idx.lookup_key(&hit, Some(&unique)).count(), 0);
     }
 }

@@ -379,3 +379,65 @@ fn lfp_temporaries_touch_no_pages() {
         );
     }
 }
+
+/// Figure 12 as a count: per iteration, semi-naive's rule joins read the
+/// base relation and the previous delta, naive's the base relation twice
+/// (its exit rule runs again) and everything accumulated so far. On a chain
+/// of `n` nodes the deltas shrink by one a round while the accumulated
+/// relation grows, so naive's total join input pulls away from
+/// semi-naive's as the chain doubles.
+#[test]
+fn fig12_join_input_tracks_the_delta_or_the_accumulated_relation() {
+    let mut ratios = Vec::new();
+    for n in [12u64, 24] {
+        let edges = n - 1;
+        let mut totals = Vec::new();
+        for strategy in [LfpStrategy::SemiNaive, LfpStrategy::Naive] {
+            let mut s = Session::new(SessionConfig {
+                strategy,
+                ..SessionConfig::default()
+            })
+            .unwrap();
+            s.define_base("edge", &binary_sym()).unwrap();
+            s.load_facts("edge", graphs::chain_facts(n as usize))
+                .unwrap();
+            s.load_rules(&workload::ancestor_program("edge")).unwrap();
+            let (_, result) = s.query("?- anc(X, Y).").unwrap();
+            assert_eq!(result.rows.len() as u64, n * (n - 1) / 2);
+            let trace = &result.outcome.clique_traces[0];
+            let delta = |i: usize| -> u64 { trace.iterations[i].delta_cards[0].1 };
+            // Semi-naive's first delta is the exit rule's result (the
+            // edges); naive accumulates from nothing.
+            let mut previous = edges;
+            let mut accumulated = 0;
+            for (i, iter) in trace.iterations.iter().enumerate() {
+                let input = match strategy {
+                    LfpStrategy::SemiNaive => edges + previous,
+                    LfpStrategy::Naive => 2 * edges + accumulated,
+                };
+                assert_eq!(
+                    iter.eval_scanned, input,
+                    "{strategy:?}, n = {n}, iteration {}",
+                    iter.iteration
+                );
+                previous = delta(i);
+                accumulated += delta(i);
+            }
+            let rounds = trace.iterations.len() as u64;
+            assert_eq!(
+                rounds,
+                if strategy == LfpStrategy::Naive {
+                    n
+                } else {
+                    n - 1
+                }
+            );
+            totals.push(trace.iterations.iter().map(|i| i.eval_scanned).sum::<u64>());
+        }
+        ratios.push(totals[1] as f64 / totals[0] as f64);
+    }
+    assert!(
+        ratios[1] > ratios[0],
+        "naive / semi-naive join input {ratios:?}"
+    );
+}
