@@ -203,26 +203,45 @@ proptest! {
                 "{:?}", spill
             );
 
-            // Hash join: probe-major (the larger side probes), matches in
-            // build order, left columns before right whichever side built.
-            let k = cols[0];
-            let joined = |probe_left: bool| -> Vec<Vec<Value>> {
-                let (probe, build) = if probe_left { (&f.left, &f.right) } else { (&f.right, &f.left) };
-                let mut out = Vec::new();
-                for p in probe {
-                    for b in build.iter().filter(|b| b[k] == p[k]) {
-                        let (l, r) = if probe_left { (p, b) } else { (b, p) };
-                        out.push(l.iter().chain(r).cloned().collect());
+            // Hash join on one, two and three key columns (as many as the
+            // schema has; three key columns box the key where one or two
+            // sit inline), mixing integer and string columns: probe-major
+            // (the larger side probes), matches in build order, left
+            // columns before right whichever side built.
+            for width in 1..=arity.min(3) {
+                let keys: Vec<usize> = (0..width).map(|i| (cols[0] + i) % arity).collect();
+                let joined = |probe_left: bool| -> Vec<Vec<Value>> {
+                    let (probe, build) = if probe_left { (&f.left, &f.right) } else { (&f.right, &f.left) };
+                    let mut out = Vec::new();
+                    for p in probe {
+                        for b in build.iter().filter(|b| keys.iter().all(|&k| b[k] == p[k])) {
+                            let (l, r) = if probe_left { (p, b) } else { (b, p) };
+                            out.push(l.iter().chain(r).cloned().collect());
+                        }
                     }
+                    out
+                };
+                let on = keys
+                    .iter()
+                    .map(|k| format!("x.c{k} = y.c{k}"))
+                    .collect::<Vec<_>>()
+                    .join(" AND ");
+                let sql = format!("SELECT * FROM l x, r y WHERE {on}");
+                let plan = run(&format!("EXPLAIN {sql}"));
+                prop_assert!(
+                    format!("{plan:?}").contains(&format!("HashJoin on {keys:?}={keys:?}")),
+                    "{:?}: {:?}", keys, plan
+                );
+                let got = run(&sql);
+                if f.left.len() == f.right.len() {
+                    // A tie builds on the planner's left input, either table.
+                    prop_assert!(
+                        got == joined(true) || got == joined(false),
+                        "{:?} on {:?}: {:?}", spill, keys, got
+                    );
+                } else {
+                    prop_assert_eq!(got, joined(f.left.len() > f.right.len()), "{:?} on {:?}", spill, keys);
                 }
-                out
-            };
-            let got = run(&format!("SELECT * FROM l x, r y WHERE x.c{k} = y.c{k}"));
-            if f.left.len() == f.right.len() {
-                // A tie builds on the planner's left input, either table.
-                prop_assert!(got == joined(true) || got == joined(false), "{:?}: {:?}", spill, got);
-            } else {
-                prop_assert_eq!(got, joined(f.left.len() > f.right.len()), "{:?}", spill);
             }
         }
     }
