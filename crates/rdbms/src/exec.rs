@@ -13,10 +13,10 @@
 use crate::buffer::BufferPool;
 use crate::catalog::{relation_row, Catalog, DbError, Rows, Table};
 use crate::disk::Disk;
-use crate::governor::{QueryGovernor, GOVERNOR_CHECK_INTERVAL};
+use crate::governor::{BudgetBreach, BudgetKind, QueryGovernor, GOVERNOR_CHECK_INTERVAL};
 use crate::hash::{KeyMap, KeySet};
 use crate::heap::RecordId;
-use crate::index::{Key, PackedKey};
+use crate::index::{key_hash, locate, Key, PackedKey, Slot, VACANT, VACANT_SLOT};
 use crate::plan::{ExecCond, KeyExpr, PhysPlan, ProjExpr};
 use crate::rowbuf::RowBuf;
 use crate::schema::{deserialize_tuple_into, Tuple};
@@ -24,7 +24,6 @@ use crate::spill::{partition_of, SpillFile, SpillReader, SpillWriter};
 use crate::sql::ast::CmpOp;
 use crate::sym::{decode_row, encode_datum, encode_row, Datum, SymReader, Symbols};
 use crate::value::Value;
-use std::collections::hash_map::Entry;
 use std::ops::Range;
 
 /// When memory-bounded operators may divert state to spill files
@@ -898,50 +897,82 @@ fn scan_rows(
     }
 }
 
-/// The build side of a hash join: every build row's index, chained per key
-/// in build order. One map entry per distinct key and one link per row —
-/// no per-key vector, and no per-row allocation.
+/// The build side of a hash join: an open-addressed, linearly probed table
+/// of 8-byte slots over the build rows themselves, each slot a row number
+/// and 32 bits of that row's key hash. The key stays in the row; a probe
+/// reads it there, and only after the hash bits matched. Rows sharing a key
+/// chain through `next`. They are filed last row first, each becoming its
+/// key's head, so a slot names its key's *first* build row and the chain
+/// runs forward in build order: a hit starts at its first match.
 struct BuildTable<'r> {
     rows: &'r RowBuf,
-    /// Key → (first, last) row index of its chain.
-    chains: KeyMap<Key, (usize, usize)>,
-    /// `next[i]` is the row after row `i` in its chain; `usize::MAX` ends it.
-    next: Vec<usize>,
+    key_cols: &'r [usize],
+    /// A power of two long, at least twice the build rows (8 at least), so
+    /// at most half occupied.
+    slots: Vec<Slot>,
+    /// `next[r]` is the build row after row `r` under the same key;
+    /// [`VACANT`] ends the chain.
+    next: Vec<u32>,
 }
 
 impl<'r> BuildTable<'r> {
     fn build(
         rows: &'r RowBuf,
-        key_cols: &[usize],
+        key_cols: &'r [usize],
         gov: Option<&QueryGovernor>,
     ) -> Result<BuildTable<'r>, DbError> {
-        let mut chains: KeyMap<Key, (usize, usize)> =
-            KeyMap::with_capacity_and_hasher(rows.len(), Default::default());
-        let mut next = vec![usize::MAX; rows.len()];
-        for (i, row) in rows.iter().enumerate() {
-            gov_tick(gov, i)?;
-            match chains.entry(Key::from_cols(row, key_cols)) {
-                Entry::Occupied(mut e) => {
-                    let (_, last) = e.get_mut();
-                    next[*last] = i;
-                    *last = i;
-                }
-                Entry::Vacant(e) => {
-                    e.insert((i, i));
-                }
-            }
+        let n = rows.len();
+        // Row numbers are `u32`s, and `VACANT` is none of them.
+        if n >= VACANT as usize {
+            return Err(DbError::Budget(BudgetBreach {
+                kind: BudgetKind::Rows,
+                limit: u64::from(VACANT - 1),
+                used: n as u64,
+            }));
         }
-        Ok(BuildTable { rows, chains, next })
+        let mut slots = vec![VACANT_SLOT; (2 * n).next_power_of_two().max(8)];
+        let mut next = vec![VACANT; n];
+        for (tick, r) in (0..n).rev().enumerate() {
+            gov_tick(gov, tick)?;
+            let row = rows.row(r);
+            let hash = key_hash(key_cols.iter().map(|&c| row[c]));
+            let i = locate(&slots, hash, |held| {
+                let held = rows.row(held as usize);
+                key_cols.iter().all(|&c| held[c] == row[c])
+            });
+            // A vacant slot's row is `VACANT`, which ends the new chain.
+            next[r] = slots[i].row;
+            slots[i] = Slot { row: r as u32, hash };
+        }
+        Ok(BuildTable {
+            rows,
+            key_cols,
+            slots,
+            next,
+        })
     }
 
-    /// The build rows filed under `key`, in build order.
-    fn matches<'t>(&'t self, key: &Key) -> impl Iterator<Item = &'r [Datum]> + 't {
-        let mut at = self.chains.get(key).map_or(usize::MAX, |&(first, _)| first);
+    /// The build rows whose key equals `prow`'s columns at `probe_keys`,
+    /// in build order.
+    fn matches<'t>(
+        &'t self,
+        prow: &[Datum],
+        probe_keys: &[usize],
+    ) -> impl Iterator<Item = &'r [Datum]> + 't {
+        let hash = key_hash(probe_keys.iter().map(|&c| prow[c]));
+        let i = locate(&self.slots, hash, |held| {
+            let held = self.rows.row(held as usize);
+            self.key_cols
+                .iter()
+                .zip(probe_keys)
+                .all(|(&b, &p)| held[b] == prow[p])
+        });
+        let mut at = self.slots[i].row;
         std::iter::from_fn(move || {
-            let i = at;
-            (i != usize::MAX).then(|| {
-                at = self.next[i];
-                self.rows.row(i)
+            (at != VACANT).then(|| {
+                let r = at as usize;
+                at = self.next[r];
+                self.rows.row(r)
             })
         })
     }
@@ -962,8 +993,7 @@ impl HashProbe<'_> {
     /// Probe with `prow`, appending the joins that pass the residual to
     /// `out`.
     fn probe(&self, prow: &[Datum], c: &mut RowCounts, out: &mut RowBuf) {
-        let key = Key::from_cols(prow, self.probe_keys);
-        for brow in self.table.matches(&key) {
+        for brow in self.table.matches(prow, self.probe_keys) {
             let (lrow, rrow) = if self.build_left {
                 (brow, prow)
             } else {
@@ -1861,5 +1891,100 @@ mod tests {
         let syms = Symbols::default();
         let row = [Datum::Int(1), syms.datum(&Value::from("abcd"))];
         assert_eq!(row_bytes(&row, &syms), 16 + (24 + 4) + 24);
+    }
+
+    /// Rows of (key, row number), one per key in `keys`.
+    fn numbered(keys: &[Datum]) -> RowBuf {
+        let mut rows = RowBuf::new(2);
+        for (i, &k) in keys.iter().enumerate() {
+            rows.push([k, Datum::Int(i as i64)]);
+        }
+        rows
+    }
+
+    /// The row numbers `table` holds under the key `key`, in the order a
+    /// probe walks them.
+    fn hits(table: &BuildTable<'_>, key: Datum) -> Vec<i64> {
+        // The probe row puts its key in its second column.
+        let probe = [Datum::Int(-1), key];
+        table
+            .matches(&probe, &[1])
+            .map(|row| match row[1] {
+                Datum::Int(i) => i,
+                d => panic!("row number {d:?}"),
+            })
+            .collect()
+    }
+
+    fn occupied(table: &BuildTable<'_>) -> usize {
+        table.slots.iter().filter(|s| s.row != VACANT).count()
+    }
+
+    #[test]
+    fn build_table_of_no_rows_and_of_one() {
+        let empty = numbered(&[]);
+        let table = BuildTable::build(&empty, &[0], None).unwrap();
+        assert_eq!((table.slots.len(), occupied(&table)), (8, 0));
+        assert!(hits(&table, Datum::Int(0)).is_empty());
+
+        let one = numbered(&[Datum::Int(7)]);
+        let table = BuildTable::build(&one, &[0], None).unwrap();
+        assert_eq!(hits(&table, Datum::Int(7)), [0]);
+        assert!(hits(&table, Datum::Int(8)).is_empty());
+        assert!(hits(&table, Datum::from_word(7, true)).is_empty());
+    }
+
+    #[test]
+    fn build_table_chains_one_key_in_build_order() {
+        let mut keys = vec![Datum::Int(5); 3_000];
+        keys.push(Datum::Int(6));
+        let rows = numbered(&keys);
+        let table = BuildTable::build(&rows, &[0], None).unwrap();
+        assert_eq!(occupied(&table), 2);
+        assert_eq!(hits(&table, Datum::Int(5)), (0..3_000).collect::<Vec<_>>());
+        assert_eq!(hits(&table, Datum::Int(6)), [3_000]);
+    }
+
+    #[test]
+    fn build_table_keys_collide_and_wrap_past_the_end() {
+        // Four rows get eight slots; find two integers whose hashes both
+        // land on the last one.
+        let last = |i: &i64| key_hash(std::iter::once(Datum::Int(*i))) & 7 == 7;
+        let mut found = (0..).filter(last);
+        let (a, b) = (found.next().unwrap(), found.next().unwrap());
+        let a_sym = Datum::from_word(a as u64, true);
+        // The integer `a` and the symbol numbered `a` hash alike, all 32
+        // bits: only their keys, read from the rows, tell them apart.
+        assert_eq!(
+            key_hash(std::iter::once(Datum::Int(a))),
+            key_hash(std::iter::once(a_sym))
+        );
+        let rows = numbered(&[Datum::Int(a), a_sym, Datum::Int(b), Datum::Int(a)]);
+        let table = BuildTable::build(&rows, &[0], None).unwrap();
+        assert_eq!(table.slots.len(), 8);
+        // Filed last row first: `a` takes the last slot, then `b` and the
+        // symbol wrap to the first two.
+        let slot_rows: Vec<u32> = table.slots.iter().map(|s| s.row).collect();
+        assert_eq!(slot_rows[7], 0, "the slot names its key's first row");
+        assert_eq!(&slot_rows[..2], &[2, 1]);
+        assert_eq!(occupied(&table), 3);
+        assert_eq!(hits(&table, Datum::Int(a)), [0, 3]);
+        assert_eq!(hits(&table, a_sym), [1]);
+        assert_eq!(hits(&table, Datum::Int(b)), [2]);
+        assert!(hits(&table, Datum::from_word(b as u64, true)).is_empty());
+        let elsewhere = (0..).find(|i| !last(i)).unwrap();
+        assert!(hits(&table, Datum::Int(elsewhere)).is_empty());
+    }
+
+    #[test]
+    fn build_side_past_the_row_numbers_is_a_typed_error() {
+        let rows = RowBuf::columnless(VACANT as usize);
+        match BuildTable::build(&rows, &[], None) {
+            Err(DbError::Budget(b)) => {
+                assert_eq!(b.kind, BudgetKind::Rows);
+                assert_eq!(b.used, u64::from(VACANT));
+            }
+            other => panic!("{:?}", other.map(|t| t.slots.len())),
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! The one hasher behind the engine's internal hash tables.
 //!
-//! Every table the engine keys itself — join build sides, anti-join and
-//! duplicate-elimination sets, `GROUP BY`, hash index directories (a
-//! temporary's hashes its keys with [`FxHasher`] directly and keeps 32 bits
-//! of each), the buffer pool's page map — holds keys the engine made from rows it
+//! Every table the engine keys itself — anti-join and duplicate-elimination
+//! sets, `GROUP BY`, hash index directories, the buffer pool's page map,
+//! and the row-number tables of a hash join's build side and a temporary's
+//! index (these hash key columns with [`FxHasher`] directly and keep 32
+//! bits of each) — holds keys the engine made from rows it
 //! already stores, never a key an outside party chose to collide, so the
 //! default SipHash buys nothing there and costs a tenth of a bulk
 //! statement. Spill partitioning keeps its own FNV-1a

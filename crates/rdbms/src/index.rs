@@ -15,14 +15,16 @@
 //! heap table) or in the table's own row buffer (a temporary); probe
 //! counts are tracked so experiments can report logical index work.
 //!
-//! A hash directory over a heap table, and every hash table the executor
-//! keys on *part* of a row (join build sides, anti-join key sets, `GROUP
-//! BY`), is keyed by the executor's `Key`: a key of one or two columns sits
+//! A hash directory over a heap table, and the other hash tables the
+//! executor keys on *part* of a row (anti-join key sets, `GROUP BY`), are
+//! keyed by the executor's `Key`: a key of one or two columns sits
 //! inline in the map entry whatever the columns' types — a `char` value is
 //! the 4-byte id of its interned string — so building, probing and
 //! maintaining such a table allocates nothing per row. A hash directory
-//! over a temporary stores no key at all: it files row numbers, and reads
-//! a key from the row it names when it has to compare one (`RowDirectory`).
+//! over a temporary (`RowDirectory`) and a hash join's build side
+//! (`exec::BuildTable`) store no key at all: they file row numbers in
+//! 8-byte `Slot`s, and read a key from the row a slot names when they
+//! have to compare one (`locate`).
 //! (Whole-row sets — `DISTINCT`, `EXCEPT`, `UNION` — borrow the row where
 //! it already lies and build no key either.) Ids carry no order, so an
 //! ordered directory is keyed by [`PackedKey`], a key over [`Value`]s,
@@ -306,19 +308,20 @@ struct RowDirectory {
     keys: usize,
 }
 
-/// One key of a [`RowDirectory`]: the last row filed under it, and the low
-/// 32 bits of its hash. The slot's index is those bits modulo the table's
-/// length, moved on past occupied slots.
+/// One key of a row-number table (a [`RowDirectory`], or a hash join's
+/// build side): a row filed under the key, and the low 32 bits of its hash.
+/// The slot's index is those bits modulo the table's length, moved on past
+/// occupied slots.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    row: u32,
-    hash: u32,
+pub(crate) struct Slot {
+    pub(crate) row: u32,
+    pub(crate) hash: u32,
 }
 
-/// The `row` of a slot no key holds.
-const VACANT: u32 = u32::MAX;
+/// The `row` of a slot no key holds; no row number can be this.
+pub(crate) const VACANT: u32 = u32::MAX;
 
-const VACANT_SLOT: Slot = Slot {
+pub(crate) const VACANT_SLOT: Slot = Slot {
     row: VACANT,
     hash: 0,
 };
@@ -326,10 +329,27 @@ const VACANT_SLOT: Slot = Slot {
 /// The low 32 bits of the engine hasher's hash of a key's columns — the
 /// hash a heap directory's `Key` gets, one word per column.
 #[inline]
-fn key_hash(cols: impl Iterator<Item = Datum>) -> u32 {
+pub(crate) fn key_hash(cols: impl Iterator<Item = Datum>) -> u32 {
     let mut h = FxHasher::default();
     cols.for_each(|d| h.write_u64(d.word()));
     h.finish() as u32
+}
+
+/// The index of the slot of `slots` — a power of two long, never full —
+/// that holds the key hashing to `hash`, or else of the vacant slot where
+/// that key would go. `same(row)` says whether the key of a slot whose hash
+/// bits match is the key sought; it is asked about no other slot.
+#[inline]
+pub(crate) fn locate(slots: &[Slot], hash: u32, mut same: impl FnMut(u32) -> bool) -> usize {
+    let mask = slots.len() - 1;
+    let mut i = hash as usize & mask;
+    loop {
+        let slot = slots[i];
+        if slot.row == VACANT || (slot.hash == hash && same(slot.row)) {
+            return i;
+        }
+        i = (i + 1) & mask;
+    }
 }
 
 impl RowDirectory {
@@ -341,29 +361,22 @@ impl RowDirectory {
         let r = r.expect("a relation holds fewer than 2^32 - 1 rows");
         self.reserve(1);
         let hash = key_hash(key_cols.iter().map(|&c| row[c]));
-        let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.row == VACANT {
-                *slot = Slot { row: r, hash };
-                self.next.push(r);
-                self.keys += 1;
-                return;
-            }
-            if slot.hash == hash {
-                let last = slot.row as usize;
-                let held = rows.row(last);
-                if key_cols.iter().all(|&c| held[c] == row[c]) {
-                    // Insert `r` after the last row: it becomes the last,
-                    // and links back to the first.
-                    self.next.push(self.next[last]);
-                    self.next[last] = r;
-                    slot.row = r;
-                    return;
-                }
-            }
-            i = (i + 1) & mask;
+        let i = locate(&self.slots, hash, |held| {
+            let held = rows.row(held as usize);
+            key_cols.iter().all(|&c| held[c] == row[c])
+        });
+        let slot = &mut self.slots[i];
+        if slot.row == VACANT {
+            *slot = Slot { row: r, hash };
+            self.next.push(r);
+            self.keys += 1;
+        } else {
+            // Insert `r` after the last row: it becomes the last, and links
+            // back to the first.
+            let last = slot.row as usize;
+            self.next.push(self.next[last]);
+            self.next[last] = r;
+            slot.row = r;
         }
     }
 
@@ -378,12 +391,8 @@ impl RowDirectory {
         }
         let len = (keys * 4).div_ceil(3).next_power_of_two().max(8);
         let old = std::mem::replace(&mut self.slots, vec![VACANT_SLOT; len]);
-        let mask = len - 1;
         for slot in old.into_iter().filter(|s| s.row != VACANT) {
-            let mut i = slot.hash as usize & mask;
-            while self.slots[i].row != VACANT {
-                i = (i + 1) & mask;
-            }
+            let i = locate(&self.slots, slot.hash, |_| false);
             self.slots[i] = slot;
         }
     }
@@ -395,24 +404,17 @@ impl RowDirectory {
             return Hits::of(None);
         }
         let hash = key_hash((0..key_cols.len()).map(&key));
-        let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
-        loop {
-            let slot = self.slots[i];
-            if slot.row == VACANT {
-                return Hits::of(None);
-            }
-            if slot.hash == hash {
-                let held = rows.row(slot.row as usize);
-                if key_cols.iter().enumerate().all(|(k, &c)| held[c] == key(k)) {
-                    return Hits::Ring {
-                        next: &self.next,
-                        last: slot.row,
-                        at: Some(self.next[slot.row as usize]),
-                    };
-                }
-            }
-            i = (i + 1) & mask;
+        let i = locate(&self.slots, hash, |held| {
+            let held = rows.row(held as usize);
+            key_cols.iter().enumerate().all(|(k, &c)| held[c] == key(k))
+        });
+        match self.slots[i].row {
+            VACANT => Hits::of(None),
+            last => Hits::Ring {
+                next: &self.next,
+                last,
+                at: Some(self.next[last as usize]),
+            },
         }
     }
 

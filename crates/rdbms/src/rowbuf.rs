@@ -55,6 +55,17 @@ impl RowBuf {
         (0..self.len).map(|i| self.row(i))
     }
 
+    /// `len` rows of no columns: a row count no buffer with columns could
+    /// be allocated for.
+    #[cfg(test)]
+    pub(crate) fn columnless(len: usize) -> RowBuf {
+        RowBuf {
+            arity: 0,
+            len,
+            vals: Vec::new(),
+        }
+    }
+
     /// Drop every row, keeping the allocation.
     pub(crate) fn clear(&mut self) {
         self.vals.clear();
