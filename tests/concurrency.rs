@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rdbms::{DbError, DbSession, Engine, FaultInjector, SharedEngine, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const QUERY: &str = "SELECT k, v FROM kv";
@@ -30,18 +30,23 @@ fn seeded() -> SharedEngine {
 
 /// Acceptance: four concurrent sessions sustain byte-identical snapshot
 /// reads — content and order — while a writer commits through the same
-/// engine, with no coordination between readers and writer.
+/// engine. The only coordination is at the start: every reader takes its
+/// first read before the writer's first commit, so each snapshot predates
+/// the commits its refresh must then observe.
 #[test]
 fn four_sessions_read_stable_snapshots_while_writer_commits() {
     let shared = seeded();
     let stop = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(Barrier::new(5));
     let mut readers = Vec::new();
     for _ in 0..4 {
         let sh = shared.clone();
         let stop = Arc::clone(&stop);
+        let started = Arc::clone(&started);
         readers.push(thread::spawn(move || {
             let mut s = sh.session();
             let first = s.execute(QUERY).unwrap().rows;
+            started.wait();
             let mut reads = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let again = s.execute(QUERY).unwrap().rows;
@@ -56,6 +61,7 @@ fn four_sessions_read_stable_snapshots_while_writer_commits() {
         }));
     }
     let mut w = shared.session();
+    started.wait();
     for i in 0..200i64 {
         w.execute(&format!("INSERT INTO kv VALUES ({}, {i})", 100 + i))
             .unwrap();
