@@ -942,7 +942,10 @@ impl<'r> BuildTable<'r> {
             });
             // A vacant slot's row is `VACANT`, which ends the new chain.
             next[r] = slots[i].row;
-            slots[i] = Slot { row: r as u32, hash };
+            slots[i] = Slot {
+                row: r as u32,
+                hash,
+            };
         }
         Ok(BuildTable {
             rows,
