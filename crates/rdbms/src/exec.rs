@@ -1980,6 +1980,25 @@ mod tests {
     }
 
     #[test]
+    fn build_table_compares_every_key_column() {
+        // An integer and the symbol with the same word hash alike, so these
+        // keys share all 32 hash bits and differ only in their second
+        // column's type.
+        let (int, sym) = (Datum::Int(2), Datum::from_word(2, true));
+        let mut rows = RowBuf::new(3);
+        rows.push([Datum::Int(1), int, Datum::Int(0)]);
+        rows.push([Datum::Int(1), sym, Datum::Int(1)]);
+        let table = BuildTable::build(&rows, &[0, 1], None).unwrap();
+        assert_eq!(occupied(&table), 2);
+        let found = |probe: [Datum; 2]| -> Vec<Datum> {
+            table.matches(&probe, &[0, 1]).map(|row| row[2]).collect()
+        };
+        assert_eq!(found([Datum::Int(1), int]), [Datum::Int(0)]);
+        assert_eq!(found([Datum::Int(1), sym]), [Datum::Int(1)]);
+        assert!(found([Datum::from_word(1, true), int]).is_empty());
+    }
+
+    #[test]
     fn build_side_past_the_row_numbers_is_a_typed_error() {
         let rows = RowBuf::columnless(VACANT as usize);
         match BuildTable::build(&rows, &[], None) {
