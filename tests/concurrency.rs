@@ -45,8 +45,11 @@ fn four_sessions_read_stable_snapshots_while_writer_commits() {
         let started = Arc::clone(&started);
         readers.push(thread::spawn(move || {
             let mut s = sh.session();
-            let first = s.execute(QUERY).unwrap().rows;
+            // Reach the barrier before unwrapping, so a failed first read
+            // fails the test instead of leaving the writer waiting.
+            let first = s.execute(QUERY);
             started.wait();
+            let first = first.unwrap().rows;
             let mut reads = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let again = s.execute(QUERY).unwrap().rows;
