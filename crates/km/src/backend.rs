@@ -42,8 +42,9 @@ pub trait Storage {
     fn insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64, DbError>;
     fn has_table(&mut self, table: &str) -> bool;
     fn table_schema(&mut self, table: &str) -> Result<Schema, DbError>;
-    fn table_len(&mut self, table: &str) -> Result<u64, DbError>;
-    fn scan_all(&mut self, table: &str) -> Result<Vec<Vec<Value>>, DbError>;
+    /// Insert the rows the table does not hold yet, each one once, in
+    /// first-occurrence order; returns how many went in.
+    fn insert_absent(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64, DbError>;
 }
 
 impl Storage for Engine {
@@ -62,11 +63,8 @@ impl Storage for Engine {
     fn table_schema(&mut self, table: &str) -> Result<Schema, DbError> {
         Engine::table_schema(self, table)
     }
-    fn table_len(&mut self, table: &str) -> Result<u64, DbError> {
-        Engine::table_len(self, table)
-    }
-    fn scan_all(&mut self, table: &str) -> Result<Vec<Vec<Value>>, DbError> {
-        Engine::scan_all(self, table)
+    fn insert_absent(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64, DbError> {
+        Engine::insert_absent(self, table, rows)
     }
 }
 
@@ -86,11 +84,8 @@ impl Storage for DbSession {
     fn table_schema(&mut self, table: &str) -> Result<Schema, DbError> {
         DbSession::table_schema(self, table)
     }
-    fn table_len(&mut self, table: &str) -> Result<u64, DbError> {
-        DbSession::table_len(self, table)
-    }
-    fn scan_all(&mut self, table: &str) -> Result<Vec<Vec<Value>>, DbError> {
-        DbSession::scan_all(self, table)
+    fn insert_absent(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64, DbError> {
+        DbSession::insert_absent(self, table, rows)
     }
 }
 
@@ -223,16 +218,10 @@ impl Storage for ExecBackend {
             ExecBackend::Shared(s) => Storage::table_schema(s, table),
         }
     }
-    fn table_len(&mut self, table: &str) -> Result<u64, DbError> {
+    fn insert_absent(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64, DbError> {
         match self {
-            ExecBackend::Private(e) => Storage::table_len(e, table),
-            ExecBackend::Shared(s) => Storage::table_len(s, table),
-        }
-    }
-    fn scan_all(&mut self, table: &str) -> Result<Vec<Vec<Value>>, DbError> {
-        match self {
-            ExecBackend::Private(e) => Storage::scan_all(e, table),
-            ExecBackend::Shared(s) => Storage::scan_all(s, table),
+            ExecBackend::Private(e) => Storage::insert_absent(e, table, rows),
+            ExecBackend::Shared(s) => Storage::insert_absent(s, table, rows),
         }
     }
 }
@@ -340,6 +329,35 @@ mod tests {
         s.load_rules("r(X, Y) :- t(X, Y).").unwrap();
         s.commit_workspace().unwrap();
         assert_eq!(s.db_execute("SELECT * FROM t").unwrap().rows.len(), 64);
+    }
+
+    /// The shared engine's per-table key history holds 65 536 keys; a
+    /// rival batch one past that prunes it beyond a fact commit's
+    /// snapshot. That commit conflicts, `with_txn`'s retry commits it, and
+    /// the session keeps serving.
+    #[test]
+    fn a_fact_commit_behind_a_pruned_key_history_retries_and_commits() {
+        const KEY_HISTORY_CAP: usize = 65_536;
+        let (mut s, mut rival) = two_sessions();
+        let (_, lost_before) = s.commit_counters();
+        let row = |a: &str, b: &str| vec![Value::from(a), Value::from(b)];
+        let mut attempts = 0;
+        let (stored, _) = with_txn(s.backend_mut(), true, |b| {
+            attempts += 1;
+            let stored = b.insert_absent("t", vec![row("fact", "x")])?;
+            if attempts == 1 {
+                let bulk = (0..=KEY_HISTORY_CAP).map(|i| row(&format!("r{i}"), "y"));
+                rival.insert_rows("t", bulk.collect())?;
+            }
+            Ok(stored)
+        })
+        .unwrap();
+        assert_eq!((attempts, stored), (2, 1));
+        assert_eq!(s.commit_counters().1, lost_before + 1);
+        s.load_rules("t(late, z).").unwrap();
+        assert_eq!(s.commit_workspace().unwrap().facts_stored, 1);
+        let n = s.db_execute("SELECT COUNT(*) FROM t").unwrap().scalar_int();
+        assert_eq!(n, Some(KEY_HISTORY_CAP as i64 + 3));
     }
 
     #[test]

@@ -233,20 +233,10 @@ pub fn update_stored(
         if !edb.contains_key(pred) {
             stored.create_base_relation(db, pred, &info.types[pred])?;
         }
-        // Deduplicate against the rows already stored; the common
-        // first-commit case (empty relation) skips the scan entirely.
-        let fresh: Vec<Vec<rdbms::Value>> = if db.table_len(pred)? == 0 {
-            let mut seen = BTreeSet::new();
-            rows.into_iter()
-                .filter(|r| seen.insert(r.clone()))
-                .collect()
-        } else {
-            let mut seen: BTreeSet<Vec<rdbms::Value>> = db.scan_all(pred)?.into_iter().collect();
-            rows.into_iter()
-                .filter(|r| seen.insert(r.clone()))
-                .collect()
-        };
-        timings.facts_stored += stored.load_facts(db, pred, fresh)?;
+        // Set semantics: only facts the relation does not hold yet go in,
+        // found without reading the relation into memory (and, on the
+        // shared backend, without a table read in the footprint).
+        timings.facts_stored += db.insert_absent(pred, rows)?;
     }
     // Report which predicates were materialized so the caller can drain
     // them from the workspace.

@@ -27,12 +27,19 @@
 //!   concurrent commit coarsely rewrote the table or inserted an
 //!   overlapping key. Commuting inserts therefore take a conflict-free
 //!   fast path; this is sound because a literal insert's replay is
-//!   state-independent. These are the only two write granularities: the
-//!   Knowledge Manager's stored-D/KB traffic is DDL, literal inserts and
-//!   row batches, so a finer `DELETE` would buy no concurrency anyone
-//!   uses. Because validation covers the *read* set too, the replay runs
-//!   against exactly the table states the fork execution saw — the
-//!   committed history is serializable in commit order.
+//!   state-independent. An insert-if-absent batch
+//!   ([`DbSession::insert_absent`], how workspace facts are stored) is
+//!   key-granular too: the snapshot picks the absent rows, those replay
+//!   as a literal batch, and every staged row is a key, with no table
+//!   read. A row's presence changes only through an insert of that row
+//!   (an overlapping key) or a coarse write, so the snapshot's choice
+//!   still holds whenever validation passes. These are the only two
+//!   write granularities: the Knowledge Manager's stored-D/KB traffic is
+//!   DDL, literal inserts, row batches and insert-if-absent batches, so a
+//!   finer `DELETE` would buy no concurrency anyone uses. Because
+//!   validation covers the *read* set too, the replay runs against
+//!   exactly the table states the fork execution saw — the committed
+//!   history is serializable in commit order.
 //!
 //! * **Group commit.** Commits funnel through a queue: a committing
 //!   session enqueues its transaction, then contends for the live-engine
@@ -65,8 +72,9 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 enum ReplayOp {
     Sql(String),
-    /// A literal row batch ([`DbSession::insert_rows`]) — the bulk-load
-    /// path the Knowledge Manager's stored-D/KB loads go through.
+    /// A literal row batch ([`DbSession::insert_rows`], or the rows
+    /// [`DbSession::insert_absent`] found absent) — the path the
+    /// Knowledge Manager's stored-D/KB loads and fact commits go through.
     Rows {
         table: String,
         rows: Vec<Tuple>,
@@ -100,7 +108,8 @@ enum TableWrite {
     /// concurrent write to the table, exactly as in pure table
     /// granularity.
     Coarse,
-    /// Literal-row inserts only: replay is state-independent, so the
+    /// Literal-row inserts and insert-if-absent batches (every staged
+    /// row, inserted or skipped) only: replay is state-independent, so the
     /// write conflicts only with a concurrent coarse write or an
     /// overlapping inserted key (the key is the full row — the engine
     /// has no primary-key constraints, so equal rows are the only
@@ -492,23 +501,43 @@ impl DbSession {
         self.snap.table_schema(table)
     }
 
-    /// Row count of `table` on the snapshot, recorded as a read when a
-    /// transaction is open (decisions derived from the count must not
-    /// survive a concurrent write to the table).
-    pub fn table_len(&mut self, table: &str) -> Result<u64, DbError> {
-        if let Some(t) = self.txn.as_mut() {
-            t.read_set.insert(norm(table));
+    /// Insert the rows of `rows` that the table does not hold yet, each
+    /// one once, in first-occurrence order ([`Engine::insert_absent`]).
+    /// The snapshot decides which rows are absent; those replay as a
+    /// literal batch, and the footprint is every staged row as a key, with
+    /// no read of the table. That is sound because a row's presence changes
+    /// only through an insert of that row, which the key history catches,
+    /// or a coarse write (a `DELETE` of a row that was present and skipped
+    /// included), which `coarse_seq` catches. In autocommit each attempt is
+    /// a transaction of its own, so a conflict recomputes the absent rows
+    /// on the fresh snapshot.
+    pub fn insert_absent(&mut self, table: &str, rows: Vec<Tuple>) -> Result<u64, DbError> {
+        if self.txn.is_none() {
+            loop {
+                self.begin()?;
+                let n = match self.insert_absent(table, rows.clone()) {
+                    Ok(n) => n,
+                    Err(e) => {
+                        let _ = self.rollback();
+                        return Err(e);
+                    }
+                };
+                match self.commit() {
+                    Err(DbError::WriteConflict(_)) => continue,
+                    out => return out.map(|()| n),
+                }
+            }
         }
-        self.snap.table_len(table)
-    }
-
-    /// All rows of `table` on the snapshot, recorded as a read when a
-    /// transaction is open.
-    pub fn scan_all(&mut self, table: &str) -> Result<Vec<Tuple>, DbError> {
-        if let Some(t) = self.txn.as_mut() {
-            t.read_set.insert(norm(table));
-        }
-        self.snap.scan_all(table)
+        let keys = rows.iter().cloned().collect();
+        let fresh = self.snap.absent_rows(table, rows)?;
+        let writes = BTreeMap::from([(norm(table), TableWrite::Keys(keys))]);
+        let op = ReplayOp::Rows {
+            table: table.to_string(),
+            rows: fresh,
+        };
+        Ok(self
+            .record_or_autocommit(op, BTreeSet::new(), writes)?
+            .affected)
     }
 
     /// The one path every statement takes: `op` runs on the snapshot, and
@@ -892,12 +921,12 @@ mod tests {
         let live_rows = shared.with_live(|live| live.table_len("t").unwrap());
         assert_eq!(live_rows, 64 + 2048);
 
-        assert_eq!(reader.table_len("t").unwrap(), 64);
+        assert_eq!(reader.snapshot().table_len("t").unwrap(), 64);
         let rs = reader.execute("SELECT v FROM t WHERE k = 3").unwrap();
         assert_eq!(rs.rows.len(), 8, "snapshot answers ignore the commit");
 
         reader.refresh().unwrap();
-        assert_eq!(reader.table_len("t").unwrap(), 64 + 2048);
+        assert_eq!(reader.snapshot().table_len("t").unwrap(), 64 + 2048);
     }
 
     #[test]
@@ -1083,6 +1112,116 @@ mod tests {
         b.commit().expect("disjoint insert_rows batches commute");
         let mut check = shared.session();
         assert_eq!(dump(&mut check).len(), 22);
+    }
+
+    fn kv(k: i64, v: i64) -> Tuple {
+        vec![Value::Int(k), Value::Int(v)]
+    }
+
+    /// `insert_absent` reads no table: two overlapping transactions
+    /// staging disjoint rows into one table both commit.
+    #[test]
+    fn insert_absent_of_disjoint_rows_commutes() {
+        let shared = seeded();
+        let mut a = shared.session();
+        let mut b = shared.session();
+        a.begin().unwrap();
+        b.begin().unwrap();
+        assert_eq!(
+            a.insert_absent("kv", vec![kv(3, 30), kv(1, 10)]).unwrap(),
+            1
+        );
+        assert_eq!(
+            b.insert_absent("kv", vec![kv(4, 40), kv(2, 20)]).unwrap(),
+            1
+        );
+        a.commit().unwrap();
+        b.commit().expect("disjoint staged rows commute");
+        assert_eq!(a.conflicts() + b.conflicts(), 0);
+        assert_eq!(dump(&mut shared.session()).len(), 4);
+    }
+
+    /// Staging a row another transaction inserted since the snapshot
+    /// conflicts; the retry finds it present and stores nothing.
+    #[test]
+    fn insert_absent_of_the_same_row_conflicts_then_stores_nothing() {
+        let shared = seeded();
+        let mut a = shared.session();
+        let mut b = shared.session();
+        a.begin().unwrap();
+        b.begin().unwrap();
+        assert_eq!(a.insert_absent("kv", vec![kv(3, 30)]).unwrap(), 1);
+        assert_eq!(b.insert_absent("kv", vec![kv(3, 30)]).unwrap(), 1);
+        a.commit().unwrap();
+        let err = b.commit().unwrap_err();
+        assert!(
+            matches!(&err, DbError::WriteConflict(m) if m.contains("overlapping key")),
+            "{err}"
+        );
+        b.begin().unwrap();
+        assert_eq!(b.insert_absent("kv", vec![kv(3, 30)]).unwrap(), 0);
+        b.commit().unwrap();
+        assert_eq!(dump(&mut b).len(), 3, "the row is stored once");
+    }
+
+    /// A row that was present at the snapshot is skipped; a concurrent
+    /// `DELETE` of it makes the commit conflict (the skip would otherwise
+    /// lose the row), and the retry stores it.
+    #[test]
+    fn a_concurrent_delete_of_a_skipped_row_conflicts() {
+        let shared = seeded();
+        let mut a = shared.session();
+        let mut b = shared.session();
+        b.begin().unwrap();
+        assert_eq!(b.insert_absent("kv", vec![kv(1, 10)]).unwrap(), 0);
+        a.execute("DELETE FROM kv WHERE k = 1").unwrap();
+        let err = b.commit().unwrap_err();
+        assert!(matches!(err, DbError::WriteConflict(_)), "{err}");
+        b.begin().unwrap();
+        assert_eq!(b.insert_absent("kv", vec![kv(1, 10)]).unwrap(), 1);
+        b.commit().unwrap();
+        assert_eq!(dump(&mut b), vec![kv(1, 10), kv(2, 20)]);
+    }
+
+    /// Past [`KEY_HISTORY_CAP`] keys the history prunes, and a staged row
+    /// whose snapshot predates the pruned floor conflicts even though no
+    /// one touched it; on the fresh snapshot it commits.
+    #[test]
+    fn insert_absent_behind_the_pruned_floor_conflicts_then_commits() {
+        let shared = seeded();
+        let mut a = shared.session();
+        let mut rival = shared.session();
+        a.begin().unwrap();
+        assert_eq!(a.insert_absent("kv", vec![kv(-1, -1)]).unwrap(), 1);
+        let bulk = (0..=KEY_HISTORY_CAP as i64).map(|i| kv(1000 + i, 0));
+        rival.insert_rows("kv", bulk.collect()).unwrap();
+        let err = a.commit().unwrap_err();
+        assert!(
+            matches!(&err, DbError::WriteConflict(m) if m.contains("key history was pruned")),
+            "{err}"
+        );
+        a.begin().unwrap();
+        assert_eq!(a.insert_absent("kv", vec![kv(-1, -1)]).unwrap(), 1);
+        a.commit().unwrap();
+        assert_eq!(dump(&mut a).len(), 2 + KEY_HISTORY_CAP + 1 + 1);
+    }
+
+    /// In autocommit each call is a transaction of its own.
+    #[test]
+    fn insert_absent_autocommits() {
+        let shared = seeded();
+        let mut s = shared.session();
+        assert_eq!(
+            s.insert_absent("kv", vec![kv(5, 50), kv(5, 50)]).unwrap(),
+            1
+        );
+        assert_eq!(s.insert_absent("kv", vec![kv(5, 50)]).unwrap(), 0);
+        assert!(matches!(
+            s.insert_absent("nosuch", vec![kv(1, 1)]),
+            Err(DbError::NoSuchTable(_))
+        ));
+        assert_eq!(dump(&mut shared.session()).len(), 3);
+        assert_eq!(s.commits(), 2);
     }
 
     /// A pruned key history fails conservative, never unsound: after the

@@ -13,6 +13,7 @@ use crate::exec::{
     Profiler, SpillMode, DEFAULT_BATCH_ROWS,
 };
 use crate::governor::{BudgetKind, ExecLimits, QueryGovernor, GOVERNOR_CHECK_INTERVAL};
+use crate::hash::KeyMap;
 use crate::heap::RecordId;
 use crate::index::TableIndex;
 use crate::page::MAX_PAYLOAD;
@@ -24,7 +25,7 @@ use crate::sql::ast::{CmpOp, ColRef, Condition, Query, Scalar, SelectItem, Stmt}
 use crate::sql::parser::{parse_script, parse_stmt, parse_stmt_params};
 use crate::sym::{encode_row, Datum, Interner, Symbols};
 use crate::value::Value;
-use std::collections::BTreeMap;
+use std::collections::{hash_map, BTreeMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1052,6 +1053,72 @@ impl Engine {
     /// insert behind.
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Tuple>) -> Result<u64, DbError> {
         self.insert_slices(table, rows.len(), |i| rows[i].as_slice())
+    }
+
+    /// Insert the rows of `rows` that `table` does not hold yet, each one
+    /// once, in first-occurrence order: set semantics for a batch, as the
+    /// Knowledge Manager stores workspace facts. Returns how many rows
+    /// went in.
+    pub fn insert_absent(&mut self, table: &str, rows: Vec<Tuple>) -> Result<u64, DbError> {
+        let fresh = self.absent_rows(table, rows)?;
+        self.insert_rows(table, fresh)
+    }
+
+    /// The rows of `rows` that `table` does not hold, each one once, in
+    /// first-occurrence order. A heap table takes one pass over its
+    /// payloads, compared as bytes with the rows' encodings (canonical:
+    /// equal values encode equally), so no stored row is decoded. A
+    /// temporary compares datums. An empty table takes no pass.
+    pub fn absent_rows(&mut self, table: &str, rows: Vec<Tuple>) -> Result<Vec<Tuple>, DbError> {
+        let t = self.catalog.table(table)?;
+        // Each distinct row by its encoding, mapped to its first position.
+        let mut pending: KeyMap<Vec<u8>, usize> = KeyMap::default();
+        let mut keep = vec![false; rows.len()];
+        for (i, row) in rows.iter().enumerate() {
+            let mut bytes = Vec::with_capacity(serialized_len(row));
+            serialize_tuple_into(row, &mut bytes);
+            if let hash_map::Entry::Vacant(e) = pending.entry(bytes) {
+                e.insert(i);
+                keep[i] = true;
+            }
+        }
+        if t.len() > 0 {
+            match &t.rows {
+                Rows::Heap(heap) => {
+                    heap.scan()
+                        .for_each(&mut self.disk, &mut self.pool, |_, payload| {
+                            if let Some(i) = pending.remove(payload) {
+                                keep[i] = false;
+                            }
+                            Ok(())
+                        })?;
+                }
+                Rows::Relation(rel) => {
+                    // A row with a string never interned is in no table.
+                    let syms = self.catalog.syms();
+                    let mut pending: KeyMap<Vec<Datum>, usize> = pending
+                        .into_values()
+                        .filter_map(|i| {
+                            let datums = rows[i].iter().map(|v| match v {
+                                Value::Int(n) => Some(Datum::Int(*n)),
+                                Value::Str(s) => syms.find(s).map(Datum::Sym),
+                            });
+                            Some((datums.collect::<Option<Vec<_>>>()?, i))
+                        })
+                        .collect();
+                    for row in rel.iter() {
+                        if let Some(i) = pending.remove(row) {
+                            keep[i] = false;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(rows
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(row, fresh)| fresh.then_some(row))
+            .collect())
     }
 
     /// [`Engine::insert_rows`] over `n` rows wherever they lie: `row(i)` is
@@ -3294,5 +3361,69 @@ mod tests {
             BudgetKind::Memory,
             "a hash build against a one-byte budget, spilling disabled"
         );
+    }
+
+    /// The reference [`Engine::insert_absent`] replaced: every stored row
+    /// read into a set, then the staged rows filtered through it.
+    fn absent_by_scan(e: &mut Engine, table: &str, rows: &[Tuple]) -> Vec<Tuple> {
+        let mut seen: std::collections::BTreeSet<Tuple> =
+            e.scan_all(table).unwrap().into_iter().collect();
+        rows.iter()
+            .filter(|r| seen.insert((*r).clone()))
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn insert_absent_stores_each_new_row_once_in_first_occurrence_order() {
+        for temp in ["", "TEMP "] {
+            let mut e = Engine::new();
+            e.execute(&format!("CREATE {temp}TABLE t (n integer, s char)"))
+                .unwrap();
+            let row = |n: i64, s: &str| vec![Value::Int(n), Value::from(s)];
+            e.insert_rows("t", vec![row(1, "a")]).unwrap();
+            let staged = vec![
+                row(3, "c"),
+                row(1, "a"),
+                row(2, "b"),
+                row(3, "c"),
+                row(2, "b"),
+            ];
+            assert_eq!(e.insert_absent("t", staged.clone()).unwrap(), 2, "{temp}");
+            let rs = e.execute("SELECT n, s FROM t").unwrap();
+            assert_eq!(
+                rs.rows,
+                vec![row(1, "a"), row(3, "c"), row(2, "b")],
+                "{temp}"
+            );
+            assert_eq!(e.insert_absent("t", staged).unwrap(), 0, "{temp}");
+            assert_eq!(e.table_len("t").unwrap(), 3, "{temp}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Heap and temporary tables answer as the scan-and-set reference
+        /// on mixed `Int` / `Str` rows: stored rows with duplicates,
+        /// staged rows that repeat, overlap the stored ones and carry
+        /// strings that were never interned.
+        #[test]
+        fn insert_absent_matches_the_scan_reference(
+            stored in proptest::collection::vec((0i64..6, 0u8..6), 0..300),
+            staged in proptest::collection::vec((0i64..8, 0u8..8), 0..24),
+        ) {
+            let row = |&(n, s): &(i64, u8)| vec![Value::Int(n), Value::from(format!("s{s}"))];
+            let stored: Vec<Tuple> = stored.iter().map(row).collect();
+            let staged: Vec<Tuple> = staged.iter().map(row).collect();
+            for temp in ["", "TEMP "] {
+                let mut e = Engine::new();
+                e.execute(&format!("CREATE {temp}TABLE t (n integer, s char)")).unwrap();
+                e.insert_rows("t", stored.clone()).unwrap();
+                let expect = absent_by_scan(&mut e, "t", &staged);
+                proptest::prop_assert_eq!(&e.absent_rows("t", staged.clone()).unwrap(), &expect);
+                let n = e.insert_absent("t", staged.clone()).unwrap();
+                proptest::prop_assert_eq!(n, expect.len() as u64);
+                proptest::prop_assert_eq!(e.table_len("t").unwrap(), (stored.len() + expect.len()) as u64);
+            }
+        }
     }
 }

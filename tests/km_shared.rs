@@ -124,6 +124,41 @@ fn commuting_same_table_inserts_no_longer_conflict() {
     assert_eq!(rows.len(), 5, "both inserts landed");
 }
 
+/// Workspace fact commits store by key: two sessions each committing 500
+/// rounds of disjoint facts into one base relation never conflict, since
+/// the facts phase reads none of the relation it writes.
+#[test]
+fn disjoint_fact_commits_into_one_relation_never_conflict() {
+    const ROUNDS: usize = 500;
+    let shared = SharedEngine::new(Engine::new());
+    let mut boot = Session::attach(&shared, SessionConfig::default()).expect("attach");
+    boot.define_base("audit", &binary_sym()).expect("base");
+    let workers: Vec<_> = (0..2)
+        .map(|c| {
+            let sh = shared.clone();
+            thread::spawn(move || {
+                let mut s = Session::attach(&sh, SessionConfig::default()).expect("attach");
+                for i in 0..ROUNDS {
+                    s.load_rules(&format!("audit(k{c}_{i}, v{i}).\n"))
+                        .expect("stage");
+                    let t = s.commit_workspace().expect("commit");
+                    assert_eq!(t.facts_stored, 1, "client {c}, round {i}");
+                }
+                s.commit_counters()
+            })
+        })
+        .collect();
+    for w in workers {
+        let (commits, conflicts) = w.join().expect("worker panicked");
+        assert_eq!((commits, conflicts), (ROUNDS as u64, 0));
+    }
+    boot.backend_mut().refresh().expect("refresh");
+    let rs = boot
+        .db_execute("SELECT COUNT(*) FROM audit")
+        .expect("count");
+    assert_eq!(rs.scalar_int(), Some(2 * ROUNDS as i64));
+}
+
 /// Which resource a budget error tripped on, whichever layer raised it
 /// (a statement of the compile phase, or the evaluation).
 fn tripped(e: &KmError) -> Option<EvalResource> {
